@@ -172,7 +172,7 @@ def _criterion_poincare() -> tuple[dict, list]:
     pc = poincare_class()
     summary = _audit_summary(pc, 1)
     m_a, pi, m_b = decompose(pc)
-    kern = slope_kernel(_prod(pc), reduce_slope(pc.as_class(), 1))
+    kern = slope_kernel(pc.as_class().variety, reduce_slope(pc.as_class(), 1))
     iso = projection_iso(pc, 1)
     good = (
         summary["all_pass"]
@@ -188,15 +188,9 @@ def _criterion_poincare() -> tuple[dict, list]:
     return detail, ([(pc, 1)] if good else [])
 
 
-def _prod(pc):
-    from .product_audit import _product_variety
-
-    return _product_variety(pc.a, pc.b)
-
-
 def _oracle_subgroup_checks(pc, l: int) -> dict:
     """Re-derive the audit's subgroup identities by enumerating torsion points."""
-    prod = _prod(pc)
+    prod = pc.as_class().variety
     m_a, pi, m_b = decompose(pc)
 
     # members of the slope lattice among l-torsion: x with l*x and M*x integral

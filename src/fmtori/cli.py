@@ -61,12 +61,11 @@ def _fmt_mat(m: Mat) -> str:
 
 
 def _load_variety(path):
-    try:
-        return variety_from_json(load_json_file(path))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except CorpusFormatError as exc:
-        raise InputError(str(exc)) from exc
+    a = variety_from_json(load_json_file(path))
+    report = validate(a)
+    if not report.ok:
+        raise InputError(f"{path}: invalid variety: {'; '.join(report.failures)}")
+    return a
 
 
 def _parse_literal(a, text: str):
@@ -84,7 +83,8 @@ def _divisor_text(divisors) -> str:
 
 
 def _cmd_validate(args):
-    a = _load_variety(args.variety)
+    # the one command that reads its file raw: reporting failures is its job
+    a = variety_from_json(load_json_file(args.variety))
     report = validate(a)
     payload = {"command": "validate", "name": a.name, "ok": report.ok,
                "failures": list(report.failures)}
@@ -95,9 +95,6 @@ def _cmd_validate(args):
 
 def _cmd_dual(args):
     a = _load_variety(args.variety)
-    report = validate(a)
-    if not report.ok:
-        raise InputError("; ".join(report.failures))
     d = dual(a)
     lines = [
         f"dual of {a.name}: g={d.g}, ns rank {len(d.ns_basis)}",
@@ -162,14 +159,7 @@ def _cmd_amu(args):
 
 def _cmd_partners(args):
     a = _load_variety(args.variety)
-    report = validate(a)
-    if not report.ok:
-        raise InputError("; ".join(report.failures))
-    try:
-        entries = enumerate_partners(a, args.coeff_bound, args.denom_bound,
-                                     threads=args.threads)
-    except PreconditionError as exc:
-        raise InputError(str(exc)) from exc
+    entries = enumerate_partners(a, args.coeff_bound, args.denom_bound, threads=args.threads)
     source_print = None
     rows = []
     lines = []
@@ -215,10 +205,7 @@ def _cmd_partners(args):
 
 def _cmd_ppav_check(args):
     a = _load_variety(args.variety)
-    try:
-        check = ppav_rigidity_check(a, args.n, args.l)
-    except PreconditionError as exc:
-        raise InputError(str(exc)) from exc
+    check = ppav_rigidity_check(a, args.n, args.l)
     payload = {"command": "ppav-check", "name": a.name, "n": args.n, "l": args.l,
                "ok": check.ok, "kernel_order": check.kernel.order,
                "certificate": matrix_to_json(check.certificate.m)}
@@ -230,17 +217,8 @@ def _cmd_ppav_check(args):
 def _cmd_audit(args):
     a = _load_variety(args.a)
     b = _load_variety(args.b)
-    try:
-        doc = load_json_file(getattr(args, "class"))
-        pc = product_class_from_json(doc, a, b)
-    except OSError as exc:
-        raise InputError(f"cannot read {getattr(args, 'class')}: {exc}") from exc
-    except CorpusFormatError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        report = audit_equivalence(pc, args.l)
-    except PreconditionError as exc:
-        raise InputError(str(exc)) from exc
+    pc = product_class_from_json(load_json_file(getattr(args, "class")), a, b)
+    report = audit_equivalence(pc, args.l)
     lines = []
     for item in report.items:
         lines.append(f"{item.name}: {'pass' if item.passed else 'FAIL'}")
@@ -257,16 +235,8 @@ def _cmd_audit(args):
 
 def _cmd_search_n(args):
     v = _load_variety(args.variety)
-    try:
-        target = subgroup_from_json(load_json_file(args.target), v)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.target}: {exc}") from exc
-    except CorpusFormatError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        found = search_kernel_class(v, args.l, target, args.bound, threads=args.threads)
-    except PreconditionError as exc:
-        raise InputError(str(exc)) from exc
+    target = subgroup_from_json(load_json_file(args.target), v)
+    found = search_kernel_class(v, args.l, target, args.bound, threads=args.threads)
     if found is None:
         payload = {"command": "search-n", "name": v.name, "l": args.l,
                    "bound": args.bound, "found": None}
@@ -348,18 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the one place where invalid input becomes exit code 2; an OSError
+    # names its file, and a malformed JSON file is named by load_json_file
     try:
         code, lines, payload = args.fn(args)
-    except InputError as exc:
+        for line in lines:
+            print(line)
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(render_json(payload))
+    except (InputError, OSError, CorpusFormatError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for line in lines:
-        print(line)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(render_json(payload))
     return code
 
 

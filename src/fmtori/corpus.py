@@ -153,7 +153,7 @@ def load_json_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CorpusFormatError(f"{path}: {exc}") from exc
     if not isinstance(d, dict):
         raise CorpusFormatError(f"{path}: top level must be an object")

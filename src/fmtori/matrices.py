@@ -55,11 +55,6 @@ class Mat:
         return Mat([[0] * c for _ in range(r)])
 
     @staticmethod
-    def diag(entries: Sequence[Scalar]) -> "Mat":
-        n = len(entries)
-        return Mat([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def from_cols(cols: Sequence[Sequence[Scalar]]) -> "Mat":
         if not cols:
             raise ValueError("need at least one column")
@@ -219,57 +214,46 @@ class Mat:
             [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
             for i, row in enumerate(self.data)
         ]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[k], a[piv] = a[piv], a[k]
-            inv = 1 / a[k][k]
-            a[k] = [x * inv for x in a[k]]
-            for i in range(n):
-                if i != k and a[i][k] != 0:
-                    f = a[i][k]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        if len(_gauss_jordan(a, n)) < n:
+            raise ValueError("matrix is singular")
         return Mat([row[n:] for row in a])
 
     def rank(self) -> int:
-        a = [[Fraction(x) for x in row] for row in self.data]
-        r = 0
-        for j in range(self.cols):
-            piv = next((i for i in range(r, self.rows) if a[i][j] != 0), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = 1 / a[r][j]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(self.rows):
-                if i != r and a[i][j] != 0:
-                    f = a[i][j]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            r += 1
-            if r == self.rows:
-                break
-        return r
+        return len(_gauss_jordan([[Fraction(x) for x in row] for row in self.data], self.cols))
+
+
+def _gauss_jordan(a: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce the rows of a in place to reduced row echelon form, pivoting
+    only in the first ncols columns; returns the pivot columns.
+
+    Later columns ride along, which is how inverse and solve_exact carry an
+    augmented block through the elimination.
+    """
+    rows = len(a)
+    pivots: list[int] = []
+    for j in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][j] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][j]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][j] != 0:
+                f = a[i][j]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(j)
+    return pivots
 
 
 # -- vector helpers ---------------------------------------------------------
 
 
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vec:
-    return tuple(_exact(a + b) for a, b in zip(u, v))
-
-def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vec:
-    return tuple(_exact(a - b) for a, b in zip(u, v))
-
-def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vec:
-    return tuple(_exact(c * x) for x in v)
-
 def vec_is_integral(v: Sequence[Scalar]) -> bool:
     return all(Fraction(x).denominator == 1 for x in v)
-
-def vec_mod1(v: Sequence[Scalar]) -> Vec:
-    """Reduce each coordinate into [0, 1); the residue of a torus point."""
-    return tuple(_exact(Fraction(x) - (Fraction(x).numerator // Fraction(x).denominator)) for x in v)
 
 
 # -- normal forms -------------------------------------------------------------
@@ -449,22 +433,8 @@ def solve_exact(a: Mat, b: Sequence[Scalar]) -> Vec | None:
         raise ValueError("dimension mismatch")
     aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a.data, b)]
     n = a.cols
-    pivots: list[int] = []
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, a.rows) if aug[i][j] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][j]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(a.rows):
-            if i != r and aug[i][j] != 0:
-                f = aug[i][j]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(j)
-        r += 1
-    for i in range(r, a.rows):
+    pivots = _gauss_jordan(aug, n)
+    for i in range(len(pivots), a.rows):
         if aug[i][n] != 0:
             return None
     x = [Fraction(0)] * n

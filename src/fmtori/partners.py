@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .matrices import Mat, integer_kernel, snf
+from .matrices import Mat, snf
 from .parallel import pmap
 from .slopes import Slope, SlopeSubvariety, reduce_slope, slope_kernel, slope_subvariety
 from .varieties import (
@@ -29,6 +29,7 @@ from .varieties import (
     PreconditionError,
     TorusVariety,
     dual,
+    intertwiner_basis,
     is_isomorphism_certificate,
 )
 
@@ -154,19 +155,7 @@ def homomorphism_space_basis(src: TorusVariety, dst: TorusVariety) -> tuple[Mat,
     The basis is saturated: every integral intertwiner is an integer
     combination of it.
     """
-    n, m = src.dim, dst.dim
-    cols = []
-    for p in range(m):
-        for q in range(n):
-            e_pq = Mat([[1 if (i, j) == (p, q) else 0 for j in range(n)] for i in range(m)])
-            d = e_pq @ src.j - dst.j @ e_pq
-            cols.append(tuple(x for row in d.data for x in row))
-    ker = integer_kernel(Mat.from_cols(cols))
-    out = []
-    for j in range(ker.cols):
-        v = ker.col(j)
-        out.append(Mat([list(v[i * n : (i + 1) * n]) for i in range(m)]))
-    return tuple(out)
+    return intertwiner_basis(src.j, dst.j)
 
 
 def find_isomorphism_certificate(

@@ -17,16 +17,16 @@ consequence and reports each comparison separately.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .lattices import Lattice, sublattice_where_integral
 from .matrices import Mat
 from .parallel import pmap
 from .partners import find_isomorphism_certificate
-from .slopes import Slope, reduce_slope, slope_kernel, slope_subvariety
+from .slopes import Slope, _ambient_product, reduce_slope, slope_kernel, slope_subvariety
 from .varieties import (
     FiniteSubgroup,
     Homomorphism,
@@ -34,6 +34,7 @@ from .varieties import (
     NSClass,
     PreconditionError,
     TorusVariety,
+    _is_positive_definite,
     dual,
     image_under,
     is_isomorphism_certificate,
@@ -45,21 +46,18 @@ from .varieties import (
 
 def is_ample(c: NSClass) -> bool:
     """Positivity of the associated symmetric form, checked by exact minors."""
-    s = c.e @ c.variety.j
-    for k in range(1, s.rows + 1):
-        if s.submatrix(range(k), range(k)).det() <= 0:
-            return False
-    return True
+    return _is_positive_definite(c.e @ c.variety.j)
+
+
+# the names are part of each cache key because TorusVariety equality ignores them
+@lru_cache(maxsize=None)
+def _product_variety(a: TorusVariety, b: TorusVariety, a_name: str, b_name: str) -> TorusVariety:
+    return product(a, b, name=f"{a_name}x{b_name}").variety
 
 
 @lru_cache(maxsize=None)
-def _product_variety(a: TorusVariety, b: TorusVariety) -> TorusVariety:
-    return product(a, b).variety
-
-
-@lru_cache(maxsize=None)
-def _dual_product_variety(a: TorusVariety, b: TorusVariety) -> TorusVariety:
-    return product(dual(a), dual(b), name=f"{a.name}^x{b.name}^").variety
+def _dual_product_variety(a: TorusVariety, b: TorusVariety, a_name: str, b_name: str) -> TorusVariety:
+    return product(dual(a), dual(b), name=f"{a_name}^x{b_name}^").variety
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,10 +68,12 @@ class ProductNSClass:
     b: TorusVariety
     m: Mat
     name: str = "M"
+    _class: NSClass = field(init=False, repr=False)
 
     def __post_init__(self):
         # full validation (integrality, alternation, block J-compatibility)
-        NSClass(_product_variety(self.a, self.b), self.m)
+        prod = _product_variety(self.a, self.b, self.a.name, self.b.name)
+        object.__setattr__(self, "_class", NSClass(prod, self.m))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -86,12 +86,12 @@ class ProductNSClass:
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.m))
 
-    @property
+    @cached_property
     def block_a(self) -> NSClass:
         n = self.a.dim
         return NSClass(self.a, self.m.submatrix(range(n), range(n)))
 
-    @property
+    @cached_property
     def block_b(self) -> NSClass:
         n, k = self.a.dim, self.b.dim
         return NSClass(self.b, self.m.submatrix(range(n, n + k), range(n, n + k)))
@@ -102,7 +102,7 @@ class ProductNSClass:
         return self.m.submatrix(range(n), range(n, n + k))
 
     def as_class(self) -> NSClass:
-        return NSClass(_product_variety(self.a, self.b), self.m)
+        return self._class
 
 
 def assemble(a: TorusVariety, b: TorusVariety, block_a: Mat, corr: Mat, block_b: Mat) -> ProductNSClass:
@@ -119,10 +119,6 @@ def decompose(pc: ProductNSClass) -> tuple[NSClass, Homomorphism, NSClass]:
     """
     pi = Homomorphism(pc.a, dual(pc.b), pc.correspondence.T)
     return pc.block_a, pi, pc.block_b
-
-
-def check_pi_isogeny(pi: Homomorphism) -> bool:
-    return pi.is_isogeny()
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ def _graph_homs(pc: ProductNSClass) -> tuple[Homomorphism, Homomorphism]:
     images of l-torsion under these two maps are the graph subgroups the
     theory compares.
     """
-    dp = _dual_product_variety(pc.a, pc.b)
+    dp = _dual_product_variety(pc.a, pc.b, pc.a.name, pc.b.name)
     na = pc.a.dim
     cols_a = pc.m.submatrix(range(pc.m.rows), range(na))
     cols_b = pc.m.submatrix(range(pc.m.rows), range(na, pc.m.cols))
@@ -213,7 +209,7 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
             "twist_to_ample provides the normalization"
         )
     g = pc.a.g
-    prod = _product_variety(pc.a, pc.b)
+    prod = mu.variety
     items: list[AuditItem] = []
 
     kern = slope_kernel(prod, mu)
@@ -290,16 +286,15 @@ def projection_iso(pc: ProductNSClass, l: int) -> ProjectionIso:
     if not report.all_pass:
         raise PreconditionError("projection_iso requires an all-pass audit")
     mu = _slope_of(pc, l)
-    prod = _product_variety(pc.a, pc.b)
-    sv = slope_subvariety(prod, mu)
+    sv = slope_subvariety(mu.variety, mu)
     na, nb = pc.a.dim, pc.b.dim
     half = na + nb
     emb = sv.to_ambient.m
     rows_q = list(range(na)) + list(range(half, half + na))
     rows_p = list(range(na, half)) + list(range(half + na, 2 * half))
     all_cols = range(emb.cols)
-    q = Homomorphism(sv.variety, _product_variety(pc.a, dual(pc.a)), emb.submatrix(rows_q, all_cols))
-    p = Homomorphism(sv.variety, _product_variety(pc.b, dual(pc.b)), emb.submatrix(rows_p, all_cols))
+    q = Homomorphism(sv.variety, _ambient_product(pc.a, pc.a.name), emb.submatrix(rows_q, all_cols))
+    p = Homomorphism(sv.variety, _ambient_product(pc.b, pc.b.name), emb.submatrix(rows_p, all_cols))
     if not (is_isomorphism_certificate(q) and is_isomorphism_certificate(p)):
         raise InternalInvariantViolation(
             "coordinate projections must be unimodular on an all-pass instance"
@@ -344,29 +339,37 @@ def search_kernel_class(
         raise PreconditionError("target subgroup must lie in the l-torsion")
 
     def hit(coeffs) -> NSClass | None:
-        if not any(coeffs):
-            return None
         cls = v.ns_class(coeffs)
-        if kernel_torsion_subgroup(v, cls, l) == target:
-            return cls
-        return None
+        return cls if kernel_torsion_subgroup(v, cls, l) == target else None
 
-    candidates = itertools.product(
-        range(-coeff_bound, coeff_bound + 1), repeat=len(v.ns_basis)
-    )
-    return _first_hit(candidates, hit, threads)
+    found = _scan(len(v.ns_basis), coeff_bound, hit, threads, limit=1)
+    return found[0] if found else None
 
 
-def _first_hit(candidates, evaluate, threads: int):
-    it = iter(candidates)
+def _scan(rank: int, coeff_bound: int, evaluate, threads: int, limit: int) -> list:
+    """The first `limit` results of evaluate that are not None, over the
+    nonzero vectors of the box [-coeff_bound, coeff_bound]^rank in
+    lexicographic order.
+
+    Candidates go to pmap in chunks and the scan stops after the chunk that
+    completes the hits, so the answer does not depend on the thread count.
+    """
+    if coeff_bound < 1:
+        raise PreconditionError("search bound must be at least 1")
+
+    def nonzero(coeffs):
+        return evaluate(coeffs) if any(coeffs) else None
+
+    box = itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=rank)
     chunk = max(16, 8 * max(1, threads))
-    while True:
-        block = list(itertools.islice(it, chunk))
+    hits: list = []
+    while len(hits) < limit:
+        block = list(itertools.islice(box, chunk))
         if not block:
-            return None
-        for result in pmap(evaluate, block, threads):
-            if result is not None:
-                return result
+            break
+        found = [r for r in pmap(nonzero, block, threads) if r is not None]
+        hits += found[: limit - len(hits)]
+    return hits
 
 
 def search_product_classes(
@@ -383,13 +386,9 @@ def search_product_classes(
     kernel order) run first; survivors get the complete audit.  Stops after
     `limit` hits; the result is deterministic for any thread count.
     """
-    prod = _product_variety(a, b)
-    rank = len(prod.ns_basis)
-    na = a.dim
+    prod = _product_variety(a, b, a.name, b.name)
 
     def evaluate(coeffs) -> ProductNSClass | None:
-        if not any(coeffs):
-            return None
         m = prod.ns_class(coeffs).e
         if gcd(m.content(), l) != 1:
             return None
@@ -405,18 +404,7 @@ def search_product_classes(
             return pc
         return None
 
-    hits: list[ProductNSClass] = []
-    candidates = itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=rank)
-    it = iter(candidates)
-    chunk = max(16, 8 * max(1, threads))
-    while len(hits) < limit:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            break
-        for result in pmap(evaluate, block, threads):
-            if result is not None and len(hits) < limit:
-                hits.append(result)
-    return hits
+    return _scan(len(prod.ns_basis), coeff_bound, evaluate, threads, limit)
 
 
 def twist_to_ample(pc: ProductNSClass, l: int, ample_class: NSClass) -> tuple[ProductNSClass, int]:

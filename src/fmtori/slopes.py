@@ -28,6 +28,7 @@ from .varieties import (
     Homomorphism,
     InternalInvariantViolation,
     NSClass,
+    PreconditionError,
     TorusVariety,
     coefficients_in_basis,
     dual,
@@ -50,7 +51,7 @@ class Slope:
 
     def __post_init__(self):
         if self.l < 1:
-            raise ValueError("slope denominator must be positive")
+            raise PreconditionError("slope denominator must be positive")
         if gcd(self.numerator.e.content(), self.l) != 1:
             raise ValueError("slope is not reduced; use reduce_slope")
 
@@ -62,7 +63,7 @@ class Slope:
 def reduce_slope(numerator: NSClass, l: int) -> Slope:
     """Divide out the common content of the class matrix and the denominator."""
     if l < 1:
-        raise ValueError("slope denominator must be positive")
+        raise PreconditionError("slope denominator must be positive")
     g = gcd(numerator.e.content(), l)
     if g == 1:
         return Slope(numerator, l)
@@ -120,15 +121,16 @@ class SlopeSubvariety:
 
 
 @lru_cache(maxsize=None)
-def _ambient_product(a: TorusVariety) -> TorusVariety:
-    return product(a, dual(a), name=f"{a.name}x{a.name}^").variety
+def _ambient_product(a: TorusVariety, name: str) -> TorusVariety:
+    # name is part of the cache key because TorusVariety equality ignores it
+    return product(a, dual(a), name=f"{name}x{name}^").variety
 
 
 def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
     if mu.variety != a:
         raise ValueError("slope does not live on the given variety")
     n = a.dim
-    amb = _ambient_product(a)
+    amb = _ambient_product(a, a.name)
     lam_mu = member_lattice(a, mu)
     h = lam_mu.basis
     emb = Mat.vstack(mu.l * Mat.identity(n), mu.numerator.e)

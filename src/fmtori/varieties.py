@@ -195,8 +195,8 @@ def _vec(m: Mat) -> tuple:
     return tuple(x for row in m.data for x in row)
 
 
-def _unvec(v, n: int) -> Mat:
-    return Mat([list(v[i * n : (i + 1) * n]) for i in range(n)])
+def _unvec(v, cols: int) -> Mat:
+    return Mat([list(v[i : i + cols]) for i in range(0, len(v), cols)])
 
 
 def integral_span_basis(mats: list[Mat]) -> tuple[Mat, ...]:
@@ -222,6 +222,23 @@ def generated_span_basis(mats: list[Mat]) -> tuple[Mat, ...]:
     n = nz[0].rows
     lat = Lattice(n * n, Mat.from_cols([_vec(m) for m in nz]))
     return tuple(_unvec(lat.basis.col(j), n) for j in range(lat.rank))
+
+
+def intertwiner_basis(j_src: Mat, j_dst: Mat) -> tuple[Mat, ...]:
+    """Canonical basis of the integral matrices m with m @ j_src == j_dst @ m.
+
+    The basis is saturated, so every integral intertwiner is an integer
+    combination of it: the integer kernel of m -> m @ j_src - j_dst @ m,
+    written on matrix units, in column Hermite form.
+    """
+    rows, cols = j_dst.rows, j_src.rows
+    units = []
+    for p in range(rows):
+        for q in range(cols):
+            e_pq = Mat([[int((i, j) == (p, q)) for j in range(cols)] for i in range(rows)])
+            units.append(_vec(e_pq @ j_src - j_dst @ e_pq))
+    ker = integer_kernel(Mat.from_cols(units))
+    return tuple(_unvec(ker.col(k), cols) for k in range(ker.cols))
 
 
 def coefficients_in_basis(target: Mat, basis: tuple[Mat, ...]) -> tuple[int, ...]:
@@ -338,10 +355,6 @@ def kernel_of(f: Homomorphism) -> "FiniteSubgroup":
     return f.kernel()
 
 
-def degree(f: Homomorphism) -> int:
-    return f.degree()
-
-
 def dual_hom(f: Homomorphism) -> Homomorphism:
     return f.dual_hom()
 
@@ -407,7 +420,7 @@ def trivial_subgroup(a: TorusVariety) -> FiniteSubgroup:
 
 def torsion_subgroup(a: TorusVariety, n: int) -> FiniteSubgroup:
     if n < 1:
-        raise ValueError("torsion level must be positive")
+        raise PreconditionError("torsion level must be positive")
     return FiniteSubgroup(a, Lattice.standard(a.dim).scaled(Fraction(1, n)))
 
 
@@ -449,23 +462,6 @@ class Product:
     inj_b: Homomorphism
 
 
-def correspondence_block_basis(a: TorusVariety, b: TorusVariety) -> tuple[Mat, ...]:
-    """Canonical integral basis of {c : J_A^T c J_B = c} (correspondence blocks)."""
-    na, nb = a.dim, b.dim
-    cols = []
-    for p in range(na):
-        for q in range(nb):
-            eij = Mat([[1 if (i, j) == (p, q) else 0 for j in range(nb)] for i in range(na)])
-            cols.append(_vec(a.j.T @ eij @ b.j - eij))
-    op = Mat.from_cols(cols)
-    ker = integer_kernel(op)
-    out = []
-    for j in range(ker.cols):
-        v = ker.col(j)
-        out.append(Mat([list(v[i * nb : (i + 1) * nb]) for i in range(na)]))
-    return tuple(out)
-
-
 def lift_first(e: Mat, nb: int) -> Mat:
     return Mat.block([[e, Mat.zeros(e.rows, nb)], [Mat.zeros(nb, e.cols), Mat.zeros(nb, nb)]])
 
@@ -485,7 +481,8 @@ def product(a: TorusVariety, b: TorusVariety, name: str | None = None) -> Produc
     ns = (
         tuple(lift_first(e, nb) for e in a.ns_basis)
         + tuple(lift_second(e, na) for e in b.ns_basis)
-        + tuple(correspondence_class(c, na, nb) for c in correspondence_block_basis(a, b))
+        # the correspondence blocks are the homomorphisms B -> dual(A)
+        + tuple(correspondence_class(c, na, nb) for c in intertwiner_basis(b.j, -1 * a.j.T))
     )
     pol = a.polarization + b.polarization + (0,) * (len(ns) - len(a.ns_basis) - len(b.ns_basis))
     v = TorusVariety(a.g + b.g, j, ns, pol, name if name is not None else f"{a.name}x{b.name}")

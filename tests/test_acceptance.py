@@ -6,12 +6,19 @@ module; criterion ten drives the installed command line twice per thread
 count and compares raw bytes.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fmtori
 from fmtori import acceptance
+
+# the directory holding the package under test, so the subprocess imports
+# the same sources whether or not the package is installed
+SRC = str(Path(fmtori.__file__).resolve().parent.parent)
 
 
 @pytest.fixture(scope="module")
@@ -95,11 +102,14 @@ def test_c09_pullback_injectivity_over_seeded_isogenies(gate):
 
 
 def test_c10_regress_json_is_byte_identical(tmp_path):
+    pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+
     def regress(threads, path):
         proc = subprocess.run(
             [sys.executable, "-m", "fmtori", "regress",
              "--threads", str(threads), "--json", str(path)],
-            capture_output=True, text=True, check=False,
+            capture_output=True, text=True, check=False, env=env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         return path.read_bytes()

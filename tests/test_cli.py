@@ -204,3 +204,66 @@ def test_unknown_command_exits_two(corpus_dir):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def assert_input_error(code, err):
+    # main returned instead of raising, so no traceback reached the user
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "e_i.json", "e_i.json", "--class", "poincare_class.json", "--l", "0"],
+    ["search-n", "e_i.json", "--l", "0", "--target", "two_torsion.json", "--bound", "3"],
+    ["search-n", "e_i.json", "--l", "2", "--target", "two_torsion.json", "--bound", "-1"],
+    ["search-n", "e_i.json", "--l", "2", "--target", "two_torsion.json", "--bound", "0"],
+])
+def test_out_of_range_numbers_exit_two(capsys, corpus_dir, argv):
+    argv = [corpus_dir / a if a.endswith(".json") else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert_input_error(code, err)
+
+
+@pytest.fixture
+def negative(tmp_path):
+    """The square lattice curve with its polarization negated."""
+    doc = json.loads(corpus.corpus_text("e_i.json"))
+    doc["polarization"] = [-1]
+    path = tmp_path / "neg.json"
+    path.write_text(corpus.render_json(doc), "utf-8")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual", "neg.json"],
+    ["kl", "neg.json", "--class", "2*E0"],
+    ["amu", "neg.json", "--slope", "1*E0/2"],
+    ["partners", "neg.json", "--coeff-bound", "1", "--denom-bound", "1"],
+    ["ppav-check", "neg.json", "--n", "3", "--l", "2"],
+    ["audit", "neg.json", "neg.json", "--class", "poincare_class.json", "--l", "1"],
+    ["search-n", "neg.json", "--l", "2", "--target", "two_torsion.json", "--bound", "3"],
+])
+def test_every_command_validates_its_varieties(capsys, corpus_dir, negative, argv):
+    folder = {"neg.json": negative.parent}
+    argv = [folder.get(a, corpus_dir) / a if a.endswith(".json") else a for a in argv]
+    code, lines, err = run(capsys, *argv)
+    assert_input_error(code, err)
+    assert "neg.json" in err and "not positive" in err
+    assert lines == []
+
+
+def test_unreadable_files_exit_two_and_name_the_file(capsys, corpus_dir, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, _, err = run(capsys, "amu", missing, "--slope", "1*E0")
+    assert_input_error(code, err)
+    assert "missing.json" in err
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, "amu", binary, "--slope", "1*E0")
+    assert_input_error(code, err)
+    assert "binary.json" in err
+    report = tmp_path / "no_such_dir" / "report.json"
+    code, _, err = run(capsys, "kl", corpus_dir / "e_i.json", "--class", "2*E0", "--json", report)
+    assert_input_error(code, err)
+    assert "report.json" in err

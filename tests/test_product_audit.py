@@ -1,12 +1,13 @@
 import pytest
 
-from fmtori.corpus import poincare_class
+from fmtori.corpus import poincare_class, square_lattice_curve
 from fmtori.matrices import Mat
 from fmtori.product_audit import (
     ProductNSClass,
     assemble,
     audit_equivalence,
     decompose,
+    graph_subgroup_comparison,
     graph_subgroup_equalities,
     is_ample,
     partner_dual_certificate,
@@ -15,7 +16,7 @@ from fmtori.product_audit import (
     search_product_classes,
     twist_to_ample,
 )
-from fmtori.slopes import projection_invariants, reduce_slope
+from fmtori.slopes import projection_invariants, reduce_slope, slope_subvariety
 from fmtori.varieties import (
     PreconditionError,
     dual,
@@ -88,15 +89,11 @@ def test_dimension_mismatch_is_a_failing_report(e_i, e_i_squared):
 def test_search_finds_passing_classes_and_counting_invariant(e_i):
     hits = search_product_classes(e_i, e_i, 2, 2, limit=3)
     assert hits
-    prod = None
     for pc in hits:
         report = audit_equivalence(pc, 2)
         assert report.all_pass
         # |Sigma| * deg(pi_1) accounting on the product subtorus
-        if prod is None:
-            from fmtori.product_audit import _product_variety
-
-            prod = _product_variety(pc.a, pc.b)
+        prod = pc.as_class().variety
         mu = reduce_slope(pc.as_class(), 2)
         inv = projection_invariants(prod, mu)
         assert inv.degree == inv.rank**2
@@ -154,3 +151,23 @@ def test_search_kernel_class_not_found_is_none(e_i):
 def test_search_kernel_class_precondition(e_i):
     with pytest.raises(PreconditionError):
         search_kernel_class(e_i, 2, torsion_subgroup(e_i, 3), 3)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_searches_reject_bounds_below_one(e_i, bound):
+    with pytest.raises(PreconditionError):
+        search_kernel_class(e_i, 2, trivial_subgroup(e_i), bound)
+    with pytest.raises(PreconditionError):
+        search_product_classes(e_i, e_i, 2, bound)
+
+
+def test_cached_products_keep_each_variety_name():
+    # equal presentations share cache entries, since TorusVariety equality
+    # ignores names; every product must still be named after its factors
+    for n in ("A", "B"):
+        a = square_lattice_curve(n)
+        sv = slope_subvariety(a, reduce_slope(a.ns_class((1,)), 2))
+        assert sv.ambient.name == f"{n}x{n}^"
+        pc = ProductNSClass(a, a, poincare_class().m)
+        assert pc.as_class().variety.name == f"{n}x{n}"
+        assert graph_subgroup_comparison(pc, 1).first.variety.name == f"{n}^x{n}^"

@@ -18,6 +18,7 @@ from fmtori.slopes import (
 )
 from fmtori.varieties import (
     NSClass,
+    PreconditionError,
     class_kernel,
     intersect_subgroups,
     subgroup_equal,
@@ -126,3 +127,14 @@ def test_literal_rejections(e_i):
     for bad in ("", "E9", "1*E0/0", "1*E0/-2", "q*E0", "1*E0//2"):
         with pytest.raises(ValueError):
             parse_slope_literal(e_i, bad)
+
+
+def test_nonpositive_denominators_are_precondition_errors(e_i):
+    cls = e_i.ns_class((1,))
+    for l in (0, -2):
+        with pytest.raises(PreconditionError):
+            Slope(cls, l)
+        with pytest.raises(PreconditionError):
+            reduce_slope(cls, l)
+        with pytest.raises(PreconditionError):
+            torsion_subgroup(e_i, l)

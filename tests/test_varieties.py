@@ -5,7 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fmtori import oracles
-from fmtori.matrices import Mat
+from fmtori.corpus import (
+    doubled_square_lattice_curve,
+    square_curve_product,
+    square_curve_product_principal,
+    square_lattice_curve,
+)
+from fmtori.matrices import Mat, integer_kernel
+from fmtori.partners import homomorphism_space_basis
 from fmtori.varieties import (
     Homomorphism,
     NotAnIsogenyError,
@@ -178,3 +185,37 @@ def test_kernel_of_pullback_contains_kernel_of_map(e_i):
     f = Homomorphism(e_i, e_i, Mat(((2, 0), (0, 2))))
     pulled = ns_pullback(f, e_i.ns_class((1,)))
     assert class_kernel(pulled).contains(kernel_of(f))
+
+
+def _fixed_by_conjugation(a, b):
+    """Integral c with J_A^T c J_B = c, the compatibility condition of a
+    correspondence block, solved on matrix units without the intertwiner."""
+    na, nb = a.dim, b.dim
+    units = []
+    for p in range(na):
+        for q in range(nb):
+            e = Mat([[int((i, j) == (p, q)) for j in range(nb)] for i in range(na)])
+            units.append(tuple(x for row in (a.j.T @ e @ b.j - e).data for x in row))
+    ker = integer_kernel(Mat.from_cols(units))
+    return tuple(
+        Mat([list(ker.col(k)[i * nb : (i + 1) * nb]) for i in range(na)])
+        for k in range(ker.cols)
+    )
+
+
+def test_correspondence_blocks_are_homomorphisms_into_the_dual():
+    shipped = [
+        square_lattice_curve(),
+        doubled_square_lattice_curve(),
+        square_curve_product(),
+        square_curve_product_principal(),
+    ]
+    shipped += [dual(v) for v in shipped]
+    for a in shipped:
+        for b in shipped:
+            p = product(a, b).variety
+            na, nb = a.dim, b.dim
+            k = len(a.ns_basis) + len(b.ns_basis)
+            blocks = tuple(e.submatrix(range(na), range(na, na + nb)) for e in p.ns_basis[k:])
+            assert blocks == homomorphism_space_basis(b, dual(a))
+            assert blocks == _fixed_by_conjugation(a, b)
