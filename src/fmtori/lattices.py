@@ -60,11 +60,12 @@ class Lattice:
         b = (d * columns).to_int()
         h, _ = hnf_columns(b)
         keep = [j for j in range(h.cols) if any(h[i, j] != 0 for i in range(h.rows))]
-        h = h.submatrix(range(h.rows), keep) if keep else Mat.zeros(ambient_dim, 0)
+        h = h.submatrix(range(h.rows), keep)
         if keep:
             g = gcd(h.content(), d)
             if g > 1:
-                h = Mat([[x // g for x in row] for row in h.data])
+                data = tuple(tuple(x // g for x in row) for row in h.data)
+                h = Mat._make(data, h.rows, h.cols)
                 d //= g
         basis = h if d == 1 else Fraction(1, d) * h
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -128,8 +129,6 @@ class Lattice:
         b = (d * other.basis).to_int()
         k = integer_kernel(Mat.hstack(a, -1 * b))
         alpha = k.submatrix(range(a.cols), range(k.cols))
-        if alpha.cols == 0:
-            return Lattice(self.ambient_dim, Mat.zeros(self.ambient_dim, 0))
         return Lattice(self.ambient_dim, Fraction(1, d) * (a @ alpha))
 
     def spans_subspace_of(self, other: "Lattice") -> bool:
@@ -207,5 +206,5 @@ def saturate(l: Lattice, ambient: Lattice) -> Lattice:
     else:
         c = ambient.basis
         sol = integer_kernel(y.T @ c)
-        span_part = Lattice(l.ambient_dim, c @ sol) if sol.cols else Lattice(l.ambient_dim, Mat.zeros(l.ambient_dim, 0))
+        span_part = Lattice(l.ambient_dim, c @ sol)
     return l.sum(span_part)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
@@ -27,19 +28,46 @@ def _exact(x: Scalar) -> Scalar:
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
 
 
+def _normalized(data: tuple[tuple, ...]) -> tuple[tuple[Scalar, ...], ...]:
+    """Rows with every entry passed through ``_exact``; data itself when every
+    entry is already an int (the common case, checked without copying)."""
+    for row in data:
+        for x in row:
+            if type(x) is not int:
+                return tuple(tuple(map(_exact, row)) for row in data)
+    return data
+
+
 class Mat:
-    """Immutable exact matrix (entries int or Fraction)."""
+    """Immutable exact matrix (entries int or Fraction).
+
+    ``Mat(rows)`` is the input boundary: it normalizes every entry and infers
+    the shape from the rows.  Results whose entries are already exact are
+    built with ``Mat._make``, which trusts its rows and takes the shape
+    explicitly, so zero-width matrices keep it (``Mat.zeros(0, 3)`` is 0x3).
+    """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[Scalar]]):
-        d = tuple(tuple(_exact(x) for x in row) for row in data)
+        d = _normalized(tuple(map(tuple, data)))
+        cols = len(d[0]) if d else 0
+        for row in d:
+            if len(row) != cols:
+                raise ValueError("ragged matrix")
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "rows", len(d))
-        object.__setattr__(self, "cols", len(d[0]) if d else 0)
-        for row in d:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
+        object.__setattr__(self, "cols", cols)
+
+    @staticmethod
+    def _make(data: tuple[tuple[Scalar, ...], ...], rows: int, cols: int) -> "Mat":
+        """A Mat on a tuple of ``rows`` row tuples of length ``cols`` whose
+        entries are already exact ints or non-integral Fractions."""
+        m = object.__new__(Mat)
+        object.__setattr__(m, "data", data)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        return m
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Mat is immutable")
@@ -48,11 +76,13 @@ class Mat:
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Mat._make(
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n, n
+        )
 
     @staticmethod
     def zeros(r: int, c: int) -> "Mat":
-        return Mat([[0] * c for _ in range(r)])
+        return Mat._make(((0,) * c,) * r, r, c)
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence[Scalar]]) -> "Mat":
@@ -66,14 +96,16 @@ class Mat:
         r = mats[0].rows
         if any(m.rows != r for m in mats):
             raise ValueError("row count mismatch in hstack")
-        return Mat([sum((m.data[i] for m in mats), ()) for i in range(r)])
+        data = tuple(sum((m.data[i] for m in mats), ()) for i in range(r))
+        return Mat._make(data, r, sum(m.cols for m in mats))
 
     @staticmethod
     def vstack(*mats: "Mat") -> "Mat":
         c = mats[0].cols
         if any(m.cols != c for m in mats):
             raise ValueError("column count mismatch in vstack")
-        return Mat([row for m in mats for row in m.data])
+        data = tuple(row for m in mats for row in m.data)
+        return Mat._make(data, len(data), c)
 
     @staticmethod
     def block(rows_of_blocks: Sequence[Sequence["Mat"]]) -> "Mat":
@@ -92,43 +124,45 @@ class Mat:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Mat":
-        return Mat([[self.data[i][j] for j in cols] for i in rows])
+        d = self.data
+        return Mat._make(
+            tuple(tuple(d[i][j] for j in cols) for i in rows), len(rows), len(cols)
+        )
 
     @property
     def T(self) -> "Mat":
-        return Mat([self.col(j) for j in range(self.cols)])
+        if not self.rows:
+            return Mat._make(((),) * self.cols, self.cols, 0)
+        return Mat._make(tuple(zip(*self.data)), self.cols, self.rows)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ]
+        data = tuple(
+            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)
         )
+        return Mat._make(_normalized(data), self.rows, self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
 
     def __neg__(self) -> "Mat":
-        return Mat([[-x for x in row] for row in self.data])
+        return Mat._make(
+            tuple(tuple(-x for x in row) for row in self.data), self.rows, self.cols
+        )
 
     def __rmul__(self, c: Scalar) -> "Mat":
-        return Mat([[c * x for x in row] for row in self.data])
+        data = tuple(tuple(c * x for x in row) for row in self.data)
+        return Mat._make(_normalized(data), self.rows, self.cols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         ot = other.T.data
-        return Mat(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in ot]
-                for row in self.data
-            ]
-        )
+        data = tuple(tuple(sum(map(mul, row, col)) for col in ot) for row in self.data)
+        return Mat._make(_normalized(data), self.rows, other.cols)
 
     def apply(self, v: Sequence[Scalar]) -> Vec:
         if len(v) != self.cols:
@@ -136,10 +170,15 @@ class Mat:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mat) and self.data == other.data
+        return (
+            isinstance(other, Mat)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.data == other.data
+        )
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        return hash((self.rows, self.cols, self.data))
 
     def __repr__(self) -> str:
         return f"Mat({[list(r) for r in self.data]})"
@@ -184,27 +223,39 @@ class Mat:
         return self
 
     def det(self) -> Scalar:
-        """Determinant by exact fraction-free-ish Gaussian elimination."""
+        """Determinant by Bareiss elimination over a cleared denominator.
+
+        With d the lcm of the entry denominators, d * self is an integer
+        matrix; fraction-free Bareiss elimination (Sylvester's identity,
+        every division exact) gives its determinant in integers alone, and
+        det(self) = det(d * self) / d**n.
+        """
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        a = [[Fraction(x) for x in row] for row in self.data]
-        det = Fraction(1)
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            if piv != k:
+        d = self.denominator()
+        if d == 1:
+            a = [list(row) for row in self.data]
+        else:
+            a = [[int(d * x) for x in row] for row in self.data]
+        sign, prev = 1, 1
+        for k in range(n - 1):
+            if a[k][k] == 0:
+                piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+                if piv is None:
+                    return 0
                 a[k], a[piv] = a[piv], a[k]
-                det = -det
-            det *= a[k][k]
-            inv = 1 / a[k][k]
+                sign = -sign
+            rk = a[k]
+            p = rk[k]
             for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    f = a[i][k] * inv
-                    for j in range(k, n):
-                        a[i][j] -= f * a[k][j]
-        return _exact(det)
+                ri = a[i]
+                f = ri[k]
+                for j in range(k + 1, n):
+                    ri[j] = (ri[j] * p - f * rk[j]) // prev
+            prev = p
+        bareiss = sign * a[n - 1][n - 1] if n else 1
+        return _exact(Fraction(bareiss, d**n))
 
     def inverse(self) -> "Mat":
         if not self.is_square:
@@ -216,7 +267,7 @@ class Mat:
         ]
         if len(_gauss_jordan(a, n)) < n:
             raise ValueError("matrix is singular")
-        return Mat([row[n:] for row in a])
+        return Mat._make(_normalized(tuple(tuple(row[n:]) for row in a)), n, n)
 
     def rank(self) -> int:
         return len(_gauss_jordan([[Fraction(x) for x in row] for row in self.data], self.cols))
@@ -318,7 +369,11 @@ def hnf_columns(m: Mat) -> tuple[Mat, Mat]:
             if not isinstance(x, int):
                 raise ValueError("hermite form needs an integral matrix")
     h, u = _row_hnf(mt)
-    return Mat(h).T, Mat(u).T
+    n = m.cols
+    return (
+        Mat._make(tuple(map(tuple, h)), n, m.rows).T,
+        Mat._make(tuple(map(tuple, u)), n, n).T,
+    )
 
 
 def snf(m: Mat) -> tuple[Mat, Mat, Mat]:
@@ -402,7 +457,11 @@ def snf(m: Mat) -> tuple[Mat, Mat, Mat]:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return Mat(a), Mat(u), Mat(v)
+    return (
+        Mat._make(tuple(map(tuple, a)), rows, cols),
+        Mat._make(tuple(map(tuple, u)), rows, rows),
+        Mat._make(tuple(map(tuple, v)), cols, cols),
+    )
 
 
 def integer_kernel(m: Mat) -> Mat:
@@ -417,7 +476,7 @@ def integer_kernel(m: Mat) -> Mat:
     r = sum(1 for i in range(min(dd.rows, dd.cols)) if dd[i, i] != 0)
     cols = [v.col(j) for j in range(r, v.cols)]
     if not cols:
-        return Mat.zeros(m.cols, 0) if m.cols else Mat([[]])
+        return Mat.zeros(m.cols, 0)
     h, _ = hnf_columns(Mat.from_cols(cols))
     keep = [j for j in range(h.cols) if any(h[i, j] != 0 for i in range(h.rows))]
     return h.submatrix(range(h.rows), keep)

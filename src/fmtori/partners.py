@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .matrices import Mat, snf
 from .parallel import pmap
@@ -54,23 +55,32 @@ class Fingerprint:
     profiles: tuple[tuple[int, ...], ...]
 
 
-def _divisor_profile(c: NSClass) -> tuple[int, ...]:
-    if c.is_degenerate():
-        return (0,)
-    # elementary divisors of the class kernel = Smith diagonal of the class
-    d, _, _ = snf(c.e)
-    return tuple(d[i, i] for i in range(d.rows) if d[i, i] > 1)
-
-
 def fingerprint(a: TorusVariety, profile_bound: int | None = None) -> Fingerprint:
+    """The fingerprint of a, over coefficients bounded by profile_bound.
+
+    Each basis class is validated once, as an ``NSClass``: integer
+    combinations of valid classes are integral, alternating and
+    J-compatible by linearity, so the combinations are built as plain
+    integer matrices.  One Smith form per combination gives both answers:
+    a zero on its diagonal means degenerate, and otherwise the diagonal
+    entries above 1 are the elementary divisors of the class kernel.
+    """
     r = len(a.ns_basis)
     if profile_bound is None:
         profile_bound = 2 if r <= 2 else 1
+    n = a.dim
+    classes = [NSClass(a, e).e for e in a.ns_basis]
+    # entries[k] holds entry k (row-major) of every basis class
+    entries = list(zip(*(sum(c.data, ()) for c in classes)))
     profiles = []
     for coeffs in itertools.product(range(-profile_bound, profile_bound + 1), repeat=r):
         if not any(coeffs):
             continue
-        profiles.append(_divisor_profile(a.ns_class(coeffs)))
+        flat = [sum(map(mul, coeffs, entry)) for entry in entries]
+        e = Mat._make(tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n)), n, n)
+        d, _, _ = snf(e)
+        diag = [d[i, i] for i in range(n)]
+        profiles.append((0,) if 0 in diag else tuple(x for x in diag if x > 1))
     return Fingerprint(a.g, r, profile_bound, tuple(sorted(profiles)))
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattices import (
+    DegenerateFormError,
     FiniteGroupStructure,
     Lattice,
     dual_lattice_of_form,
@@ -303,9 +304,10 @@ class Homomorphism:
         return self.m.is_square and self.m.det() != 0
 
     def degree(self) -> int:
-        if not self.is_isogeny():
+        det = self.m.det() if self.m.is_square else 0
+        if det == 0:
             raise NotAnIsogenyError("degree of a non-isogeny")
-        return abs(int(self.m.det()))
+        return abs(int(det))
 
     def kernel(self) -> "FiniteSubgroup":
         if not self.is_isogeny():
@@ -345,10 +347,12 @@ def polarization_map(c: NSClass, target: TorusVariety | None = None) -> Homomorp
 
 def class_kernel(c: NSClass) -> "FiniteSubgroup":
     """K(L): the finite kernel of the class homomorphism, for nondegenerate c."""
-    if c.is_degenerate():
-        raise NotAnIsogenyError("kernel of a degenerate class is not finite")
     lam = Lattice.standard(c.variety.dim)
-    return FiniteSubgroup(c.variety, dual_lattice_of_form(c.e, lam))
+    try:
+        kernel = dual_lattice_of_form(c.e, lam)
+    except DegenerateFormError:
+        raise NotAnIsogenyError("kernel of a degenerate class is not finite") from None
+    return FiniteSubgroup(c.variety, kernel)
 
 
 def kernel_of(f: Homomorphism) -> "FiniteSubgroup":

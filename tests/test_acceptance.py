@@ -3,7 +3,8 @@
 One test per criterion so the verbose run reads as a ten-line scorecard.
 Criteria one through nine come from one shared evaluation of the gate
 module; criterion ten drives the installed command line twice per thread
-count and compares raw bytes.
+count and compares raw bytes, with each other and with the committed
+golden report.
 """
 
 import os
@@ -19,6 +20,9 @@ from fmtori import acceptance
 # the directory holding the package under test, so the subprocess imports
 # the same sources whether or not the package is installed
 SRC = str(Path(fmtori.__file__).resolve().parent.parent)
+# the committed `fmtori regress --json` report; a change that does not mean
+# to alter the report must reproduce it byte for byte
+GOLDEN = Path(__file__).resolve().parent / "golden" / "regress.json"
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +119,7 @@ def test_c10_regress_json_is_byte_identical(tmp_path):
         return path.read_bytes()
 
     first = regress(1, tmp_path / "r1.json")
+    assert first == GOLDEN.read_bytes()
     second = regress(1, tmp_path / "r2.json")
     forth = regress(4, tmp_path / "r4.json")
     assert first == second

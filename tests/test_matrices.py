@@ -7,12 +7,72 @@ from hypothesis import strategies as st
 from fmtori.matrices import Mat, hnf_columns, integer_kernel, snf, solve_exact
 
 entries = st.integers(min_value=-9, max_value=9)
+big_entries = st.integers(min_value=-(2**40), max_value=2**40)
+fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+sizes = st.integers(min_value=1, max_value=5)
 
 
 def int_matrices(rows, cols):
     return st.lists(
         st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
     ).map(lambda d: Mat(tuple(tuple(r) for r in d)))
+
+
+def _square(draw, elements):
+    n = draw(sizes)
+    return [draw(st.lists(elements, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@st.composite
+def big_square(draw):
+    return _square(draw, big_entries)
+
+
+@st.composite
+def zero_leading_pivots(draw):
+    """The first column vanishes in the first z rows, so the leading
+    principal minors of sizes 1..z are zero and elimination must swap rows."""
+    rows = _square(draw, big_entries)
+    n = len(rows)
+    for i in range(draw(st.integers(0, n - 1))):
+        rows[i][0] = 0
+    return rows
+
+
+@st.composite
+def singular_square(draw):
+    """A product through an inner dimension below n, or a row repeated up to
+    an integer multiple."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        left = [draw(st.lists(big_entries, min_size=k, max_size=k)) for _ in range(n)]
+        right = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(k)]
+        return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)]
+                for i in range(n)]
+    rows = [draw(st.lists(big_entries, min_size=n, max_size=n)) for _ in range(n)]
+    i, j = draw(st.permutations(range(n)))[:2]
+    c = draw(entries)
+    rows[j] = [c * x for x in rows[i]]
+    return rows
+
+
+@st.composite
+def fraction_square(draw):
+    return _square(draw, fractions)
+
+
+def _cofactor_det(rows):
+    """Laplace expansion along the first row: the textbook definition, with
+    no elimination, in exact Fraction arithmetic."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, x in enumerate(rows[0]):
+        if x:
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            total += (-1) ** j * Fraction(x) * _cofactor_det(minor)
+    return total
 
 
 def test_basic_algebra():
@@ -116,3 +176,50 @@ def test_content_and_alternating():
 def test_rank_drops_on_dependent_rows():
     m = Mat(((1, 2, 3), (2, 4, 6), (0, 1, 1)))
     assert m.rank() == 2
+
+
+@given(st.one_of(big_square(), zero_leading_pivots(), fraction_square()))
+def test_det_matches_cofactor_expansion(rows):
+    d = Mat(rows).det()
+    assert d == _cofactor_det(rows)
+    # exact type: an integral determinant is an int, never Fraction(n, 1)
+    assert isinstance(d, int) or Fraction(d).denominator > 1
+
+
+@given(singular_square())
+def test_det_of_singular_matrices_is_zero(rows):
+    assert _cofactor_det(rows) == 0
+    assert Mat(rows).det() == 0
+
+
+def test_det_swaps_rows_at_zero_pivots():
+    # the second pivot vanishes only after the first elimination step
+    assert Mat(((1, 1, 0), (1, 1, 1), (0, 1, 1))).det() == -1
+    assert Mat(((0, 0, 1), (0, 1, 0), (1, 0, 0))).det() == -1
+    assert Mat(((0, 2), (3, 0))).det() == -6
+    assert Mat(((0, 1), (0, 1))).det() == 0
+    assert Mat(((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 6)))).det() == 0
+    assert Mat.identity(0).det() == 1
+
+
+def test_zero_width_shapes():
+    assert (Mat.zeros(0, 3).rows, Mat.zeros(0, 3).cols) == (0, 3)
+    t = Mat.zeros(3, 0).T
+    assert (t.rows, t.cols) == (0, 3)
+    assert t == Mat.zeros(0, 3) and Mat.zeros(0, 3).T == Mat.zeros(3, 0)
+    # equality and hashing see the shape, not only the (empty) rows
+    assert Mat.zeros(0, 3) != Mat.zeros(0, 2)
+    assert Mat.zeros(0, 3) != Mat.zeros(3, 0)
+    assert len({Mat.zeros(0, 3), Mat.zeros(0, 2), Mat.zeros(0, 0)}) == 3
+    assert Mat.zeros(2, 0) @ Mat.zeros(0, 3) == Mat.zeros(2, 3)
+    assert Mat.vstack(Mat.zeros(0, 3), Mat.zeros(0, 3)) == Mat.zeros(0, 3)
+    assert Mat.hstack(Mat.zeros(0, 1), Mat.zeros(0, 2)) == Mat.zeros(0, 3)
+    assert Mat.identity(3).submatrix(range(0), range(3)) == Mat.zeros(0, 3)
+
+
+def test_integer_kernel_of_zero_width_matrices():
+    # no equations: the kernel is all of Z^3
+    assert integer_kernel(Mat.zeros(0, 3)) == Mat.identity(3)
+    # no unknowns: the kernel is Z^0, an empty 0x0 basis
+    k = integer_kernel(Mat.zeros(2, 0))
+    assert (k.rows, k.cols) == (0, 0)

@@ -1,8 +1,13 @@
+import itertools
+import json
+
 import pytest
 
-from fmtori.matrices import Mat
+from fmtori import corpus
+from fmtori.matrices import Mat, snf
 from fmtori.partners import (
     SEARCH_CANDIDATE_CAP,
+    Fingerprint,
     enumerate_partners,
     find_isomorphism_certificate,
     fingerprint,
@@ -13,6 +18,7 @@ from fmtori.partners import (
 from fmtori.slopes import Slope, reduce_slope
 from fmtori.varieties import (
     PreconditionError,
+    TorusVariety,
     dual,
     is_isomorphism_certificate,
     validate,
@@ -36,6 +42,62 @@ def test_fingerprint_is_coarse(e_i, e_2i):
 
 def test_fingerprint_sees_rank(e_i, e_i_squared):
     assert fingerprint(e_i).ns_rank != fingerprint(e_i_squared).ns_rank
+
+
+def _reference_fingerprint(a, profile_bound=None):
+    """The fingerprint by its definition: every class validated through
+    ``ns_class``, degeneracy from the determinant, divisors from Smith."""
+    r = len(a.ns_basis)
+    if profile_bound is None:
+        profile_bound = 2 if r <= 2 else 1
+    profiles = []
+    for coeffs in itertools.product(range(-profile_bound, profile_bound + 1), repeat=r):
+        if not any(coeffs):
+            continue
+        c = a.ns_class(coeffs)
+        if c.is_degenerate():
+            profiles.append((0,))
+            continue
+        d, _, _ = snf(c.e)
+        profiles.append(tuple(d[i, i] for i in range(d.rows) if d[i, i] > 1))
+    return Fingerprint(a.g, r, profile_bound, tuple(sorted(profiles)))
+
+
+def _corpus_varieties():
+    for fname in corpus.shipped_names():
+        doc = json.loads(corpus.corpus_text(fname))
+        if doc["format"] == "fmtori/variety":
+            yield corpus.variety_from_json(doc)
+
+
+def test_fingerprint_matches_reference_on_corpus_and_duals():
+    varieties = list(_corpus_varieties())
+    assert len(varieties) >= 4
+    for a in varieties:
+        for v in (a, dual(a)):
+            assert fingerprint(v) == _reference_fingerprint(v), v.name
+            assert fingerprint(v, 1) == _reference_fingerprint(v, 1), v.name
+
+
+def test_fingerprint_matches_reference_on_partners(e_i_squared):
+    entries = enumerate_partners(e_i_squared, 1, 2)[:10]
+    assert len(entries) == 10
+    for entry in entries:
+        partner = entry.record.partner
+        assert entry.partner_fingerprint == _reference_fingerprint(partner)
+
+
+def test_fingerprint_rejects_a_basis_class_that_is_not_j_compatible(e_i_squared):
+    a = e_i_squared
+    # an alternating integral form pairing the two factors off the complex
+    # structure: J^T e J differs from e
+    bad = Mat(((0, 0, 1, 0), (0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 0)))
+    assert bad.is_alternating() and a.j.T @ bad @ a.j != bad
+    broken = TorusVariety(a.g, a.j, a.ns_basis + (bad,), a.polarization + (0,), "broken")
+    with pytest.raises(ValueError, match="not compatible with the complex structure"):
+        fingerprint(broken)
+    with pytest.raises(ValueError, match="not compatible with the complex structure"):
+        _reference_fingerprint(broken)
 
 
 def test_partner_record_certificate(e_i):

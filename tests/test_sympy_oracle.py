@@ -27,15 +27,16 @@ def _grid(rows, cols, lo, hi):
 
 
 @st.composite
-def int_matrices(draw, square=False):
-    """Integer matrices up to 6x6: uniform entries, or a product through an
-    inner dimension k, which makes rank deficiency common."""
+def int_matrices(draw, square=False, bound=9):
+    """Integer matrices up to 6x6: uniform entries in [-bound, bound], or a
+    product through an inner dimension k, which makes rank deficiency common."""
     rows = draw(dims)
     cols = rows if square else draw(dims)
     if draw(st.booleans()):
-        return draw(_grid(rows, cols, -9, 9))
+        return draw(_grid(rows, cols, -bound, bound))
     k = draw(st.integers(1, min(rows, cols)))
-    left, right = draw(_grid(rows, k, -3, 3)), draw(_grid(k, cols, -3, 3))
+    f = max(3, bound // 3)
+    left, right = draw(_grid(rows, k, -f, f)), draw(_grid(k, cols, -3, 3))
     return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
             for i in range(rows)]
 
@@ -44,7 +45,7 @@ def _fraction(x) -> Fraction:
     return Fraction(int(x.p), int(x.q))
 
 
-@given(int_matrices(square=True))
+@given(int_matrices(square=True, bound=2**40))
 def test_det_matches_sympy(rows):
     assert Mat(rows).det() == int(sympy.Matrix(rows).det())
 

@@ -117,6 +117,18 @@ def test_isogeny_degree_and_kernel(e_i):
     )
 
 
+def test_degree_and_kernel_of_non_isogenies(e_i, e_i_squared):
+    zero = Homomorphism(e_i, e_i, Mat.zeros(2, 2))
+    assert not zero.is_isogeny()
+    with pytest.raises(NotAnIsogenyError, match="degree of a non-isogeny"):
+        zero.degree()
+    embed = Homomorphism(e_i, e_i_squared, Mat.vstack(Mat.identity(2), Mat.zeros(2, 2)))
+    with pytest.raises(NotAnIsogenyError, match="degree of a non-isogeny"):
+        embed.degree()
+    with pytest.raises(NotAnIsogenyError, match="kernel of a degenerate class is not finite"):
+        class_kernel(e_i_squared.ns_class((0,) * len(e_i_squared.ns_basis)))
+
+
 def test_dual_hom_preserves_degree(e_i):
     f = Homomorphism(e_i, e_i, Mat(((1, -2), (2, 1))))  # 1 + 2i
     fd = dual_hom(f)
