@@ -60,8 +60,18 @@ def _fmt_mat(m: Mat) -> str:
     return "[" + " ".join(rows) + "]"
 
 
+def _parse_file(path, parse, *args):
+    """parse(the JSON object in path, *args); a format error names the file,
+    as load_json_file does for a syntax error."""
+    d = load_json_file(path)
+    try:
+        return parse(d, *args)
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc
+
+
 def _load_variety(path):
-    a = variety_from_json(load_json_file(path))
+    a = _parse_file(path, variety_from_json)
     report = validate(a)
     if not report.ok:
         raise InputError(f"{path}: invalid variety: {'; '.join(report.failures)}")
@@ -84,7 +94,7 @@ def _divisor_text(divisors) -> str:
 
 def _cmd_validate(args):
     # the one command that reads its file raw: reporting failures is its job
-    a = variety_from_json(load_json_file(args.variety))
+    a = _parse_file(args.variety, variety_from_json)
     report = validate(a)
     payload = {"command": "validate", "name": a.name, "ok": report.ok,
                "failures": list(report.failures)}
@@ -217,7 +227,7 @@ def _cmd_ppav_check(args):
 def _cmd_audit(args):
     a = _load_variety(args.a)
     b = _load_variety(args.b)
-    pc = product_class_from_json(load_json_file(getattr(args, "class")), a, b)
+    pc = _parse_file(getattr(args, "class"), product_class_from_json, a, b)
     report = audit_equivalence(pc, args.l)
     lines = []
     for item in report.items:
@@ -235,7 +245,7 @@ def _cmd_audit(args):
 
 def _cmd_search_n(args):
     v = _load_variety(args.variety)
-    target = subgroup_from_json(load_json_file(args.target), v)
+    target = _parse_file(args.target, subgroup_from_json, v)
     found = search_kernel_class(v, args.l, target, args.bound, threads=args.threads)
     if found is None:
         payload = {"command": "search-n", "name": v.name, "l": args.l,
@@ -320,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # the one place where invalid input becomes exit code 2; an OSError
-    # names its file, and a malformed JSON file is named by load_json_file
+    # names its file, and a malformed input file is named by _parse_file
     try:
         code, lines, payload = args.fn(args)
         for line in lines:

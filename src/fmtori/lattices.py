@@ -49,15 +49,19 @@ class FiniteGroupStructure:
 
 
 class Lattice:
-    """A finitely generated subgroup of Q^n of full column rank basis."""
+    """A finitely generated subgroup of Q^n of full column rank basis.
+
+    ``Lattice(n, columns)`` is the canonicalizing boundary: it reduces any
+    generating set to the canonical basis.  ``Lattice._make`` wraps a basis
+    that is already canonical.
+    """
 
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, columns: Mat):
         if columns.rows != ambient_dim:
             raise ValueError("basis rows must match ambient dimension")
-        d = columns.denominator()
-        b = (d * columns).to_int()
+        b, d = columns.cleared()
         h, _ = hnf_columns(b)
         keep = [j for j in range(h.cols) if any(h[i, j] != 0 for i in range(h.rows))]
         h = h.submatrix(range(h.rows), keep)
@@ -71,12 +75,21 @@ class Lattice:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
 
+    @staticmethod
+    def _make(ambient_dim: int, basis: Mat) -> "Lattice":
+        """A Lattice on a basis that is already in canonical form."""
+        lat = object.__new__(Lattice)
+        object.__setattr__(lat, "ambient_dim", ambient_dim)
+        object.__setattr__(lat, "basis", basis)
+        return lat
+
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Lattice is immutable")
 
     @staticmethod
     def standard(n: int) -> "Lattice":
-        return Lattice(n, Mat.identity(n))
+        # the identity is its own column Hermite form
+        return Lattice._make(n, Mat.identity(n))
 
     @property
     def rank(self) -> int:
@@ -102,7 +115,10 @@ class Lattice:
     def scaled(self, c: Scalar) -> "Lattice":
         if c == 0:
             raise ValueError("zero scaling")
-        return Lattice(self.ambient_dim, c * self.basis)
+        # the Hermite form of k*H is k times that of H for k > 0, and c and
+        # -c span the same lattice, so |c| times the canonical basis is the
+        # canonical basis of the scaled lattice
+        return Lattice._make(self.ambient_dim, abs(c) * self.basis)
 
     def contains_vector(self, v) -> bool:
         x = solve_exact(self.basis, v)
@@ -122,14 +138,11 @@ class Lattice:
         """Intersection of two lattices in the same ambient space."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        da = self.basis.denominator()
-        db = other.basis.denominator()
-        d = da * db // gcd(da, db)
-        a = (d * self.basis).to_int()
-        b = (d * other.basis).to_int()
-        k = integer_kernel(Mat.hstack(a, -1 * b))
-        alpha = k.submatrix(range(a.cols), range(k.cols))
-        return Lattice(self.ambient_dim, Fraction(1, d) * (a @ alpha))
+        # integral (x, y) with self.basis @ x == other.basis @ y;
+        # integer_kernel clears the common denominator itself
+        k = integer_kernel(Mat.hstack(self.basis, -1 * other.basis))
+        alpha = k.submatrix(range(self.rank), range(k.cols))
+        return Lattice(self.ambient_dim, self.basis @ alpha)
 
     def spans_subspace_of(self, other: "Lattice") -> bool:
         if self.rank == 0:
@@ -147,11 +160,9 @@ def sublattice_where_integral(container: Lattice, conditions: Mat) -> Lattice:
     if conditions.cols != container.ambient_dim:
         raise ValueError("condition width must match ambient dimension")
     c = container.basis
-    r = conditions @ c
-    d = r.denominator()
+    ri, d = (conditions @ c).cleared()
     if d == 1:
         return container
-    ri = (d * r).to_int()
     k = ri.rows
     blocked = Mat.hstack(ri, -d * Mat.identity(k))
     ker = integer_kernel(blocked)

@@ -6,6 +6,12 @@ immutable matrix type; the module-level functions supply the integer normal
 forms (column Hermite and Smith, each with its unimodular transforms),
 saturated integer kernels, and exact linear solvers.  No floating point
 appears anywhere in the package.
+
+The arithmetic is fraction-free: a rational matrix is handled as an integer
+matrix over one common denominator, products and eliminations run on
+Python ints alone (Bareiss 1968; Nakos, Turner and Williams 1997 for the
+Gauss-Jordan form), and ``Fraction`` objects are made only for result
+entries, one exact division each.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ Vec = tuple[Scalar, ...]
 
 
 def _exact(x: Scalar) -> Scalar:
-    # normalize Fraction(n, 1) down to int so reprs and hashes stay clean
+    # normalize Fraction(n, 1) down to int so reprs and hashes stay clean;
+    # a bool becomes a plain int, so entry type checks can test int exactly
     if isinstance(x, int):
-        return x
+        return int(x)
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
@@ -36,6 +43,32 @@ def _normalized(data: tuple[tuple, ...]) -> tuple[tuple[Scalar, ...], ...]:
             if type(x) is not int:
                 return tuple(tuple(map(_exact, row)) for row in data)
     return data
+
+
+def _over(x: int, d: int) -> Scalar:
+    """x / d as an exact scalar: an int when d divides x."""
+    q, r = divmod(x, d)
+    return q if r == 0 else Fraction(x, d)
+
+
+def _int_rows(data: Sequence[Sequence[Scalar]], d: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of d * data as ints, for d a common denominator of the entries."""
+    if d == 1:
+        return data
+    return tuple(
+        tuple(x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row)
+        for row in data
+    )
+
+
+def _denominator(rows: Iterable[Sequence[Scalar]]) -> int:
+    """lcm of the entry denominators (1 when every entry is an int)."""
+    d = 1
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                d = lcm(d, x.denominator)
+    return d
 
 
 class Mat:
@@ -154,15 +187,30 @@ class Mat:
         )
 
     def __rmul__(self, c: Scalar) -> "Mat":
-        data = tuple(tuple(c * x for x in row) for row in self.data)
-        return Mat._make(_normalized(data), self.rows, self.cols)
+        # (n / dc) * (a / da) with a integral: integer products, then one
+        # exact division per entry
+        n, da = c.numerator, self.denominator()
+        data = tuple(tuple(n * x for x in row) for row in _int_rows(self.data, da))
+        d = c.denominator * da
+        if d != 1:
+            data = tuple(tuple(_over(x, d) for x in row) for row in data)
+        return Mat._make(data, self.rows, self.cols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        # (a / da) @ (b / db) with a, b integral: integer products, then one
+        # exact division per entry
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        ot = other.T.data
-        data = tuple(tuple(sum(map(mul, row, col)) for col in ot) for row in self.data)
-        return Mat._make(_normalized(data), self.rows, other.cols)
+        da, db = self.denominator(), other.denominator()
+        b = _int_rows(other.data, db)
+        bt = tuple(zip(*b)) if b else ((),) * other.cols
+        data = tuple(
+            tuple(sum(map(mul, row, col)) for col in bt) for row in _int_rows(self.data, da)
+        )
+        d = da * db
+        if d != 1:
+            data = tuple(tuple(_over(x, d) for x in row) for row in data)
+        return Mat._make(data, self.rows, other.cols)
 
     def apply(self, v: Sequence[Scalar]) -> Vec:
         if len(v) != self.cols:
@@ -193,19 +241,19 @@ class Mat:
         return all(x == 0 for row in self.data for x in row)
 
     def is_integral(self) -> bool:
-        return all(isinstance(x, int) for row in self.data for x in row)
+        return all(type(x) is int for row in self.data for x in row)
 
     def is_alternating(self) -> bool:
         return self.is_square and self.T == -self
 
     def denominator(self) -> int:
         """lcm of entry denominators (1 for an integer matrix)."""
-        d = 1
-        for row in self.data:
-            for x in row:
-                if isinstance(x, Fraction):
-                    d = lcm(d, x.denominator)
-        return d
+        return _denominator(self.data)
+
+    def cleared(self) -> tuple["Mat", int]:
+        """(d * self, d): the integral multiple over the denominator d."""
+        d = self.denominator()
+        return Mat._make(_int_rows(self.data, d), self.rows, self.cols), d
 
     def content(self) -> int:
         """gcd of the absolute entries of an integral matrix (0 if zero)."""
@@ -234,10 +282,7 @@ class Mat:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
         d = self.denominator()
-        if d == 1:
-            a = [list(row) for row in self.data]
-        else:
-            a = [[int(d * x) for x in row] for row in self.data]
+        a = list(map(list, _int_rows(self.data, d)))
         sign, prev = 1, 1
         for k in range(n - 1):
             if a[k][k] == 0:
@@ -258,30 +303,43 @@ class Mat:
         return _exact(Fraction(bareiss, d**n))
 
     def inverse(self) -> "Mat":
+        """(a / d)^-1 = d * a^-1: fraction-free Gauss-Jordan on [a | I]
+        leaves [p*I | p*a^-1], so each entry is d * x / p."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
+        d = self.denominator()
         a = [
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self.data)
+            list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(_int_rows(self.data, d))
         ]
-        if len(_gauss_jordan(a, n)) < n:
+        pivots, p = _gauss_jordan(a, n)
+        if len(pivots) < n:
             raise ValueError("matrix is singular")
-        return Mat._make(_normalized(tuple(tuple(row[n:]) for row in a)), n, n)
+        return Mat._make(tuple(tuple(_over(d * x, p) for x in row[n:]) for row in a), n, n)
 
     def rank(self) -> int:
-        return len(_gauss_jordan([[Fraction(x) for x in row] for row in self.data], self.cols))
+        rows = list(map(list, _int_rows(self.data, self.denominator())))
+        return len(_gauss_jordan(rows, self.cols)[0])
 
 
-def _gauss_jordan(a: list[list[Fraction]], ncols: int) -> list[int]:
-    """Reduce the rows of a in place to reduced row echelon form, pivoting
-    only in the first ncols columns; returns the pivot columns.
+def _gauss_jordan(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows of a, in
+    place, pivoting only in the first ncols columns; returns the pivot
+    columns and the last pivot p.
 
-    Later columns ride along, which is how inverse and solve_exact carry an
-    augmented block through the elimination.
+    Each step is the update row_i = (p*row_i - f*row_r) // prev for every
+    row but the pivot row r, exact by Sylvester's identity (Bareiss 1968;
+    Nakos, Turner and Williams 1997).  The rows stay p times those of the
+    rational reduced row echelon form, so pivots are chosen exactly where
+    it chooses them (the first nonzero entry of the column), and at the
+    end every pivot row holds p in its pivot column and 0 in the others.
+    Later columns ride along, which is how inverse and solve_exact carry
+    an augmented block through the elimination.
     """
     rows = len(a)
     pivots: list[int] = []
+    prev = 1
     for j in range(ncols):
         r = len(pivots)
         if r == rows:
@@ -290,21 +348,22 @@ def _gauss_jordan(a: list[list[Fraction]], ncols: int) -> list[int]:
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][j]
-        a[r] = [x * inv for x in a[r]]
+        ar = a[r]
+        p = ar[j]
         for i in range(rows):
-            if i != r and a[i][j] != 0:
+            if i != r:
                 f = a[i][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], ar)]
+        prev = p
         pivots.append(j)
-    return pivots
+    return pivots, prev
 
 
 # -- vector helpers ---------------------------------------------------------
 
 
 def vec_is_integral(v: Sequence[Scalar]) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
+    return all(type(x) is int for x in v)
 
 
 # -- normal forms -------------------------------------------------------------
@@ -470,9 +529,7 @@ def integer_kernel(m: Mat) -> Mat:
     Accepts a rational matrix (the kernel only depends on the row span).
     Returns an n x k matrix, k possibly 0.
     """
-    d = m.denominator()
-    mi = (d * m).to_int() if d != 1 else m.to_int()
-    dd, _, v = snf(mi)
+    dd, _, v = snf(m.cleared()[0])
     r = sum(1 for i in range(min(dd.rows, dd.cols)) if dd[i, i] != 0)
     cols = [v.col(j) for j in range(r, v.cols)]
     if not cols:
@@ -490,13 +547,14 @@ def solve_exact(a: Mat, b: Sequence[Scalar]) -> Vec | None:
     """
     if len(b) != a.rows:
         raise ValueError("dimension mismatch")
-    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a.data, b)]
+    rows = [row + (y,) for row, y in zip(a.data, b)]
+    aug = list(map(list, _int_rows(rows, _denominator(rows))))
     n = a.cols
-    pivots = _gauss_jordan(aug, n)
+    pivots, p = _gauss_jordan(aug, n)
     for i in range(len(pivots), a.rows):
         if aug[i][n] != 0:
             return None
-    x = [Fraction(0)] * n
+    x: list[Scalar] = [0] * n
     for i, j in enumerate(pivots):
-        x[j] = aug[i][n]
-    return tuple(_exact(xi) for xi in x)
+        x[j] = _over(aug[i][n], p)
+    return tuple(x)

@@ -26,7 +26,14 @@ from .lattices import Lattice, sublattice_where_integral
 from .matrices import Mat
 from .parallel import pmap
 from .partners import find_isomorphism_certificate
-from .slopes import Slope, _ambient_product, reduce_slope, slope_kernel, slope_subvariety
+from .slopes import (
+    PRODUCT_CACHE_SIZE,
+    Slope,
+    _ambient_product,
+    reduce_slope,
+    slope_kernel,
+    slope_subvariety,
+)
 from .varieties import (
     FiniteSubgroup,
     Homomorphism,
@@ -50,12 +57,12 @@ def is_ample(c: NSClass) -> bool:
 
 
 # the names are part of each cache key because TorusVariety equality ignores them
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PRODUCT_CACHE_SIZE)
 def _product_variety(a: TorusVariety, b: TorusVariety, a_name: str, b_name: str) -> TorusVariety:
     return product(a, b, name=f"{a_name}x{b_name}").variety
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PRODUCT_CACHE_SIZE)
 def _dual_product_variety(a: TorusVariety, b: TorusVariety, a_name: str, b_name: str) -> TorusVariety:
     return product(dual(a), dual(b), name=f"{a_name}^x{b_name}^").variety
 
@@ -216,8 +223,10 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     items.append(_item("subtorus_kernel_order", l * l, kern.order))
 
     _, pi, _ = decompose(pc)
-    if pi.is_isogeny():
-        items.append(_item("correspondence_degree", l ** (2 * g - 2), pi.degree()))
+    # one determinant answers both is_isogeny and degree
+    det = pi.m.det() if pi.m.is_square else 0
+    if det != 0:
+        items.append(_item("correspondence_degree", l ** (2 * g - 2), abs(det)))
         ker_pi = pi.kernel()
         ker_pi_hat = pi.dual_hom().kernel()
         items.append(

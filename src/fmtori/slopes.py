@@ -120,7 +120,12 @@ class SlopeSubvariety:
         return FiniteSubgroup(self.slope.variety, self.member)
 
 
-@lru_cache(maxsize=None)
+# product varieties kept by the lru_cache helpers here and in product_audit;
+# a run touches a few varieties, so the bound only caps a long-lived process
+PRODUCT_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PRODUCT_CACHE_SIZE)
 def _ambient_product(a: TorusVariety, name: str) -> TorusVariety:
     # name is part of the cache key because TorusVariety equality ignores it
     return product(a, dual(a), name=f"{name}x{name}^").variety

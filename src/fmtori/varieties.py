@@ -31,7 +31,7 @@ from .lattices import (
     dual_lattice_of_form,
     quotient_structure,
 )
-from .matrices import Mat, integer_kernel, solve_exact
+from .matrices import Mat, integer_kernel, solve_exact, vec_is_integral
 
 
 class NotAnIsogenyError(ValueError):
@@ -245,9 +245,9 @@ def intertwiner_basis(j_src: Mat, j_dst: Mat) -> tuple[Mat, ...]:
 def coefficients_in_basis(target: Mat, basis: tuple[Mat, ...]) -> tuple[int, ...]:
     b = Mat.from_cols([_vec(m) for m in basis])
     x = solve_exact(b, _vec(target))
-    if x is None or not all(Fraction(c).denominator == 1 for c in x):
+    if x is None or not vec_is_integral(x):
         raise ValueError("matrix is not an integer combination of the basis")
-    return tuple(int(c) for c in x)
+    return x
 
 
 # -- duality ------------------------------------------------------------------
@@ -270,9 +270,7 @@ def dual(a: TorusVariety, name: str | None = None) -> TorusVariety:
     hi = h.inverse()
     transported = [hi.T @ e @ hi for e in a.ns_basis]
     ns_d = integral_span_basis(transported)
-    hd_dir = -1 * hi
-    d = hd_dir.denominator()
-    m0 = (d * hd_dir).to_int()
+    m0, _ = (-1 * hi).cleared()
     c = m0.content()
     hd = Mat([[x // c for x in row] for row in m0.data]) if c > 1 else m0
     if not _is_positive_definite(hd @ jd):
@@ -310,10 +308,11 @@ class Homomorphism:
         return abs(int(det))
 
     def kernel(self) -> "FiniteSubgroup":
-        if not self.is_isogeny():
-            raise NotAnIsogenyError("kernel of a non-isogeny is not finite")
-        over = Lattice(self.source.dim, self.m.inverse())
-        return FiniteSubgroup(self.source, over)
+        try:
+            inv = self.m.inverse()
+        except ValueError:
+            raise NotAnIsogenyError("kernel of a non-isogeny is not finite") from None
+        return FiniteSubgroup(self.source, Lattice(self.source.dim, inv))
 
     def dual_hom(self) -> "Homomorphism":
         return Homomorphism(dual(self.target), dual(self.source), self.m.T)
@@ -446,10 +445,11 @@ def image_under(f: Homomorphism, s: FiniteSubgroup) -> FiniteSubgroup:
 def preimage_under(f: Homomorphism, s: FiniteSubgroup) -> FiniteSubgroup:
     if s.variety != f.target:
         raise VarietyMismatchError("subgroup does not live on the target")
-    if not f.is_isogeny():
-        raise NotAnIsogenyError("preimage under a non-isogeny may be infinite")
-    over = Lattice(f.source.dim, f.m.inverse() @ s.overlattice.basis)
-    return FiniteSubgroup(f.source, over)
+    try:
+        inv = f.m.inverse()
+    except ValueError:
+        raise NotAnIsogenyError("preimage under a non-isogeny may be infinite") from None
+    return FiniteSubgroup(f.source, Lattice(f.source.dim, inv @ s.overlattice.basis))
 
 
 # -- products -------------------------------------------------------------------

@@ -267,3 +267,21 @@ def test_unreadable_files_exit_two_and_name_the_file(capsys, corpus_dir, tmp_pat
     code, _, err = run(capsys, "kl", corpus_dir / "e_i.json", "--class", "2*E0", "--json", report)
     assert_input_error(code, err)
     assert "report.json" in err
+
+
+@pytest.mark.parametrize("argv, doc, key", [
+    (["validate", "bad.json"], {"format": "fmtori/variety", "g": 1}, "j"),
+    (["audit", "e_i.json", "e_i.json", "--class", "bad.json", "--l", "1"],
+     {"format": "fmtori/product-class"}, "matrix"),
+    (["search-n", "e_i.json", "--l", "2", "--target", "bad.json", "--bound", "3"],
+     {"format": "fmtori/subgroup"}, "overlattice"),
+])
+def test_format_errors_name_the_file(capsys, corpus_dir, tmp_path, argv, doc, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), "utf-8")
+    argv = [bad if a == "bad.json" else corpus_dir / a if a.endswith(".json") else a
+            for a in argv]
+    code, lines, err = run(capsys, *argv)
+    assert_input_error(code, err)
+    assert err == f"error: {bad}: missing key {key!r}\n"
+    assert lines == []

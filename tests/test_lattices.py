@@ -42,6 +42,39 @@ def test_standard_and_scaled():
     assert half.contains_vector((Fraction(1, 2), Fraction(3, 2)))
 
 
+@st.composite
+def lattices_of_any_rank(draw):
+    """Lattices in Q^n spanned by k rational columns, k = 0..n+1: rank 0,
+    partial rank (some columns dependent or zero) and full rank."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n + 1))
+    den = draw(st.sampled_from((1, 2, 3, 6)))
+    cols = [[Fraction(draw(small), den) for _ in range(n)] for _ in range(k)]
+    return Lattice(n, Mat.from_cols(cols) if cols else Mat.zeros(n, 0))
+
+
+scalings = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 8)),
+)
+
+
+@given(lattices_of_any_rank(), scalings)
+def test_scaled_equals_canonicalized_scaling(lam, c):
+    scaled = lam.scaled(c)
+    canonical = Lattice(lam.ambient_dim, c * lam.basis)
+    assert scaled == canonical
+    assert scaled.basis.data == canonical.basis.data
+    assert (scaled.basis.rows, scaled.basis.cols) == (canonical.basis.rows, canonical.basis.cols)
+
+
+def test_standard_is_canonical():
+    for n in range(5):
+        canonical = Lattice(n, Mat.identity(n))
+        assert Lattice.standard(n) == canonical
+        assert Lattice.standard(n).basis.data == canonical.basis.data
+
+
 def test_canonical_basis_is_presentation_independent():
     a = Lattice(2, Mat(((1, 0), (0, 1))))
     b = Lattice(2, Mat(((1, 3), (0, 1))))  # same lattice, shear basis

@@ -62,6 +62,192 @@ def fraction_square(draw):
     return _square(draw, fractions)
 
 
+@st.composite
+def skipped_pivots(draw):
+    """Rank-deficient matrices whose pivot columns skip: a product through
+    an inner dimension k in which some columns repeat a multiple of the
+    column before them (or vanish), so elimination finds no pivot there."""
+    rows, cols = draw(sizes), draw(sizes)
+    k = draw(st.integers(1, min(rows, cols)))
+    left = [draw(st.lists(big_entries, min_size=k, max_size=k)) for _ in range(rows)]
+    right = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(k)]
+    for j in range(1, cols):
+        if draw(st.booleans()):
+            c = draw(entries)
+            for r in right:
+                r[j] = c * r[j - 1]
+    return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
+            for i in range(rows)]
+
+
+@st.composite
+def negative_leading_pivots(draw):
+    """Zero leading pivots below a negative one: the first column is zero in
+    the first z rows and negative in row z."""
+    rows = draw(zero_leading_pivots())
+    z = next((i for i, r in enumerate(rows) if r[0]), None)
+    if z is not None:
+        rows[z][0] = -abs(rows[z][0])
+    return rows
+
+
+@st.composite
+def rectangular(draw, elements):
+    rows, cols = draw(sizes), draw(sizes)
+    return [draw(st.lists(elements, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+big_fractions = st.builds(Fraction, big_entries, st.integers(1, 2**20))
+
+
+@st.composite
+def big_fraction_square(draw):
+    return _square(draw, big_fractions)
+
+
+# every shape of input the fraction-free kernels must agree on
+any_matrix = st.one_of(
+    rectangular(entries),
+    rectangular(big_entries),
+    rectangular(fractions),
+    rectangular(big_fractions),
+    skipped_pivots(),
+    singular_square(),
+    negative_leading_pivots(),
+    fraction_square(),
+    big_fraction_square(),
+)
+
+
+def _ref_gauss_jordan(a, ncols):
+    """Rational Gauss-Jordan in Fraction arithmetic: the reference for the
+    fraction-free kernels.  Reduces the rows of a in place to reduced row
+    echelon form, pivoting on the first nonzero entry of each of the first
+    ncols columns; returns the pivot columns."""
+    rows = len(a)
+    pivots = []
+    for j in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][j] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][j]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][j] != 0:
+                f = a[i][j]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(j)
+    return pivots
+
+
+def _ref_rank(rows, ncols):
+    return len(_ref_gauss_jordan([[Fraction(x) for x in r] for r in rows], ncols))
+
+
+def _ref_inverse(rows):
+    n = len(rows)
+    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    if len(_ref_gauss_jordan(a, n)) < n:
+        return None
+    return [r[n:] for r in a]
+
+
+def _ref_solve(rows, b, ncols):
+    aug = [[Fraction(x) for x in r] + [Fraction(y)] for r, y in zip(rows, b)]
+    pivots = _ref_gauss_jordan(aug, ncols)
+    if any(aug[i][ncols] != 0 for i in range(len(pivots), len(rows))):
+        return None
+    x = [Fraction(0)] * ncols
+    for i, j in enumerate(pivots):
+        x[j] = aug[i][ncols]
+    return tuple(x)
+
+
+def _ref_product(a, b, inner):
+    return [[sum((Fraction(r[t]) * c[t] for t in range(inner)), Fraction(0)) for c in zip(*b)]
+            for r in a]
+
+
+def _is_exact(x):
+    # entries are ints, or Fractions that are not integers; never Fraction(n, 1)
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def _same(m, ref_rows):
+    """m holds exactly the reference values, each in exact form."""
+    assert all(_is_exact(x) for row in m.data for x in row)
+    assert [list(r) for r in m.data] == [list(r) for r in ref_rows]
+
+
+@given(any_matrix)
+def test_rank_matches_fraction_reference(rows):
+    assert Mat(rows).rank() == _ref_rank(rows, len(rows[0]))
+
+
+@given(st.one_of(big_square(), zero_leading_pivots(), negative_leading_pivots(),
+                 fraction_square(), big_fraction_square(), singular_square()))
+def test_inverse_matches_fraction_reference(rows):
+    ref = _ref_inverse(rows)
+    if ref is None:
+        with pytest.raises(ValueError, match="singular"):
+            Mat(rows).inverse()
+        return
+    inv = Mat(rows).inverse()
+    _same(inv, ref)
+    assert Mat(rows) @ inv == Mat.identity(len(rows))
+
+
+@given(any_matrix, st.data())
+def test_solve_exact_matches_fraction_reference(rows, data):
+    a = Mat(rows)
+    if data.draw(st.booleans()):
+        b = data.draw(st.lists(st.one_of(big_entries, fractions),
+                               min_size=a.rows, max_size=a.rows))
+    else:
+        x0 = data.draw(st.lists(st.one_of(entries, fractions), min_size=a.cols, max_size=a.cols))
+        b = list(a.apply(x0))
+    x = solve_exact(a, b)
+    ref = _ref_solve(rows, b, a.cols)
+    # exact tuple equality: same solution, free coordinates 0, exact entries
+    assert x == ref
+    if x is not None:
+        assert all(_is_exact(v) for v in x)
+
+
+@given(st.data())
+def test_products_match_fraction_reference(data):
+    elements = data.draw(st.sampled_from([entries, big_entries, fractions, big_fractions]))
+    r, k, c = data.draw(sizes), data.draw(sizes), data.draw(sizes)
+    a = [data.draw(st.lists(elements, min_size=k, max_size=k)) for _ in range(r)]
+    b = [data.draw(st.lists(elements, min_size=c, max_size=c)) for _ in range(k)]
+    _same(Mat(a) @ Mat(b), _ref_product(a, b, k))
+    s = data.draw(st.one_of(entries, big_entries, fractions, big_fractions))
+    _same(s * Mat(a), [[Fraction(s) * x for x in row] for row in a])
+
+
+def test_fraction_free_kernels_on_zero_width_shapes():
+    assert Mat.zeros(0, 3).rank() == 0 and Mat.zeros(3, 0).rank() == 0
+    assert Mat.identity(0).inverse() == Mat.identity(0)
+    assert solve_exact(Mat.zeros(0, 3), ()) == (0, 0, 0)
+    assert solve_exact(Mat.zeros(2, 0), (0, 0)) == ()
+    assert solve_exact(Mat.zeros(2, 0), (0, Fraction(1, 2))) is None
+    assert Mat.zeros(3, 0) @ Mat.zeros(0, 2) == Mat.zeros(3, 2)
+    assert Mat.zeros(0, 2) @ Mat(((Fraction(1, 2),), (3,))) == Mat.zeros(0, 1)
+    assert Fraction(1, 3) * Mat.zeros(0, 2) == Mat.zeros(0, 2)
+    assert Fraction(1, 3) * Mat.zeros(2, 0) == Mat.zeros(2, 0)
+
+
+def test_solve_exact_sets_free_coordinates_to_zero():
+    # pivots in columns 0 and 2; column 1 is free and column 3 repeats column 2
+    a = Mat(((2, 4, 1, 1), (-6, -12, 0, 0)))
+    assert solve_exact(a, (3, 9)) == (Fraction(-3, 2), 0, 6, 0)
+
+
 def _cofactor_det(rows):
     """Laplace expansion along the first row: the textbook definition, with
     no elimination, in exact Fraction arithmetic."""

@@ -41,8 +41,50 @@ def int_matrices(draw, square=False, bound=9):
             for i in range(rows)]
 
 
+@st.composite
+def exact_matrices(draw, square=False):
+    """Inputs for the fraction-free kernels: small or 2^40-sized integer
+    matrices (uniform or rank deficient), or Fraction matrices with mixed
+    denominators, some with large parts.  Some columns may then repeat a
+    multiple of the column before them, so pivots skip columns, and the
+    first column may start with zeros above a negative entry."""
+    kind = draw(st.sampled_from(["small", "big", "fraction", "big fraction"]))
+    if kind == "small":
+        rows = draw(int_matrices(square=square))
+    elif kind == "big":
+        rows = draw(int_matrices(square=square, bound=2**40))
+    else:
+        n = draw(dims)
+        cols = n if square else draw(dims)
+        bound = 50 if kind == "fraction" else 2**40
+        den = st.integers(1, 12 if kind == "fraction" else 2**20)
+        entry = st.builds(Fraction, st.integers(-bound, bound), den)
+        rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=n, max_size=n))
+    for j in range(1, len(rows[0])):
+        if draw(st.integers(0, 3)) == 0:
+            c = draw(st.integers(-2, 2))
+            for r in rows:
+                r[j] = c * r[j - 1]
+    if draw(st.booleans()):
+        z = draw(st.integers(0, len(rows) - 1))
+        for r in rows[:z]:
+            r[0] = 0
+        rows[z][0] = -abs(rows[z][0])
+    return rows
+
+
 def _fraction(x) -> Fraction:
     return Fraction(int(x.p), int(x.q))
+
+
+def _from_sympy(m) -> list[list[Fraction]]:
+    return [[_fraction(x) for x in m.row(i)] for i in range(m.rows)]
+
+
+def _exact_form(m: Mat) -> bool:
+    # ints, or Fractions that are not integers; never Fraction(n, 1)
+    return all(type(x) is int or x.denominator > 1 for row in m.data for x in row)
 
 
 @given(int_matrices(square=True, bound=2**40))
@@ -50,23 +92,24 @@ def test_det_matches_sympy(rows):
     assert Mat(rows).det() == int(sympy.Matrix(rows).det())
 
 
-@given(int_matrices())
+@given(exact_matrices())
 def test_rank_matches_sympy(rows):
     assert Mat(rows).rank() == sympy.Matrix(rows).rank()
 
 
-@given(int_matrices(square=True))
+@given(exact_matrices(square=True))
 def test_inverse_matches_sympy(rows):
     m = sympy.Matrix(rows)
     if m.det() == 0:
         with pytest.raises(ValueError):
             Mat(rows).inverse()
         return
-    expected = Mat([[_fraction(x) for x in m.inv().row(i)] for i in range(m.rows)])
-    assert Mat(rows).inverse() == expected
+    inv = Mat(rows).inverse()
+    assert inv == Mat(_from_sympy(m.inv()))
+    assert _exact_form(inv)
 
 
-@given(int_matrices(), st.data())
+@given(exact_matrices(), st.data())
 def test_solve_exact_matches_sympy(rows, data):
     a = Mat(rows)
     if data.draw(st.booleans()):
@@ -74,12 +117,29 @@ def test_solve_exact_matches_sympy(rows, data):
     else:
         x0 = data.draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
         b = list(a.apply(x0))
-    m = sympy.Matrix(rows)
-    consistent = m.rank() == m.row_join(sympy.Matrix(b)).rank()
     x = solve_exact(a, b)
-    assert (x is not None) == consistent
-    if x is not None:
-        assert a.apply(x) == tuple(b)
+    try:
+        sol, params = sympy.Matrix(rows).gauss_jordan_solve(sympy.Matrix(b))
+    except ValueError:  # sympy: the system is inconsistent
+        assert x is None
+        return
+    # the reduced echelon solution with every free coordinate 0, exactly
+    expected = tuple(_fraction(v) for v in sol.subs({t: 0 for t in params}))
+    assert x == expected
+    assert all(type(v) is int or v.denominator > 1 for v in x)
+
+
+@given(st.data())
+def test_products_match_sympy(data):
+    a, b = data.draw(exact_matrices()), data.draw(exact_matrices())
+    b = [b[i % len(b)] for i in range(len(a[0]))]  # as many rows as a has columns
+    c = data.draw(st.one_of(st.integers(-(2**40), 2**40),
+                            st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))))
+    prod = Mat(a) @ Mat(b)
+    scaled = c * Mat(a)
+    assert prod == Mat(_from_sympy(sympy.Matrix(a) * sympy.Matrix(b)))
+    assert scaled == Mat(_from_sympy(sympy.sympify(c) * sympy.Matrix(a)))
+    assert _exact_form(prod) and _exact_form(scaled)
 
 
 @given(int_matrices())
