@@ -62,7 +62,7 @@ class Lattice:
         if columns.rows != ambient_dim:
             raise ValueError("basis rows must match ambient dimension")
         b, d = columns.cleared()
-        h, _ = hnf_columns(b)
+        h = hnf_columns(b)
         keep = [j for j in range(h.cols) if any(h[i, j] != 0 for i in range(h.rows))]
         h = h.submatrix(range(h.rows), keep)
         if keep:
@@ -196,10 +196,7 @@ def quotient_structure(sub: Lattice, sup: Lattice) -> FiniteGroupStructure:
     x = sup.basis.inverse() @ sub.basis
     if not x.is_integral():
         raise LatticeContainmentError("sub is not contained in sup")
-    d, _, _ = snf(x)
-    return FiniteGroupStructure.from_diagonal(
-        tuple(d[i, i] for i in range(d.rows))
-    )
+    return FiniteGroupStructure.from_diagonal(snf(x))
 
 
 def saturate(l: Lattice, ambient: Lattice) -> Lattice:

@@ -3,9 +3,9 @@
 Everything downstream (lattices, tori, slope subvarieties, audits) runs on
 exact arithmetic: Python ints and ``fractions.Fraction``.  ``Mat`` is a small
 immutable matrix type; the module-level functions supply the integer normal
-forms (column Hermite and Smith, each with its unimodular transforms),
-saturated integer kernels, and exact linear solvers.  No floating point
-appears anywhere in the package.
+forms (the column Hermite form and the Smith invariant factors; no caller
+reads a unimodular transform, so none is built), saturated integer kernels,
+and exact linear solvers.  No floating point appears anywhere in the package.
 
 The arithmetic is fraction-free: a rational matrix is handled as an integer
 matrix over one common denominator, products and eliminations run on
@@ -369,76 +369,62 @@ def vec_is_integral(v: Sequence[Scalar]) -> bool:
 # -- normal forms -------------------------------------------------------------
 
 
-def _row_hnf(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite form H of a with unimodular U, H == U @ a.
+def _row_hnf(a: list[list[int]]) -> list[list[int]]:
+    """Reduce the integer rows of a, in place, to their row Hermite form.
 
     Canonical: pivots positive, entries above a pivot reduced into
     [0, pivot), zero rows last, pivot columns strictly increasing.
     """
     m = len(a)
-    h = [row[:] for row in a]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
     n = len(a[0]) if a else 0
     pr = 0
     for col in range(n):
         while True:
-            nz = [i for i in range(pr, m) if h[i][col] != 0]
+            nz = [i for i in range(pr, m) if a[i][col] != 0]
             if not nz:
                 break
-            i0 = min(nz, key=lambda i: (abs(h[i][col]), i))
+            i0 = min(nz, key=lambda i: (abs(a[i][col]), i))
             if i0 != pr:
-                h[pr], h[i0] = h[i0], h[pr]
-                u[pr], u[i0] = u[i0], u[pr]
-            p = h[pr][col]
+                a[pr], a[i0] = a[i0], a[pr]
+            p = a[pr][col]
             done = True
             for i in range(pr + 1, m):
-                if h[i][col] != 0:
-                    q = h[i][col] // p
-                    h[i] = [x - q * y for x, y in zip(h[i], h[pr])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[pr])]
-                    if h[i][col] != 0:
+                if a[i][col] != 0:
+                    q = a[i][col] // p
+                    a[i] = [x - q * y for x, y in zip(a[i], a[pr])]
+                    if a[i][col] != 0:
                         done = False  # remainder left, need a smaller pivot
             if done:
                 break
-        if pr < m and h[pr][col] != 0:
-            if h[pr][col] < 0:
-                h[pr] = [-x for x in h[pr]]
-                u[pr] = [-x for x in u[pr]]
-            p = h[pr][col]
+        if pr < m and a[pr][col] != 0:
+            if a[pr][col] < 0:
+                a[pr] = [-x for x in a[pr]]
+            p = a[pr][col]
             for i in range(pr):
-                q = h[i][col] // p
+                q = a[i][col] // p
                 if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[pr])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[pr])]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[pr])]
             pr += 1
             if pr == m:
                 break
-    return h, u
+    return a
 
 
-def hnf_columns(m: Mat) -> tuple[Mat, Mat]:
-    """Column Hermite normal form: returns (h, u) with h == m @ u, u unimodular.
-
-    h is the canonical column form of the column span; zero columns, if
-    any, sit at the end.
-    """
+def hnf_columns(m: Mat) -> Mat:
+    """Column Hermite normal form h of an integral matrix: the canonical
+    basis of its column span, with any zero columns at the end."""
     mt = [list(m.col(j)) for j in range(m.cols)]
     for row in mt:
         for x in row:
             if not isinstance(x, int):
                 raise ValueError("hermite form needs an integral matrix")
-    h, u = _row_hnf(mt)
-    n = m.cols
-    return (
-        Mat._make(tuple(map(tuple, h)), n, m.rows).T,
-        Mat._make(tuple(map(tuple, u)), n, n).T,
-    )
+    h = _row_hnf(mt)
+    return Mat._make(tuple(map(tuple, h)), m.cols, m.rows).T
 
 
-def snf(m: Mat) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form: returns (d, u, v) with d == u @ m @ v.
-
-    u, v unimodular; d diagonal with nonnegative entries forming a
+def snf(m: Mat) -> tuple[int, ...]:
+    """Invariant factors of an integral matrix: the min(rows, cols) diagonal
+    entries of its Smith normal form, nonnegative and forming a
     divisibility chain d1 | d2 | ... (zeros last).  Pivots are chosen by
     minimal absolute value.
     """
@@ -446,8 +432,6 @@ def snf(m: Mat) -> tuple[Mat, Mat, Mat]:
         raise ValueError("smith form needs an integral matrix")
     rows, cols = m.rows, m.cols
     a = [list(r) for r in m.data]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
     t = 0
     while t < min(rows, cols):
         best = None
@@ -461,11 +445,8 @@ def snf(m: Mat) -> tuple[Mat, Mat, Mat]:
         _, i0, j0 = best
         if i0 != t:
             a[t], a[i0] = a[i0], a[t]
-            u[t], u[i0] = u[i0], u[t]
         if j0 != t:
             for row in a:
-                row[t], row[j0] = row[j0], row[t]
-            for row in v:
                 row[t], row[j0] = row[j0], row[t]
         while True:
             p = a[t][t]
@@ -474,11 +455,9 @@ def snf(m: Mat) -> tuple[Mat, Mat, Mat]:
                 if a[i][t] != 0:
                     q = a[i][t] // p
                     a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                     if a[i][t] != 0:
                         # remainder is a strictly smaller pivot; promote it
                         a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
                         dirty = True
                         break
             if dirty:
@@ -488,12 +467,8 @@ def snf(m: Mat) -> tuple[Mat, Mat, Mat]:
                     q = a[t][j] // p
                     for row in a:
                         row[j] -= q * row[t]
-                    for row in v:
-                        row[j] -= q * row[t]
                     if a[t][j] != 0:
                         for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
                             row[t], row[j] = row[j], row[t]
                         dirty = True
                         break
@@ -511,32 +486,27 @@ def snf(m: Mat) -> tuple[Mat, Mat, Mat]:
             if culprit is None:
                 break
             a[t] = [x + y for x, y in zip(a[t], a[culprit])]
-            u[t] = [x + y for x, y in zip(u[t], u[culprit])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return (
-        Mat._make(tuple(map(tuple, a)), rows, cols),
-        Mat._make(tuple(map(tuple, u)), rows, rows),
-        Mat._make(tuple(map(tuple, v)), cols, cols),
-    )
+    return tuple(abs(a[i][i]) for i in range(min(rows, cols)))
 
 
 def integer_kernel(m: Mat) -> Mat:
-    """Saturated basis of {x in Z^n : m @ x = 0}, as matrix columns.
+    """Saturated basis of {x in Z^n : m @ x = 0}, as matrix columns, in
+    column Hermite form.
 
     Accepts a rational matrix (the kernel only depends on the row span).
-    Returns an n x k matrix, k possibly 0.
+    Returns an n x k matrix, k possibly 0.  With b = d * m integral, the
+    row Hermite form of [b^T | I] is [U b^T | U] for a unimodular U, and
+    its rows with U b^T zero are a basis of the kernel in row Hermite form
+    (Cohen, GTM 138, section 2.4).
     """
-    dd, _, v = snf(m.cleared()[0])
-    r = sum(1 for i in range(min(dd.rows, dd.cols)) if dd[i, i] != 0)
-    cols = [v.col(j) for j in range(r, v.cols)]
-    if not cols:
-        return Mat.zeros(m.cols, 0)
-    h, _ = hnf_columns(Mat.from_cols(cols))
-    keep = [j for j in range(h.cols) if any(h[i, j] != 0 for i in range(h.rows))]
-    return h.submatrix(range(h.rows), keep)
+    b = m.cleared()[0]
+    r, n = b.rows, b.cols
+    a = [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(b.T.data)]
+    ker = [row[r:] for row in _row_hnf(a) if not any(row[:r])]
+    if not ker:
+        return Mat.zeros(n, 0)
+    return Mat._make(tuple(zip(*ker)), n, len(ker))
 
 
 def solve_exact(a: Mat, b: Sequence[Scalar]) -> Vec | None:

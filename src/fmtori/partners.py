@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .matrices import Mat, snf
@@ -34,8 +34,19 @@ from .varieties import (
     is_isomorphism_certificate,
 )
 
-# keeps certificate searches from exploding on wide commutants
+# the most candidates any bounded search may scan: the certificate box,
+# partner enumeration and the product- and kernel-class searches
 SEARCH_CANDIDATE_CAP = 500_000
+
+
+def require_within_cap(candidates: int, search: str) -> None:
+    """Raise PreconditionError, before any work, for a search over more than
+    SEARCH_CANDIDATE_CAP candidates."""
+    if candidates > SEARCH_CANDIDATE_CAP:
+        raise PreconditionError(
+            f"{search} space of {candidates} candidates exceeds the candidate cap"
+            f" of {SEARCH_CANDIDATE_CAP} at this bound"
+        )
 
 
 @dataclass(frozen=True)
@@ -61,9 +72,10 @@ def fingerprint(a: TorusVariety, profile_bound: int | None = None) -> Fingerprin
     Each basis class is validated once, as an ``NSClass``: integer
     combinations of valid classes are integral, alternating and
     J-compatible by linearity, so the combinations are built as plain
-    integer matrices.  One Smith form per combination gives both answers:
-    a zero on its diagonal means degenerate, and otherwise the diagonal
-    entries above 1 are the elementary divisors of the class kernel.
+    integer matrices.  e and -e have the same Smith form, so one Smith form
+    serves each pair +-e of combinations and gives both answers: a zero
+    among its invariant factors means degenerate, and otherwise the factors
+    above 1 are the elementary divisors of the class kernel.
     """
     r = len(a.ns_basis)
     if profile_bound is None:
@@ -73,14 +85,12 @@ def fingerprint(a: TorusVariety, profile_bound: int | None = None) -> Fingerprin
     # entries[k] holds entry k (row-major) of every basis class
     entries = list(zip(*(sum(c.data, ()) for c in classes)))
     profiles = []
-    for coeffs in itertools.product(range(-profile_bound, profile_bound + 1), repeat=r):
-        if not any(coeffs):
-            continue
+    for coeffs in _normalized_coefficient_vectors(r, profile_bound):
         flat = [sum(map(mul, coeffs, entry)) for entry in entries]
         e = Mat._make(tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n)), n, n)
-        d, _, _ = snf(e)
-        diag = [d[i, i] for i in range(n)]
-        profiles.append((0,) if 0 in diag else tuple(x for x in diag if x > 1))
+        diag = snf(e)
+        profile = (0,) if 0 in diag else tuple(x for x in diag if x > 1)
+        profiles += (profile, profile)
     return Fingerprint(a.g, r, profile_bound, tuple(sorted(profiles)))
 
 
@@ -137,6 +147,7 @@ def enumerate_partners(
     """
     if coeff_bound < 1 or denom_bound < 1:
         raise PreconditionError("enumeration bounds must be at least 1")
+    require_within_cap((2 * coeff_bound + 1) ** len(a.ns_basis), "partner enumeration")
     seen: set[tuple] = set()
     candidates: list[tuple[tuple[int, ...], int, Slope]] = []
     for l in range(1, denom_bound + 1):
@@ -190,13 +201,7 @@ def find_isomorphism_certificate(
     for i in range(p.rows):
         s = sum(abs(Fraction(p[i, j])) for j in range(p.cols))
         boxes.append(int(bound * s))
-    total = 1
-    for c in boxes:
-        total *= 2 * c + 1
-        if total > SEARCH_CANDIDATE_CAP:
-            raise PreconditionError(
-                "certificate search space exceeds the candidate cap at this bound"
-            )
+    require_within_cap(prod(2 * c + 1 for c in boxes), "certificate search")
     for x in itertools.product(*(range(-c, c + 1) for c in boxes)):
         if not any(x):
             continue

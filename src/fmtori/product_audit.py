@@ -25,7 +25,7 @@ from math import gcd
 from .lattices import Lattice, sublattice_where_integral
 from .matrices import Mat
 from .parallel import pmap
-from .partners import find_isomorphism_certificate
+from .partners import find_isomorphism_certificate, require_within_cap
 from .slopes import (
     PRODUCT_CACHE_SIZE,
     Slope,
@@ -365,6 +365,7 @@ def _scan(rank: int, coeff_bound: int, evaluate, threads: int, limit: int) -> li
     """
     if coeff_bound < 1:
         raise PreconditionError("search bound must be at least 1")
+    require_within_cap((2 * coeff_bound + 1) ** rank, "class search")
 
     def nonzero(coeffs):
         return evaluate(coeffs) if any(coeffs) else None

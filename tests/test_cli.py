@@ -169,6 +169,20 @@ def test_search_n_not_found_exits_one(capsys, corpus_dir, tmp_path):
     assert lines == ["not found at bound 3"]
 
 
+def test_search_n_over_the_candidate_cap_exits_two(capsys, corpus_dir, tmp_path):
+    half = [["1/2" if i == j else "0" for j in range(4)] for i in range(4)]
+    doc = {"format": "fmtori/subgroup", "name": "two_torsion_4", "overlattice": half}
+    f = tmp_path / "two_torsion_4.json"
+    f.write_text(corpus.render_json(doc), "utf-8")
+    code, _, err = run(
+        capsys,
+        "search-n", corpus_dir / "e_i_x_e_i.json",
+        "--l", "2", "--target", f, "--bound", "100",
+    )
+    assert_input_error(code, err)
+    assert "candidate cap" in err
+
+
 def test_json_reports_are_byte_stable(capsys, corpus_dir, tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     for p in (p1, p2):

@@ -289,9 +289,169 @@ def test_rational_entries():
         m.to_int()
 
 
-@given(int_matrices(3, 3))
+# -- reference normal forms with their unimodular transforms -------------------
+
+
+def _ref_row_hnf(a):
+    """Row Hermite form H of the integer rows a with unimodular U, H == U @ a:
+    the same pivot rule as matrices._row_hnf, with U carried along."""
+    m = len(a)
+    h = [row[:] for row in a]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    n = len(a[0]) if a else 0
+    pr = 0
+    for col in range(n):
+        while True:
+            nz = [i for i in range(pr, m) if h[i][col] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(h[i][col]), i))
+            if i0 != pr:
+                h[pr], h[i0] = h[i0], h[pr]
+                u[pr], u[i0] = u[i0], u[pr]
+            p = h[pr][col]
+            done = True
+            for i in range(pr + 1, m):
+                if h[i][col] != 0:
+                    q = h[i][col] // p
+                    h[i] = [x - q * y for x, y in zip(h[i], h[pr])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[pr])]
+                    if h[i][col] != 0:
+                        done = False
+            if done:
+                break
+        if pr < m and h[pr][col] != 0:
+            if h[pr][col] < 0:
+                h[pr] = [-x for x in h[pr]]
+                u[pr] = [-x for x in u[pr]]
+            p = h[pr][col]
+            for i in range(pr):
+                q = h[i][col] // p
+                if q:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[pr])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[pr])]
+            pr += 1
+            if pr == m:
+                break
+    return h, u
+
+
+def _ref_hnf_columns(m):
+    """(h, u) with h == m @ u the column Hermite form and u unimodular."""
+    h, u = _ref_row_hnf([list(m.col(j)) for j in range(m.cols)])
+    n = m.cols
+    return Mat._make(tuple(map(tuple, h)), n, m.rows).T, Mat._make(tuple(map(tuple, u)), n, n).T
+
+
+def _ref_snf(m):
+    """(d, u, v) with d == u @ m @ v the Smith form and u, v unimodular: the
+    same minimal-absolute-value pivot rule as matrices.snf."""
+    rows, cols = m.rows, m.cols
+    a = [list(r) for r in m.data]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    t = 0
+    while t < min(rows, cols):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
+            break
+        _, i0, j0 = best
+        if i0 != t:
+            a[t], a[i0] = a[i0], a[t]
+            u[t], u[i0] = u[i0], u[t]
+        if j0 != t:
+            for row in a + v:
+                row[t], row[j0] = row[j0], row[t]
+        while True:
+            p = a[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t] != 0:
+                    q = a[i][t] // p
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    if a[i][t] != 0:
+                        a[t], a[i] = a[i], a[t]
+                        u[t], u[i] = u[i], u[t]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if a[t][j] != 0:
+                    q = a[t][j] // p
+                    for row in a + v:
+                        row[j] -= q * row[t]
+                    if a[t][j] != 0:
+                        for row in a + v:
+                            row[t], row[j] = row[j], row[t]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            culprit = next(
+                (i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % p),
+                None,
+            )
+            if culprit is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[culprit])]
+            u[t] = [x + y for x, y in zip(u[t], u[culprit])]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return (
+        Mat._make(tuple(map(tuple, a)), rows, cols),
+        Mat._make(tuple(map(tuple, u)), rows, rows),
+        Mat._make(tuple(map(tuple, v)), cols, cols),
+    )
+
+
+def _ref_integer_kernel(m):
+    """The kernel by the Smith transform v and a second Hermite form."""
+    dd, _, v = _ref_snf(m.cleared()[0])
+    r = sum(1 for i in range(min(dd.rows, dd.cols)) if dd[i, i] != 0)
+    cols = [v.col(j) for j in range(r, v.cols)]
+    if not cols:
+        return Mat.zeros(m.cols, 0)
+    h, _ = _ref_hnf_columns(Mat.from_cols(cols))
+    keep = [j for j in range(h.cols) if any(h[i, j] != 0 for i in range(h.rows))]
+    return h.submatrix(range(h.rows), keep)
+
+
+@st.composite
+def with_zero_lines(draw, matrices):
+    """A matrix from the given row-list strategy with some rows and columns
+    set to zero, or a zero-width matrix."""
+    if draw(st.integers(0, 7)) == 0:
+        r, c = draw(st.sampled_from([(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)]))
+        return Mat.zeros(r, c)
+    rows = draw(matrices)
+    zr = draw(st.sets(st.integers(0, len(rows) - 1)))
+    zc = draw(st.sets(st.integers(0, len(rows[0]) - 1)))
+    return Mat([[0 if i in zr or j in zc else x for j, x in enumerate(row)]
+                for i, row in enumerate(rows)])
+
+
+# integer inputs of every shape the normal forms must agree on
+normal_form_inputs = with_zero_lines(st.one_of(
+    rectangular(entries),
+    rectangular(big_entries),
+    skipped_pivots(),
+    singular_square(),
+    big_square(),
+))
+
+
+@given(st.one_of(int_matrices(3, 3), normal_form_inputs))
 def test_hnf_is_unimodular_reduction(m):
-    h, u = hnf_columns(m)
+    h, u = _ref_hnf_columns(m)
     assert abs(u.det()) == 1
     assert m @ u == h
     # column echelon: pivot rows weakly increase, entries right of a pivot row are reduced
@@ -300,6 +460,8 @@ def test_hnf_is_unimodular_reduction(m):
         prev = h.col(j - 1)
         if any(col) and any(prev):
             assert _pivot_row(prev) < _pivot_row(col)
+    ours = hnf_columns(m)
+    assert ours == h and ours.data == h.data
 
 
 def _pivot_row(col):
@@ -309,17 +471,32 @@ def _pivot_row(col):
     return len(col)
 
 
-@given(int_matrices(3, 3))
+@given(st.one_of(int_matrices(3, 3), normal_form_inputs))
 def test_snf_divisibility_chain(m):
-    d, u, v = snf(m)
+    d, u, v = _ref_snf(m)
     assert u @ m @ v == d
     assert abs(u.det()) == 1 and abs(v.det()) == 1
-    diag = [int(d[i, i]) for i in range(3)]
+    diag = [int(d[i, i]) for i in range(min(m.rows, m.cols))]
     for a, b in zip(diag, diag[1:]):
         if a:
             assert b % a == 0
         else:
             assert b == 0
+    assert snf(m) == tuple(diag)
+
+
+@given(normal_form_inputs)
+def test_snf_ignores_sign_and_transpose(m):
+    assert snf(-m) == snf(m) == snf(m.T)
+
+
+@given(st.one_of(
+    normal_form_inputs,
+    with_zero_lines(st.one_of(rectangular(fractions), rectangular(big_fractions))),
+))
+def test_integer_kernel_matches_smith_and_hermite_construction(m):
+    k, ref = integer_kernel(m), _ref_integer_kernel(m)
+    assert k == ref and k.data == ref.data
 
 
 @given(int_matrices(3, 4))

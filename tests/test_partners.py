@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fmtori import corpus
+from fmtori import corpus, partners
 from fmtori.matrices import Mat, snf
 from fmtori.partners import (
     SEARCH_CANDIDATE_CAP,
@@ -58,8 +58,8 @@ def _reference_fingerprint(a, profile_bound=None):
         if c.is_degenerate():
             profiles.append((0,))
             continue
-        d, _, _ = snf(c.e)
-        profiles.append(tuple(d[i, i] for i in range(d.rows) if d[i, i] > 1))
+        d = snf(c.e)
+        profiles.append(tuple(x for x in d if x > 1))
     return Fingerprint(a.g, r, profile_bound, tuple(sorted(profiles)))
 
 
@@ -197,3 +197,13 @@ def test_partner_entries_on_product(e_i_squared):
 
 def test_search_cap_is_exposed():
     assert SEARCH_CANDIDATE_CAP >= 10_000
+
+
+def test_enumeration_over_the_cap_raises_before_any_candidate(e_i_squared, monkeypatch):
+    def no_candidate(*args):
+        raise AssertionError("a candidate was enumerated past the cap")
+
+    assert 201 ** len(e_i_squared.ns_basis) > SEARCH_CANDIDATE_CAP
+    monkeypatch.setattr(partners, "reduce_slope", no_candidate)
+    with pytest.raises(PreconditionError, match="candidate cap"):
+        enumerate_partners(e_i_squared, 100, 1)

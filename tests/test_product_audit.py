@@ -1,7 +1,9 @@
 import pytest
 
+from fmtori import product_audit
 from fmtori.corpus import poincare_class, square_lattice_curve
 from fmtori.matrices import Mat
+from fmtori.partners import SEARCH_CANDIDATE_CAP
 from fmtori.product_audit import (
     ProductNSClass,
     assemble,
@@ -159,6 +161,21 @@ def test_searches_reject_bounds_below_one(e_i, bound):
         search_kernel_class(e_i, 2, trivial_subgroup(e_i), bound)
     with pytest.raises(PreconditionError):
         search_product_classes(e_i, e_i, 2, bound)
+
+
+def test_searches_over_the_cap_raise_before_any_candidate(e_i, e_i_squared, monkeypatch):
+    def no_candidate(*args):
+        raise AssertionError("a candidate was evaluated past the cap")
+
+    # 201**4 (about 1.6e9) candidates at bound 100 on E_i x E_i
+    assert 201 ** len(e_i_squared.ns_basis) > SEARCH_CANDIDATE_CAP
+    # every candidate of both searches reaches its evaluator through pmap
+    monkeypatch.setattr(product_audit, "pmap", no_candidate)
+    target = torsion_subgroup(e_i_squared, 2)
+    with pytest.raises(PreconditionError, match="candidate cap"):
+        search_kernel_class(e_i_squared, 2, target, coeff_bound=100)
+    with pytest.raises(PreconditionError, match="candidate cap"):
+        search_product_classes(e_i, e_i, 2, 100)
 
 
 def test_cached_products_keep_each_variety_name():

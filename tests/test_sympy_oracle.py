@@ -144,7 +144,6 @@ def test_products_match_sympy(data):
 
 @given(int_matrices())
 def test_smith_invariant_factors_match_sympy(rows):
-    d, _, _ = snf(Mat(rows))
-    ours = [d[i, i] for i in range(min(d.rows, d.cols))]
+    ours = list(snf(Mat(rows)))
     theirs = [int(x) for x in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
     assert ours == theirs
