@@ -128,12 +128,14 @@ class PartnerEntry:
 
 def _normalized_coefficient_vectors(rank: int, bound: int):
     # first nonzero coefficient positive: a slope and its negative cut out
-    # the same subtorus, so only one representative is enumerated
-    for coeffs in itertools.product(range(-bound, bound + 1), repeat=rank):
-        nz = next((c for c in coeffs if c), None)
-        if nz is None or nz < 0:
-            continue
-        yield coeffs
+    # the same subtorus, so only one representative is enumerated.  In
+    # lexicographic order the vectors with more leading zeros come first.
+    full = range(-bound, bound + 1)
+    for lead in reversed(range(rank)):
+        zeros = (0,) * lead
+        for first in range(1, bound + 1):
+            for rest in itertools.product(full, repeat=rank - 1 - lead):
+                yield zeros + (first,) + rest
 
 
 def enumerate_partners(

@@ -343,13 +343,26 @@ def search_kernel_class(
     v: TorusVariety, l: int, target: FiniteSubgroup, coeff_bound: int, threads: int = 1
 ) -> NSClass | None:
     """First NS class (lexicographic coefficients) whose kernel meets the
-    l-torsion in exactly the target subgroup; None if no bounded class works."""
+    l-torsion in exactly the target subgroup; None if no bounded class works.
+
+    K(L) is the annihilator of the period lattice under the form
+    (Mumford, Abelian Varieties, section 23), so its l-torsion depends only
+    on the coefficients mod l: a point y/l with y integral lies in it iff
+    e y = 0 mod l, and e mod l is fixed by c mod l because the NS basis is
+    integral.  The target test is therefore memoized by the residue tuple,
+    so at most l^rank kernels are computed whatever the bound, while the
+    walk over the box keeps its order and returns the same first class.
+    A memo entry only ever receives one value, so threads cannot change it.
+    """
     if not torsion_subgroup(v, l).contains(target):
         raise PreconditionError("target subgroup must lie in the l-torsion")
+    matches: dict[tuple[int, ...], bool] = {}
 
     def hit(coeffs) -> NSClass | None:
-        cls = v.ns_class(coeffs)
-        return cls if kernel_torsion_subgroup(v, cls, l) == target else None
+        residue = tuple(c % l for c in coeffs)
+        if residue not in matches:
+            matches[residue] = kernel_torsion_subgroup(v, v.ns_class(coeffs), l) == target
+        return v.ns_class(coeffs) if matches[residue] else None
 
     found = _scan(len(v.ns_basis), coeff_bound, hit, threads, limit=1)
     return found[0] if found else None
@@ -360,8 +373,11 @@ def _scan(rank: int, coeff_bound: int, evaluate, threads: int, limit: int) -> li
     nonzero vectors of the box [-coeff_bound, coeff_bound]^rank in
     lexicographic order.
 
-    Candidates go to pmap in chunks and the scan stops after the chunk that
-    completes the hits, so the answer does not depend on the thread count.
+    Every candidate reaches evaluate through pmap.  With one thread the
+    candidates go one at a time, so the scan stops at the `limit`-th hit;
+    with more, in chunks of 8 per thread, and the chunk that completes the
+    hits is evaluated to its end.  Either way the hits are the first ones in
+    lexicographic order, so the answer does not depend on the thread count.
     """
     if coeff_bound < 1:
         raise PreconditionError("search bound must be at least 1")
@@ -371,7 +387,7 @@ def _scan(rank: int, coeff_bound: int, evaluate, threads: int, limit: int) -> li
         return evaluate(coeffs) if any(coeffs) else None
 
     box = itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=rank)
-    chunk = max(16, 8 * max(1, threads))
+    chunk = 8 * threads if threads > 1 else 1
     hits: list = []
     while len(hits) < limit:
         block = list(itertools.islice(box, chunk))
@@ -392,21 +408,29 @@ def search_product_classes(
 ) -> list[ProductNSClass]:
     """Lexicographic scan for product classes passing the full audit.
 
-    Cheap filters (reduced slope, ample B-block, correspondence isogeny,
-    kernel order) run first; survivors get the complete audit.  Stops after
-    `limit` hits; the result is deterministic for any thread count.
+    Necessary conditions run first, cheapest first: a reduced slope (the
+    gcd of the entries with l) and a correspondence isogeny of degree
+    exactly l^(2g-2), both on the integer class matrix before the
+    ProductNSClass is built, then an ample B-block (the audit's
+    precondition for l > 1) and a slope-subtorus kernel of order l^2.  The
+    degree and kernel-order items stay in the audit, so the filters reject
+    only candidates the audit would not pass, and the hits are those of
+    auditing every candidate.  With one thread the scan stops at the
+    `limit`-th hit; the result is the same for any thread count.
     """
     prod = _product_variety(a, b, a.name, b.name)
+    na, nb = a.dim, b.dim
+    degree = l ** (2 * a.g - 2)
 
     def evaluate(coeffs) -> ProductNSClass | None:
         m = prod.ns_class(coeffs).e
         if gcd(m.content(), l) != 1:
             return None
+        corr = m.submatrix(range(na), range(na, na + nb))
+        if not corr.is_square or abs(corr.det()) != degree:
+            return None
         pc = ProductNSClass(a, b, m)
         if l > 1 and not is_ample(pc.block_b):
-            return None
-        corr = pc.correspondence
-        if not corr.is_square or corr.det() == 0:
             return None
         if slope_kernel(prod, Slope(pc.as_class(), l)).order != l * l:
             return None

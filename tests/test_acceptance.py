@@ -2,9 +2,9 @@
 
 One test per criterion so the verbose run reads as a ten-line scorecard.
 Criteria one through nine come from one shared evaluation of the gate
-module; criterion ten drives the installed command line twice per thread
-count and compares raw bytes, with each other and with the committed
-golden report.
+module; criterion ten drives the installed command line twice at one thread,
+under two hash seeds, and once at four threads, and compares raw bytes,
+with each other and with the committed golden report.
 """
 
 import os
@@ -109,18 +109,20 @@ def test_c10_regress_json_is_byte_identical(tmp_path):
     pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": pythonpath}
 
-    def regress(threads, path):
+    def regress(threads, path, hash_seed=None):
+        run_env = env if hash_seed is None else {**env, "PYTHONHASHSEED": hash_seed}
         proc = subprocess.run(
             [sys.executable, "-m", "fmtori", "regress",
              "--threads", str(threads), "--json", str(path)],
-            capture_output=True, text=True, check=False, env=env,
+            capture_output=True, text=True, check=False, env=run_env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         return path.read_bytes()
 
-    first = regress(1, tmp_path / "r1.json")
+    # two hash seeds, so set or dict iteration order cannot leak into the report
+    first = regress(1, tmp_path / "r1.json", hash_seed="0")
     assert first == GOLDEN.read_bytes()
-    second = regress(1, tmp_path / "r2.json")
+    second = regress(1, tmp_path / "r2.json", hash_seed="1")
     forth = regress(4, tmp_path / "r4.json")
     assert first == second
     assert first == forth

@@ -207,3 +207,20 @@ def test_enumeration_over_the_cap_raises_before_any_candidate(e_i_squared, monke
     monkeypatch.setattr(partners, "reduce_slope", no_candidate)
     with pytest.raises(PreconditionError, match="candidate cap"):
         enumerate_partners(e_i_squared, 100, 1)
+
+
+def _filtered_coefficient_vectors(rank, bound):
+    # the whole box in lexicographic order, keeping the vectors whose first
+    # nonzero entry is positive
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=rank):
+        nz = next((c for c in coeffs if c), None)
+        if nz is not None and nz > 0:
+            yield coeffs
+
+
+@pytest.mark.parametrize("rank", range(5))
+@pytest.mark.parametrize("bound", (1, 2, 3))
+def test_normalized_vectors_match_the_filtered_box(rank, bound):
+    got = list(partners._normalized_coefficient_vectors(rank, bound))
+    assert got == list(_filtered_coefficient_vectors(rank, bound))
+    assert len(got) == ((2 * bound + 1) ** rank - 1) // 2

@@ -1,7 +1,21 @@
+import itertools
+import sys
+from fractions import Fraction
+from math import gcd
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fmtori import product_audit
-from fmtori.corpus import poincare_class, square_lattice_curve
+from fmtori.corpus import (
+    doubled_square_lattice_curve,
+    poincare_class,
+    square_curve_product,
+    square_curve_product_principal,
+    square_lattice_curve,
+)
+from fmtori.lattices import Lattice
 from fmtori.matrices import Mat
 from fmtori.partners import SEARCH_CANDIDATE_CAP
 from fmtori.product_audit import (
@@ -12,14 +26,16 @@ from fmtori.product_audit import (
     graph_subgroup_comparison,
     graph_subgroup_equalities,
     is_ample,
+    kernel_torsion_subgroup,
     partner_dual_certificate,
     projection_iso,
     search_kernel_class,
     search_product_classes,
     twist_to_ample,
 )
-from fmtori.slopes import projection_invariants, reduce_slope, slope_subvariety
+from fmtori.slopes import Slope, projection_invariants, reduce_slope, slope_kernel, slope_subvariety
 from fmtori.varieties import (
+    FiniteSubgroup,
     PreconditionError,
     dual,
     is_isomorphism_certificate,
@@ -188,3 +204,193 @@ def test_cached_products_keep_each_variety_name():
         pc = ProductNSClass(a, a, poincare_class().m)
         assert pc.as_class().variety.name == f"{n}x{n}"
         assert graph_subgroup_comparison(pc, 1).first.variety.name == f"{n}^x{n}^"
+
+
+# -- reference funnels: the searches without pre-filters, memo or exact stop ------
+
+
+def _ref_search_product_classes(a, b, l, coeff_bound, limit):
+    # the funnel before the degree pre-filter: any correspondence isogeny
+    # goes on to the kernel-order filter and the audit, 16 candidates a time
+    prod = product_audit._product_variety(a, b, a.name, b.name)
+
+    def evaluate(coeffs):
+        if not any(coeffs):
+            return None
+        m = prod.ns_class(coeffs).e
+        if gcd(m.content(), l) != 1:
+            return None
+        pc = ProductNSClass(a, b, m)
+        if l > 1 and not is_ample(pc.block_b):
+            return None
+        corr = pc.correspondence
+        if not corr.is_square or corr.det() == 0:
+            return None
+        if slope_kernel(prod, Slope(pc.as_class(), l)).order != l * l:
+            return None
+        return pc if audit_equivalence(pc, l).all_pass else None
+
+    box = itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=len(prod.ns_basis))
+    hits = []
+    while len(hits) < limit:
+        block = list(itertools.islice(box, 16))
+        if not block:
+            break
+        hits += [r for r in map(evaluate, block) if r is not None][: limit - len(hits)]
+    return hits
+
+
+@pytest.mark.parametrize(
+    "curve", (square_lattice_curve(), doubled_square_lattice_curve()), ids=("E_i", "E_2i")
+)
+@pytest.mark.parametrize("l", (1, 2, 3))
+@pytest.mark.parametrize("bound", (1, 2))
+def test_product_search_matches_reference_funnel(curve, l, bound):
+    # the reference's hits at a smaller limit are a prefix of these
+    want = [pc.m for pc in _ref_search_product_classes(curve, curve, l, bound, 3)]
+    for limit in (1, 2, 3):
+        got = search_product_classes(curve, curve, l, bound, limit=limit)
+        assert [pc.m for pc in got] == want[:limit]
+
+
+def _cyclic_subgroup(v, l):
+    # order l, inside the l-torsion; kernels of alternating forms are never
+    # cyclic of order l > 1, so no class has it as kernel
+    n = v.dim
+    diag = [[Fraction(1, l) if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+    return FiniteSubgroup(v, Lattice(n, Mat(diag)))
+
+
+_KERNEL_VARIETIES = {
+    "E_i": square_lattice_curve(),
+    "E_2i": doubled_square_lattice_curve(),
+    "dual(E_i)": dual(square_lattice_curve()),
+    "E_i x E_i": square_curve_product(),
+}
+
+
+def _kernel_targets(v, l):
+    r = len(v.ns_basis)
+    classes = [(1,) * r, (2,) * r, (0,) * (r - 1) + (2,), tuple(range(1, r + 1))]
+    targets = [trivial_subgroup(v), torsion_subgroup(v, l)]
+    return targets + [kernel_torsion_subgroup(v, v.ns_class(c), l) for c in classes]
+
+
+@pytest.fixture(scope="module")
+def kernel_table():
+    """Kernel of every class in the bound-3 box, computed once per class."""
+    table = {}
+
+    def kernel(name, l, coeffs):
+        key = (name, l, coeffs)
+        if key not in table:
+            v = _KERNEL_VARIETIES[name]
+            table[key] = kernel_torsion_subgroup(v, v.ns_class(coeffs), l)
+        return table[key]
+
+    return kernel
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_VARIETIES))
+@pytest.mark.parametrize("l", (2, 3, 4))
+def test_kernel_search_matches_brute_force_scan(name, l, kernel_table):
+    v = _KERNEL_VARIETIES[name]
+    cyclic = _cyclic_subgroup(v, l)
+    for target in _kernel_targets(v, l) + [cyclic]:
+        for bound in (1, 2, 3):
+            box = itertools.product(range(-bound, bound + 1), repeat=len(v.ns_basis))
+            want = next(
+                (c for c in box if any(c) and kernel_table(name, l, c) == target), None
+            )
+            got = search_kernel_class(v, l, target, bound)
+            assert got == (v.ns_class(want) if want is not None else None)
+            assert want is None or target is not cyclic  # the not-found case
+
+
+_RESIDUE_VARIETIES = [
+    square_lattice_curve(),
+    doubled_square_lattice_curve(),
+    square_curve_product(),
+    square_curve_product_principal(),
+]
+
+
+@given(st.data())
+def test_torsion_kernel_depends_on_coefficients_mod_l(data):
+    # the fact the kernel-search memo rests on: K(c) meets the l-torsion in
+    # the same subgroup as K(c + l * delta) for every integral delta
+    v = data.draw(st.sampled_from(_RESIDUE_VARIETIES))
+    l = data.draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-5, 5), min_size=len(v.ns_basis), max_size=len(v.ns_basis))
+    c, delta = data.draw(vec), data.draw(vec)
+    shifted = tuple(x + l * d for x, d in zip(c, delta))
+    assert kernel_torsion_subgroup(v, v.ns_class(c), l) == kernel_torsion_subgroup(
+        v, v.ns_class(shifted), l
+    )
+
+
+# -- exact stop ----------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(product_audit, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(product_audit, name, counted)
+    return calls
+
+
+def test_product_search_audits_only_its_hits(e_i, monkeypatch):
+    audits = _count_calls(monkeypatch, "audit_equivalence")
+    batches = _count_calls(monkeypatch, "pmap")
+    hits = search_product_classes(e_i, e_i, 2, 2, limit=2)
+    assert len(hits) == 2
+    assert len(audits) == 2
+    # the last candidate evaluated is the second hit
+    last = batches[-1][1]
+    prod = hits[-1].as_class().variety
+    assert len(last) == 1 and prod.ns_class(last[0]).e == hits[-1].m
+
+
+def test_kernel_search_computes_one_kernel_per_residue(e_i_squared, monkeypatch):
+    v, r = e_i_squared, len(e_i_squared.ns_basis)
+    for l, coeffs in ((2, (1, 0, 1, 1)), (3, (2, -1, 0, 1)), (3, None)):
+        target = (
+            kernel_torsion_subgroup(v, v.ns_class(coeffs), l) if coeffs
+            else torsion_subgroup(v, l)  # needs coefficients divisible by 3
+        )
+        kernels = _count_calls(monkeypatch, "kernel_torsion_subgroup")
+        batches = _count_calls(monkeypatch, "pmap")
+        found = search_kernel_class(v, l, target, 2)
+        monkeypatch.undo()
+        evaluated = [c for _, block, *_ in batches for c in block]
+        box = list(itertools.product(range(-2, 3), repeat=r))
+        assert len(kernels) <= l**r
+        if coeffs is None:
+            assert found is None and evaluated == box
+            assert len(kernels) == l**r - 1  # every nonzero residue once
+        else:
+            # no candidate past the hit
+            assert found == v.ns_class(evaluated[-1])
+            assert evaluated == box[: len(evaluated)]
+
+
+def test_kernel_search_memo_is_thread_safe(e_i_squared):
+    # pool threads share the residue memo; with frequent thread switches and
+    # more threads than cores, every answer must equal the one-thread answer
+    v = e_i_squared
+    targets = [(l, kernel_torsion_subgroup(v, v.ns_class(c), l))
+               for l, c in ((2, (1, 0, 1, 1)), (3, (2, -1, 0, 1)), (3, (1, 1, 1, 1)))]
+    targets.append((3, torsion_subgroup(v, 3)))
+    one = [search_kernel_class(v, l, t, 2) for l, t in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = [search_kernel_class(v, l, t, 2, threads=4) for l, t in targets]
+    finally:
+        sys.setswitchinterval(interval)
+    assert four == one
