@@ -366,19 +366,45 @@ def vec_is_integral(v: Sequence[Scalar]) -> bool:
     return all(type(x) is int for x in v)
 
 
+def combination_map(basis: Sequence[Mat], rows: int, cols: int):
+    """The map taking integer coefficients c to sum_k c[k] * basis[k], for a
+    basis of integer rows x cols matrices.
+
+    The basis matrices are flattened once, so each combination is a few
+    integer vector sums, built as a plain ``Mat._make`` matrix.  Nothing
+    about the result is checked: it is as valid as the basis it combines.
+    """
+    flats = [[x for row in m.data for x in row] for m in basis]
+
+    def combine(coeffs: Sequence[int]) -> Mat:
+        flat = [0] * (rows * cols)
+        for c, f in zip(coeffs, flats):
+            if c:
+                flat = [x + c * y for x, y in zip(flat, f)]
+        return Mat._make(
+            tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows)), rows, cols
+        )
+
+    return combine
+
+
 # -- normal forms -------------------------------------------------------------
 
 
-def _row_hnf(a: list[list[int]]) -> list[list[int]]:
-    """Reduce the integer rows of a, in place, to their row Hermite form.
+def _row_echelon(a: list[list[int]], ncols: int, reduce: bool) -> int:
+    """Bring the integer rows of a, in place, to row echelon form in their
+    first ncols columns; returns the number of pivot rows.
 
-    Canonical: pivots positive, entries above a pivot reduced into
-    [0, pivot), zero rows last, pivot columns strictly increasing.
+    Pivots are made positive.  With reduce, the entries above each pivot
+    are reduced into [0, pivot) as well, which over all columns gives the
+    canonical row Hermite form: pivot columns strictly increasing, zero
+    rows last.
     """
     m = len(a)
-    n = len(a[0]) if a else 0
     pr = 0
-    for col in range(n):
+    for col in range(ncols):
+        if pr == m:
+            break
         while True:
             nz = [i for i in range(pr, m) if a[i][col] != 0]
             if not nz:
@@ -396,17 +422,22 @@ def _row_hnf(a: list[list[int]]) -> list[list[int]]:
                         done = False  # remainder left, need a smaller pivot
             if done:
                 break
-        if pr < m and a[pr][col] != 0:
+        if a[pr][col] != 0:
             if a[pr][col] < 0:
                 a[pr] = [-x for x in a[pr]]
-            p = a[pr][col]
-            for i in range(pr):
-                q = a[i][col] // p
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[pr])]
+            if reduce:
+                p = a[pr][col]
+                for i in range(pr):
+                    q = a[i][col] // p
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[pr])]
             pr += 1
-            if pr == m:
-                break
+    return pr
+
+
+def _row_hnf(a: list[list[int]]) -> list[list[int]]:
+    """Reduce the integer rows of a, in place, to their row Hermite form."""
+    _row_echelon(a, len(a[0]) if a else 0, reduce=True)
     return a
 
 
@@ -495,15 +526,18 @@ def integer_kernel(m: Mat) -> Mat:
     column Hermite form.
 
     Accepts a rational matrix (the kernel only depends on the row span).
-    Returns an n x k matrix, k possibly 0.  With b = d * m integral, the
-    row Hermite form of [b^T | I] is [U b^T | U] for a unimodular U, and
-    its rows with U b^T zero are a basis of the kernel in row Hermite form
-    (Cohen, GTM 138, section 2.4).
+    Returns an n x k matrix, k possibly 0.  With b = d * m integral, a row
+    echelon form of [b^T | I] in its first r columns is [U b^T | U] for a
+    unimodular U, and its rows below the pivot rows, where U b^T is zero,
+    are a basis of the kernel (Cohen, GTM 138, section 2.4).  Only those
+    rows are then brought to row Hermite form, which is unique, so the
+    basis is canonical.
     """
     b = m.cleared()[0]
     r, n = b.rows, b.cols
     a = [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(b.T.data)]
-    ker = [row[r:] for row in _row_hnf(a) if not any(row[:r])]
+    pivots = _row_echelon(a, r, reduce=False)
+    ker = _row_hnf([row[r:] for row in a[pivots:]])
     if not ker:
         return Mat.zeros(n, 0)
     return Mat._make(tuple(zip(*ker)), n, len(ker))

@@ -17,9 +17,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from operator import mul
 
-from .matrices import Mat, snf
+from .matrices import Mat, combination_map, snf
 from .parallel import pmap
 from .slopes import Slope, SlopeSubvariety, reduce_slope, slope_kernel, slope_subvariety
 from .varieties import (
@@ -80,15 +79,12 @@ def fingerprint(a: TorusVariety, profile_bound: int | None = None) -> Fingerprin
     r = len(a.ns_basis)
     if profile_bound is None:
         profile_bound = 2 if r <= 2 else 1
-    n = a.dim
-    classes = [NSClass(a, e).e for e in a.ns_basis]
-    # entries[k] holds entry k (row-major) of every basis class
-    entries = list(zip(*(sum(c.data, ()) for c in classes)))
+    for e in a.ns_basis:
+        NSClass(a, e)
+    combine = combination_map(a.ns_basis, a.dim, a.dim)
     profiles = []
     for coeffs in _normalized_coefficient_vectors(r, profile_bound):
-        flat = [sum(map(mul, coeffs, entry)) for entry in entries]
-        e = Mat._make(tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n)), n, n)
-        diag = snf(e)
+        diag = snf(combine(coeffs))
         profile = (0,) if 0 in diag else tuple(x for x in diag if x > 1)
         profiles += (profile, profile)
     return Fingerprint(a.g, r, profile_bound, tuple(sorted(profiles)))
@@ -146,6 +142,9 @@ def enumerate_partners(
     Deduplication is by reduced-slope equality (never by isomorphism).  The
     result is ordered by (denominator, coefficient vector) of the first
     generating candidate, so output is deterministic for any thread count.
+    A fingerprint reads only the complex structure and the NS basis, so it
+    is computed once per distinct presentation (J, NS basis) among the
+    partners and shared by every entry with that presentation.
     """
     if coeff_bound < 1 or denom_bound < 1:
         raise PreconditionError("enumeration bounds must be at least 1")
@@ -161,12 +160,15 @@ def enumerate_partners(
             seen.add(key)
             candidates.append((coeffs, l, mu))
 
-    def build(item):
-        coeffs, l, mu = item
-        rec = partner_from_slope(a, mu)
-        return PartnerEntry(coeffs, l, mu, rec, fingerprint(rec.partner))
-
-    return pmap(build, candidates, threads)
+    records = pmap(lambda item: partner_from_slope(a, item[2]), candidates, threads)
+    prints: dict[tuple, Fingerprint] = {}
+    entries = []
+    for (coeffs, l, mu), rec in zip(candidates, records):
+        key = (rec.partner.j, rec.partner.ns_basis)
+        if key not in prints:
+            prints[key] = fingerprint(rec.partner)
+        entries.append(PartnerEntry(coeffs, l, mu, rec, prints[key]))
+    return entries
 
 
 # -- certificate search ----------------------------------------------------------

@@ -20,10 +20,10 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import floor, gcd
 
 from .lattices import Lattice, sublattice_where_integral
-from .matrices import Mat
+from .matrices import Mat, combination_map
 from .parallel import pmap
 from .partners import find_isomorphism_certificate, require_within_cap
 from .slopes import (
@@ -258,7 +258,7 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     sv = slope_subvariety(prod, mu)
     n_amb = 2 * prod.dim
     window = Lattice.standard(n_amb).scaled(Fraction(1, level))
-    w = Lattice(sv.annihilator.rows, sv.annihilator).basis
+    w = sv.annihilator_lattice.basis
     on_subtorus = sublattice_where_integral(window, w.inverse() @ sv.annihilator)
     generated = Lattice(
         n_amb,
@@ -421,9 +421,12 @@ def search_product_classes(
     prod = _product_variety(a, b, a.name, b.name)
     na, nb = a.dim, b.dim
     degree = l ** (2 * a.g - 2)
+    # candidates are plain integer combinations of the product basis; the
+    # few that pass the filters are validated once, by ProductNSClass
+    class_matrix = combination_map(prod.ns_basis, prod.dim, prod.dim)
 
     def evaluate(coeffs) -> ProductNSClass | None:
-        m = prod.ns_class(coeffs).e
+        m = class_matrix(coeffs)
         if gcd(m.content(), l) != 1:
             return None
         corr = m.submatrix(range(na), range(na, na + nb))
@@ -441,17 +444,40 @@ def search_product_classes(
     return _scan(len(prod.ns_basis), coeff_bound, evaluate, threads, limit)
 
 
+def _twist_bound(s: Mat, t: Mat) -> int:
+    """An integer v_max with s + v*t positive definite for every v >= v_max,
+    for a symmetric s and a positive definite t of size n.
+
+    x^T (s + v t) x >= (v * lambda_min(t) - |s|) |x|^2, where the spectral
+    norm |s| is at most the sum of the |s_ij|, and lambda_min(t) is at
+    least det(t) / tr(t)^(n-1) because the other n-1 eigenvalues are
+    positive and at most tr(t).
+    """
+    n = s.rows
+    size = sum(abs(x) for row in s.data for x in row)
+    trace = sum(t[i, i] for i in range(n))
+    return floor(Fraction(size) * trace ** (n - 1) / t.det()) + 1
+
+
 def twist_to_ample(pc: ProductNSClass, l: int, ample_class: NSClass) -> tuple[ProductNSClass, int]:
     """Add multiples of l times an ample class on B to the B-block until it
     turns ample; the slope changes by an integral class, which the subtorus
-    construction cannot see."""
+    construction cannot see.
+
+    The symmetric form of the B-block after v steps is s + v*t, with s that
+    of the B-block and t that of the step, which is positive definite, so
+    the loop ends by the bound of ``_twist_bound``.
+    """
     if ample_class.variety != pc.b or not is_ample(ample_class):
         raise PreconditionError("twisting requires an ample class on the B factor")
+    if l < 1:
+        raise PreconditionError("twisting requires l >= 1")
     step = l * lift_second(ample_class.e, pc.a.dim)
+    v_max = _twist_bound(pc.block_b.e @ pc.b.j, l * ample_class.e @ pc.b.j)
     m = pc.m
-    for v in range(0, 10_000):
+    for v in range(v_max + 1):
         candidate = ProductNSClass(pc.a, pc.b, m, name=pc.name)
         if is_ample(candidate.block_b):
             return candidate, v
         m = m + step
-    raise PreconditionError("no ample twist found; is the twisting class ample?")
+    raise InternalInvariantViolation(f"the B-block is not ample after {v_max} twists")

@@ -18,11 +18,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 from math import gcd, isqrt
+from operator import mul
 
-from .lattices import Lattice, saturate, sublattice_where_integral
-from .matrices import Mat, Vec, integer_kernel
+from .lattices import Lattice, sublattice_where_integral
+from .matrices import Mat, Vec, integer_kernel, snf
 from .varieties import (
     FiniteSubgroup,
     Homomorphism,
@@ -90,6 +92,8 @@ class SlopeSubvariety:
     coordinates; the abstract variety presents the subtorus on its own
     member lattice, with NS data pulled back from the ambient product.
     quotient: A -> abstract is v -> v; projection: abstract -> A is v -> l*v.
+    The annihilator of the embedded image, which only membership tests
+    and the audit read, is computed on first use.
     """
 
     slope: Slope
@@ -100,8 +104,17 @@ class SlopeSubvariety:
     to_ambient: Homomorphism
     quotient: Homomorphism
     projection: Homomorphism
-    annihilator: Mat
-    annihilator_lattice: Lattice
+
+    @cached_property
+    def annihilator(self) -> Mat:
+        """Integer rows cutting out the embedded image: a saturated basis of
+        the integer covectors that vanish on it."""
+        return integer_kernel(self.embedding.T).T
+
+    @cached_property
+    def annihilator_lattice(self) -> Lattice:
+        ann = self.annihilator
+        return Lattice(ann.rows, ann)
 
     def contains(self, point: Vec, covector: Vec) -> bool:
         """Membership of a rational (point, covector) pair in the subtorus.
@@ -131,6 +144,50 @@ def _ambient_product(a: TorusVariety, name: str) -> TorusVariety:
     return product(a, dual(a), name=f"{name}x{name}^").variety
 
 
+@lru_cache(maxsize=PRODUCT_CACHE_SIZE)
+def _ambient_forms(a: TorusVariety, name: str) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """The ambient NS basis flattened: the pairs i < j of ambient
+    coordinates, for each class its entries at those pairs, which
+    determine the alternating class, and the polarization coefficients."""
+    amb = _ambient_product(a, name)
+    pairs = tuple(combinations(range(amb.dim), 2))
+    flat = tuple(tuple(e.data[i][j] for i, j in pairs) for e in amb.ns_basis)
+    return pairs, flat, amb.polarization
+
+
+def _alternating(upper: list[int], pairs, n: int) -> Mat:
+    """The alternating n x n matrix with the given entries at the pairs."""
+    m = [[0] * n for _ in range(n)]
+    for (p, q), x in zip(pairs, upper):
+        m[p][q], m[q][p] = x, -x
+    return Mat._make(tuple(map(tuple, m)), n, n)
+
+
+def _restricted_classes(a: TorusVariety, t: Mat) -> tuple[list[Mat], Mat]:
+    """t^T e t for every ambient NS class e, and for the ambient
+    polarization, for an integer matrix t.
+
+    For an alternating e the entry (p, q) of t^T e t is the sum over i < j
+    of e_ij times the 2x2 minor of t on rows i, j and columns p, q, so each
+    restriction's entries above the diagonal are integer sums over the
+    flattened basis.  Restriction is linear, so the polarization restricts
+    to the same combination of the restricted classes.
+    """
+    pairs, flat, polarization = _ambient_forms(a, a.name)
+    n = t.cols
+    sub = tuple(combinations(range(n), 2))
+    d = t.data
+    minors = [
+        tuple(d[i][p] * d[j][q] - d[j][p] * d[i][q] for i, j in pairs) for p, q in sub
+    ]
+    rows = [[sum(map(mul, e, m)) for m in minors] for e in flat]
+    pol = [0] * len(sub)
+    for c, row in zip(polarization, rows):
+        if c:
+            pol = [x + c * y for x, y in zip(pol, row)]
+    return [_alternating(row, sub, n) for row in rows], _alternating(pol, sub, n)
+
+
 def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
     if mu.variety != a:
         raise ValueError("slope does not live on the given variety")
@@ -142,18 +199,19 @@ def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
     emb_h = emb @ h
     if not emb_h.is_integral():
         raise InternalInvariantViolation("embedding is not integral on the member lattice")
-    image = Lattice(2 * n, emb_h)
-    if saturate(image, Lattice.standard(2 * n)) != image:
+    # emb_h has full column rank (its top block l*h is invertible), so its
+    # image is primitive exactly when every invariant factor is 1
+    if snf(emb_h) != (1,) * n:
         raise InternalInvariantViolation("embedded member lattice is not primitive")
-    j_mu = h.inverse() @ a.j @ h
+    h_inv = h.inverse()
+    j_mu = h_inv @ a.j @ h
     # NS data: restrict every ambient class along the embedding, then present
     # the lattice those restrictions generate (no saturation: only classes
     # that honestly come from the ambient product are claimed)
-    ns_mu = generated_span_basis([emb_h.T @ e @ emb_h for e in amb.ns_basis])
-    pol_r = emb_h.T @ amb.polarization_class() @ emb_h
+    restricted, pol_r = _restricted_classes(a, emb_h)
+    ns_mu = generated_span_basis(restricted)
     pol = coefficients_in_basis(pol_r, ns_mu)
     abstract = TorusVariety(a.g, j_mu, ns_mu, pol, name=f"{a.name}_mu")
-    ann = integer_kernel(emb.T).T
     return SlopeSubvariety(
         slope=mu,
         ambient=amb,
@@ -161,10 +219,8 @@ def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
         embedding=emb,
         variety=abstract,
         to_ambient=Homomorphism(abstract, amb, emb_h),
-        quotient=Homomorphism(a, abstract, h.inverse()),
+        quotient=Homomorphism(a, abstract, h_inv),
         projection=Homomorphism(abstract, a, mu.l * h),
-        annihilator=ann,
-        annihilator_lattice=Lattice(ann.rows, ann),
     )
 
 

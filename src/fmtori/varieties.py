@@ -31,7 +31,7 @@ from .lattices import (
     dual_lattice_of_form,
     quotient_structure,
 )
-from .matrices import Mat, integer_kernel, solve_exact, vec_is_integral
+from .matrices import Mat, combination_map, integer_kernel, solve_exact, vec_is_integral
 
 
 class NotAnIsogenyError(ValueError):
@@ -78,7 +78,15 @@ class TorusVariety:
         return 2 * self.g
 
     def polarization_class(self) -> Mat:
-        return self.ns_class(self.polarization).e
+        """The designated class, as the integer combination of the basis.
+
+        Integer combinations of valid classes are valid by linearity, so it
+        is not re-validated: a variety from outside the package passes
+        ``validate``, which checks every basis class, before any use.
+        """
+        if len(self.polarization) != len(self.ns_basis):
+            raise ValueError("coefficient vector length must match ns basis")
+        return combination_map(self.ns_basis, self.dim, self.dim)(self.polarization)
 
     def ns_class(self, coeffs) -> "NSClass":
         if len(coeffs) != len(self.ns_basis):
@@ -262,19 +270,25 @@ def dual(a: TorusVariety, name: str | None = None) -> TorusVariety:
     primitive ample class on the ray of the inverse of the designated one.
     On canonically presented inputs (saturated ns span, primitive ample
     class, canonical basis) the construction is an involution.
+
+    The transport runs on integers: with h^-1 = hi / d for an integer
+    matrix hi, hi^T e hi is d^2 times the transported class, and the
+    re-saturation reads only the rational span of the classes, which the
+    factor d^2 leaves unchanged.
     """
     jd = -1 * a.j.T
     h = a.polarization_class()
-    if h.det() == 0:
-        raise ValueError("variety has a degenerate designated polarization")
-    hi = h.inverse()
-    transported = [hi.T @ e @ hi for e in a.ns_basis]
-    ns_d = integral_span_basis(transported)
-    m0, _ = (-1 * hi).cleared()
-    c = m0.content()
-    hd = Mat([[x // c for x in row] for row in m0.data]) if c > 1 else m0
+    try:
+        hi, _ = h.inverse().cleared()
+    except ValueError:
+        raise ValueError("variety has a degenerate designated polarization") from None
+    hit = hi.T
+    ns_d = integral_span_basis([hit @ e @ hi for e in a.ns_basis])
+    # hi is primitive: a prime dividing its entries would divide d, because
+    # h @ hi = d * I, and then d / p would already clear h^-1
+    hd = -hi
     if not _is_positive_definite(hd @ jd):
-        hd = -1 * hd
+        hd = hi
     pol = coefficients_in_basis(hd, ns_d)
     return TorusVariety(a.g, jd, ns_d, pol, name if name is not None else a.name + "^")
 

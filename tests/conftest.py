@@ -30,3 +30,12 @@ def e_2i():
 @pytest.fixture(scope="session")
 def e_i_squared():
     return square_curve_product()
+
+
+@pytest.fixture(scope="session")
+def partner_entries():
+    """The partners of the benchmark's enumeration workload: bounds 1 and 2
+    on E_i x E_i, 80 entries."""
+    from fmtori.partners import enumerate_partners
+
+    return enumerate_partners(square_curve_product(), 1, 2)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fmtori.lattices import (
@@ -13,7 +13,7 @@ from fmtori.lattices import (
     saturate,
     sublattice_where_integral,
 )
-from fmtori.matrices import Mat
+from fmtori.matrices import Mat, snf
 
 small = st.integers(min_value=-4, max_value=4)
 
@@ -155,3 +155,32 @@ def test_group_structure_normalization():
     assert s.order == 24
     assert s.exponent == 6
     assert FiniteGroupStructure.trivial().exponent == 1
+
+
+@st.composite
+def full_column_rank_integer_matrices(draw):
+    """n x k integer matrices of rank k; with a drawn flag the first column
+    is multiplied by 2 or 3, which makes the column span non-primitive."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    cols = [[draw(small) for _ in range(n)] for _ in range(k)]
+    if draw(st.booleans()):
+        f = draw(st.sampled_from((2, 3)))
+        cols[0] = [f * x for x in cols[0]]
+    m = Mat.from_cols(cols)
+    if m.rank() < k:
+        return draw(st.nothing())
+    return m
+
+
+@given(full_column_rank_integer_matrices())
+@example(Mat(((1, 0), (0, 1), (0, 0))))
+@example(Mat(((2, 0), (0, 1), (0, 0))))
+@example(Mat(((1, 1), (1, -1))))
+@example(Mat(((1,), (1,), (1,))))
+def test_unit_invariant_factors_mean_primitive(m):
+    # Z^n / image is torsion-free exactly when every invariant factor is 1,
+    # which is the primitivity test slope_subvariety makes
+    lat = Lattice(m.rows, m)
+    primitive = saturate(lat, Lattice.standard(m.rows)) == lat
+    assert (snf(m) == (1,) * m.cols) == primitive

@@ -219,6 +219,18 @@ def test_solve_exact_matches_fraction_reference(rows, data):
         assert all(_is_exact(v) for v in x)
 
 
+@given(st.one_of(big_square(), zero_leading_pivots(), negative_leading_pivots()))
+def test_cleared_inverse_of_an_integer_matrix_is_primitive(rows):
+    # if p divided every entry of b = d * h^-1, then h @ b = d * I would make
+    # p divide d, and d / p would clear h^-1: dual relies on this
+    h = Mat(rows)
+    if h.det() == 0:
+        return
+    b, d = h.inverse().cleared()
+    assert h @ b == d * Mat.identity(h.rows)
+    assert b.content() == 1
+
+
 @given(st.data())
 def test_products_match_fraction_reference(data):
     elements = data.draw(st.sampled_from([entries, big_entries, fractions, big_fractions]))

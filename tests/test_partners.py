@@ -87,6 +87,29 @@ def test_fingerprint_matches_reference_on_partners(e_i_squared):
         assert entry.partner_fingerprint == _reference_fingerprint(partner)
 
 
+def test_every_entry_carries_its_partners_fingerprint(partner_entries):
+    # one fingerprint per NS presentation is shared by the entries that have
+    # it; each must equal a fingerprint computed afresh for its own partner
+    presentations = {(e.record.partner.j, e.record.partner.ns_basis) for e in partner_entries}
+    assert len(presentations) < len(partner_entries)
+    for entry in partner_entries:
+        assert entry.partner_fingerprint == fingerprint(entry.record.partner)
+
+
+def test_enumeration_fingerprints_each_presentation_once(e_i_squared, monkeypatch):
+    calls = []
+    original = partners.fingerprint
+
+    def counted(a, *args):
+        calls.append((a.j, a.ns_basis))
+        return original(a, *args)
+
+    monkeypatch.setattr(partners, "fingerprint", counted)
+    entries = enumerate_partners(e_i_squared, 1, 1)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {(e.record.partner.j, e.record.partner.ns_basis) for e in entries}
+
+
 def test_fingerprint_rejects_a_basis_class_that_is_not_j_compatible(e_i_squared):
     a = e_i_squared
     # an alternating integral form pairing the two factors off the complex

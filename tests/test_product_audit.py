@@ -37,8 +37,10 @@ from fmtori.slopes import Slope, projection_invariants, reduce_slope, slope_kern
 from fmtori.varieties import (
     FiniteSubgroup,
     PreconditionError,
+    _is_positive_definite,
     dual,
     is_isomorphism_certificate,
+    lift_second,
     torsion_subgroup,
     trivial_subgroup,
 )
@@ -143,6 +145,73 @@ def test_twist_restores_ampleness(e_i):
     assert is_ample(twisted.block_b)
     assert twisted.correspondence == pc.correspondence
     assert twisted.block_a == pc.block_a
+
+
+def _ref_twist(pc, l, ample_class):
+    # the loop before the computed bound: up to 10 000 steps
+    step = l * lift_second(ample_class.e, pc.a.dim)
+    m = pc.m
+    for v in range(10_000):
+        if is_ample(ProductNSClass(pc.a, pc.b, m).block_b):
+            return m, v
+        m = m + step
+    raise AssertionError("no ample twist within 10 000 steps")
+
+
+@pytest.mark.parametrize("k", range(7))
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_twist_step_count_matches_the_unbounded_loop(e_i, k, l):
+    # a B-block of -k E0 turns ample after k // l + 1 steps of l E0
+    e0 = e_i.ns_basis[0]
+    pc = assemble(e_i, e_i, e0, Mat.identity(2), -k * e0)
+    twisted, steps = twist_to_ample(pc, l, e_i.ns_class((1,)))
+    assert (twisted.m, steps) == _ref_twist(pc, l, e_i.ns_class((1,)))
+    assert steps == k // l + 1
+
+
+@pytest.mark.parametrize("coeffs", [(-3, 0, 0, 0), (-2, 5, 0, 0), (0, 0, 3, -2), (-4, -4, 1, 1)])
+@pytest.mark.parametrize("l", (1, 2))
+def test_twist_on_the_surface_matches_the_unbounded_loop(e_i_squared, coeffs, l):
+    # B-blocks whose form is not a multiple of the twisting class's
+    v = e_i_squared
+    pc = assemble(v, v, v.polarization_class(), Mat.zeros(4, 4), v.ns_class(coeffs).e)
+    ample = v.ns_class(v.polarization)
+    twisted, steps = twist_to_ample(pc, l, ample)
+    assert (twisted.m, steps) == _ref_twist(pc, l, ample)
+    assert is_ample(twisted.block_b)
+
+
+def test_twist_needs_several_steps(e_i_squared):
+    v = e_i_squared
+    pc = assemble(v, v, v.polarization_class(), Mat.zeros(4, 4), v.ns_class((-4, -4, 1, 1)).e)
+    assert twist_to_ample(pc, 1, v.ns_class(v.polarization))[1] >= 2
+
+
+def test_twist_rejects_a_nonpositive_l(e_i):
+    pc = poincare_class()
+    for l in (0, -1):
+        with pytest.raises(PreconditionError):
+            twist_to_ample(pc, l, e_i.ns_class((1,)))
+
+
+@st.composite
+def symmetric_and_positive_forms(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.integers(-9, 9)
+    upper = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    s = Mat([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    a = Mat([[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)])
+    t = a.T @ a + Mat.identity(n)
+    return s, t
+
+
+@given(symmetric_and_positive_forms())
+def test_twist_bound_makes_the_form_positive(forms):
+    s, t = forms
+    v_max = product_audit._twist_bound(s, t)
+    assert v_max >= 1
+    for v in (v_max, v_max + 1, 2 * v_max):
+        assert _is_positive_definite(s + v * t)
 
 
 def test_search_kernel_class_trivial_and_full(e_i):

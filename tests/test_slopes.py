@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmtori.lattices import Lattice
-from fmtori.matrices import Mat
+from fmtori import corpus, partners
+from fmtori.lattices import Lattice, saturate
+from fmtori.matrices import Mat, integer_kernel
 from fmtori.slopes import (
     Slope,
     member_lattice,
@@ -17,10 +19,16 @@ from fmtori.slopes import (
     slope_subvariety,
 )
 from fmtori.varieties import (
+    Homomorphism,
     NSClass,
     PreconditionError,
+    TorusVariety,
     class_kernel,
+    coefficients_in_basis,
+    dual,
+    generated_span_basis,
     intersect_subgroups,
+    product,
     subgroup_equal,
     torsion_subgroup,
     validate,
@@ -138,3 +146,88 @@ def test_nonpositive_denominators_are_precondition_errors(e_i):
             reduce_slope(cls, l)
         with pytest.raises(PreconditionError):
             torsion_subgroup(e_i, l)
+
+
+# -- the subvariety against its construction by definition ------------------------
+
+
+def _ref_slope_subvariety(a, mu):
+    """Every field of slope_subvariety by the construction it replaced: a
+    freshly built ambient product, primitivity through saturate, every class
+    restricted by matrix products, the validated ambient polarization, and
+    the annihilator computed eagerly."""
+    n = a.dim
+    amb = product(a, dual(a), name=f"{a.name}x{a.name}^").variety
+    lam_mu = member_lattice(a, mu)
+    h = lam_mu.basis
+    emb = Mat.vstack(mu.l * Mat.identity(n), mu.numerator.e)
+    emb_h = emb @ h
+    assert emb_h.is_integral()
+    image = Lattice(2 * n, emb_h)
+    assert saturate(image, Lattice.standard(2 * n)) == image
+    j_mu = h.inverse() @ a.j @ h
+    ns_mu = generated_span_basis([emb_h.T @ e @ emb_h for e in amb.ns_basis])
+    pol_r = emb_h.T @ amb.ns_class(amb.polarization).e @ emb_h
+    pol = coefficients_in_basis(pol_r, ns_mu)
+    abstract = TorusVariety(a.g, j_mu, ns_mu, pol, name=f"{a.name}_mu")
+    ann = integer_kernel(emb.T).T
+    return {
+        "slope": mu,
+        "ambient": amb,
+        "member": lam_mu,
+        "embedding": emb,
+        "variety": abstract,
+        "to_ambient": Homomorphism(abstract, amb, emb_h),
+        "quotient": Homomorphism(a, abstract, h.inverse()),
+        "projection": Homomorphism(abstract, a, mu.l * h),
+        "annihilator": ann,
+        "annihilator_lattice": Lattice(ann.rows, ann),
+    }
+
+
+def _assert_matches_reference(sv, a, mu):
+    ref = _ref_slope_subvariety(a, mu)
+    for name, want in ref.items():
+        assert getattr(sv, name) == want, name
+    assert sv.variety.name == ref["variety"].name
+    assert sv.ambient.name == ref["ambient"].name
+    assert all(e.is_integral() for e in sv.variety.ns_basis)
+    assert all(type(c) is int for c in sv.variety.polarization)
+
+
+def _corpus_slopes():
+    for fname in corpus.shipped_names():
+        doc = json.loads(corpus.corpus_text(fname))
+        if doc["format"] != "fmtori/variety":
+            continue
+        a = corpus.variety_from_json(doc)
+        for coeffs in partners._normalized_coefficient_vectors(len(a.ns_basis), 1):
+            for l in (1, 2, 3):
+                yield a, reduce_slope(a.ns_class(coeffs), l)
+
+
+def test_subvariety_matches_reference_on_the_enumeration_slopes(partner_entries):
+    assert len(partner_entries) == 80
+    source = corpus.square_curve_product()
+    for entry in partner_entries:
+        _assert_matches_reference(entry.record.subvariety, source, entry.slope)
+
+
+def test_subvariety_matches_reference_on_corpus_slopes():
+    cases = list(_corpus_slopes())
+    assert len(cases) >= 120
+    for a, mu in cases:
+        _assert_matches_reference(slope_subvariety(a, mu), a, mu)
+
+
+def test_annihilator_is_computed_on_first_use(partner_entries):
+    source = corpus.square_curve_product()
+    for entry in partner_entries[:20]:
+        sv = slope_subvariety(source, entry.slope)
+        assert "annihilator" not in vars(sv)
+        want = integer_kernel(sv.embedding.T).T
+        assert sv.annihilator == want
+        assert sv.annihilator is sv.annihilator
+        assert sv.annihilator_lattice == Lattice(want.rows, want)
+        # the embedded image is exactly what the annihilator cuts out
+        assert (sv.annihilator @ sv.to_ambient.m).is_zero()

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmtori import oracles
+from fmtori import corpus, oracles
 from fmtori.corpus import (
     doubled_square_lattice_curve,
     square_curve_product,
@@ -15,6 +16,9 @@ from fmtori.matrices import Mat, integer_kernel
 from fmtori.partners import homomorphism_space_basis
 from fmtori.varieties import (
     Homomorphism,
+    _is_positive_definite,
+    coefficients_in_basis,
+    integral_span_basis,
     NotAnIsogenyError,
     NSClass,
     TorusVariety,
@@ -231,3 +235,68 @@ def test_correspondence_blocks_are_homomorphisms_into_the_dual():
             blocks = tuple(e.submatrix(range(na), range(na, na + nb)) for e in p.ns_basis[k:])
             assert blocks == homomorphism_space_basis(b, dual(a))
             assert blocks == _fixed_by_conjugation(a, b)
+
+
+# -- dual and the polarization class against their constructions by definition --
+
+
+def _ref_dual(a, name=None):
+    """The dual with the rational transport it replaced: the validated
+    polarization class, its det, and h^-1 itself carrying the classes."""
+    jd = -1 * a.j.T
+    h = a.ns_class(a.polarization).e
+    if h.det() == 0:
+        raise ValueError("variety has a degenerate designated polarization")
+    hi = h.inverse()
+    ns_d = integral_span_basis([hi.T @ e @ hi for e in a.ns_basis])
+    m0, _ = (-1 * hi).cleared()
+    c = m0.content()
+    hd = Mat([[x // c for x in row] for row in m0.data]) if c > 1 else m0
+    if not _is_positive_definite(hd @ jd):
+        hd = -1 * hd
+    pol = coefficients_in_basis(hd, ns_d)
+    return TorusVariety(a.g, jd, ns_d, pol, name if name is not None else a.name + "^")
+
+
+def _dual_inputs(entries):
+    for fname in corpus.shipped_names():
+        doc = json.loads(corpus.corpus_text(fname))
+        if doc["format"] == "fmtori/variety":
+            a = corpus.variety_from_json(doc)
+            yield a
+            yield dual(a)
+    for entry in entries:
+        yield entry.record.partner
+        yield entry.record.subvariety.variety
+
+
+def test_dual_matches_rational_transport(partner_entries):
+    inputs = list(_dual_inputs(partner_entries))
+    assert len(inputs) == 8 + 160
+    for v in inputs:
+        got, want = dual(v), _ref_dual(v)
+        assert got == want and got.name == want.name, v.name
+        assert all(e.is_integral() for e in got.ns_basis)
+        assert all(type(c) is int for c in got.polarization)
+
+
+def test_polarization_class_is_the_validated_combination(partner_entries):
+    for v in _dual_inputs(partner_entries):
+        got = v.polarization_class()
+        assert got == v.ns_class(v.polarization).e and got.is_integral()
+
+
+def test_polarization_class_checks_the_coefficient_length(e_i):
+    short = TorusVariety(e_i.g, e_i.j, e_i.ns_basis, (), "short")
+    with pytest.raises(ValueError, match="coefficient vector length"):
+        short.polarization_class()
+    with pytest.raises(ValueError, match="coefficient vector length"):
+        dual(short)
+
+
+def test_dual_of_a_degenerate_polarization_raises(e_i_squared):
+    # the first basis class is the lift of a curve class: degenerate
+    flat = TorusVariety(e_i_squared.g, e_i_squared.j, e_i_squared.ns_basis, (1, 0, 0, 0), "flat")
+    assert flat.polarization_class().det() == 0
+    with pytest.raises(ValueError, match="degenerate designated polarization"):
+        dual(flat)
