@@ -168,6 +168,8 @@ def _cmd_amu(args):
 
 
 def _cmd_partners(args):
+    if args.search_bound < 0:
+        raise InputError("search bound must be nonnegative (0 skips the search)")
     a = _load_variety(args.variety)
     entries = enumerate_partners(a, args.coeff_bound, args.denom_bound, threads=args.threads)
     source_print = None

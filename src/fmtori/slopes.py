@@ -19,9 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import gcd, isqrt
-from operator import mul
 
 from .lattices import Lattice, sublattice_where_integral
 from .matrices import Mat, Vec, integer_kernel, snf
@@ -32,9 +30,12 @@ from .varieties import (
     NSClass,
     PreconditionError,
     TorusVariety,
-    coefficients_in_basis,
+    _coefficients,
+    _from_upper,
+    _span,
+    _transport,
+    _upper,
     dual,
-    generated_span_basis,
     product,
 )
 
@@ -145,47 +146,11 @@ def _ambient_product(a: TorusVariety, name: str) -> TorusVariety:
 
 
 @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
-def _ambient_forms(a: TorusVariety, name: str) -> tuple[tuple, tuple, tuple[int, ...]]:
-    """The ambient NS basis flattened: the pairs i < j of ambient
-    coordinates, for each class its entries at those pairs, which
-    determine the alternating class, and the polarization coefficients."""
+def _ambient_forms(a: TorusVariety, name: str) -> tuple[tuple, ...]:
+    """Upper coordinates of every ambient NS class and, last, of the
+    ambient polarization class."""
     amb = _ambient_product(a, name)
-    pairs = tuple(combinations(range(amb.dim), 2))
-    flat = tuple(tuple(e.data[i][j] for i, j in pairs) for e in amb.ns_basis)
-    return pairs, flat, amb.polarization
-
-
-def _alternating(upper: list[int], pairs, n: int) -> Mat:
-    """The alternating n x n matrix with the given entries at the pairs."""
-    m = [[0] * n for _ in range(n)]
-    for (p, q), x in zip(pairs, upper):
-        m[p][q], m[q][p] = x, -x
-    return Mat._make(tuple(map(tuple, m)), n, n)
-
-
-def _restricted_classes(a: TorusVariety, t: Mat) -> tuple[list[Mat], Mat]:
-    """t^T e t for every ambient NS class e, and for the ambient
-    polarization, for an integer matrix t.
-
-    For an alternating e the entry (p, q) of t^T e t is the sum over i < j
-    of e_ij times the 2x2 minor of t on rows i, j and columns p, q, so each
-    restriction's entries above the diagonal are integer sums over the
-    flattened basis.  Restriction is linear, so the polarization restricts
-    to the same combination of the restricted classes.
-    """
-    pairs, flat, polarization = _ambient_forms(a, a.name)
-    n = t.cols
-    sub = tuple(combinations(range(n), 2))
-    d = t.data
-    minors = [
-        tuple(d[i][p] * d[j][q] - d[j][p] * d[i][q] for i, j in pairs) for p, q in sub
-    ]
-    rows = [[sum(map(mul, e, m)) for m in minors] for e in flat]
-    pol = [0] * len(sub)
-    for c, row in zip(polarization, rows):
-        if c:
-            pol = [x + c * y for x, y in zip(pol, row)]
-    return [_alternating(row, sub, n) for row in rows], _alternating(pol, sub, n)
+    return tuple(_upper(e) for e in (*amb.ns_basis, amb.polarization_class()))
 
 
 def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
@@ -205,12 +170,13 @@ def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
         raise InternalInvariantViolation("embedded member lattice is not primitive")
     h_inv = h.inverse()
     j_mu = h_inv @ a.j @ h
-    # NS data: restrict every ambient class along the embedding, then present
-    # the lattice those restrictions generate (no saturation: only classes
-    # that honestly come from the ambient product are claimed)
-    restricted, pol_r = _restricted_classes(a, emb_h)
-    ns_mu = generated_span_basis(restricted)
-    pol = coefficients_in_basis(pol_r, ns_mu)
+    # NS data: restrict every ambient class, and the polarization, along the
+    # embedding on upper coordinates, then present the lattice the classes
+    # generate (no saturation: only classes from the ambient product count)
+    *restricted, pol_r = _transport(_ambient_forms(a, a.name), emb_h)
+    basis = _span(restricted, saturated=False)
+    ns_mu = tuple(_from_upper(v, n) for v in basis)
+    pol = _coefficients(pol_r, basis)
     abstract = TorusVariety(a.g, j_mu, ns_mu, pol, name=f"{a.name}_mu")
     return SlopeSubvariety(
         slope=mu,

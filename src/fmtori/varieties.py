@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 
 from .lattices import (
     DegenerateFormError,
@@ -198,6 +200,14 @@ def validate(a: TorusVariety) -> ValidationReport:
 
 
 # -- matrix <-> vector plumbing for spaces of forms ---------------------------
+#
+# General matrices are flattened to all n^2 entries (_vec); alternating forms
+# to their n(n-1)/2 upper coordinates, the entries i < j in row-major order
+# (_upper), on which the span layer runs.  The bases are the n^2 ones: the
+# first nonzero entry of an alternating matrix in row-major order is above
+# the diagonal, so every Hermite pivot, and every coordinate the reduction
+# conditions read, is an upper one; the projection is injective and keeps
+# integrality both ways; and the Hermite form is unique (Cohen, GTM 138, 2.4).
 
 
 def _vec(m: Mat) -> tuple:
@@ -208,29 +218,70 @@ def _unvec(v, cols: int) -> Mat:
     return Mat([list(v[i : i + cols]) for i in range(0, len(v), cols)])
 
 
-def integral_span_basis(mats: list[Mat]) -> tuple[Mat, ...]:
-    """Canonical basis of the integral points of the Q-span of the given matrices."""
-    nz = [m for m in mats if not m.is_zero()]
+def _upper(m: Mat) -> tuple:
+    d = m.data
+    return tuple(d[i][j] for i, j in combinations(range(m.rows), 2))
+
+
+def _from_upper(v, n: int) -> Mat:
+    """The alternating n x n matrix with upper coordinates v."""
+    m = [[0] * n for _ in range(n)]
+    for (p, q), x in zip(combinations(range(n), 2), v):
+        m[p][q], m[q][p] = x, -x
+    return Mat._make(tuple(map(tuple, m)), n, n)
+
+
+def _transport(forms, t: Mat) -> list[tuple]:
+    """Upper coordinates of t^T e t for each form e, given by its upper
+    coordinates, and an n x k matrix t: the entry (p, q) is the sum over
+    i < j of e_ij times the 2x2 minor of t on rows i, j and columns p, q."""
+    d = t.data
+    pairs = tuple(combinations(range(t.rows), 2))
+    minors = [
+        tuple(d[i][p] * d[j][q] - d[j][p] * d[i][q] for i, j in pairs)
+        for p, q in combinations(range(t.cols), 2)
+    ]
+    return [tuple(sum(map(mul, e, m)) for m in minors) for e in forms]
+
+
+def _span(forms, saturated: bool) -> list[tuple]:
+    """Canonical basis, in column Hermite form, of the lattice the upper
+    coordinate vectors generate, or of the integral points of its Q-span."""
+    nz = [v for v in forms if any(v)]
     if not nz:
-        return ()
-    n = nz[0].rows
-    v = Mat.from_cols([_vec(m) for m in nz])
-    y = integer_kernel(v.T)  # columns span the orthogonal complement
-    if y.cols == 0:
-        sol = Mat.identity(n * n)
+        return []
+    k = len(nz[0])
+    if saturated:
+        y = integer_kernel(Mat._make(tuple(nz), len(nz), k))  # the orthogonal complement
+        basis = integer_kernel(y.T) if y.cols else Mat.identity(k)
     else:
-        sol = integer_kernel(y.T)
-    return tuple(_unvec(sol.col(j), n) for j in range(sol.cols))
+        basis = Lattice(k, Mat._make(tuple(zip(*nz)), k, len(nz))).basis
+    return list(zip(*basis.data))
+
+
+def _coefficients(target: tuple, basis: list[tuple]) -> tuple[int, ...]:
+    x = solve_exact(Mat.from_cols(basis), target)
+    if x is None or not vec_is_integral(x):
+        raise ValueError("matrix is not an integer combination of the basis")
+    return x
+
+
+def _uppers(mats, message: str) -> list[tuple]:
+    if not all(m.is_alternating() for m in mats):
+        raise ValueError(message)
+    return [_upper(m) for m in mats]
+
+
+def integral_span_basis(mats: list[Mat]) -> tuple[Mat, ...]:
+    """Canonical basis of the integral points of the Q-span of alternating matrices."""
+    forms = _uppers(mats, "span bases are defined for alternating matrices")
+    return tuple(_from_upper(v, mats[0].rows) for v in _span(forms, saturated=True))
 
 
 def generated_span_basis(mats: list[Mat]) -> tuple[Mat, ...]:
-    """Canonical basis of the lattice the given matrices generate (no saturation)."""
-    nz = [m for m in mats if not m.is_zero()]
-    if not nz:
-        return ()
-    n = nz[0].rows
-    lat = Lattice(n * n, Mat.from_cols([_vec(m) for m in nz]))
-    return tuple(_unvec(lat.basis.col(j), n) for j in range(lat.rank))
+    """Canonical basis of the lattice alternating matrices generate (no saturation)."""
+    forms = _uppers(mats, "span bases are defined for alternating matrices")
+    return tuple(_from_upper(v, mats[0].rows) for v in _span(forms, saturated=False))
 
 
 def intertwiner_basis(j_src: Mat, j_dst: Mat) -> tuple[Mat, ...]:
@@ -251,11 +302,10 @@ def intertwiner_basis(j_src: Mat, j_dst: Mat) -> tuple[Mat, ...]:
 
 
 def coefficients_in_basis(target: Mat, basis: tuple[Mat, ...]) -> tuple[int, ...]:
-    b = Mat.from_cols([_vec(m) for m in basis])
-    x = solve_exact(b, _vec(target))
-    if x is None or not vec_is_integral(x):
-        raise ValueError("matrix is not an integer combination of the basis")
-    return x
+    """Integer coordinates of an alternating target in a basis of
+    alternating matrices; ValueError when there are none."""
+    forms = _uppers([target, *basis], "matrix is not an integer combination of the basis")
+    return _coefficients(forms[0], forms[1:])
 
 
 # -- duality ------------------------------------------------------------------
@@ -271,10 +321,10 @@ def dual(a: TorusVariety, name: str | None = None) -> TorusVariety:
     On canonically presented inputs (saturated ns span, primitive ample
     class, canonical basis) the construction is an involution.
 
-    The transport runs on integers: with h^-1 = hi / d for an integer
-    matrix hi, hi^T e hi is d^2 times the transported class, and the
-    re-saturation reads only the rational span of the classes, which the
-    factor d^2 leaves unchanged.
+    The transport runs on integers and upper coordinates: with h^-1 = hi / d
+    for an integer matrix hi, hi^T e hi is d^2 times the transported class,
+    its upper coordinates are sums of e's times 2x2 minors of hi, and the
+    re-saturation reads only the rational span, which d^2 leaves unchanged.
     """
     jd = -1 * a.j.T
     h = a.polarization_class()
@@ -282,14 +332,14 @@ def dual(a: TorusVariety, name: str | None = None) -> TorusVariety:
         hi, _ = h.inverse().cleared()
     except ValueError:
         raise ValueError("variety has a degenerate designated polarization") from None
-    hit = hi.T
-    ns_d = integral_span_basis([hit @ e @ hi for e in a.ns_basis])
+    ns_up = _span(_transport([_upper(e) for e in a.ns_basis], hi), saturated=True)
     # hi is primitive: a prime dividing its entries would divide d, because
     # h @ hi = d * I, and then d / p would already clear h^-1
     hd = -hi
     if not _is_positive_definite(hd @ jd):
         hd = hi
-    pol = coefficients_in_basis(hd, ns_d)
+    pol = _coefficients(_upper(hd), ns_up)
+    ns_d = tuple(_from_upper(v, a.dim) for v in ns_up)
     return TorusVariety(a.g, jd, ns_d, pol, name if name is not None else a.name + "^")
 
 

@@ -232,11 +232,25 @@ def assert_input_error(code, err):
     ["search-n", "e_i.json", "--l", "0", "--target", "two_torsion.json", "--bound", "3"],
     ["search-n", "e_i.json", "--l", "2", "--target", "two_torsion.json", "--bound", "-1"],
     ["search-n", "e_i.json", "--l", "2", "--target", "two_torsion.json", "--bound", "0"],
+    ["partners", "e_i.json", "--coeff-bound", "1", "--denom-bound", "1", "--search-bound", "-1"],
 ])
 def test_out_of_range_numbers_exit_two(capsys, corpus_dir, argv):
     argv = [corpus_dir / a if a.endswith(".json") else a for a in argv]
     code, _, err = run(capsys, *argv)
     assert_input_error(code, err)
+
+
+def test_partners_search_bound_zero_skips_the_search(capsys, corpus_dir):
+    code, lines, _ = run(
+        capsys,
+        "partners", corpus_dir / "e_i.json",
+        "--coeff-bound", "1", "--denom-bound", "1", "--search-bound", "0",
+    )
+    assert code == 0
+    assert lines == [
+        "slope (1)/1: partner g=1, fingerprint matches source, source certificate skipped",
+        "1 partner presentations",
+    ]
 
 
 @pytest.fixture

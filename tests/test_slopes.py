@@ -24,15 +24,14 @@ from fmtori.varieties import (
     PreconditionError,
     TorusVariety,
     class_kernel,
-    coefficients_in_basis,
     dual,
-    generated_span_basis,
     intersect_subgroups,
     product,
     subgroup_equal,
     torsion_subgroup,
     validate,
 )
+from test_varieties import _ref_coefficients_in_basis, _ref_generated_span_basis
 
 
 def test_slope_is_reduced_by_construction(e_i):
@@ -166,9 +165,9 @@ def _ref_slope_subvariety(a, mu):
     image = Lattice(2 * n, emb_h)
     assert saturate(image, Lattice.standard(2 * n)) == image
     j_mu = h.inverse() @ a.j @ h
-    ns_mu = generated_span_basis([emb_h.T @ e @ emb_h for e in amb.ns_basis])
+    ns_mu = _ref_generated_span_basis([emb_h.T @ e @ emb_h for e in amb.ns_basis])
     pol_r = emb_h.T @ amb.ns_class(amb.polarization).e @ emb_h
-    pol = coefficients_in_basis(pol_r, ns_mu)
+    pol = _ref_coefficients_in_basis(pol_r, ns_mu)
     abstract = TorusVariety(a.g, j_mu, ns_mu, pol, name=f"{a.name}_mu")
     ann = integer_kernel(emb.T).T
     return {

@@ -12,12 +12,15 @@ from fmtori.corpus import (
     square_curve_product_principal,
     square_lattice_curve,
 )
-from fmtori.matrices import Mat, integer_kernel
+from fmtori.lattices import Lattice
+from fmtori.matrices import Mat, integer_kernel, solve_exact, vec_is_integral
 from fmtori.partners import homomorphism_space_basis
 from fmtori.varieties import (
     Homomorphism,
     _is_positive_definite,
+    _transport,
     coefficients_in_basis,
+    generated_span_basis,
     integral_span_basis,
     NotAnIsogenyError,
     NSClass,
@@ -248,13 +251,13 @@ def _ref_dual(a, name=None):
     if h.det() == 0:
         raise ValueError("variety has a degenerate designated polarization")
     hi = h.inverse()
-    ns_d = integral_span_basis([hi.T @ e @ hi for e in a.ns_basis])
+    ns_d = _ref_integral_span_basis([hi.T @ e @ hi for e in a.ns_basis])
     m0, _ = (-1 * hi).cleared()
     c = m0.content()
     hd = Mat([[x // c for x in row] for row in m0.data]) if c > 1 else m0
     if not _is_positive_definite(hd @ jd):
         hd = -1 * hd
-    pol = coefficients_in_basis(hd, ns_d)
+    pol = _ref_coefficients_in_basis(hd, ns_d)
     return TorusVariety(a.g, jd, ns_d, pol, name if name is not None else a.name + "^")
 
 
@@ -300,3 +303,190 @@ def test_dual_of_a_degenerate_polarization_raises(e_i_squared):
     assert flat.polarization_class().det() == 0
     with pytest.raises(ValueError, match="degenerate designated polarization"):
         dual(flat)
+
+
+# -- the span layer against the constructions on all n^2 entries --------------
+
+
+def _flat(m):
+    return tuple(x for row in m.data for x in row)
+
+
+def _unflat(v, n):
+    return Mat([list(v[i : i + n]) for i in range(0, len(v), n)])
+
+
+def _ref_integral_span_basis(mats):
+    """The saturated span on all n^2 entries: the integer kernel of the
+    integer kernel of the flattened matrices."""
+    nz = [m for m in mats if not m.is_zero()]
+    if not nz:
+        return ()
+    n = nz[0].rows
+    v = Mat.from_cols([_flat(m) for m in nz])
+    y = integer_kernel(v.T)
+    sol = Mat.identity(n * n) if y.cols == 0 else integer_kernel(y.T)
+    return tuple(_unflat(sol.col(j), n) for j in range(sol.cols))
+
+
+def _ref_generated_span_basis(mats):
+    """The generated lattice on all n^2 entries."""
+    nz = [m for m in mats if not m.is_zero()]
+    if not nz:
+        return ()
+    n = nz[0].rows
+    lat = Lattice(n * n, Mat.from_cols([_flat(m) for m in nz]))
+    return tuple(_unflat(lat.basis.col(j), n) for j in range(lat.rank))
+
+
+def _ref_coefficients_in_basis(target, basis):
+    """Coordinates by one exact solve on all n^2 entries."""
+    x = solve_exact(Mat.from_cols([_flat(m) for m in basis]), _flat(target))
+    if x is None or not vec_is_integral(x):
+        raise ValueError("matrix is not an integer combination of the basis")
+    return x
+
+
+def _assert_same_mats(got, want):
+    assert got == want
+    assert [(m.rows, m.cols, m.data) for m in got] == [(m.rows, m.cols, m.data) for m in want]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_span_layer_matches(mats, targets=()):
+    """Both span bases, and the coordinates of each target in each, equal
+    the n^2 constructions' exactly (a failed solve on both sides alike)."""
+    for new, ref in (
+        (integral_span_basis, _ref_integral_span_basis),
+        (generated_span_basis, _ref_generated_span_basis),
+    ):
+        got, want = new(mats), ref(mats)
+        _assert_same_mats(got, want)
+        if not want:
+            continue
+        for target in targets:
+            x = _outcome(coefficients_in_basis, target, got)
+            assert x == _outcome(_ref_coefficients_in_basis, target, want)
+            assert type(x) is str or all(type(c) is int for c in x)
+
+
+def _alternating(n, upper):
+    """The alternating n x n matrix with the given entries above the
+    diagonal, row by row."""
+    rows = [[0] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = next(it)
+            rows[j][i] = -rows[i][j]
+    return Mat(rows)
+
+
+def test_span_layer_matches_on_the_dual_inputs(partner_entries):
+    inputs = list(_dual_inputs(partner_entries))
+    assert len(inputs) == 168
+    for v in inputs:
+        hi = v.polarization_class().inverse()
+        hi_int, _ = hi.cleared()
+        for t in (hi, hi_int):
+            classes = [t.T @ e @ t for e in v.ns_basis]
+            _assert_span_layer_matches(classes, [-1 * hi_int, hi_int, classes[0]])
+        _assert_span_layer_matches(list(v.ns_basis), [v.polarization_class()])
+
+
+def test_span_layer_matches_on_the_enumeration_restrictions(partner_entries):
+    assert len(partner_entries) == 80
+    for entry in partner_entries:
+        sv = entry.record.subvariety
+        t = sv.to_ambient.m
+        restricted = [t.T @ e @ t for e in sv.ambient.ns_basis]
+        pol_r = t.T @ sv.ambient.polarization_class() @ t
+        _assert_span_layer_matches(restricted, [pol_r])
+
+
+@st.composite
+def _alternating_families(draw):
+    """Integer alternating n x n families with zero members, duplicates,
+    sums (rank-deficient families) and k-multiples (non-saturated
+    generated lattices), and targets in and out of their span."""
+    n = draw(st.sampled_from((2, 4, 6)))
+    m = n * (n - 1) // 2
+    fresh = st.lists(st.integers(-9, 9), min_size=m, max_size=m)
+    family = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("fresh", "zero", "duplicate", "sum", "multiple")))
+        if kind == "fresh" or (kind != "zero" and not family):
+            family.append(_alternating(n, draw(fresh)))
+        elif kind == "zero":
+            family.append(Mat.zeros(n, n))
+        elif kind == "duplicate":
+            family.append(draw(st.sampled_from(family)))
+        elif kind == "sum":
+            family.append(draw(st.sampled_from(family)) + draw(st.sampled_from(family)))
+        else:
+            family.append(draw(st.integers(2, 5)) * draw(st.sampled_from(family)))
+    targets = [_alternating(n, draw(fresh))]
+    if family:
+        acc = Mat.zeros(n, n)
+        for e in family:
+            acc = acc + draw(st.integers(-3, 3)) * e
+        targets += [acc, Fraction(1, draw(st.integers(2, 4))) * acc]
+    return family, targets
+
+
+@given(_alternating_families())
+def test_span_layer_matches_on_alternating_families(case):
+    family, targets = case
+    _assert_span_layer_matches(family, targets)
+
+
+@given(st.data())
+def test_minor_transport_is_the_congruence(data):
+    n = data.draw(st.sampled_from((2, 4, 6, 8)))
+    k = data.draw(st.integers(1, n))
+    big = st.integers(-(2**40), 2**40)
+    t = Mat(data.draw(st.lists(st.lists(big, min_size=k, max_size=k), min_size=n, max_size=n)))
+    m = n * (n - 1) // 2
+    forms = data.draw(st.lists(st.lists(big, min_size=m, max_size=m), min_size=1, max_size=3))
+    want = []
+    for upper in forms:
+        c = (t.T @ _alternating(n, upper) @ t).data
+        want.append(tuple(c[p][q] for p in range(k) for q in range(p + 1, k)))
+    assert _transport([tuple(f) for f in forms], t) == want
+
+
+def _with_entry(m, i, j, x):
+    rows = [list(r) for r in m.data]
+    rows[i][j] += x
+    return Mat(rows)
+
+
+def test_coefficients_reject_non_alternating_matrices(e_i_squared):
+    basis = e_i_squared.ns_basis
+    good = basis[0] + basis[2]
+    assert coefficients_in_basis(good, basis) == (1, 0, 1, 0)
+    # the same entries above the diagonal as good, mirrored without the sign
+    symmetric = Mat([[good[min(i, j), max(i, j)] for j in range(4)] for i in range(4)])
+    lower_only = (_with_entry(basis[0], 1, 0, 1),) + basis[1:]
+    assert lower_only[0][0, 1] == basis[0][0, 1]
+    for target, b in (
+        (symmetric, basis),
+        (_with_entry(good, 0, 0, 1), basis),
+        (good, lower_only),
+    ):
+        with pytest.raises(ValueError, match="matrix is not an integer combination of the basis"):
+            coefficients_in_basis(target, b)
+        with pytest.raises(ValueError, match="matrix is not an integer combination of the basis"):
+            _ref_coefficients_in_basis(target, b)
+
+
+def test_span_bases_reject_non_alternating_matrices(e_i_squared):
+    for f in (integral_span_basis, generated_span_basis):
+        with pytest.raises(ValueError, match="alternating"):
+            f([e_i_squared.ns_basis[0], Mat.identity(4)])
