@@ -19,7 +19,7 @@ from .corpus import (
     square_curve_product,
     square_lattice_curve,
 )
-from .matrices import Mat
+from .matrices import Mat, combination_map
 from .partners import homomorphism_space_basis, ppav_rigidity_check
 from .product_audit import (
     audit_equivalence,
@@ -332,13 +332,10 @@ def criterion_pullback_injectivity() -> dict:
     ok = True
     draws = 0
     found = 0
+    combine = combination_map(basis, p.dim, p.dim)
     while found < 20 and draws < 10_000:
         draws += 1
-        coeffs = [rng.randint(-2, 2) for _ in basis]
-        m = Mat.zeros(p.dim, p.dim)
-        for c, b in zip(coeffs, basis):
-            if c:
-                m = m + c * b
+        m = combine([rng.randint(-2, 2) for _ in basis])
         if m.det() == 0 or max(abs(int(v)) for row in m.data for v in row) > 3:
             continue
         found += 1

@@ -334,6 +334,8 @@ def main(argv=None) -> int:
     # the one place where invalid input becomes exit code 2; an OSError
     # names its file, and a malformed input file is named by _parse_file
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise InputError("--threads must be at least 1")
         code, lines, payload = args.fn(args)
         for line in lines:
             print(line)

@@ -19,6 +19,7 @@ import json
 from fractions import Fraction
 from importlib import resources
 
+from .lattices import Lattice
 from .matrices import Mat
 from .product_audit import ProductNSClass
 from .varieties import FiniteSubgroup, TorusVariety, product
@@ -140,13 +141,12 @@ def subgroup_from_json(d: dict, a: TorusVariety) -> FiniteSubgroup:
     if not isinstance(d, dict) or d.get("format") != "fmtori/subgroup":
         raise CorpusFormatError("not a subgroup file (format key missing or wrong)")
     basis = matrix_from_json(_require(d, "overlattice"))
-    from .lattices import Lattice, LatticeContainmentError
-
     try:
-        lam = Lattice(a.dim, basis)
-        return FiniteSubgroup(a, lam)
-    except (ValueError, LatticeContainmentError) as exc:
+        sub = FiniteSubgroup(a, Lattice(a.dim, basis))
+        sub.structure  # full rank and containing the periods: the structure checks both
+    except ValueError as exc:
         raise CorpusFormatError(str(exc)) from exc
+    return sub
 
 
 def load_json_file(path) -> dict:
@@ -210,8 +210,6 @@ def poincare_class(name: str = "poincare") -> ProductNSClass:
 def two_torsion_subgroup_file() -> dict:
     a = square_lattice_curve()
     half = Mat(((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))))
-    from .lattices import Lattice
-
     sub = FiniteSubgroup(a, Lattice(2, half))
     return subgroup_to_json(sub, name="two_torsion")
 

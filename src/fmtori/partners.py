@@ -206,13 +206,11 @@ def find_isomorphism_certificate(
         s = sum(abs(Fraction(p[i, j])) for j in range(p.cols))
         boxes.append(int(bound * s))
     require_within_cap(prod(2 * c + 1 for c in boxes), "certificate search")
+    combine = combination_map(basis, dst.dim, src.dim)
     for x in itertools.product(*(range(-c, c + 1) for c in boxes)):
         if not any(x):
             continue
-        m = Mat.zeros(dst.dim, src.dim)
-        for c, base in zip(x, basis):
-            if c:
-                m = m + c * base
+        m = combine(x)
         if any(abs(v) > bound for row in m.data for v in row):
             continue
         if abs(m.det()) != 1:

@@ -149,10 +149,9 @@ def _item(name: str, expected, actual) -> AuditItem:
     return AuditItem(name, expected == actual, str(expected), str(actual))
 
 
-def _kernel_inside(kernel: FiniteSubgroup, cls: Mat, l: int) -> bool:
+def _kernel_inside(over: Lattice, cls: Mat, l: int) -> bool:
     # kernel of an isogeny lies in ker(class hom) iff the class is integral
     # on the kernel's overlattice; torsion containment is a lattice inclusion
-    over = kernel.overlattice
     shell = Lattice.standard(over.ambient_dim).scaled(Fraction(1, l))
     return shell.contains_lattice(over) and (cls @ over.basis).is_integral()
 
@@ -205,6 +204,11 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     Precondition: the slope is reduced, and for l > 1 the B-block is ample
     (twist_to_ample offers the standard normalization).  Dimension mismatch
     between the factors is reported as a failing audit, not an exception.
+
+    The correspondence isogeny pi: A -> dual(B) of ``decompose`` has degree
+    |det corr|, and the kernels of pi and its dual are spanned by corr^-T and
+    corr^-1.  No dual is built: pi intertwines because ProductNSClass checked
+    J_A^T C J_B = C, which gives C^T J_A = -J_B^T C^T.
     """
     mu = _slope_of(pc, l)
     if pc.a.g != pc.b.g:
@@ -222,23 +226,22 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     kern = slope_kernel(prod, mu)
     items.append(_item("subtorus_kernel_order", l * l, kern.order))
 
-    _, pi, _ = decompose(pc)
-    # one determinant answers both is_isogeny and degree
-    det = pi.m.det() if pi.m.is_square else 0
+    corr = pc.correspondence
+    det = corr.det()
     if det != 0:
         items.append(_item("correspondence_degree", l ** (2 * g - 2), abs(det)))
-        ker_pi = pi.kernel()
-        ker_pi_hat = pi.dual_hom().kernel()
+        inv = corr.inverse()
+        ker_pi = Lattice(pc.a.dim, inv.T)
         items.append(
             AuditItem(
                 "correspondence_kernel_inclusions",
                 _kernel_inside(ker_pi, pc.block_a.e, l)
-                and _kernel_inside(ker_pi_hat, pc.block_b.e, l),
+                and _kernel_inside(Lattice(pc.b.dim, inv), pc.block_b.e, l),
                 "both inclusions",
                 "checked",
             )
         )
-        pi_divisors = ker_pi.divisors
+        pi_divisors = FiniteSubgroup(pc.a, ker_pi).divisors
     else:
         items.append(_item("correspondence_degree", l ** (2 * g - 2), "not an isogeny"))
         items.append(

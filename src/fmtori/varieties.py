@@ -21,8 +21,9 @@ Conventions fixed here (the literature leaves the signs open):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import mul
 
@@ -93,11 +94,7 @@ class TorusVariety:
     def ns_class(self, coeffs) -> "NSClass":
         if len(coeffs) != len(self.ns_basis):
             raise ValueError("coefficient vector length must match ns basis")
-        acc = Mat.zeros(self.dim, self.dim)
-        for c, e in zip(coeffs, self.ns_basis):
-            if c:
-                acc = acc + c * e
-        return NSClass(self, acc)
+        return NSClass(self, combination_map(self.ns_basis, self.dim, self.dim)(coeffs))
 
 
 @dataclass(frozen=True)
@@ -431,20 +428,23 @@ def dual_hom(f: Homomorphism) -> Homomorphism:
 
 @dataclass(frozen=True)
 class FiniteSubgroup:
-    """A finite subgroup of a torus, stored as an overlattice of Z^2g."""
+    """A finite subgroup of a torus, stored as an overlattice of Z^2g.
+
+    The overlattice must contain the periods, so it has full rank: every
+    construction here meets that, and ``corpus.subgroup_from_json`` checks
+    it at the file boundary.  ``structure`` is computed on first use.
+    """
 
     variety: TorusVariety
     overlattice: Lattice
-    structure: FiniteGroupStructure = field(init=False)
 
     def __post_init__(self):
-        std = Lattice.standard(self.variety.dim)
         if self.overlattice.ambient_dim != self.variety.dim:
             raise ValueError("overlattice has the wrong ambient dimension")
-        # quotient_structure rejects overlattices not containing the periods
-        object.__setattr__(
-            self, "structure", quotient_structure(std, self.overlattice)
-        )
+
+    @cached_property
+    def structure(self) -> FiniteGroupStructure:
+        return quotient_structure(Lattice.standard(self.variety.dim), self.overlattice)
 
     @property
     def order(self) -> int:

@@ -1,9 +1,10 @@
-"""The partner enumeration against the benchmark's recorded output.
+"""The benchmark's workloads against their recorded output.
 
 ``bench/expected.json`` holds a digest of every partner and fingerprint of
-the ``partners`` workload.  Running the workload and its check here makes a
-change that alters any partner fail the test suite, not only the benchmark.
-Both files are read, never written.
+the ``partners`` workload, the hits of ``search_l2`` and the target groups of
+``kernel_search``.  Running these workloads and their checks here makes a
+change that alters any of their answers fail the test suite, not only the
+benchmark.  Both files are read, never written.
 """
 
 import importlib.util
@@ -26,3 +27,23 @@ def test_partners_workload_matches_the_recorded_output():
     ok, candidates = workloads.check_partners(p, entries, workloads.expected())
     assert ok
     assert candidates == 80
+
+
+def test_search_l2_workload_matches_the_recorded_output():
+    workloads = _workloads()
+    a = workloads.build_search_l2(0)
+    hits = workloads.run_search_l2(a)
+    ok, candidates = workloads.check_search_l2(a, hits, workloads.expected())
+    assert ok
+    assert candidates == 212
+
+
+def test_kernel_search_workload_matches_the_recorded_output():
+    # the searches find the first class of each target's group, so the
+    # candidate count does not depend on the seed's draws
+    workloads = _workloads()
+    inputs = workloads.build_kernel_search(1)
+    found = workloads.run_kernel_search(inputs)
+    ok, candidates = workloads.check_kernel_search(inputs, found, workloads.expected())
+    assert ok
+    assert candidates == 1111

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fmtori import corpus
+from fmtori import acceptance, corpus
 from fmtori.cli import main
 
 
@@ -238,6 +238,38 @@ def test_out_of_range_numbers_exit_two(capsys, corpus_dir, argv):
     argv = [corpus_dir / a if a.endswith(".json") else a for a in argv]
     code, _, err = run(capsys, *argv)
     assert_input_error(code, err)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["partners", "e_i.json", "--coeff-bound", "1", "--denom-bound", "1"],
+    ["search-n", "e_i.json", "--l", "2", "--target", "two_torsion.json", "--bound", "3"],
+    ["regress"],
+])
+def test_threads_below_one_exit_two(capsys, corpus_dir, monkeypatch, argv, threads):
+    gates = []
+    monkeypatch.setattr(acceptance, "run_all", lambda *a, **k: gates.append(k))
+    argv = [corpus_dir / a if a.endswith(".json") else a for a in argv]
+    code, lines, err = run(capsys, *argv, "--threads", threads)
+    assert_input_error(code, err)
+    assert "--threads" in err
+    assert lines == [] and gates == []
+
+
+@pytest.mark.parametrize("overlattice", [
+    [[2, 0], [0, 1]],  # misses the periods
+    [["1/2"], [0]],  # rank deficient
+    [[0, 0], [0, 0]],  # zero
+])
+def test_search_n_rejects_a_bad_subgroup_file(capsys, corpus_dir, tmp_path, overlattice):
+    bad = tmp_path / "bad_subgroup.json"
+    bad.write_text(json.dumps({"format": "fmtori/subgroup", "overlattice": overlattice}), "utf-8")
+    code, lines, err = run(
+        capsys, "search-n", corpus_dir / "e_i.json", "--l", "2", "--target", bad, "--bound", "3"
+    )
+    assert_input_error(code, err)
+    assert str(bad) in err
+    assert lines == []
 
 
 def test_partners_search_bound_zero_skips_the_search(capsys, corpus_dir):

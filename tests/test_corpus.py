@@ -75,6 +75,17 @@ def test_subgroup_file_round_trip(e_i):
     assert again == doc
 
 
+@pytest.mark.parametrize("overlattice, message", [
+    ([[2, 0], [0, 1]], "not contained"),
+    ([["1/2"], [0]], "full rank"),
+    ([[0, 0], [0, 0]], "full rank"),
+])
+def test_subgroup_file_must_contain_the_periods_at_full_rank(e_i, overlattice, message):
+    doc = {"format": "fmtori/subgroup", "overlattice": overlattice}
+    with pytest.raises(corpus.CorpusFormatError, match=message):
+        corpus.subgroup_from_json(doc, e_i)
+
+
 def test_product_class_file_needs_integrality(e_i):
     doc = corpus.shipped_document("poincare_class.json")
     pc = corpus.product_class_from_json(doc, e_i, e_i)

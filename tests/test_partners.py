@@ -1,5 +1,6 @@
 import itertools
 import json
+from math import prod
 
 import pytest
 
@@ -17,6 +18,7 @@ from fmtori.partners import (
 )
 from fmtori.slopes import Slope, reduce_slope
 from fmtori.varieties import (
+    Homomorphism,
     PreconditionError,
     TorusVariety,
     dual,
@@ -247,3 +249,46 @@ def test_normalized_vectors_match_the_filtered_box(rank, bound):
     got = list(partners._normalized_coefficient_vectors(rank, bound))
     assert got == list(_filtered_coefficient_vectors(rank, bound))
     assert len(got) == ((2 * bound + 1) ** rank - 1) // 2
+
+
+def _ref_find_isomorphism_certificate(src, dst, bound):
+    # the search as written with a Mat sum per candidate
+    if src.dim != dst.dim:
+        return None
+    basis = homomorphism_space_basis(src, dst)
+    if not basis:
+        return None
+    b = Mat.from_cols([tuple(x for row in m.data for x in row) for m in basis])
+    p = (b.T @ b).inverse() @ b.T
+    boxes = [int(bound * sum(abs(p[i, j]) for j in range(p.cols))) for i in range(p.rows)]
+    partners.require_within_cap(prod(2 * c + 1 for c in boxes), "certificate search")
+    for x in itertools.product(*(range(-c, c + 1) for c in boxes)):
+        if not any(x):
+            continue
+        m = Mat.zeros(dst.dim, src.dim)
+        for c, base in zip(x, basis):
+            if c:
+                m = m + c * base
+        if any(abs(v) > bound for row in m.data for v in row):
+            continue
+        if abs(m.det()) != 1:
+            continue
+        return Homomorphism(src, dst, m)
+    return None
+
+
+def _outcome(search, src, dst, bound):
+    try:
+        return search(src, dst, bound)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("bound", (1, 2, 3))
+def test_certificate_search_matches_the_mat_sum_reference(partner_entries, bound):
+    pairs = [(a, w) for a in _corpus_varieties() for w in (a, dual(a))]
+    p = corpus.square_curve_product()
+    pairs += [(p, entry.record.partner) for entry in partner_entries[:10]]
+    for src, dst in pairs:
+        got = _outcome(find_isomorphism_certificate, src, dst, bound)
+        assert got == _outcome(_ref_find_isomorphism_certificate, src, dst, bound)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmtori import product_audit
+from fmtori import lattices, product_audit, varieties
 from fmtori.corpus import (
     doubled_square_lattice_curve,
     poincare_class,
@@ -401,15 +401,15 @@ def test_torsion_kernel_depends_on_coefficients_mod_l(data):
 # -- exact stop ----------------------------------------------------------------------
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=product_audit):
     calls = []
-    original = getattr(product_audit, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(product_audit, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -463,3 +463,139 @@ def test_kernel_search_memo_is_thread_safe(e_i_squared):
     finally:
         sys.setswitchinterval(interval)
     assert four == one
+
+
+# -- the audit against its former construction ------------------------------------
+
+
+def _ref_kernel_inside(kernel, cls, l):
+    over = kernel.overlattice
+    shell = Lattice.standard(over.ambient_dim).scaled(Fraction(1, l))
+    return shell.contains_lattice(over) and (cls @ over.basis).is_integral()
+
+
+def _ref_audit(pc, l):
+    # audit_equivalence as it was before it read the kernels from corr^-1:
+    # the correspondence homomorphism from decompose, which builds dual(B),
+    # and the kernels of it and of its dual homomorphism
+    mu = product_audit._slope_of(pc, l)
+    if pc.a.g != pc.b.g:
+        item = product_audit._item("equal_dimensions", pc.a.g, pc.b.g)
+        return product_audit.AuditReport(pc.a.name, pc.b.name, l, (item,), False)
+    if l > 1 and not is_ample(pc.block_b):
+        raise PreconditionError("B-block not ample")
+    g, prod, item = pc.a.g, mu.variety, product_audit._item
+    items = []
+    kern = slope_kernel(prod, mu)
+    items.append(item("subtorus_kernel_order", l * l, kern.order))
+    _, pi, _ = decompose(pc)
+    if pi.is_isogeny():
+        items.append(item("correspondence_degree", l ** (2 * g - 2), pi.degree()))
+        ker_pi = pi.kernel()
+        ker_pi_hat = pi.dual_hom().kernel()
+        inside = _ref_kernel_inside(ker_pi, pc.block_a.e, l) and _ref_kernel_inside(
+            ker_pi_hat, pc.block_b.e, l
+        )
+        items.append(
+            product_audit.AuditItem(
+                "correspondence_kernel_inclusions", inside, "both inclusions", "checked"
+            )
+        )
+        pi_divisors = ker_pi.divisors
+    else:
+        items.append(item("correspondence_degree", l ** (2 * g - 2), "not an isogeny"))
+        items.append(
+            product_audit.AuditItem(
+                "correspondence_kernel_inclusions", False, "both inclusions", "no isogeny"
+            )
+        )
+        pi_divisors = ()
+    cmp = graph_subgroup_comparison(pc, l)
+    items.append(item("graph_subgroup_order", l * l, cmp.order))
+    items.append(
+        product_audit.AuditItem(
+            "graph_subgroups_equal", cmp.equal, "equal", "equal" if cmp.equal else "different"
+        )
+    )
+    level = l * max((1,) + kern.divisors + pi_divisors)
+    sv = slope_subvariety(prod, mu)
+    n_amb = 2 * prod.dim
+    window = Lattice.standard(n_amb).scaled(Fraction(1, level))
+    on_subtorus = product_audit.sublattice_where_integral(
+        window, sv.annihilator_lattice.basis.inverse() @ sv.annihilator
+    )
+    generated = Lattice(
+        n_amb, Mat.hstack(Fraction(1, level * l) * sv.embedding, Mat.identity(n_amb))
+    ).intersect(window)
+    items.append(
+        product_audit.AuditItem(
+            "subtorus_torsion_generated_by_tuples",
+            on_subtorus == generated,
+            f"tuple generation at level {level}",
+            "equal" if on_subtorus == generated else "mismatch",
+        )
+    )
+    return product_audit.AuditReport(
+        pc.a.name, pc.b.name, l, tuple(items), all(i.passed for i in items)
+    )
+
+
+def _assert_audit_matches_reference(pc, l):
+    assert audit_equivalence(pc, l) == _ref_audit(pc, l)
+
+
+def test_poincare_audit_matches_the_reference():
+    _assert_audit_matches_reference(poincare_class(), 1)
+
+
+@pytest.mark.parametrize(
+    "curve", (square_lattice_curve(), doubled_square_lattice_curve()), ids=("E_i", "E_2i")
+)
+@pytest.mark.parametrize("l", (1, 2, 3))
+@pytest.mark.parametrize("bound", (1, 2))
+def test_audits_of_every_search_hit_match_the_reference(curve, l, bound):
+    hits = search_product_classes(curve, curve, l, bound, limit=SEARCH_CANDIDATE_CAP)
+    assert hits
+    for pc in hits:
+        _assert_audit_matches_reference(pc, l)
+
+
+@pytest.mark.parametrize(
+    "curve", (square_lattice_curve(), doubled_square_lattice_curve()), ids=("E_i", "E_2i")
+)
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_failing_correspondences_audit_as_the_reference(curve, l):
+    # every class of the bound-1 box that meets the audit's preconditions and
+    # whose correspondence is not an isogeny or has the wrong degree
+    prod = product_audit._product_variety(curve, curve, curve.name, curve.name)
+    kinds = set()
+    for coeffs in itertools.product(range(-1, 2), repeat=len(prod.ns_basis)):
+        m = prod.ns_class(coeffs).e
+        if gcd(m.content(), l) != 1:
+            continue
+        pc = ProductNSClass(curve, curve, m)
+        if l > 1 and not is_ample(pc.block_b):
+            continue
+        det = pc.correspondence.det()
+        if abs(det) == l ** (2 * curve.g - 2):
+            continue
+        kinds.add(det == 0)
+        _assert_audit_matches_reference(pc, l)
+    assert kinds == {True, False}
+
+
+def test_a_second_audit_builds_no_dual(e_i, monkeypatch):
+    pc = search_product_classes(e_i, e_i, 2, 2)[0]
+    first = audit_equivalence(pc, 2)  # warms the product caches
+    calls = [_count_calls(monkeypatch, "dual", m) for m in (varieties, product_audit)]
+    assert audit_equivalence(pc, 2) == first
+    assert calls == [[], []]
+
+
+def test_kernel_search_computes_no_group_structure(e_i_squared, monkeypatch):
+    calls = [_count_calls(monkeypatch, "quotient_structure", m) for m in (lattices, varieties)]
+    v = e_i_squared
+    for l, coeffs in ((2, (1, 0, 1, 1)), (3, (2, -1, 0, 1))):
+        target = kernel_torsion_subgroup(v, v.ns_class(coeffs), l)
+        assert search_kernel_class(v, l, target, 2) is not None
+    assert calls == [[], []]

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -490,3 +491,48 @@ def test_span_bases_reject_non_alternating_matrices(e_i_squared):
     for f in (integral_span_basis, generated_span_basis):
         with pytest.raises(ValueError, match="alternating"):
             f([e_i_squared.ns_basis[0], Mat.identity(4)])
+
+
+def _shipped_varieties_and_duals():
+    for fname in corpus.shipped_names():
+        doc = json.loads(corpus.corpus_text(fname))
+        if doc["format"] == "fmtori/variety":
+            a = corpus.variety_from_json(doc)
+            yield from (a, dual(a))
+
+
+def test_ns_class_is_the_mat_sum_of_the_basis():
+    for v in _shipped_varieties_and_duals():
+        bound = 2 if len(v.ns_basis) <= 2 else 1
+        for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(v.ns_basis)):
+            acc = Mat.zeros(v.dim, v.dim)
+            for c, e in zip(coeffs, v.ns_basis):
+                if c:
+                    acc = acc + c * e
+            assert v.ns_class(coeffs).e == acc, (v.name, coeffs)
+
+
+def test_subgroup_structure_is_computed_on_first_use(e_i, e_i_squared):
+    from fmtori.lattices import quotient_structure
+    from fmtori.product_audit import kernel_torsion_subgroup
+    from fmtori.slopes import reduce_slope, slope_kernel
+
+    double = Homomorphism(e_i, e_i, Mat(((2, 0), (0, 2))))
+    c = e_i_squared.ns_class((1, 2, 0, 1))
+    subgroups = [
+        torsion_subgroup(e_i, 6),
+        image_under(double, torsion_subgroup(e_i, 4)),
+        preimage_under(double, torsion_subgroup(e_i, 3)),
+        torsion_subgroup(e_i, 4).intersect(torsion_subgroup(e_i, 6)),
+        torsion_subgroup(e_i, 2).join(torsion_subgroup(e_i, 3)),
+        double.kernel(),
+        class_kernel(c),
+        class_kernel(2 * c).intersect(torsion_subgroup(e_i_squared, 4)),
+        kernel_torsion_subgroup(e_i_squared, c, 3),
+        slope_kernel(e_i_squared, reduce_slope(c, 2)),
+    ]
+    for sub in subgroups:
+        assert "structure" not in vars(sub)
+        std = Lattice.standard(sub.variety.dim)
+        assert sub.structure == quotient_structure(std, sub.overlattice)
+        assert sub.structure is sub.structure
