@@ -47,6 +47,9 @@ from .varieties import (
 )
 
 _ORACLE_POINT_CAP = 200_000
+# searches take 8 candidates per thread at a time, so with a huge count the
+# pool would start one operating-system thread per candidate in the box
+MAX_THREADS = 64
 
 
 class InputError(Exception):
@@ -334,8 +337,9 @@ def main(argv=None) -> int:
     # the one place where invalid input becomes exit code 2; an OSError
     # names its file, and a malformed input file is named by _parse_file
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise InputError("--threads must be at least 1")
+        threads = getattr(args, "threads", 1)
+        if not 1 <= threads <= MAX_THREADS:
+            raise InputError(f"--threads must be between 1 and {MAX_THREADS}")
         code, lines, payload = args.fn(args)
         for line in lines:
             print(line)

@@ -4,7 +4,9 @@ One test per criterion so the verbose run reads as a ten-line scorecard.
 Criteria one through nine come from one shared evaluation of the gate
 module; criterion ten drives the installed command line twice at one thread,
 under two hash seeds, and once at four threads, and compares raw bytes,
-with each other and with the committed golden report.
+with each other and with the committed golden report.  A last test renders
+the gate twice in one process, so the second run reads warm caches, and
+compares both with the golden report.
 """
 
 import os
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import fmtori
-from fmtori import acceptance
+from fmtori import acceptance, corpus
 
 # the directory holding the package under test, so the subprocess imports
 # the same sources whether or not the package is installed
@@ -126,3 +128,11 @@ def test_c10_regress_json_is_byte_identical(tmp_path):
     forth = regress(4, tmp_path / "r4.json")
     assert first == second
     assert first == forth
+
+
+def test_warm_caches_render_the_golden_report():
+    # caches never change an answer: the second gate reads every lru_cache
+    # the first one filled, and both must render the committed bytes
+    golden = GOLDEN.read_bytes()
+    for _ in range(2):
+        assert corpus.render_json(acceptance.run_all()).encode("utf-8") == golden

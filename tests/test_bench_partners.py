@@ -1,7 +1,8 @@
 """The benchmark's workloads against their recorded output.
 
-``bench/expected.json`` holds a digest of every partner and fingerprint of
-the ``partners`` workload, the hits of ``search_l2`` and the target groups of
+``bench/expected.json`` holds a digest of the nine identity criteria of the
+``regress`` gate, a digest of every partner and fingerprint of the
+``partners`` workload, the hits of ``search_l2`` and the target groups of
 ``kernel_search``.  Running these workloads and their checks here makes a
 change that alters any of their answers fail the test suite, not only the
 benchmark.  Both files are read, never written.
@@ -18,6 +19,15 @@ def _workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_regress_workload_matches_the_recorded_output():
+    workloads = _workloads()
+    inputs = workloads.build_regress(0)
+    report = workloads.run_regress(inputs)
+    ok, candidates = workloads.check_regress(inputs, report, workloads.expected())
+    assert ok
+    assert candidates == 224
 
 
 def test_partners_workload_matches_the_recorded_output():

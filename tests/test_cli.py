@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fmtori import acceptance, corpus
+from fmtori import acceptance, cli, corpus
 from fmtori.cli import main
 
 
@@ -209,7 +209,6 @@ def test_regress_golden(capsys, corpus_dir):
         "dual_partner_certificates: pass",
         "kernel_class_search: pass",
         "pullback_injectivity: pass",
-        "determinism: pass",
         "all criteria passed",
     ]
 
@@ -240,20 +239,41 @@ def test_out_of_range_numbers_exit_two(capsys, corpus_dir, argv):
     assert_input_error(code, err)
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-@pytest.mark.parametrize("argv", [
+THREADED_COMMANDS = [
     ["partners", "e_i.json", "--coeff-bound", "1", "--denom-bound", "1"],
     ["search-n", "e_i.json", "--l", "2", "--target", "two_torsion.json", "--bound", "3"],
     ["regress"],
-])
-def test_threads_below_one_exit_two(capsys, corpus_dir, monkeypatch, argv, threads):
-    gates = []
-    monkeypatch.setattr(acceptance, "run_all", lambda *a, **k: gates.append(k))
+]
+
+
+def assert_threads_rejected(capsys, corpus_dir, monkeypatch, argv, threads):
+    # every threaded entry point is replaced by a recorder, so a missing
+    # check shows as a recorded call and never starts a thread
+    calls = []
+
+    def record(*a, **k):
+        calls.append(k)
+
+    monkeypatch.setattr(acceptance, "run_all", record)
+    monkeypatch.setattr(cli, "enumerate_partners", record)
+    monkeypatch.setattr(cli, "search_kernel_class", record)
     argv = [corpus_dir / a if a.endswith(".json") else a for a in argv]
     code, lines, err = run(capsys, *argv, "--threads", threads)
     assert_input_error(code, err)
     assert "--threads" in err
-    assert lines == [] and gates == []
+    assert lines == [] and calls == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("argv", THREADED_COMMANDS)
+def test_threads_below_one_exit_two(capsys, corpus_dir, monkeypatch, argv, threads):
+    assert_threads_rejected(capsys, corpus_dir, monkeypatch, argv, threads)
+
+
+@pytest.mark.parametrize("threads", [str(cli.MAX_THREADS + 1), "100000"])
+@pytest.mark.parametrize("argv", THREADED_COMMANDS)
+def test_threads_above_the_bound_exit_two(capsys, corpus_dir, monkeypatch, argv, threads):
+    assert_threads_rejected(capsys, corpus_dir, monkeypatch, argv, threads)
 
 
 @pytest.mark.parametrize("overlattice", [
