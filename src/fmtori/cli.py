@@ -27,7 +27,12 @@ from .corpus import (
 )
 from .lattices import DegenerateFormError
 from .matrices import Mat
-from .partners import enumerate_partners, find_isomorphism_certificate, ppav_rigidity_check
+from .partners import (
+    enumerate_partners,
+    find_isomorphism_certificate,
+    fingerprint,
+    ppav_rigidity_check,
+)
 from .product_audit import audit_equivalence, search_kernel_class
 from .slopes import (
     parse_slope_literal,
@@ -37,7 +42,6 @@ from .slopes import (
     slope_subvariety,
 )
 from .varieties import (
-    NSClass,
     NotAnIsogenyError,
     PreconditionError,
     class_kernel,
@@ -119,10 +123,9 @@ def _cmd_dual(args):
 
 def _cmd_kl(args):
     a = _load_variety(args.variety)
-    cls_matrix, denom = _parse_literal(a, getattr(args, "class"))
+    cls, denom = _parse_literal(a, getattr(args, "class"))
     if denom != 1:
         raise InputError("kl takes an integral class; slopes belong to amu")
-    cls = NSClass(a, cls_matrix.e)
     try:
         kern = class_kernel(cls)
     except (DegenerateFormError, NotAnIsogenyError) as exc:
@@ -183,9 +186,7 @@ def _cmd_partners(args):
         rec = entry.record
         fp = entry.partner_fingerprint
         if source_print is None:
-            from .partners import fingerprint as _fp
-
-            source_print = _fp(a, profile_bound=fp.profile_bound)
+            source_print = fingerprint(a, profile_bound=fp.profile_bound)
         cert = None
         cert_state = "skipped"
         if args.search_bound > 0:

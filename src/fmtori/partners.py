@@ -93,7 +93,8 @@ def fingerprint(a: TorusVariety, profile_bound: int | None = None) -> Fingerprin
 @dataclass(frozen=True)
 class PartnerRecord:
     """A partner with its provenance: the slope, the subtorus, and the
-    identity certificate dual(partner) -> subtorus."""
+    identity certificate from the complex torus of dual(partner), which
+    reads J only, to the subtorus."""
 
     source: TorusVariety
     slope: Slope
@@ -103,11 +104,18 @@ class PartnerRecord:
 
 
 def partner_from_slope(a: TorusVariety, mu: Slope) -> PartnerRecord:
+    """The partner dual(A_mu) with its identity certificate.
+
+    Dualizing twice returns the complex structure on the nose, so the
+    certificate starts at the bare complex torus of dual(partner), with J
+    only: the identity matrix intertwines it with the subtorus exactly when
+    -J_b^T == J_mu, which ``Homomorphism`` checks.  No NS data is
+    transported a second time.
+    """
     sv = slope_subvariety(a, mu)
     b = dual(sv.variety, name=f"{a.name}_partner")
-    # dualizing twice returns the complex structure on the nose, so the
-    # identity matrix certifies dual(b) = subtorus as complex tori
-    cert = Homomorphism(dual(b), sv.variety, Mat.identity(a.dim))
+    torus = TorusVariety(b.g, -1 * b.j.T, (), (), name=b.name + "^")
+    cert = Homomorphism(torus, sv.variety, Mat.identity(a.dim))
     if not is_isomorphism_certificate(cert):
         raise InternalInvariantViolation("identity certificate is not unimodular")
     return PartnerRecord(a, mu, sv, b, cert)

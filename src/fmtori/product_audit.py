@@ -186,11 +186,6 @@ def graph_subgroup_comparison(pc: ProductNSClass, l: int) -> GraphComparison:
     return GraphComparison(g1, g2, g1 == g2, g1.order)
 
 
-def graph_subgroup_equalities(pc: ProductNSClass, l: int) -> bool:
-    cmp = graph_subgroup_comparison(pc, l)
-    return cmp.equal and cmp.order == l * l
-
-
 def _slope_of(pc: ProductNSClass, l: int) -> Slope:
     cls = pc.as_class()
     if gcd(cls.e.content(), l) != 1:

@@ -399,12 +399,6 @@ def is_isomorphism_certificate(f: Homomorphism) -> bool:
     return f.m.is_square and abs(f.m.det()) == 1
 
 
-def polarization_map(c: NSClass, target: TorusVariety | None = None) -> Homomorphism:
-    """The homomorphism into the dual induced by a class (matrix: the class)."""
-    t = target if target is not None else dual(c.variety)
-    return Homomorphism(c.variety, t, c.e)
-
-
 def class_kernel(c: NSClass) -> "FiniteSubgroup":
     """K(L): the finite kernel of the class homomorphism, for nondegenerate c."""
     lam = Lattice.standard(c.variety.dim)
@@ -413,14 +407,6 @@ def class_kernel(c: NSClass) -> "FiniteSubgroup":
     except DegenerateFormError:
         raise NotAnIsogenyError("kernel of a degenerate class is not finite") from None
     return FiniteSubgroup(c.variety, kernel)
-
-
-def kernel_of(f: Homomorphism) -> "FiniteSubgroup":
-    return f.kernel()
-
-
-def dual_hom(f: Homomorphism) -> Homomorphism:
-    return f.dual_hom()
 
 
 # -- finite subgroups ----------------------------------------------------------
@@ -489,14 +475,6 @@ def torsion_subgroup(a: TorusVariety, n: int) -> FiniteSubgroup:
     if n < 1:
         raise PreconditionError("torsion level must be positive")
     return FiniteSubgroup(a, Lattice.standard(a.dim).scaled(Fraction(1, n)))
-
-
-def intersect_subgroups(s: FiniteSubgroup, t: FiniteSubgroup) -> FiniteSubgroup:
-    return s.intersect(t)
-
-
-def subgroup_equal(s: FiniteSubgroup, t: FiniteSubgroup) -> bool:
-    return s == t
 
 
 def image_under(f: Homomorphism, s: FiniteSubgroup) -> FiniteSubgroup:

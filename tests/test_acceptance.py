@@ -107,6 +107,47 @@ def test_c09_pullback_injectivity_over_seeded_isogenies(gate):
     assert all(c["killed"] == [] for c in crit["cases"])
 
 
+def _reference_killed(flat):
+    """The killed coefficient vectors by the four nested loops over [-2, 2]."""
+    bad = []
+    spread = range(-2, 3)
+    for c0 in spread:
+        for c1 in spread:
+            for c2 in spread:
+                for c3 in spread:
+                    if not (c0 or c1 or c2 or c3):
+                        continue
+                    if not any(
+                        c0 * w + c1 * x + c2 * y + c3 * z for w, x, y, z in zip(*flat)
+                    ):
+                        bad.append([c0, c1, c2, c3])
+    return bad
+
+
+def _flat(m):
+    return tuple(x for row in m.data for x in row)
+
+
+def test_killed_combinations_match_the_nested_loops(e_i_squared):
+    a, b, c, _ = (_flat(e) for e in e_i_squared.ns_basis)
+    rank_two = [a, b, tuple(x + y for x, y in zip(a, b)), tuple(x - 2 * y for x, y in zip(a, b))]
+    rank_three = [a, b, c, tuple(2 * x - z for x, z in zip(a, c))]
+    for flat in (rank_two, rank_three):
+        killed = acceptance._killed_combinations(flat)
+        assert killed
+        assert killed == _reference_killed(flat)
+    full = [_flat(e) for e in e_i_squared.ns_basis]
+    assert acceptance._killed_combinations(full) == [] == _reference_killed(full)
+
+
+def test_the_gate_decides_pullback_injectivity_by_rank(monkeypatch):
+    calls = []
+    monkeypatch.setattr(acceptance, "_killed_combinations", lambda flat: calls.append(flat))
+    crit = acceptance.criterion_pullback_injectivity()
+    assert crit["ok"] and crit["isogenies"] == 20
+    assert calls == []
+
+
 def test_c10_regress_json_is_byte_identical(tmp_path):
     pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": pythonpath}

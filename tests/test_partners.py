@@ -220,6 +220,37 @@ def test_partner_entries_on_product(e_i_squared):
         assert is_isomorphism_certificate(entry.record.dual_certificate)
 
 
+def test_partner_certificates_start_at_the_double_dual(partner_entries):
+    # dualizing a partner returns the subtorus's complex structure and NS
+    # basis; the polarization coefficients may differ, so only J and the NS
+    # basis are compared
+    assert len(partner_entries) == 80
+    for entry in partner_entries:
+        rec = entry.record
+        again = dual(rec.partner)
+        assert again.j == rec.subvariety.variety.j
+        assert again.ns_basis == rec.subvariety.variety.ns_basis
+        assert rec.dual_certificate.source.j == again.j
+        assert rec.dual_certificate.target == rec.subvariety.variety
+        assert rec.dual_certificate.m == Mat.identity(rec.partner.dim)
+        assert is_isomorphism_certificate(rec.dual_certificate)
+
+
+def test_enumeration_dualizes_each_partner_once(e_i_squared, monkeypatch):
+    calls = []
+    original = partners.dual
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(partners, "dual", counted)
+    entries = enumerate_partners(e_i_squared, 1, 2)
+    assert len(entries) == 80
+    assert len(calls) == 80
+    assert calls == [e.record.subvariety.variety for e in entries]
+
+
 def test_search_cap_is_exposed():
     assert SEARCH_CANDIDATE_CAP >= 10_000
 

@@ -24,7 +24,6 @@ from fmtori.product_audit import (
     audit_equivalence,
     decompose,
     graph_subgroup_comparison,
-    graph_subgroup_equalities,
     is_ample,
     kernel_torsion_subgroup,
     partner_dual_certificate,
@@ -130,11 +129,13 @@ def test_search_is_deterministic_across_threads(e_i):
 
 
 def test_graph_equalities_standalone(e_i):
-    assert graph_subgroup_equalities(poincare_class(), 1)
+    good = graph_subgroup_comparison(poincare_class(), 1)
+    assert good.equal and good.order == 1
     # with no correspondence the two graphs live on different factors; at
     # l = 2 they are both of order four but disjoint
     bad = assemble(e_i, e_i, e_i.ns_basis[0], Mat.zeros(2, 2), e_i.ns_basis[0])
-    assert not graph_subgroup_equalities(bad, 2)
+    cmp = graph_subgroup_comparison(bad, 2)
+    assert cmp.order == 4 and not cmp.equal
 
 
 def test_twist_restores_ampleness(e_i):

@@ -25,9 +25,7 @@ from fmtori.varieties import (
     TorusVariety,
     class_kernel,
     dual,
-    intersect_subgroups,
     product,
-    subgroup_equal,
     torsion_subgroup,
     validate,
 )
@@ -60,10 +58,8 @@ def test_slope_kernel_is_torsion_meet_class_kernel(e_i_squared):
     # two-route identity on a denominator-2 slope of the product
     mu = reduce_slope(e_i_squared.ns_class((1, 1, 0, 0)), 2)
     kern = slope_kernel(e_i_squared, mu)
-    other = intersect_subgroups(
-        torsion_subgroup(e_i_squared, 2), class_kernel(mu.numerator)
-    )
-    assert subgroup_equal(kern, other)
+    other = torsion_subgroup(e_i_squared, 2).intersect(class_kernel(mu.numerator))
+    assert kern == other
 
 
 def test_subvariety_is_valid_and_embeds_primitively(e_i):
