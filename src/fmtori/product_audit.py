@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from math import floor, gcd
 
 from .lattices import Lattice, sublattice_where_integral
-from .matrices import Mat, combination_map
+from .matrices import Mat, combination_map, snf
 from .parallel import pmap
 from .partners import find_isomorphism_certificate, require_within_cap
 from .slopes import (
@@ -41,6 +41,7 @@ from .varieties import (
     NSClass,
     PreconditionError,
     TorusVariety,
+    VarietyMismatchError,
     _is_positive_definite,
     dual,
     image_under,
@@ -151,9 +152,9 @@ def _item(name: str, expected, actual) -> AuditItem:
 
 def _kernel_inside(over: Lattice, cls: Mat, l: int) -> bool:
     # kernel of an isogeny lies in ker(class hom) iff the class is integral
-    # on the kernel's overlattice; torsion containment is a lattice inclusion
-    shell = Lattice.standard(over.ambient_dim).scaled(Fraction(1, l))
-    return shell.contains_lattice(over) and (cls @ over.basis).is_integral()
+    # on the kernel's overlattice, and in the l-torsion iff l times the
+    # overlattice is integral
+    return (l * over.basis).is_integral() and (cls @ over.basis).is_integral()
 
 
 def _graph_homs(pc: ProductNSClass) -> tuple[Homomorphism, Homomorphism]:
@@ -337,6 +338,16 @@ def kernel_torsion_subgroup(v: TorusVariety, cls: NSClass, l: int) -> FiniteSubg
     return FiniteSubgroup(v, sublattice_where_integral(shell, cls.e))
 
 
+def _torsion_kernel_order(e: Mat, l: int) -> int:
+    """Order of K(e) meet the l-torsion: the number of solutions of
+    e y = 0 mod l in (Z/l)^n, one factor gcd(d, l) per invariant factor d
+    of e, with gcd(0, l) = l.  It holds for composite l too."""
+    order = 1
+    for d in snf(e):
+        order *= gcd(d, l)
+    return order
+
+
 def search_kernel_class(
     v: TorusVariety, l: int, target: FiniteSubgroup, coeff_bound: int, threads: int = 1
 ) -> NSClass | None:
@@ -344,23 +355,57 @@ def search_kernel_class(
     l-torsion in exactly the target subgroup; None if no bounded class works.
 
     K(L) is the annihilator of the period lattice under the form
-    (Mumford, Abelian Varieties, section 23), so its l-torsion depends only
-    on the coefficients mod l: a point y/l with y integral lies in it iff
-    e y = 0 mod l, and e mod l is fixed by c mod l because the NS basis is
-    integral.  The target test is therefore memoized by the residue tuple,
-    so at most l^rank kernels are computed whatever the bound, while the
-    walk over the box keeps its order and returns the same first class.
-    A memo entry only ever receives one value, so threads cannot change it.
+    (Mumford, Abelian Varieties, section 23), so its l-torsion is
+    {y/l : e y = 0 mod l}, and both halves of the test are arithmetic mod l
+    on Y = l * (target overlattice basis), which is integral exactly when the
+    target lies in the l-torsion:
+
+    * containment: the target lies in the kernel iff e Y = 0 mod l, which
+      is linear in the coefficients: sum c_k (E_k Y mod l) = 0 mod l;
+    * equality: a contained target is the whole kernel iff the orders
+      agree, the kernel's from the invariant factors of e
+      (``_torsion_kernel_order``) and the target's as l^n / |det Y|.
+
+    Both depend only on the coefficients mod l, because the NS basis is
+    integral, so the test is memoized by the residue tuple: at most l^rank
+    residues are tested whatever the bound, while the walk over the box
+    keeps its order and returns the same first class.  No lattice is built
+    for a candidate; the hit alone becomes an NSClass, and its kernel is
+    computed as a lattice and must equal the target, or the identity above
+    has failed.  A memo entry only ever receives one value, so threads
+    cannot change it.
     """
-    if not torsion_subgroup(v, l).contains(target):
+    if l < 1:
+        raise PreconditionError("torsion level must be positive")
+    if target.variety != v:
+        raise VarietyMismatchError("target subgroup does not live on the variety")
+    y = l * target.overlattice.basis
+    if not y.is_integral():
         raise PreconditionError("target subgroup must lie in the l-torsion")
+    n = v.dim
+    order = l**n // abs(y.det())
+    class_matrix = combination_map(v.ns_basis, n, n)
+    # entry k of E_i Y mod l, gathered across the basis classes i
+    images = list(zip(*([x % l for row in (e @ y).data for x in row] for e in v.ns_basis)))
     matches: dict[tuple[int, ...], bool] = {}
+
+    def passes(residue) -> bool:
+        if any(sum(c * w for c, w in zip(residue, entry)) % l for entry in images):
+            return False
+        return _torsion_kernel_order(class_matrix(residue), l) == order
 
     def hit(coeffs) -> NSClass | None:
         residue = tuple(c % l for c in coeffs)
         if residue not in matches:
-            matches[residue] = kernel_torsion_subgroup(v, v.ns_class(coeffs), l) == target
-        return v.ns_class(coeffs) if matches[residue] else None
+            matches[residue] = passes(residue)
+        if not matches[residue]:
+            return None
+        cls = NSClass(v, class_matrix(coeffs))
+        if kernel_torsion_subgroup(v, cls, l) != target:
+            raise InternalInvariantViolation(
+                "the kernel of the class found mod l differs from the target"
+            )
+        return cls
 
     found = _scan(len(v.ns_basis), coeff_bound, hit, threads, limit=1)
     return found[0] if found else None

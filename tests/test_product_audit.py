@@ -1,13 +1,15 @@
 import itertools
+import json
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmtori import lattices, product_audit, varieties
+from fmtori import lattices, oracles, product_audit, varieties
 from fmtori.corpus import (
     doubled_square_lattice_curve,
     poincare_class,
@@ -399,6 +401,83 @@ def test_torsion_kernel_depends_on_coefficients_mod_l(data):
     )
 
 
+def _reference_kernel_search(v, l, target, bound):
+    """The former search: the kernel lattice of the first class of every
+    new residue, compared with the target."""
+    matches = {}
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(v.ns_basis)):
+        if not any(coeffs):
+            continue
+        residue = tuple(c % l for c in coeffs)
+        if residue not in matches:
+            matches[residue] = kernel_torsion_subgroup(v, v.ns_class(coeffs), l) == target
+        if matches[residue]:
+            return v.ns_class(coeffs)
+    return None
+
+
+def _assert_matches_reference(v, l, targets, bound):
+    for target in targets:
+        assert search_kernel_class(v, l, target, bound) == _reference_kernel_search(
+            v, l, target, bound
+        )
+
+
+_EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+
+
+@pytest.mark.parametrize("l", (2, 3))
+def test_kernel_search_matches_the_reference_on_every_target_group(e_i_squared, l):
+    v = e_i_squared
+    groups = json.loads(_EXPECTED.read_text())["kernel_target_groups"][str(l)]
+    targets = [kernel_torsion_subgroup(v, v.ns_class(tuple(g[0])), l) for g in groups]
+    _assert_matches_reference(v, l, targets, 2)
+
+
+@pytest.mark.parametrize(
+    ("l", "distinct", "orders"), ((4, 12, {1, 4, 16}), (6, 16, {1, 4, 9, 36}))
+)
+def test_kernel_search_matches_the_reference_at_composite_l(e_i_squared, l, distinct, orders):
+    # the orders 4 and 9 come from invariant factors sharing only part of l,
+    # so the gcd(d, l) factors of the order test are neither 1 nor l
+    v = e_i_squared
+    box = itertools.product(range(-1, 2), repeat=len(v.ns_basis))
+    targets = list({kernel_torsion_subgroup(v, v.ns_class(c), l): None for c in box if any(c)})
+    assert len(targets) == distinct
+    assert {t.order for t in targets} == orders
+    _assert_matches_reference(v, l, targets, 1)
+
+
+def test_kernel_search_matches_the_reference_when_nothing_is_found(e_i, e_i_squared):
+    quarter = FiniteSubgroup(e_i, Lattice(2, Mat(((Fraction(1, 4), 0), (0, 1)))))
+    full = torsion_subgroup(e_i_squared, 3)
+    for v, l, target, bound in ((e_i, 4, quarter, 3), (e_i_squared, 3, full, 2)):
+        assert _reference_kernel_search(v, l, target, bound) is None
+        assert search_kernel_class(v, l, target, bound) is None
+
+
+@given(
+    st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+    st.sampled_from((2, 3, 4, 6)),
+)
+def test_torsion_kernel_order_counts_the_kernel_points(coeffs, l):
+    e = square_curve_product().ns_class(coeffs).e
+    assert product_audit._torsion_kernel_order(e, l) == len(
+        oracles.kernel_points_of_class(e, l)
+    )
+
+
+def test_kernel_search_checks_the_hit_against_its_kernel(e_i, monkeypatch):
+    # a kernel that disagrees with the mod-l test is a broken identity
+    monkeypatch.setattr(
+        product_audit, "kernel_torsion_subgroup", lambda v, cls, l: trivial_subgroup(v)
+    )
+    with pytest.raises(varieties.InternalInvariantViolation):
+        search_kernel_class(e_i, 2, torsion_subgroup(e_i, 2), 3)
+    with pytest.raises(PreconditionError):
+        search_kernel_class(e_i, 2, torsion_subgroup(e_i, 3), 3)
+
+
 # -- exact stop ----------------------------------------------------------------------
 
 
@@ -426,7 +505,9 @@ def test_product_search_audits_only_its_hits(e_i, monkeypatch):
     assert len(last) == 1 and prod.ns_class(last[0]).e == hits[-1].m
 
 
-def test_kernel_search_computes_one_kernel_per_residue(e_i_squared, monkeypatch):
+def test_kernel_search_builds_one_kernel_per_hit(e_i_squared, monkeypatch):
+    # candidates are tested mod l; only the hit's kernel is built as a
+    # lattice, to check it against the target
     v, r = e_i_squared, len(e_i_squared.ns_basis)
     for l, coeffs in ((2, (1, 0, 1, 1)), (3, (2, -1, 0, 1)), (3, None)):
         target = (
@@ -434,16 +515,17 @@ def test_kernel_search_computes_one_kernel_per_residue(e_i_squared, monkeypatch)
             else torsion_subgroup(v, l)  # needs coefficients divisible by 3
         )
         kernels = _count_calls(monkeypatch, "kernel_torsion_subgroup")
+        sublattices = _count_calls(monkeypatch, "sublattice_where_integral")
         batches = _count_calls(monkeypatch, "pmap")
         found = search_kernel_class(v, l, target, 2)
         monkeypatch.undo()
         evaluated = [c for _, block, *_ in batches for c in block]
         box = list(itertools.product(range(-2, 3), repeat=r))
-        assert len(kernels) <= l**r
         if coeffs is None:
             assert found is None and evaluated == box
-            assert len(kernels) == l**r - 1  # every nonzero residue once
+            assert len(kernels) == len(sublattices) == 0
         else:
+            assert len(kernels) == len(sublattices) == 1
             # no candidate past the hit
             assert found == v.ns_class(evaluated[-1])
             assert evaluated == box[: len(evaluated)]

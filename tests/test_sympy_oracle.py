@@ -4,12 +4,15 @@ The package itself never imports sympy; these tests skip where it is not
 installed.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fmtori import product_audit
+from fmtori.corpus import square_curve_product
 from fmtori.matrices import Mat, snf, solve_exact
 
 sympy = pytest.importorskip("sympy")
@@ -147,3 +150,12 @@ def test_smith_invariant_factors_match_sympy(rows):
     ours = list(snf(Mat(rows)))
     theirs = [int(x) for x in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
     assert ours == theirs
+
+
+@given(st.lists(st.integers(-6, 6), min_size=4, max_size=4), st.sampled_from((2, 3, 4, 6)))
+def test_torsion_kernel_order_matches_sympy(coeffs, l):
+    # e y = 0 mod l has prod gcd(d, l) solutions over the invariant factors d
+    e = square_curve_product().ns_class(coeffs).e
+    factors = [int(x) for x in invariant_factors(sympy.Matrix(e.data), domain=sympy.ZZ)]
+    factors += [0] * (e.rows - len(factors))
+    assert product_audit._torsion_kernel_order(e, l) == math.prod(math.gcd(d, l) for d in factors)
