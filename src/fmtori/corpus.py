@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
 
 from .lattices import Lattice
 from .matrices import Mat
@@ -238,6 +237,8 @@ def shipped_document(filename: str) -> dict:
 
 
 def corpus_text(filename: str) -> str:
+    from importlib import resources
+
     return (resources.files("fmtori") / "corpus" / filename).read_text("utf-8")
 
 

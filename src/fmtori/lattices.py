@@ -9,11 +9,11 @@ quotient; this is where kernel groups K(L) and slope kernels come from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .matrices import Mat, Scalar, hnf_columns, integer_kernel, snf, solve_exact, vec_is_integral
+from .records import Record
 
 
 class DegenerateFormError(ValueError):
@@ -24,8 +24,7 @@ class LatticeContainmentError(ValueError):
     """Raised when a quotient of non-nested lattices is requested."""
 
 
-@dataclass(frozen=True)
-class FiniteGroupStructure:
+class FiniteGroupStructure(Record):
     """Isomorphism type of a finite abelian group: divisors d1 | d2 | ..., each > 1."""
 
     divisors: tuple[int, ...]

@@ -16,10 +16,10 @@ entries, one exact division each.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 Scalar = int | Fraction
 Vec = tuple[Scalar, ...]

@@ -14,12 +14,12 @@ exactly that and is reported as such.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
 from .matrices import Mat, combination_map, snf
 from .parallel import pmap
+from .records import Record
 from .slopes import Slope, SlopeSubvariety, reduce_slope, slope_kernel, slope_subvariety
 from .varieties import (
     FiniteSubgroup,
@@ -48,8 +48,7 @@ def require_within_cap(candidates: int, search: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(Record):
     """Cheap presentation-level invariants used to compare varieties.
 
     profiles is the sorted multiset of elementary-divisor tuples of the
@@ -90,8 +89,7 @@ def fingerprint(a: TorusVariety, profile_bound: int | None = None) -> Fingerprin
     return Fingerprint(a.g, r, profile_bound, tuple(sorted(profiles)))
 
 
-@dataclass(frozen=True)
-class PartnerRecord:
+class PartnerRecord(Record):
     """A partner with its provenance: the slope, the subtorus, and the
     identity certificate from the complex torus of dual(partner), which
     reads J only, to the subtorus."""
@@ -121,8 +119,7 @@ def partner_from_slope(a: TorusVariety, mu: Slope) -> PartnerRecord:
     return PartnerRecord(a, mu, sv, b, cert)
 
 
-@dataclass(frozen=True)
-class PartnerEntry:
+class PartnerEntry(Record):
     coefficients: tuple[int, ...]
     denominator: int
     slope: Slope
@@ -230,8 +227,7 @@ def find_isomorphism_certificate(
 # -- principally polarized rigidity ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RigidityCheck:
+class RigidityCheck(Record):
     ok: bool
     slope: Slope
     kernel: FiniteSubgroup

@@ -17,7 +17,6 @@ consequence and reports each comparison separately.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import floor, gcd
@@ -26,6 +25,7 @@ from .lattices import Lattice, sublattice_where_integral
 from .matrices import Mat, combination_map, snf
 from .parallel import pmap
 from .partners import find_isomorphism_certificate, require_within_cap
+from .records import Record
 from .slopes import (
     PRODUCT_CACHE_SIZE,
     Slope,
@@ -68,18 +68,17 @@ def _dual_product_variety(a: TorusVariety, b: TorusVariety, a_name: str, b_name:
     return product(dual(a), dual(b), name=f"{a_name}^x{b_name}^").variety
 
 
-@dataclass(frozen=True, eq=False)
-class ProductNSClass:
+class ProductNSClass(Record):
     """An integral alternating compatible class on A x B, with block access."""
 
     a: TorusVariety
     b: TorusVariety
     m: Mat
     name: str = "M"
-    _class: NSClass = field(init=False, repr=False)
 
     def __post_init__(self):
-        # full validation (integrality, alternation, block J-compatibility)
+        # full validation (integrality, alternation, block J-compatibility);
+        # the class is derived, not a field: out of repr and equality
         prod = _product_variety(self.a, self.b, self.a.name, self.b.name)
         object.__setattr__(self, "_class", NSClass(prod, self.m))
 
@@ -129,16 +128,14 @@ def decompose(pc: ProductNSClass) -> tuple[NSClass, Homomorphism, NSClass]:
     return pc.block_a, pi, pc.block_b
 
 
-@dataclass(frozen=True)
-class AuditItem:
+class AuditItem(Record):
     name: str
     passed: bool
     expected: str
     actual: str
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     a_name: str
     b_name: str
     l: int
@@ -172,8 +169,7 @@ def _graph_homs(pc: ProductNSClass) -> tuple[Homomorphism, Homomorphism]:
     return Homomorphism(pc.a, dp, cols_a), Homomorphism(pc.b, dp, cols_b)
 
 
-@dataclass(frozen=True)
-class GraphComparison:
+class GraphComparison(Record):
     first: FiniteSubgroup
     second: FiniteSubgroup
     equal: bool
@@ -275,8 +271,7 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     return AuditReport(pc.a.name, pc.b.name, l, tuple(items), all(i.passed for i in items))
 
 
-@dataclass(frozen=True)
-class ProjectionIso:
+class ProjectionIso(Record):
     to_b_side: Homomorphism
     to_a_side: Homomorphism
     eta: Homomorphism

@@ -16,13 +16,13 @@ subgroup.  None of the sheaves are constructed here, only these invariants.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 from .lattices import Lattice, sublattice_where_integral
 from .matrices import Mat, Vec, integer_kernel, snf
+from .records import Record
 from .varieties import (
     FiniteSubgroup,
     Homomorphism,
@@ -40,8 +40,7 @@ from .varieties import (
 )
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(Record):
     """A reduced fraction: numerator NS class, denominator l >= 1.
 
     Reduced means gcd(l, content of the numerator matrix) = 1, so the zero
@@ -85,8 +84,7 @@ def slope_kernel(a: TorusVariety, mu: Slope) -> FiniteSubgroup:
     return FiniteSubgroup(a, member_lattice(a, mu))
 
 
-@dataclass(frozen=True)
-class SlopeSubvariety:
+class SlopeSubvariety(Record):
     """The subtorus of A x dual(A) cut out by a slope, with its structure maps.
 
     embedding is the rational matrix of v -> (l*v, e*v) in ambient
@@ -190,8 +188,7 @@ def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
     )
 
 
-@dataclass(frozen=True)
-class ProjectionInvariants:
+class ProjectionInvariants(Record):
     """Numerical invariants of the projection from the subtorus back to A.
 
     degree is the isogeny degree of multiplication-by-l off the member

@@ -21,7 +21,6 @@ Conventions fixed here (the literature leaves the signs open):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -35,6 +34,7 @@ from .lattices import (
     quotient_structure,
 )
 from .matrices import Mat, combination_map, integer_kernel, solve_exact, vec_is_integral
+from .records import Record
 
 
 class NotAnIsogenyError(ValueError):
@@ -53,8 +53,7 @@ class PreconditionError(ValueError):
     """An operation was invoked outside its documented preconditions."""
 
 
-@dataclass(frozen=True, eq=False)
-class TorusVariety:
+class TorusVariety(Record):
     """A polarizable complex torus (Z^2g, J, NS basis, designated polarization)."""
 
     g: int
@@ -97,8 +96,7 @@ class TorusVariety:
         return NSClass(self, combination_map(self.ns_basis, self.dim, self.dim)(coeffs))
 
 
-@dataclass(frozen=True)
-class NSClass:
+class NSClass(Record):
     """An integral alternating J-compatible form on a fixed variety."""
 
     variety: TorusVariety
@@ -132,8 +130,7 @@ class NSClass:
         return abs(int(self.e.det()))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     failures: tuple[str, ...]
 
     @property
@@ -343,8 +340,7 @@ def dual(a: TorusVariety, name: str | None = None) -> TorusVariety:
 # -- homomorphisms ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Record):
     """A lattice-level homomorphism: integral matrix intertwining the J's."""
 
     source: TorusVariety
@@ -412,8 +408,7 @@ def class_kernel(c: NSClass) -> "FiniteSubgroup":
 # -- finite subgroups ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteSubgroup:
+class FiniteSubgroup(Record):
     """A finite subgroup of a torus, stored as an overlattice of Z^2g.
 
     The overlattice must contain the periods, so it has full rank: every
@@ -497,8 +492,7 @@ def preimage_under(f: Homomorphism, s: FiniteSubgroup) -> FiniteSubgroup:
 # -- products -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
     """A product variety with its canonical injections and projections."""
 
     variety: TorusVariety

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import fmtori
-from fmtori import acceptance, corpus
+from fmtori import acceptance, corpus, product_audit
 
 # the directory holding the package under test, so the subprocess imports
 # the same sources whether or not the package is installed
@@ -177,3 +177,22 @@ def test_warm_caches_render_the_golden_report():
     golden = GOLDEN.read_bytes()
     for _ in range(2):
         assert corpus.render_json(acceptance.run_all()).encode("utf-8") == golden
+
+
+def test_the_gate_builds_one_kernel_lattice_per_found_class(monkeypatch):
+    # search_kernel_class checks each hit against its kernel lattice; the
+    # gate recounts the hit's kernel points with the oracle, not the lattice
+    calls = []
+    original = product_audit.kernel_torsion_subgroup
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (product_audit, acceptance):
+        monkeypatch.setattr(module, "kernel_torsion_subgroup", counted, raising=False)
+    crit = acceptance.criterion_kernel_class_search()
+    assert crit["ok"]
+    found = [c for c in crit["cases"] if c["found"] is not None]
+    assert len(found) == len(crit["cases"]) == 9
+    assert len(calls) == len(found)
