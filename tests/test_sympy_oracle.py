@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from fmtori import product_audit
 from fmtori.corpus import square_curve_product
-from fmtori.matrices import Mat, snf, solve_exact
+from fmtori.lattices import Lattice
+from fmtori.matrices import Mat, hnf_columns, integer_kernel, snf, solve_exact
 
 sympy = pytest.importorskip("sympy")
-from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  # noqa: E402
 
 dims = st.integers(min_value=1, max_value=6)
 
@@ -159,3 +160,61 @@ def test_torsion_kernel_order_matches_sympy(coeffs, l):
     factors = [int(x) for x in invariant_factors(sympy.Matrix(e.data), domain=sympy.ZZ)]
     factors += [0] * (e.rows - len(factors))
     assert product_audit._torsion_kernel_order(e, l) == math.prod(math.gcd(d, l) for d in factors)
+
+
+# -- the normal forms, compared as lattices ---------------------------------
+#
+# sympy's Hermite form follows other sign and shape conventions than
+# hnf_columns (it drops zero columns and orders pivots from the bottom), so
+# the bases are compared by what they span: each column of one solves
+# integrally in the other, by sympy's own rational solver.
+
+
+def _solves_integrally(basis, v) -> bool:
+    sol, params = basis.gauss_jordan_solve(v)
+    assert not params  # a basis has independent columns
+    return all(x.is_integer for x in sol)
+
+
+def _same_lattice(ours: Mat, theirs) -> bool:
+    ours = sympy.Matrix(ours.rows, ours.cols, [x for row in ours.data for x in row])
+    if ours.cols == 0 or theirs.cols == 0:
+        return ours.cols == theirs.cols
+    return all(_solves_integrally(ours, theirs.col(j)) for j in range(theirs.cols)) and all(
+        _solves_integrally(theirs, ours.col(j)) for j in range(ours.cols)
+    )
+
+
+def _nonzero_columns(m: Mat) -> Mat:
+    return m.submatrix(range(m.rows), [j for j in range(m.cols) if any(m.col(j))])
+
+
+@given(int_matrices(bound=2**40))
+def test_hnf_columns_spans_the_sympy_hermite_lattice(rows):
+    h = _nonzero_columns(hnf_columns(Mat(rows)))
+    theirs = hermite_normal_form(sympy.Matrix(rows))
+    assert h.cols == theirs.cols == sympy.Matrix(rows).rank()
+    assert _same_lattice(h, theirs)
+
+
+@given(exact_matrices())
+def test_lattice_basis_spans_the_sympy_hermite_lattice(rows):
+    # rational generators: sympy's Hermite form of d * m, over d
+    m = Mat(rows)
+    basis = Lattice(m.rows, m).basis
+    d = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    cleared = [[int(x * d) for x in row] for row in rows]
+    theirs = hermite_normal_form(sympy.Matrix(cleared)) / d
+    assert basis.cols == theirs.cols
+    assert _same_lattice(basis, theirs)
+
+
+@given(exact_matrices())
+def test_integer_kernel_is_the_saturated_sympy_nullspace(rows):
+    m, k = sympy.Matrix(rows), integer_kernel(Mat(rows))
+    assert k.rows == m.cols and k.cols == m.cols - m.rank()
+    if k.cols == 0:
+        return
+    ks = sympy.Matrix(k.rows, k.cols, [x for row in k.data for x in row])
+    assert (m * ks).is_zero_matrix
+    assert all(int(x) == 1 for x in invariant_factors(ks, domain=sympy.ZZ))
