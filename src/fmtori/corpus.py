@@ -9,13 +9,16 @@ Three file kinds, each tagged with a ``format`` key:
 * subgroup files: columns of a rational overlattice basis; the subgroup is
   that overlattice modulo the standard one.
 
-Rationals are strings like ``"-3/2"``; integers are JSON numbers unless they
-would not round-trip through a double, in which case they are strings too.
+Rationals are strings like ``"-3/2"``: an optional sign, ASCII digits, and
+optionally ``/`` and more digits, nothing else.  Integers are JSON numbers
+unless they would not round-trip through a double, in which case they are
+strings of the same form.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .lattices import Lattice
@@ -24,6 +27,7 @@ from .product_audit import ProductNSClass
 from .varieties import FiniteSubgroup, TorusVariety, product
 
 _SAFE_INT = 2**53
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class CorpusFormatError(ValueError):
@@ -41,6 +45,10 @@ def rational_to_json(x):
 def rational_from_json(v) -> Fraction:
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise CorpusFormatError(f"expected an integer or 'p/q' string, got {v!r}")
+    # Fraction alone would also take decimals, underscores and exponents,
+    # and "1e10000000" would build a ten-million-digit integer
+    if isinstance(v, str) and not _RATIONAL.fullmatch(v):
+        raise CorpusFormatError(f"bad rational {v!r}")
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:

@@ -9,9 +9,6 @@ quotient; this is where kernel groups K(L) and slope kernels come from.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
 from .matrices import Mat, Scalar, hnf_columns, integer_kernel, snf, solve_exact, vec_is_integral
 from .records import Record
 
@@ -60,17 +57,13 @@ class Lattice:
     def __init__(self, ambient_dim: int, columns: Mat):
         if columns.rows != ambient_dim:
             raise ValueError("basis rows must match ambient dimension")
+        # the nonzero Hermite columns of the integer rows over the denominator,
+        # which Mat._make reduces against their content
         b, d = columns.cleared()
         h = hnf_columns(b)
-        keep = [j for j in range(h.cols) if any(h[i, j] != 0 for i in range(h.rows))]
-        h = h.submatrix(range(h.rows), keep)
-        if keep:
-            g = gcd(h.content(), d)
-            if g > 1:
-                data = tuple(tuple(x // g for x in row) for row in h.data)
-                h = Mat._make(data, h.rows, h.cols)
-                d //= g
-        basis = h if d == 1 else Fraction(1, d) * h
+        keep = [j for j, col in enumerate(zip(*h.num)) if any(col)]
+        num = tuple(tuple(row[j] for j in keep) for row in h.num)
+        basis = Mat._make(num, h.rows, len(keep), d)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
 
@@ -138,7 +131,7 @@ class Lattice:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         # integral (x, y) with self.basis @ x == other.basis @ y;
-        # integer_kernel clears the common denominator itself
+        # integer_kernel reads the integer rows over their denominator
         k = integer_kernel(Mat.hstack(self.basis, -1 * other.basis))
         alpha = k.submatrix(range(self.rank), range(k.cols))
         return Lattice(self.ambient_dim, self.basis @ alpha)

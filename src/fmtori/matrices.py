@@ -7,17 +7,20 @@ forms (the column Hermite form and the Smith invariant factors; no caller
 reads a unimodular transform, so none is built), saturated integer kernels,
 and exact linear solvers.  No floating point appears anywhere in the package.
 
-The arithmetic is fraction-free: a rational matrix is handled as an integer
-matrix over one common denominator, products and eliminations run on
+A ``Mat`` holds integer rows ``num`` over one positive denominator ``den``,
+kept reduced, the form FLINT's ``fmpq_mat_get_fmpz_mat_matwise`` and PARI's
+``Q_remove_denom`` convert to.  Products, scalings and eliminations run on
 Python ints alone (Bareiss 1968; Nakos, Turner and Williams 1997 for the
-Gauss-Jordan form), and ``Fraction`` objects are made only for result
-entries, one exact division each.
+Gauss-Jordan form).  ``Fraction`` objects are made only where an entry is
+read: the ``data`` view and the scalars that ``det`` and ``solve_exact``
+return, each one exact division by ``_scalar``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -25,79 +28,76 @@ Scalar = int | Fraction
 Vec = tuple[Scalar, ...]
 
 
-def _exact(x: Scalar) -> Scalar:
-    # normalize Fraction(n, 1) down to int so reprs and hashes stay clean;
-    # a bool becomes a plain int, so entry type checks can test int exactly
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    raise TypeError(f"exact scalar expected, got {type(x).__name__}")
+def _scalar(n: int, d: int) -> Scalar:
+    """n / d as an exact scalar: an int when d divides n."""
+    q, r = divmod(n, d)
+    return q if r == 0 else Fraction(n, d)
 
 
-def _normalized(data: tuple[tuple, ...]) -> tuple[tuple[Scalar, ...], ...]:
-    """Rows with every entry passed through ``_exact``; data itself when every
-    entry is already an int (the common case, checked without copying)."""
-    for row in data:
-        for x in row:
-            if type(x) is not int:
-                return tuple(tuple(map(_exact, row)) for row in data)
-    return data
-
-
-def _over(x: int, d: int) -> Scalar:
-    """x / d as an exact scalar: an int when d divides x."""
-    q, r = divmod(x, d)
-    return q if r == 0 else Fraction(x, d)
-
-
-def _int_rows(data: Sequence[Sequence[Scalar]], d: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of d * data as ints, for d a common denominator of the entries."""
-    if d == 1:
-        return data
-    return tuple(
-        tuple(x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row)
-        for row in data
-    )
-
-
-def _denominator(rows: Iterable[Sequence[Scalar]]) -> int:
-    """lcm of the entry denominators (1 when every entry is an int)."""
-    d = 1
-    for row in rows:
-        for x in row:
-            if type(x) is not int:
-                d = lcm(d, x.denominator)
-    return d
+def _common_denominator(mats: Sequence["Mat"]) -> tuple[list[tuple], int]:
+    """(nums, d): the integer rows of each matrix over the lcm d of their
+    denominators."""
+    d = lcm(*(m.den for m in mats))
+    return [
+        m.num if m.den == d else tuple(tuple(x * (d // m.den) for x in row) for row in m.num)
+        for m in mats
+    ], d
 
 
 class Mat:
-    """Immutable exact matrix (entries int or Fraction).
+    """Immutable exact matrix: the integer rows ``num`` over the denominator
+    ``den``.
 
-    ``Mat(rows)`` is the input boundary: it normalizes every entry and infers
-    the shape from the rows.  Results whose entries are already exact are
-    built with ``Mat._make``, which trusts its rows and takes the shape
+    The representation is reduced: ``den > 0``, ``gcd(den, *entries) == 1``,
+    and so the zero matrix has ``den == 1``.  Each rational matrix has one
+    such form, so equality and hashing compare ``(rows, cols, den, num)``.
+    ``data`` reads the entries as ints and non-integral Fractions.
+
+    ``Mat(rows)`` is the input boundary: it checks that every entry is an
+    int or a Fraction and infers the shape from the rows.  Results are built
+    with ``Mat._make``, which trusts its integer rows and takes the shape
     explicitly, so zero-width matrices keep it (``Mat.zeros(0, 3)`` is 0x3).
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data: Iterable[Iterable[Scalar]]):
-        d = _normalized(tuple(map(tuple, data)))
-        cols = len(d[0]) if d else 0
-        for row in d:
+        num = tuple(map(tuple, data))
+        d = 1
+        plain = True
+        for row in num:
+            for x in row:
+                if type(x) is not int:
+                    if isinstance(x, Fraction):
+                        d = lcm(d, x.denominator)
+                    elif not isinstance(x, int):
+                        raise TypeError(f"exact scalar expected, got {type(x).__name__}")
+                    plain = False
+        cols = len(num[0]) if num else 0
+        for row in num:
             if len(row) != cols:
                 raise ValueError("ragged matrix")
-        object.__setattr__(self, "data", d)
-        object.__setattr__(self, "rows", len(d))
+        if not plain:
+            # over the lcm of the entry denominators the rows are reduced:
+            # an entry whose denominator has the top power of p is prime to p
+            num = tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in num)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", d)
+        object.__setattr__(self, "rows", len(num))
         object.__setattr__(self, "cols", cols)
 
     @staticmethod
-    def _make(data: tuple[tuple[Scalar, ...], ...], rows: int, cols: int) -> "Mat":
-        """A Mat on a tuple of ``rows`` row tuples of length ``cols`` whose
-        entries are already exact ints or non-integral Fractions."""
+    def _make(num: tuple[tuple[int, ...], ...], rows: int, cols: int, den: int = 1) -> "Mat":
+        """The Mat num / den on a tuple of ``rows`` int row tuples of length
+        ``cols`` and a positive den, reduced here when den is not 1."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num = tuple(tuple(x // g for x in row) for row in num)
+                den //= g
         m = object.__new__(Mat)
-        object.__setattr__(m, "data", data)
+        object.__setattr__(m, "num", num)
+        object.__setattr__(m, "den", den)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
         return m
@@ -129,16 +129,18 @@ class Mat:
         r = mats[0].rows
         if any(m.rows != r for m in mats):
             raise ValueError("row count mismatch in hstack")
-        data = tuple(sum((m.data[i] for m in mats), ()) for i in range(r))
-        return Mat._make(data, r, sum(m.cols for m in mats))
+        nums, d = _common_denominator(mats)
+        num = tuple(sum((n[i] for n in nums), ()) for i in range(r))
+        return Mat._make(num, r, sum(m.cols for m in mats), d)
 
     @staticmethod
     def vstack(*mats: "Mat") -> "Mat":
         c = mats[0].cols
         if any(m.cols != c for m in mats):
             raise ValueError("column count mismatch in vstack")
-        data = tuple(row for m in mats for row in m.data)
-        return Mat._make(data, len(data), c)
+        nums, d = _common_denominator(mats)
+        num = tuple(chain.from_iterable(nums))
+        return Mat._make(num, len(num), c, d)
 
     @staticmethod
     def block(rows_of_blocks: Sequence[Sequence["Mat"]]) -> "Mat":
@@ -146,71 +148,65 @@ class Mat:
 
     # -- access ------------------------------------------------------------
 
+    @property
+    def data(self) -> tuple[Vec, ...]:
+        """The entries as exact scalars: ints, and Fractions that are not
+        integers.  This is num itself for an integer matrix."""
+        d = self.den
+        if d == 1:
+            return self.num
+        return tuple(tuple(_scalar(x, d) for x in row) for row in self.num)
+
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         i, j = ij
-        return self.data[i][j]
+        return _scalar(self.num[i][j], self.den)
 
     def row(self, i: int) -> Vec:
-        return self.data[i]
+        return tuple(_scalar(x, self.den) for x in self.num[i])
 
     def col(self, j: int) -> Vec:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(_scalar(row[j], self.den) for row in self.num)
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Mat":
-        d = self.data
+        n = self.num
         return Mat._make(
-            tuple(tuple(d[i][j] for j in cols) for i in rows), len(rows), len(cols)
+            tuple(tuple(n[i][j] for j in cols) for i in rows), len(rows), len(cols), self.den
         )
 
     @property
     def T(self) -> "Mat":
         if not self.rows:
             return Mat._make(((),) * self.cols, self.cols, 0)
-        return Mat._make(tuple(zip(*self.data)), self.cols, self.rows)
+        return Mat._make(tuple(zip(*self.num)), self.cols, self.rows, self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        data = tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)
-        )
-        return Mat._make(_normalized(data), self.rows, self.cols)
+        (a, b), d = _common_denominator((self, other))
+        num = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
+        return Mat._make(num, self.rows, self.cols, d)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
 
     def __neg__(self) -> "Mat":
         return Mat._make(
-            tuple(tuple(-x for x in row) for row in self.data), self.rows, self.cols
+            tuple(tuple(-x for x in row) for row in self.num), self.rows, self.cols, self.den
         )
 
     def __rmul__(self, c: Scalar) -> "Mat":
-        # (n / dc) * (a / da) with a integral: integer products, then one
-        # exact division per entry
-        n, da = c.numerator, self.denominator()
-        data = tuple(tuple(n * x for x in row) for row in _int_rows(self.data, da))
-        d = c.denominator * da
-        if d != 1:
-            data = tuple(tuple(_over(x, d) for x in row) for row in data)
-        return Mat._make(data, self.rows, self.cols)
+        n = c.numerator
+        num = tuple(tuple(n * x for x in row) for row in self.num)
+        return Mat._make(num, self.rows, self.cols, c.denominator * self.den)
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        # (a / da) @ (b / db) with a, b integral: integer products, then one
-        # exact division per entry
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        da, db = self.denominator(), other.denominator()
-        b = _int_rows(other.data, db)
-        bt = tuple(zip(*b)) if b else ((),) * other.cols
-        data = tuple(
-            tuple(sum(map(mul, row, col)) for col in bt) for row in _int_rows(self.data, da)
-        )
-        d = da * db
-        if d != 1:
-            data = tuple(tuple(_over(x, d) for x in row) for row in data)
-        return Mat._make(data, self.rows, other.cols)
+        bt = tuple(zip(*other.num)) if other.rows else ((),) * other.cols
+        num = tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in self.num)
+        return Mat._make(num, self.rows, other.cols, self.den * other.den)
 
     def apply(self, v: Sequence[Scalar]) -> Vec:
         if len(v) != self.cols:
@@ -222,11 +218,12 @@ class Mat:
             isinstance(other, Mat)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.den, self.num))
 
     def __repr__(self) -> str:
         return f"Mat({[list(r) for r in self.data]})"
@@ -238,51 +235,44 @@ class Mat:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.num))
 
     def is_integral(self) -> bool:
-        return all(type(x) is int for row in self.data for x in row)
+        return self.den == 1
 
     def is_alternating(self) -> bool:
         return self.is_square and self.T == -self
 
     def denominator(self) -> int:
         """lcm of entry denominators (1 for an integer matrix)."""
-        return _denominator(self.data)
+        return self.den
 
     def cleared(self) -> tuple["Mat", int]:
         """(d * self, d): the integral multiple over the denominator d."""
-        d = self.denominator()
-        return Mat._make(_int_rows(self.data, d), self.rows, self.cols), d
+        return Mat._make(self.num, self.rows, self.cols), self.den
 
     def content(self) -> int:
         """gcd of the absolute entries of an integral matrix (0 if zero)."""
-        if not self.is_integral():
+        if self.den != 1:
             raise ValueError("content is defined for integral matrices")
-        g = 0
-        for row in self.data:
-            for x in row:
-                g = gcd(g, abs(x))
-        return g
+        return gcd(*chain.from_iterable(self.num))
 
     def to_int(self) -> "Mat":
-        if not self.is_integral():
+        if self.den != 1:
             raise ValueError("matrix is not integral")
         return self
 
     def det(self) -> Scalar:
-        """Determinant by Bareiss elimination over a cleared denominator.
+        """Determinant by Bareiss elimination on the integer rows.
 
-        With d the lcm of the entry denominators, d * self is an integer
-        matrix; fraction-free Bareiss elimination (Sylvester's identity,
-        every division exact) gives its determinant in integers alone, and
-        det(self) = det(d * self) / d**n.
+        Fraction-free Bareiss elimination (Sylvester's identity, every
+        division exact) gives det(num) in integers alone, and
+        det(self) = det(num) / den**n.
         """
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        d = self.denominator()
-        a = list(map(list, _int_rows(self.data, d)))
+        a = list(map(list, self.num))
         sign, prev = 1, 1
         for k in range(n - 1):
             if a[k][k] == 0:
@@ -300,27 +290,23 @@ class Mat:
                     ri[j] = (ri[j] * p - f * rk[j]) // prev
             prev = p
         bareiss = sign * a[n - 1][n - 1] if n else 1
-        return _exact(Fraction(bareiss, d**n))
+        return _scalar(bareiss, self.den**n)
 
     def inverse(self) -> "Mat":
         """(a / d)^-1 = d * a^-1: fraction-free Gauss-Jordan on [a | I]
-        leaves [p*I | p*a^-1], so each entry is d * x / p."""
+        leaves [p*I | p*a^-1], so the inverse is d * x / p on that block."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        d = self.denominator()
-        a = [
-            list(row) + [int(i == j) for j in range(n)]
-            for i, row in enumerate(_int_rows(self.data, d))
-        ]
+        a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.num)]
         pivots, p = _gauss_jordan(a, n)
         if len(pivots) < n:
             raise ValueError("matrix is singular")
-        return Mat._make(tuple(tuple(_over(d * x, p) for x in row[n:]) for row in a), n, n)
+        d = self.den if p > 0 else -self.den
+        return Mat._make(tuple(tuple(d * x for x in row[n:]) for row in a), n, n, abs(p))
 
     def rank(self) -> int:
-        rows = list(map(list, _int_rows(self.data, self.denominator())))
-        return len(_gauss_jordan(rows, self.cols)[0])
+        return len(_gauss_jordan(list(map(list, self.num)), self.cols)[0])
 
 
 def _gauss_jordan(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
@@ -444,12 +430,9 @@ def _row_hnf(a: list[list[int]]) -> list[list[int]]:
 def hnf_columns(m: Mat) -> Mat:
     """Column Hermite normal form h of an integral matrix: the canonical
     basis of its column span, with any zero columns at the end."""
-    mt = [list(m.col(j)) for j in range(m.cols)]
-    for row in mt:
-        for x in row:
-            if not isinstance(x, int):
-                raise ValueError("hermite form needs an integral matrix")
-    h = _row_hnf(mt)
+    if m.den != 1:
+        raise ValueError("hermite form needs an integral matrix")
+    h = _row_hnf(list(map(list, m.T.num)))
     return Mat._make(tuple(map(tuple, h)), m.cols, m.rows).T
 
 
@@ -459,10 +442,10 @@ def snf(m: Mat) -> tuple[int, ...]:
     divisibility chain d1 | d2 | ... (zeros last).  Pivots are chosen by
     minimal absolute value.
     """
-    if not m.is_integral():
+    if m.den != 1:
         raise ValueError("smith form needs an integral matrix")
     rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.data]
+    a = [list(r) for r in m.num]
     t = 0
     while t < min(rows, cols):
         best = None
@@ -526,16 +509,15 @@ def integer_kernel(m: Mat) -> Mat:
     column Hermite form.
 
     Accepts a rational matrix (the kernel only depends on the row span).
-    Returns an n x k matrix, k possibly 0.  With b = d * m integral, a row
+    Returns an n x k matrix, k possibly 0.  With b = m.num integral, a row
     echelon form of [b^T | I] in its first r columns is [U b^T | U] for a
     unimodular U, and its rows below the pivot rows, where U b^T is zero,
     are a basis of the kernel (Cohen, GTM 138, section 2.4).  Only those
     rows are then brought to row Hermite form, which is unique, so the
     basis is canonical.
     """
-    b = m.cleared()[0]
-    r, n = b.rows, b.cols
-    a = [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(b.T.data)]
+    r, n = m.rows, m.cols
+    a = [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(m.T.num)]
     pivots = _row_echelon(a, r, reduce=False)
     ker = _row_hnf([row[r:] for row in a[pivots:]])
     if not ker:
@@ -551,8 +533,11 @@ def solve_exact(a: Mat, b: Sequence[Scalar]) -> Vec | None:
     """
     if len(b) != a.rows:
         raise ValueError("dimension mismatch")
-    rows = [row + (y,) for row, y in zip(a.data, b)]
-    aug = list(map(list, _int_rows(rows, _denominator(rows))))
+    # [a | b] over one denominator d: a.num * (d / a.den) beside b * d
+    d = lcm(a.den, *(y.denominator for y in b))
+    s = d // a.den
+    aug = [[x * s for x in row] + [y.numerator * (d // y.denominator)]
+           for row, y in zip(a.num, b)]
     n = a.cols
     pivots, p = _gauss_jordan(aug, n)
     for i in range(len(pivots), a.rows):
@@ -560,5 +545,5 @@ def solve_exact(a: Mat, b: Sequence[Scalar]) -> Vec | None:
             return None
     x: list[Scalar] = [0] * n
     for i, j in enumerate(pivots):
-        x[j] = _over(aug[i][n], p)
+        x[j] = _scalar(aug[i][n], p)
     return tuple(x)

@@ -168,9 +168,8 @@ def validate(a: TorusVariety) -> ValidationReport:
             continue
         if not e.is_alternating():
             fails.append(f"{label} is not alternating")
-        if e.T != -e or a.j.T @ e @ a.j != e:
-            if e.is_alternating():
-                fails.append(f"{label} is not J-compatible")
+        elif a.j.T @ e @ a.j != e:
+            fails.append(f"{label} is not J-compatible")
     if a.ns_basis:
         vecs = Mat.from_cols([_vec(e) for e in a.ns_basis])
         if vecs.rank() < len(a.ns_basis):
@@ -222,7 +221,7 @@ def _from_upper(v, n: int) -> Mat:
     m = [[0] * n for _ in range(n)]
     for (p, q), x in zip(combinations(range(n), 2), v):
         m[p][q], m[q][p] = x, -x
-    return Mat._make(tuple(map(tuple, m)), n, n)
+    return Mat(m)
 
 
 def _transport(forms, t: Mat) -> list[tuple]:
@@ -244,12 +243,12 @@ def _span(forms, saturated: bool) -> list[tuple]:
     nz = [v for v in forms if any(v)]
     if not nz:
         return []
-    k = len(nz[0])
+    m = Mat(nz)  # the forms as rows, rational in general
     if saturated:
-        y = integer_kernel(Mat._make(tuple(nz), len(nz), k))  # the orthogonal complement
-        basis = integer_kernel(y.T) if y.cols else Mat.identity(k)
+        y = integer_kernel(m)  # the orthogonal complement
+        basis = integer_kernel(y.T) if y.cols else Mat.identity(m.cols)
     else:
-        basis = Lattice(k, Mat._make(tuple(zip(*nz)), k, len(nz))).basis
+        basis = Lattice(m.cols, m.T).basis
     return list(zip(*basis.data))
 
 

@@ -43,6 +43,18 @@ def test_validate_malformed_exits_two(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_validate_exponent_entry_exits_two_and_names_the_file(capsys, tmp_path):
+    # Fraction("1e10000000") would build a ten-million-digit integer first
+    doc = json.loads(corpus.corpus_text("e_i.json"))
+    doc["j"][0][1] = "1e10000000"
+    bad = tmp_path / "exponent.json"
+    bad.write_text(json.dumps(doc), "utf-8")
+    code, lines, err = run(capsys, "validate", bad)
+    assert_input_error(code, err)
+    assert err == f"error: {bad}: bad rational '1e10000000'\n"
+    assert lines == []
+
+
 def test_dual_golden(capsys, corpus_dir):
     code, lines, _ = run(capsys, "dual", corpus_dir / "e_2i.json")
     assert code == 0

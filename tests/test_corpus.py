@@ -41,7 +41,7 @@ def test_rational_strings():
 
 
 def test_rational_rejections():
-    for bad in (1.5, True, None, "3/0", "x"):
+    for bad in (1.5, True, None, "3/0", "x", "1.5", "1e5", "1e10000000", "1_000"):
         with pytest.raises(corpus.CorpusFormatError):
             corpus.rational_from_json(bad)
 

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fmtori.lattices import Lattice
 from fmtori.matrices import Mat, hnf_columns, integer_kernel, snf, solve_exact
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -240,6 +242,72 @@ def test_products_match_fraction_reference(data):
     _same(Mat(a) @ Mat(b), _ref_product(a, b, k))
     s = data.draw(st.one_of(entries, big_entries, fractions, big_fractions))
     _same(s * Mat(a), [[Fraction(s) * x for x in row] for row in a])
+
+
+def _reduced(m):
+    """m after checking the representation invariant: int rows over a
+    positive int denominator prime to all of them, which is the one form
+    Mat builds from m's entries, with the same hash."""
+    assert type(m.den) is int and m.den > 0
+    assert all(type(x) is int for row in m.num for x in row)
+    assert math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+    again = Mat(m.data)
+    assert again == m and hash(again) == hash(m)
+    return m
+
+
+mixed_entries = st.one_of(entries, big_entries, fractions, big_fractions)
+
+
+@given(any_matrix, st.data())
+def test_every_operation_keeps_one_reduced_form(rows, data):
+    def draw_rows(r, c):
+        return [data.draw(st.lists(mixed_entries, min_size=c, max_size=c)) for _ in range(r)]
+
+    a = _reduced(Mat(rows))
+    r, c, k = a.rows, a.cols, data.draw(sizes)
+    fa = [[Fraction(x) for x in row] for row in rows]
+    if data.draw(st.booleans()):
+        b_rows = draw_rows(r, c)
+    else:  # a + b is integral: the sum's denominators cancel
+        b_rows = [[data.draw(entries) - x for x in row] for row in fa]
+    fb = [[Fraction(x) for x in row] for row in b_rows]
+    b, e_rows = Mat(b_rows), draw_rows(c, k)
+    s = data.draw(st.one_of(st.just(0), st.just(a.den), mixed_entries))
+    _same(_reduced(a + b), [[x + y for x, y in zip(p, q)] for p, q in zip(fa, fb)])
+    _same(_reduced(a - b), [[x - y for x, y in zip(p, q)] for p, q in zip(fa, fb)])
+    _same(_reduced(a @ Mat(e_rows)), _ref_product(rows, e_rows, c))
+    _same(_reduced(s * a), [[s * x for x in row] for row in fa])
+    _same(_reduced(a.T), list(zip(*fa)))
+    ri = data.draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=r))
+    ci = data.draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=c))
+    _same(_reduced(a.submatrix(ri, ci)), [[fa[i][j] for j in ci] for i in ri])
+    _same(_reduced(Mat.hstack(a, b)), [p + q for p, q in zip(fa, fb)])
+    _same(_reduced(Mat.vstack(a, b)), fa + fb)
+    inv = _ref_inverse(rows) if r == c else None
+    if inv is not None:
+        _same(_reduced(a.inverse()), inv)
+
+
+def test_equal_values_have_one_representation():
+    two = Mat([[Fraction(4, 2)]])
+    assert two == Mat([[2]]) and hash(two) == hash(Mat([[2]]))
+    assert (two.num, two.den) == (((2,),), 1)
+    half = Mat([[Fraction(1, 2), 1]])
+    assert (half.num, half.den) == (((1, 2),), 2)
+    # a submatrix of a rational matrix that turns integral
+    assert half.submatrix([0], [1]) == Mat([[1]])
+    assert hash(half.submatrix([0], [1])) == hash(Mat([[1]]))
+    # the zero matrix has denominator 1, however it was built
+    assert (Fraction(1, 3) * Mat.zeros(2, 2)).den == 1
+    assert (half - half).den == 1 and half - half == Mat.zeros(1, 2)
+
+
+def test_rational_reprs(e_2i):
+    assert repr(e_2i.j) == "Mat([[0, -2], [Fraction(1, 2), 0]])"
+    assert repr(e_2i.j.inverse()) == "Mat([[0, 2], [Fraction(-1, 2), 0]])"
+    basis = Lattice.standard(2).scaled(Fraction(1, 3)).basis
+    assert repr(basis) == "Mat([[Fraction(1, 3), 0], [0, Fraction(1, 3)]])"
 
 
 def test_fraction_free_kernels_on_zero_width_shapes():

@@ -53,6 +53,17 @@ def test_validate_reports_bad_complex_structure(e_i):
     assert any("J^2" in f for f in report.failures)
 
 
+@pytest.mark.parametrize("entries, failure", [
+    ({(0, 0): 1}, "is not alternating"),  # and not J-compatible either
+    ({(0, 2): 1, (2, 0): -1}, "is not J-compatible"),  # alternating
+])
+def test_validate_reports_one_failure_per_basis_class(e_i_squared, entries, failure):
+    e = Mat([[entries.get((i, j), 0) for j in range(4)] for i in range(4)])
+    basis = e_i_squared.ns_basis[:3] + (e,)
+    report = validate(TorusVariety(2, e_i_squared.j, basis, e_i_squared.polarization))
+    assert report.failures == (f"ns_basis[3] {failure}",)
+
+
 def test_validate_reports_indefinite_polarization(e_i):
     flipped = TorusVariety(e_i.g, e_i.j, e_i.ns_basis, (-1,))
     report = validate(flipped)
