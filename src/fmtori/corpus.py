@@ -28,6 +28,7 @@ from .varieties import FiniteSubgroup, TorusVariety, product
 
 _SAFE_INT = 2**53
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_EXCERPT = 40
 
 
 class CorpusFormatError(ValueError):
@@ -42,17 +43,26 @@ def rational_to_json(x):
     return f"{f.numerator}/{f.denominator}"
 
 
+def _excerpt(v) -> str:
+    """repr(v), or its first characters and its length when it is long, so
+    that an error line stays short whatever the file holds."""
+    r = repr(v)
+    if len(r) <= _EXCERPT:
+        return r
+    return f"{r[:_EXCERPT]}... ({len(r)} characters)"
+
+
 def rational_from_json(v) -> Fraction:
     if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise CorpusFormatError(f"expected an integer or 'p/q' string, got {v!r}")
+        raise CorpusFormatError(f"expected an integer or 'p/q' string, got {_excerpt(v)}")
     # Fraction alone would also take decimals, underscores and exponents,
     # and "1e10000000" would build a ten-million-digit integer
     if isinstance(v, str) and not _RATIONAL.fullmatch(v):
-        raise CorpusFormatError(f"bad rational {v!r}")
+        raise CorpusFormatError(f"bad rational {_excerpt(v)}")
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CorpusFormatError(f"bad rational {v!r}") from exc
+        raise CorpusFormatError(f"bad rational {_excerpt(v)}") from exc
 
 
 def matrix_to_json(m: Mat) -> list[list]:

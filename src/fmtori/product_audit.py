@@ -362,13 +362,16 @@ def search_kernel_class(
       (``_torsion_kernel_order``) and the target's as l^n / |det Y|.
 
     Both depend only on the coefficients mod l, because the NS basis is
-    integral, so the test is memoized by the residue tuple: at most l^rank
-    residues are tested whatever the bound, while the walk over the box
-    keeps its order and returns the same first class.  No lattice is built
-    for a candidate; the hit alone becomes an NSClass, and its kernel is
-    computed as a lattice and must equal the target, or the identity above
-    has failed.  A memo entry only ever receives one value, so threads
-    cannot change it.
+    integral.  In lexicographic order, the first vector of the box
+    [-B, B]^rank with a given residue has every coordinate at the least
+    value of [-B, B] with that residue, which lies in [-B, -B + l - 1]; so
+    the first hit over the box is the first hit over the sub-box
+    [-B, min(B, l - 1 - B)]^rank, and the walk covers only that, testing
+    each residue once.  The sub-box holds the zero vector only when l > B,
+    and then the zero residue has no other vector in the box, so leaving
+    zero out loses nothing.  No lattice is built for a candidate; the hit
+    alone becomes an NSClass, and its kernel is computed as a lattice and
+    must equal the target, or the identity above has failed.
     """
     if l < 1:
         raise PreconditionError("torsion level must be positive")
@@ -382,34 +385,30 @@ def search_kernel_class(
     class_matrix = combination_map(v.ns_basis, n, n)
     # entry k of E_i Y mod l, gathered across the basis classes i
     images = list(zip(*([x % l for row in (e @ y).data for x in row] for e in v.ns_basis)))
-    matches: dict[tuple[int, ...], bool] = {}
-
-    def passes(residue) -> bool:
-        if any(sum(c * w for c, w in zip(residue, entry)) % l for entry in images):
-            return False
-        return _torsion_kernel_order(class_matrix(residue), l) == order
 
     def hit(coeffs) -> NSClass | None:
-        residue = tuple(c % l for c in coeffs)
-        if residue not in matches:
-            matches[residue] = passes(residue)
-        if not matches[residue]:
+        if any(sum(c * w for c, w in zip(coeffs, entry)) % l for entry in images):
             return None
-        cls = NSClass(v, class_matrix(coeffs))
+        e = class_matrix(coeffs)
+        if _torsion_kernel_order(e, l) != order:
+            return None
+        cls = NSClass(v, e)
         if kernel_torsion_subgroup(v, cls, l) != target:
             raise InternalInvariantViolation(
                 "the kernel of the class found mod l differs from the target"
             )
         return cls
 
-    found = _scan(len(v.ns_basis), coeff_bound, hit, threads, limit=1)
+    top = min(coeff_bound, l - 1 - coeff_bound)
+    found = _scan(len(v.ns_basis), coeff_bound, top, hit, threads, limit=1)
     return found[0] if found else None
 
 
-def _scan(rank: int, coeff_bound: int, evaluate, threads: int, limit: int) -> list:
+def _scan(rank: int, coeff_bound: int, top: int, evaluate, threads: int, limit: int) -> list:
     """The first `limit` results of evaluate that are not None, over the
-    nonzero vectors of the box [-coeff_bound, coeff_bound]^rank in
-    lexicographic order.
+    nonzero vectors of the sub-box [-coeff_bound, top]^rank of the box
+    [-coeff_bound, coeff_bound]^rank in lexicographic order.  The size cap
+    is checked on the whole box.
 
     Every candidate reaches evaluate through pmap.  With one thread the
     candidates go one at a time, so the scan stops at the `limit`-th hit;
@@ -424,7 +423,7 @@ def _scan(rank: int, coeff_bound: int, evaluate, threads: int, limit: int) -> li
     def nonzero(coeffs):
         return evaluate(coeffs) if any(coeffs) else None
 
-    box = itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=rank)
+    box = itertools.product(range(-coeff_bound, top + 1), repeat=rank)
     chunk = 8 * threads if threads > 1 else 1
     hits: list = []
     while len(hits) < limit:
@@ -479,7 +478,7 @@ def search_product_classes(
             return pc
         return None
 
-    return _scan(len(prod.ns_basis), coeff_bound, evaluate, threads, limit)
+    return _scan(len(prod.ns_basis), coeff_bound, coeff_bound, evaluate, threads, limit)
 
 
 def _twist_bound(s: Mat, t: Mat) -> int:

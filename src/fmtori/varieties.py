@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from operator import mul
 
 from .lattices import (
@@ -216,12 +217,12 @@ def _upper(m: Mat) -> tuple:
     return tuple(d[i][j] for i, j in combinations(range(m.rows), 2))
 
 
-def _from_upper(v, n: int) -> Mat:
-    """The alternating n x n matrix with upper coordinates v."""
+def _from_upper(v, n: int, den: int = 1) -> Mat:
+    """The alternating n x n matrix with integer upper coordinates v / den."""
     m = [[0] * n for _ in range(n)]
     for (p, q), x in zip(combinations(range(n), 2), v):
         m[p][q], m[q][p] = x, -x
-    return Mat(m)
+    return Mat._make(tuple(map(tuple, m)), n, n, den)
 
 
 def _transport(forms, t: Mat) -> list[tuple]:
@@ -237,19 +238,20 @@ def _transport(forms, t: Mat) -> list[tuple]:
     return [tuple(sum(map(mul, e, m)) for m in minors) for e in forms]
 
 
-def _span(forms, saturated: bool) -> list[tuple]:
-    """Canonical basis, in column Hermite form, of the lattice the upper
-    coordinate vectors generate, or of the integral points of its Q-span."""
+def _span(forms, saturated: bool) -> list[tuple[int, ...]]:
+    """Canonical basis, in column Hermite form, of the lattice the integer
+    upper coordinate vectors generate, or of the integral points of its
+    Q-span; the basis vectors are integer too."""
     nz = [v for v in forms if any(v)]
     if not nz:
         return []
-    m = Mat(nz)  # the forms as rows, rational in general
+    m = Mat._make(tuple(nz), len(nz), len(nz[0]))  # the forms as rows
     if saturated:
         y = integer_kernel(m)  # the orthogonal complement
         basis = integer_kernel(y.T) if y.cols else Mat.identity(m.cols)
     else:
         basis = Lattice(m.cols, m.T).basis
-    return list(zip(*basis.data))
+    return list(zip(*basis.num))
 
 
 def _coefficients(target: tuple, basis: list[tuple]) -> tuple[int, ...]:
@@ -259,22 +261,28 @@ def _coefficients(target: tuple, basis: list[tuple]) -> tuple[int, ...]:
     return x
 
 
-def _uppers(mats, message: str) -> list[tuple]:
+def _uppers(mats, message: str) -> tuple[list[tuple[int, ...]], int]:
+    """(forms, d): the upper coordinates of d * m for each alternating
+    matrix m, integer over the common denominator d of the matrices."""
     if not all(m.is_alternating() for m in mats):
         raise ValueError(message)
-    return [_upper(m) for m in mats]
+    d = lcm(*(m.den for m in mats))
+    return [_upper(d * m) for m in mats], d
 
 
 def integral_span_basis(mats: list[Mat]) -> tuple[Mat, ...]:
     """Canonical basis of the integral points of the Q-span of alternating matrices."""
-    forms = _uppers(mats, "span bases are defined for alternating matrices")
+    forms, _ = _uppers(mats, "span bases are defined for alternating matrices")
     return tuple(_from_upper(v, mats[0].rows) for v in _span(forms, saturated=True))
 
 
 def generated_span_basis(mats: list[Mat]) -> tuple[Mat, ...]:
-    """Canonical basis of the lattice alternating matrices generate (no saturation)."""
-    forms = _uppers(mats, "span bases are defined for alternating matrices")
-    return tuple(_from_upper(v, mats[0].rows) for v in _span(forms, saturated=False))
+    """Canonical basis of the lattice alternating matrices generate (no saturation).
+
+    The matrices generate 1/d times the lattice of their integer multiples
+    by d, and the Hermite form scales with the lattice."""
+    forms, d = _uppers(mats, "span bases are defined for alternating matrices")
+    return tuple(_from_upper(v, mats[0].rows, d) for v in _span(forms, saturated=False))
 
 
 def intertwiner_basis(j_src: Mat, j_dst: Mat) -> tuple[Mat, ...]:
@@ -297,7 +305,8 @@ def intertwiner_basis(j_src: Mat, j_dst: Mat) -> tuple[Mat, ...]:
 def coefficients_in_basis(target: Mat, basis: tuple[Mat, ...]) -> tuple[int, ...]:
     """Integer coordinates of an alternating target in a basis of
     alternating matrices; ValueError when there are none."""
-    forms = _uppers([target, *basis], "matrix is not an integer combination of the basis")
+    # scaling the target and the basis by d leaves the coordinates unchanged
+    forms, _ = _uppers([target, *basis], "matrix is not an integer combination of the basis")
     return _coefficients(forms[0], forms[1:])
 
 

@@ -55,6 +55,18 @@ def test_validate_exponent_entry_exits_two_and_names_the_file(capsys, tmp_path):
     assert lines == []
 
 
+@pytest.mark.parametrize("entry", ("1" * 5000, [0] * 5000), ids=("digits", "list"))
+def test_validate_long_entry_prints_one_short_error_line(capsys, tmp_path, entry):
+    doc = json.loads(corpus.corpus_text("e_i.json"))
+    doc["j"][0][1] = entry
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(doc), "utf-8")
+    code, lines, err = run(capsys, "validate", bad)
+    assert_input_error(code, err)
+    assert err.count("\n") == 1 and len(err) < 200 + len(str(bad))
+    assert lines == []
+
+
 def test_dual_golden(capsys, corpus_dir):
     code, lines, _ = run(capsys, "dual", corpus_dir / "e_2i.json")
     assert code == 0

@@ -46,6 +46,16 @@ def test_rational_rejections():
             corpus.rational_from_json(bad)
 
 
+def test_rational_rejections_quote_a_short_excerpt():
+    # a 5000-digit string passes the pattern and fails Python's digit limit
+    for bad in ("1" * 5000, [0] * 5000):
+        with pytest.raises(corpus.CorpusFormatError) as info:
+            corpus.rational_from_json(bad)
+        message = str(info.value)
+        assert len(message) < 200
+        assert f"({len(repr(bad))} characters)" in message
+
+
 def test_matrix_shape_rejections():
     for bad in ([], [[]], [[1], [1, 2]], "nope"):
         with pytest.raises(corpus.CorpusFormatError):

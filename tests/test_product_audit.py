@@ -364,11 +364,16 @@ def kernel_table():
 
 
 @pytest.mark.parametrize("name", sorted(_KERNEL_VARIETIES))
-@pytest.mark.parametrize("l", (2, 3, 4))
+@pytest.mark.parametrize("l", (1, 2, 3, 4, 5))
 def test_kernel_search_matches_brute_force_scan(name, l, kernel_table):
+    # the walked sub-box is one vector at l = 1, holds the zero vector when
+    # l > bound, and is the whole box when l > 2 * bound (l = 5, bound 2)
     v = _KERNEL_VARIETIES[name]
     cyclic = _cyclic_subgroup(v, l)
-    for target in _kernel_targets(v, l) + [cyclic]:
+    targets = _kernel_targets(v, l)
+    if l > 1:  # at l = 1 the cyclic group is the trivial one, a kernel
+        targets.append(cyclic)
+    for target in targets:
         for bound in (1, 2, 3):
             box = itertools.product(range(-bound, bound + 1), repeat=len(v.ns_basis))
             want = next(
@@ -389,8 +394,9 @@ _RESIDUE_VARIETIES = [
 
 @given(st.data())
 def test_torsion_kernel_depends_on_coefficients_mod_l(data):
-    # the fact the kernel-search memo rests on: K(c) meets the l-torsion in
-    # the same subgroup as K(c + l * delta) for every integral delta
+    # the fact the kernel-search sub-box rests on: K(c) meets the l-torsion
+    # in the same subgroup as K(c + l * delta) for every integral delta, so
+    # the first box vector of each residue decides it
     v = data.draw(st.sampled_from(_RESIDUE_VARIETIES))
     l = data.draw(st.integers(1, 4))
     vec = st.lists(st.integers(-5, 5), min_size=len(v.ns_basis), max_size=len(v.ns_basis))
@@ -399,6 +405,31 @@ def test_torsion_kernel_depends_on_coefficients_mod_l(data):
     assert kernel_torsion_subgroup(v, v.ns_class(c), l) == kernel_torsion_subgroup(
         v, v.ns_class(shifted), l
     )
+
+
+def _sub_box(rank, bound, l):
+    top = min(bound, l - 1 - bound)
+    return list(itertools.product(range(-bound, top + 1), repeat=rank))
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3))
+@pytest.mark.parametrize("bound", (1, 2, 3, 4))
+@pytest.mark.parametrize("l", range(1, 11))
+def test_first_vector_of_each_residue_lies_in_the_sub_box(rank, bound, l):
+    # in lexicographic order over the nonzero vectors of [-B, B]^rank, the
+    # first vectors of the residues mod l are exactly the nonzero vectors of
+    # [-B, min(B, l - 1 - B)]^rank, in the same order; the zero vector is in
+    # that sub-box only when l > B, when no other vector has its residue
+    first = {}
+    for c in itertools.product(range(-bound, bound + 1), repeat=rank):
+        if any(c):
+            first.setdefault(tuple(x % l for x in c), c)
+    sub = _sub_box(rank, bound, l)
+    assert [c for c in sub if any(c)] == list(first.values())
+    zero = (0,) * rank
+    assert (zero in sub) == (l > bound)
+    if zero in sub:
+        assert zero not in first
 
 
 def _reference_kernel_search(v, l, target, bound):
@@ -506,8 +537,8 @@ def test_product_search_audits_only_its_hits(e_i, monkeypatch):
 
 
 def test_kernel_search_builds_one_kernel_per_hit(e_i_squared, monkeypatch):
-    # candidates are tested mod l; only the hit's kernel is built as a
-    # lattice, to check it against the target
+    # candidates are tested mod l, each residue once, in the sub-box; only
+    # the hit's kernel is built as a lattice, to check it against the target
     v, r = e_i_squared, len(e_i_squared.ns_basis)
     for l, coeffs in ((2, (1, 0, 1, 1)), (3, (2, -1, 0, 1)), (3, None)):
         target = (
@@ -520,20 +551,21 @@ def test_kernel_search_builds_one_kernel_per_hit(e_i_squared, monkeypatch):
         found = search_kernel_class(v, l, target, 2)
         monkeypatch.undo()
         evaluated = [c for _, block, *_ in batches for c in block]
-        box = list(itertools.product(range(-2, 3), repeat=r))
+        sub = _sub_box(r, 2, l)
+        assert evaluated == sub[: len(evaluated)]
+        assert len({tuple(x % l for x in c) for c in evaluated}) == len(evaluated)
         if coeffs is None:
-            assert found is None and evaluated == box
+            assert found is None and evaluated == sub
             assert len(kernels) == len(sublattices) == 0
         else:
             assert len(kernels) == len(sublattices) == 1
             # no candidate past the hit
             assert found == v.ns_class(evaluated[-1])
-            assert evaluated == box[: len(evaluated)]
 
 
-def test_kernel_search_memo_is_thread_safe(e_i_squared):
-    # pool threads share the residue memo; with frequent thread switches and
-    # more threads than cores, every answer must equal the one-thread answer
+def test_kernel_search_answer_does_not_depend_on_threads(e_i_squared):
+    # with frequent thread switches and more threads than cores, every
+    # answer must equal the one-thread answer
     v = e_i_squared
     targets = [(l, kernel_torsion_subgroup(v, v.ns_class(c), l))
                for l, c in ((2, (1, 0, 1, 1)), (3, (2, -1, 0, 1)), (3, (1, 1, 1, 1)))]
