@@ -44,6 +44,7 @@ from .slopes import (
 from .varieties import (
     NotAnIsogenyError,
     PreconditionError,
+    _excerpt,
     class_kernel,
     coefficients_in_basis,
     dual,
@@ -89,7 +90,7 @@ def _parse_literal(a, text: str):
     try:
         return parse_slope_literal(a, text)
     except ValueError as exc:
-        raise InputError(f"bad slope literal {text!r}: {exc}") from exc
+        raise InputError(f"bad slope literal {_excerpt(text)}: {exc}") from exc
 
 
 def _divisor_text(divisors) -> str:

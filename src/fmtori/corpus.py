@@ -24,11 +24,10 @@ from fractions import Fraction
 from .lattices import Lattice
 from .matrices import Mat
 from .product_audit import ProductNSClass
-from .varieties import FiniteSubgroup, TorusVariety, product
+from .varieties import FiniteSubgroup, TorusVariety, _excerpt, product
 
 _SAFE_INT = 2**53
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-_EXCERPT = 40
 
 
 class CorpusFormatError(ValueError):
@@ -41,15 +40,6 @@ def rational_to_json(x):
         n = f.numerator
         return n if abs(n) < _SAFE_INT else str(n)
     return f"{f.numerator}/{f.denominator}"
-
-
-def _excerpt(v) -> str:
-    """repr(v), or its first characters and its length when it is long, so
-    that an error line stays short whatever the file holds."""
-    r = repr(v)
-    if len(r) <= _EXCERPT:
-        return r
-    return f"{r[:_EXCERPT]}... ({len(r)} characters)"
 
 
 def rational_from_json(v) -> Fraction:
@@ -170,7 +160,12 @@ def load_json_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except RecursionError:
+            raise CorpusFormatError(f"{path}: arrays or objects nested too deeply") from None
+        except ValueError as exc:
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors, and so is
+            # the error for a number literal past Python's integer digit limit;
+            # none of their messages quotes more than a few characters of input
             raise CorpusFormatError(f"{path}: {exc}") from exc
     if not isinstance(d, dict):
         raise CorpusFormatError(f"{path}: top level must be an object")

@@ -20,7 +20,15 @@ from math import gcd, prod
 from .matrices import Mat, combination_map, snf
 from .parallel import pmap
 from .records import Record
-from .slopes import Slope, SlopeSubvariety, reduce_slope, slope_kernel, slope_subvariety
+from .slopes import (
+    Slope,
+    SlopeSubvariety,
+    _member_data,
+    _slope_subvariety,
+    reduce_slope,
+    slope_kernel,
+    slope_subvariety,
+)
 from .varieties import (
     FiniteSubgroup,
     Homomorphism,
@@ -102,7 +110,15 @@ class PartnerRecord(Record):
 
 
 def partner_from_slope(a: TorusVariety, mu: Slope) -> PartnerRecord:
-    """The partner dual(A_mu) with its identity certificate.
+    """The partner dual(A_mu) with its identity certificate."""
+    sv = slope_subvariety(a, mu)
+    return _partner_record(a, mu, sv, dual(sv.variety, name=f"{a.name}_partner"))
+
+
+def _partner_record(
+    a: TorusVariety, mu: Slope, sv: SlopeSubvariety, b: TorusVariety
+) -> PartnerRecord:
+    """The record of the partner b = dual(sv.variety), with its certificate.
 
     Dualizing twice returns the complex structure on the nose, so the
     certificate starts at the bare complex torus of dual(partner), with J
@@ -110,8 +126,6 @@ def partner_from_slope(a: TorusVariety, mu: Slope) -> PartnerRecord:
     -J_b^T == J_mu, which ``Homomorphism`` checks.  No NS data is
     transported a second time.
     """
-    sv = slope_subvariety(a, mu)
-    b = dual(sv.variety, name=f"{a.name}_partner")
     torus = TorusVariety(b.g, -1 * b.j.T, (), (), name=b.name + "^")
     cert = Homomorphism(torus, sv.variety, Mat.identity(a.dim))
     if not is_isomorphism_certificate(cert):
@@ -147,28 +161,50 @@ def enumerate_partners(
     Deduplication is by reduced-slope equality (never by isomorphism).  The
     result is ordered by (denominator, coefficient vector) of the first
     generating candidate, so output is deterministic for any thread count.
-    A fingerprint reads only the complex structure and the NS basis, so it
-    is computed once per distinct presentation (J, NS basis) among the
-    partners and shared by every entry with that presentation.
+
+    Three results are shared, each exactly:
+
+    * the member lattice, the inverse of its basis and the complex
+      structure it carries are computed once per residue key (e mod l, l)
+      of the reduced slopes, on which they depend alone (see
+      ``slopes.slope_subvariety``); the embedding, its checks and the NS
+      transport still run for every slope;
+    * a partner is a function of its subtorus, and the names are the same
+      for every candidate, so ``dual`` runs once per distinct subtorus; the
+      identity certificate is built and checked for every candidate;
+    * a fingerprint reads only the complex structure and the NS basis, so
+      it is computed once per distinct presentation (J, NS basis) among the
+      partners and shared by every entry with that presentation.
+
+    The shared results are kept in dicts local to the call and filled
+    outside ``pmap``, so the entries do not depend on the thread count.
     """
     if coeff_bound < 1 or denom_bound < 1:
         raise PreconditionError("enumeration bounds must be at least 1")
     require_within_cap((2 * coeff_bound + 1) ** len(a.ns_basis), "partner enumeration")
     seen: set[tuple] = set()
-    candidates: list[tuple[tuple[int, ...], int, Slope]] = []
+    members: dict[tuple, tuple] = {}
+    candidates: list[tuple[tuple[int, ...], int, Slope, tuple]] = []
     for l in range(1, denom_bound + 1):
         for coeffs in _normalized_coefficient_vectors(len(a.ns_basis), coeff_bound):
             mu = reduce_slope(a.ns_class(coeffs), l)
-            key = (mu.numerator.e.data, mu.l)
-            if key in seen:
+            e = mu.numerator.e.data
+            if (e, mu.l) in seen:
                 continue
-            seen.add(key)
-            candidates.append((coeffs, l, mu))
+            seen.add((e, mu.l))
+            residue = (tuple(tuple(x % mu.l for x in row) for row in e), mu.l)
+            if residue not in members:
+                members[residue] = _member_data(a, mu)
+            candidates.append((coeffs, l, mu, members[residue]))
 
-    records = pmap(lambda item: partner_from_slope(a, item[2]), candidates, threads)
+    subvarieties = pmap(lambda c: _slope_subvariety(a, c[2], c[3]), candidates, threads)
+    duals: dict[TorusVariety, TorusVariety] = {}
     prints: dict[tuple, Fingerprint] = {}
     entries = []
-    for (coeffs, l, mu), rec in zip(candidates, records):
+    for (coeffs, l, mu, _), sv in zip(candidates, subvarieties):
+        if sv.variety not in duals:
+            duals[sv.variety] = dual(sv.variety, name=f"{a.name}_partner")
+        rec = _partner_record(a, mu, sv, duals[sv.variety])
         key = (rec.partner.j, rec.partner.ns_basis)
         if key not in prints:
             prints[key] = fingerprint(rec.partner)

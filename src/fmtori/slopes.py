@@ -31,6 +31,7 @@ from .varieties import (
     PreconditionError,
     TorusVariety,
     _coefficients,
+    _excerpt,
     _from_upper,
     _span,
     _transport,
@@ -152,11 +153,37 @@ def _ambient_forms(a: TorusVariety, name: str) -> tuple[tuple, ...]:
 
 
 def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
+    """The subtorus of A x dual(A) that mu cuts out, with its structure maps.
+
+    The member lattice {w/l : e w = 0 mod l}, the inverse of its basis h and
+    the complex structure h^-1 J h it carries depend on mu only through
+    (e mod l, l), so ``partners.enumerate_partners`` computes them once per
+    residue and passes them to the same construction.  The embedding, its
+    integrality and primitivity checks, the NS transport and the three maps
+    depend on e itself and are built for every slope.
+    """
     if mu.variety != a:
         raise ValueError("slope does not live on the given variety")
+    return _slope_subvariety(a, mu, _member_data(a, mu))
+
+
+def _member_data(a: TorusVariety, mu: Slope) -> tuple[Lattice, Mat, Mat]:
+    """(member lattice, h^-1, h^-1 J h) for the canonical basis h of the
+    member lattice of mu: the same for every slope with the same e mod l and
+    l, since e w / l is integral exactly when e w = 0 mod l."""
+    lam_mu = member_lattice(a, mu)
+    h_inv = lam_mu.basis.inverse()
+    return lam_mu, h_inv, h_inv @ a.j @ lam_mu.basis
+
+
+def _slope_subvariety(
+    a: TorusVariety, mu: Slope, member: tuple[Lattice, Mat, Mat]
+) -> SlopeSubvariety:
+    """slope_subvariety(a, mu) on member = _member_data(a, mu'), for mu on a
+    and any mu' on a with the same residue key as mu."""
     n = a.dim
     amb = _ambient_product(a, a.name)
-    lam_mu = member_lattice(a, mu)
+    lam_mu, h_inv, j_mu = member
     h = lam_mu.basis
     emb = Mat.vstack(mu.l * Mat.identity(n), mu.numerator.e)
     emb_h = emb @ h
@@ -166,8 +193,6 @@ def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
     # image is primitive exactly when every invariant factor is 1
     if snf(emb_h) != (1,) * n:
         raise InternalInvariantViolation("embedded member lattice is not primitive")
-    h_inv = h.inverse()
-    j_mu = h_inv @ a.j @ h
     # NS data: restrict every ambient class, and the polarization, along the
     # embedding on upper coordinates, then present the lattice the classes
     # generate (no saturation: only classes from the ambient product count)
@@ -202,16 +227,14 @@ class ProjectionInvariants(Record):
 
 
 def projection_invariants(a: TorusVariety, mu: Slope) -> ProjectionInvariants:
-    lam_mu = member_lattice(a, mu)
-    h = lam_mu.basis
-    pi = mu.l * h
+    lam_mu, _, j_mu = _member_data(a, mu)
+    pi = mu.l * lam_mu.basis
     deg = abs(int(pi.det()))
     r = isqrt(deg)
     if r * r != deg:
         raise InternalInvariantViolation(
             f"projection degree {deg} is not a perfect square"
         )
-    j_mu = h.inverse() @ a.j @ h
     # a bare torus presentation suffices to carry the kernel; the subtorus NS
     # data plays no role in the projection invariants
     abstract = TorusVariety(a.g, j_mu, (), (), name=f"{a.name}_mu")
@@ -240,7 +263,7 @@ def parse_slope_literal(a: TorusVariety, text: str) -> tuple[NSClass, int]:
         try:
             l = int(tail)
         except ValueError:
-            raise ValueError(f"bad slope denominator {tail!r}") from None
+            raise ValueError(f"bad slope denominator {_excerpt(tail)}") from None
         if l < 1:
             raise ValueError("slope denominator must be positive")
     coeffs = [0] * len(a.ns_basis)
@@ -251,19 +274,20 @@ def parse_slope_literal(a: TorusVariety, text: str) -> tuple[NSClass, int]:
     pos = 0
     for m in re.finditer(r"[+-]?[^+-]+", s):
         if m.start() != pos:
-            raise ValueError(f"cannot parse slope term near {s[pos:]!r}")
+            raise ValueError(f"cannot parse slope term near {_excerpt(s[pos:])}")
         pos = m.end()
         term = _TERM.match(m.group(0))
         if not term:
-            raise ValueError(f"cannot parse slope term {m.group(0)!r}")
+            raise ValueError(f"cannot parse slope term {_excerpt(m.group(0))}")
         sign = -1 if term.group(1) == "-" else 1
         c = int(term.group(2)) if term.group(2) else 1
         idx = int(term.group(3))
         if idx >= len(a.ns_basis):
             raise ValueError(
-                f"basis name E{idx} out of range (variety has {len(a.ns_basis)} classes)"
+                f"basis name {_excerpt('E' + term.group(3))} out of range"
+                f" (variety has {len(a.ns_basis)} classes)"
             )
         coeffs[idx] += sign * c
     if pos != len(s):
-        raise ValueError(f"trailing garbage in slope literal {text!r}")
+        raise ValueError(f"trailing garbage in slope literal {_excerpt(text)}")
     return a.ns_class(coeffs), l

@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from operator import mul
 
 from .lattices import (
     DegenerateFormError,
@@ -52,6 +51,18 @@ class InternalInvariantViolation(AssertionError):
 
 class PreconditionError(ValueError):
     """An operation was invoked outside its documented preconditions."""
+
+
+_EXCERPT = 40
+
+
+def _excerpt(v) -> str:
+    """repr(v), or its first characters and its length when it is long, so
+    that an error line stays short whatever the input holds."""
+    r = repr(v)
+    if len(r) <= _EXCERPT:
+        return r
+    return f"{r[:_EXCERPT]}... ({len(r)} characters)"
 
 
 class TorusVariety(Record):
@@ -228,14 +239,28 @@ def _from_upper(v, n: int, den: int = 1) -> Mat:
 def _transport(forms, t: Mat) -> list[tuple]:
     """Upper coordinates of t^T e t for each form e, given by its upper
     coordinates, and an n x k matrix t: the entry (p, q) is the sum over
-    i < j of e_ij times the 2x2 minor of t on rows i, j and columns p, q."""
+    i < j of e_ij times the 2x2 minor of t on rows i, j and columns p, q.
+
+    Only the nonzero e_ij are read, and the minors on rows i, j are built
+    once per call, by the first form that needs them: the forms the package
+    transports hold a few nonzero coordinates each."""
     d = t.data
     pairs = tuple(combinations(range(t.rows), 2))
-    minors = [
-        tuple(d[i][p] * d[j][q] - d[j][p] * d[i][q] for i, j in pairs)
-        for p, q in combinations(range(t.cols), 2)
-    ]
-    return [tuple(sum(map(mul, e, m)) for m in minors) for e in forms]
+    cols = tuple(combinations(range(t.cols), 2))
+    minors: dict[int, list] = {}
+    out = []
+    for e in forms:
+        acc = None
+        for k, x in enumerate(e):
+            if not x:
+                continue
+            m = minors.get(k)
+            if m is None:
+                ri, rj = d[pairs[k][0]], d[pairs[k][1]]
+                m = minors[k] = [ri[p] * rj[q] - rj[p] * ri[q] for p, q in cols]
+            acc = [x * y for y in m] if acc is None else [s + x * y for s, y in zip(acc, m)]
+        out.append(tuple(acc) if acc is not None else (0,) * len(cols))
+    return out
 
 
 def _span(forms, saturated: bool) -> list[tuple[int, ...]]:

@@ -67,6 +67,19 @@ def test_validate_long_entry_prints_one_short_error_line(capsys, tmp_path, entry
     assert lines == []
 
 
+@pytest.mark.parametrize(
+    "literal", ("x" * 6001, "E0+-" + "E0" * 3000, "E" + "1" * 3000, "E0/" + "9" * 5000),
+    ids=("term", "near", "name", "denominator"),
+)
+@pytest.mark.parametrize("option", ("kl --class", "amu --slope"))
+def test_long_slope_literal_prints_one_short_error_line(capsys, corpus_dir, option, literal):
+    command, flag = option.split()
+    code, lines, err = run(capsys, command, corpus_dir / "e_i.json", f"{flag}={literal}")
+    assert_input_error(code, err)
+    assert err.count("\n") == 1 and len(err) < 300
+    assert lines == []
+
+
 def test_dual_golden(capsys, corpus_dir):
     code, lines, _ = run(capsys, "dual", corpus_dir / "e_2i.json")
     assert code == 0

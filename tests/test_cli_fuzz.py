@@ -3,12 +3,16 @@
 
 ``cli.main`` runs in-process on the shipped curves, with fuzzed subgroup
 files for ``search-n``, fuzzed product-class files for ``audit`` and fuzzed
-literals for ``kl`` and ``amu``, at small ``--l`` and ``--bound``.
+literals for ``kl`` and ``amu``, at small ``--l`` and ``--bound``.  Raw
+texts that no JSON document generator writes (deep nesting, number
+literals past Python's digit limit, truncated and concatenated corpus
+files) go to every command that loads a file.
 """
 
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -29,13 +33,17 @@ def corpus_dir(tmp_path_factory):
     return d
 
 
-def _main(argv) -> int:
+def _run(argv) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
-    return code
+    return code, err.getvalue()
+
+
+def _main(argv) -> int:
+    return _run(argv)[0]
 
 
 def _write(directory, name, doc):
@@ -132,3 +140,72 @@ def test_literal_commands_on_fuzzed_literals(corpus_dir, command, curve, literal
     name, option = command
     # option=value, so that a literal starting with '-' is not read as an option
     _main([name, corpus_dir / curve, f"{option}={literal}"])
+
+
+# -- raw text ---------------------------------------------------------------------
+
+SHIPPED_TEXTS = [corpus.corpus_text(name) for name in corpus.shipped_names()]
+_NUMBER = re.compile(r"[0-9]+")
+
+
+def _nested(depth: int, bracket: str) -> str:
+    if bracket == "[":
+        return "[" * depth + "]" * depth
+    return '{"a": ' * depth + "0" + "}" * depth
+
+
+def _replace_number(text: str, index: int, replacement: str) -> str:
+    # every shipped file holds digits: in g, the matrices and the polarization
+    spots = list(_NUMBER.finditer(text))
+    m = spots[index % len(spots)]
+    return text[: m.start()] + replacement + text[m.end() :]
+
+
+shipped = st.sampled_from(SHIPPED_TEXTS)
+nestings = st.builds(_nested, st.sampled_from((2, 500, 5_000, 100_000)), st.sampled_from("[{"))
+long_numbers = st.sampled_from((100, 4_300, 4_301, 5_000)).map(lambda n: "7" * n)
+raw_texts = st.one_of(
+    nestings,
+    st.builds(_replace_number, shipped, st.integers(0, 60), st.one_of(nestings, long_numbers)),
+    # a strict prefix of a shipped file is never a whole JSON document
+    st.builds(lambda t, f: t[: int(f * (len(t) - 1))], shipped, st.floats(0, 1)),
+    st.builds(lambda a, b: a + b, shipped, shipped),
+)
+
+
+def _loading_commands(d, path):
+    curve = d / "e_i.json"
+    return [
+        ["validate", path],
+        ["dual", path],
+        ["kl", path, "--class=E0"],
+        ["amu", path, "--slope=E0/2"],
+        ["partners", path, "--coeff-bound", 1, "--denom-bound", 1, "--search-bound", 0],
+        ["ppav-check", path, "--n", 1, "--l", 2],
+        ["audit", curve, curve, "--class", path, "--l", 2],
+        ["search-n", curve, "--l", 2, "--target", path, "--bound", 1],
+    ]
+
+
+@FUZZ
+@given(text=raw_texts, command=st.integers(0, 7))
+def test_loading_commands_on_raw_text(corpus_dir, text, command):
+    path = corpus_dir / "fuzz_raw.json"
+    path.write_text(text, "utf-8")
+    _main(_loading_commands(corpus_dir, path)[command])
+
+
+@pytest.mark.parametrize(
+    "text",
+    (_nested(100_000, "["), _replace_number(corpus.corpus_text("e_i.json"), 0, "7" * 5_000)),
+    ids=("nested", "digits"),
+)
+def test_reproduced_files_exit_two_with_one_error_line(corpus_dir, tmp_path, text):
+    # each file once made the loader raise past the exit-code contract: a
+    # RecursionError, and the ValueError of the integer digit limit
+    path = tmp_path / "bad.json"
+    path.write_text(text, "utf-8")
+    for argv in _loading_commands(corpus_dir, path):
+        code, err = _run(argv)
+        assert code == 2, argv
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, argv

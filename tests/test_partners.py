@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from fmtori import corpus, partners
+from fmtori import corpus, partners, slopes
 from fmtori.matrices import Mat, snf
 from fmtori.partners import (
     SEARCH_CANDIDATE_CAP,
@@ -16,7 +16,7 @@ from fmtori.partners import (
     partner_from_slope,
     ppav_rigidity_check,
 )
-from fmtori.slopes import Slope, reduce_slope
+from fmtori.slopes import Slope, member_lattice, reduce_slope
 from fmtori.varieties import (
     Homomorphism,
     PreconditionError,
@@ -237,6 +237,8 @@ def test_partner_certificates_start_at_the_double_dual(partner_entries):
 
 
 def test_enumeration_dualizes_each_partner_once(e_i_squared, monkeypatch):
+    # a partner is a function of its subtorus, so dual runs once per distinct
+    # subtorus, in the order the subtori first appear among the entries
     calls = []
     original = partners.dual
 
@@ -247,8 +249,70 @@ def test_enumeration_dualizes_each_partner_once(e_i_squared, monkeypatch):
     monkeypatch.setattr(partners, "dual", counted)
     entries = enumerate_partners(e_i_squared, 1, 2)
     assert len(entries) == 80
-    assert len(calls) == 80
-    assert calls == [e.record.subvariety.variety for e in entries]
+    subtori = list(dict.fromkeys(e.record.subvariety.variety for e in entries))
+    assert len(subtori) == 60
+    assert calls == subtori
+    for entry in entries:
+        fresh = original(entry.record.subvariety.variety, name=f"{e_i_squared.name}_partner")
+        assert entry.record.partner == fresh
+        assert entry.record.partner.name == fresh.name
+
+
+def _member_data_by_definition(a, mu):
+    lam = member_lattice(a, mu)
+    h_inv = lam.basis.inverse()
+    return lam, h_inv, h_inv @ a.j @ lam.basis
+
+
+def _shared_member_data(a, monkeypatch, *bounds):
+    """(slope, member data) as enumerate_partners hands each candidate to
+    the subtorus construction."""
+    seen = []
+    original = partners._slope_subvariety
+
+    def recorded(v, mu, member):
+        seen.append((mu, member))
+        return original(v, mu, member)
+
+    monkeypatch.setattr(partners, "_slope_subvariety", recorded)
+    entries = enumerate_partners(a, *bounds)
+    assert [mu for mu, _ in seen] == [e.slope for e in entries]
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name, bounds", (("e_i_squared", (1, 2)), ("e_2i", (3, 6))), ids=("workload", "e_2i")
+)
+def test_shared_member_data_is_each_candidates_own(name, bounds, request, monkeypatch):
+    # the member lattice depends on the slope only through (e mod l, l); e_2i
+    # has a rational complex structure, so j_mu is checked off the integers
+    a = request.getfixturevalue(name)
+    seen = _shared_member_data(a, monkeypatch, *bounds)
+    assert len({id(member) for _, member in seen}) < len(seen)
+    for mu, member in seen:
+        assert member == _member_data_by_definition(a, mu)
+
+
+def test_enumeration_computes_each_member_lattice_once_per_residue(e_i_squared, monkeypatch):
+    calls = []
+    original = slopes.member_lattice
+
+    def counted(a, mu):
+        calls.append((tuple(tuple(x % mu.l for x in row) for row in mu.numerator.e.data), mu.l))
+        return original(a, mu)
+
+    monkeypatch.setattr(slopes, "member_lattice", counted)
+    assert len(enumerate_partners(e_i_squared, 1, 2)) == 80
+    assert len(calls) == 16
+    assert len(set(calls)) == 16
+
+
+def test_enumeration_entries_do_not_depend_on_threads(e_i_squared, partner_entries):
+    four = enumerate_partners(e_i_squared, 1, 2, threads=4)
+    assert four == partner_entries
+    assert [e.record.partner.name for e in four] == [
+        e.record.partner.name for e in partner_entries
+    ]
 
 
 def test_search_cap_is_exposed():

@@ -459,9 +459,19 @@ def test_minor_transport_is_the_congruence(data):
     n = data.draw(st.sampled_from((2, 4, 6, 8)))
     k = data.draw(st.integers(1, n))
     big = st.integers(-(2**40), 2**40)
-    t = Mat(data.draw(st.lists(st.lists(big, min_size=k, max_size=k), min_size=n, max_size=n)))
+    rational = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    entries = data.draw(st.sampled_from((big, rational)))
+    t = Mat(data.draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n)))
     m = n * (n - 1) // 2
-    forms = data.draw(st.lists(st.lists(big, min_size=m, max_size=m), min_size=1, max_size=3))
+    # dense forms, and the zero-biased ones the transport skips through: all
+    # zero, or a single nonzero coordinate, which later forms may share
+    dense = st.lists(big, min_size=m, max_size=m)
+    single = st.tuples(st.integers(0, m - 1), big.filter(bool)).map(
+        lambda c: [c[1] if i == c[0] else 0 for i in range(m)]
+    )
+    forms = data.draw(
+        st.lists(st.one_of(dense, st.just([0] * m), single), min_size=1, max_size=4)
+    )
     want = []
     for upper in forms:
         c = (t.T @ _alternating(n, upper) @ t).data
