@@ -22,7 +22,7 @@ from .corpus import (
     square_lattice_curve,
 )
 from .matrices import Mat, combination_map
-from .partners import homomorphism_space_basis, ppav_rigidity_check
+from .partners import ppav_rigidity_check
 from .product_audit import (
     _graph_homs,
     audit_equivalence,
@@ -44,6 +44,7 @@ from .varieties import (
     NSClass,
     class_kernel,
     dual,
+    intertwiner_basis,
     is_isomorphism_certificate,
     ns_pullback,
     torsion_subgroup,
@@ -341,7 +342,7 @@ def criterion_pullback_injectivity() -> dict:
     coefficients up to 2 listed.
     """
     p = square_curve_product()
-    basis = homomorphism_space_basis(p, p)
+    basis = intertwiner_basis(p.j, p.j)
     classes = [NSClass(p, e) for e in p.ns_basis]
     rng = random.Random(_C9_SEED)
     rows = []

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .lattices import Lattice
@@ -162,11 +163,15 @@ def load_json_file(path) -> dict:
             d = json.load(fh)
         except RecursionError:
             raise CorpusFormatError(f"{path}: arrays or objects nested too deeply") from None
-        except ValueError as exc:
-            # JSONDecodeError and UnicodeDecodeError are ValueErrors, and so is
-            # the error for a number literal past Python's integer digit limit;
-            # none of their messages quotes more than a few characters of input
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # neither message quotes more than a few characters of input
             raise CorpusFormatError(f"{path}: {exc}") from exc
+        except ValueError:
+            # the one other ValueError: a number literal past Python's integer
+            # digit limit, whose message advises raising the limit
+            raise CorpusFormatError(
+                f"{path}: integer literal longer than {sys.get_int_max_str_digits()} digits"
+            ) from None
     if not isinstance(d, dict):
         raise CorpusFormatError(f"{path}: top level must be an object")
     return d

@@ -215,15 +215,6 @@ def enumerate_partners(
 # -- certificate search ----------------------------------------------------------
 
 
-def homomorphism_space_basis(src: TorusVariety, dst: TorusVariety) -> tuple[Mat, ...]:
-    """Canonical basis of the lattice of integral matrices intertwining the J's.
-
-    The basis is saturated: every integral intertwiner is an integer
-    combination of it.
-    """
-    return intertwiner_basis(src.j, dst.j)
-
-
 def find_isomorphism_certificate(
     src: TorusVariety, dst: TorusVariety, bound: int = 3
 ) -> Homomorphism | None:
@@ -235,7 +226,7 @@ def find_isomorphism_certificate(
     """
     if src.dim != dst.dim:
         return None
-    basis = homomorphism_space_basis(src, dst)
+    basis = intertwiner_basis(src.j, dst.j)
     if not basis:
         return None
     b = Mat.from_cols([tuple(x for row in m.data for x in row) for m in basis])

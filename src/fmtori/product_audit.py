@@ -445,15 +445,24 @@ def search_product_classes(
 ) -> list[ProductNSClass]:
     """Lexicographic scan for product classes passing the full audit.
 
-    Necessary conditions run first, cheapest first: a reduced slope (the
-    gcd of the entries with l) and a correspondence isogeny of degree
-    exactly l^(2g-2), both on the integer class matrix before the
+    Necessary conditions run first, cheapest first: a correspondence
+    isogeny of degree exactly l^(2g-2), then a reduced slope (the gcd of
+    the entries of the integer class matrix with l), both before the
     ProductNSClass is built, then an ample B-block (the audit's
     precondition for l > 1) and a slope-subtorus kernel of order l^2.  The
     degree and kernel-order items stay in the audit, so the filters reject
     only candidates the audit would not pass, and the hits are those of
-    auditing every candidate.  With one thread the scan stops at the
-    `limit`-th hit; the result is the same for any thread count.
+    auditing every candidate; each filter is a necessary condition, so
+    their order does not change the hits either.
+
+    The correspondence block of a candidate is the same combination of the
+    basis classes' own blocks, and only the classes with a nonzero block
+    count (for ``product(a, b)``, the ``intertwiner_basis`` classes).  So
+    the degree is decided once per distinct block, on the coefficients of
+    those classes, and kept in a dict local to the call.  Its entries are
+    exact booleans that depend only on their key, so a race between threads
+    can only compute the same entry twice.  With one thread the scan stops
+    at the `limit`-th hit; the result is the same for any thread count.
     """
     prod = _product_variety(a, b, a.name, b.name)
     na, nb = a.dim, b.dim
@@ -461,13 +470,20 @@ def search_product_classes(
     # candidates are plain integer combinations of the product basis; the
     # few that pass the filters are validated once, by ProductNSClass
     class_matrix = combination_map(prod.ns_basis, prod.dim, prod.dim)
+    blocks = [e.submatrix(range(na), range(na, na + nb)) for e in prod.ns_basis]
+    live = [k for k, c in enumerate(blocks) if any(map(any, c.num))]
+    corr_matrix = combination_map([blocks[k] for k in live], na, nb)
+    has_degree: dict[tuple[int, ...], bool] = {}
 
     def evaluate(coeffs) -> ProductNSClass | None:
+        key = tuple(coeffs[k] for k in live)
+        ok = has_degree.get(key)
+        if ok is None:
+            ok = has_degree[key] = na == nb and abs(corr_matrix(key).det()) == degree
+        if not ok:
+            return None
         m = class_matrix(coeffs)
         if gcd(m.content(), l) != 1:
-            return None
-        corr = m.submatrix(range(na), range(na, na + nb))
-        if not corr.is_square or abs(corr.det()) != degree:
             return None
         pc = ProductNSClass(a, b, m)
         if l > 1 and not is_ample(pc.block_b):

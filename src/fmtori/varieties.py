@@ -219,10 +219,6 @@ def _vec(m: Mat) -> tuple:
     return tuple(x for row in m.data for x in row)
 
 
-def _unvec(v, cols: int) -> Mat:
-    return Mat([list(v[i : i + cols]) for i in range(0, len(v), cols)])
-
-
 def _upper(m: Mat) -> tuple:
     d = m.data
     return tuple(d[i][j] for i, j in combinations(range(m.rows), 2))
@@ -314,17 +310,32 @@ def intertwiner_basis(j_src: Mat, j_dst: Mat) -> tuple[Mat, ...]:
     """Canonical basis of the integral matrices m with m @ j_src == j_dst @ m.
 
     The basis is saturated, so every integral intertwiner is an integer
-    combination of it: the integer kernel of m -> m @ j_src - j_dst @ m,
-    written on matrix units, in column Hermite form.
+    combination of it: the integer kernel of m -> m @ j_src - j_dst @ m in
+    column Hermite form, which is unique.
+
+    The map is one integer system on the row-major vec(m), over the common
+    denominator d of the two J's: with s = d * j_src and t = d * j_dst, the
+    entry (i, k) of d * (m @ j_src - j_dst @ m) reads s[q][k] at m[i][q] and
+    -t[i][p] at m[p][k].  Scaling by d leaves the kernel unchanged.
     """
     rows, cols = j_dst.rows, j_src.rows
-    units = []
-    for p in range(rows):
-        for q in range(cols):
-            e_pq = Mat([[int((i, j) == (p, q)) for j in range(cols)] for i in range(rows)])
-            units.append(_vec(e_pq @ j_src - j_dst @ e_pq))
-    ker = integer_kernel(Mat.from_cols(units))
-    return tuple(_unvec(ker.col(k), cols) for k in range(ker.cols))
+    d = lcm(j_src.den, j_dst.den)
+    s = [[d // j_src.den * x for x in row] for row in j_src.num]
+    t = [[d // j_dst.den * x for x in row] for row in j_dst.num]
+    system = []
+    for i in range(rows):
+        for k in range(cols):
+            eq = [0] * (rows * cols)
+            for q in range(cols):
+                eq[i * cols + q] += s[q][k]
+            for p in range(rows):
+                eq[p * cols + k] -= t[i][p]
+            system.append(tuple(eq))
+    ker = integer_kernel(Mat._make(tuple(system), rows * cols, rows * cols))
+    return tuple(
+        Mat._make(tuple(tuple(v[i * cols : (i + 1) * cols]) for i in range(rows)), rows, cols)
+        for v in zip(*ker.num)
+    )
 
 
 def coefficients_in_basis(target: Mat, basis: tuple[Mat, ...]) -> tuple[int, ...]:
@@ -526,13 +537,36 @@ def preimage_under(f: Homomorphism, s: FiniteSubgroup) -> FiniteSubgroup:
 
 
 class Product(Record):
-    """A product variety with its canonical injections and projections."""
+    """A product variety with its canonical injections and projections.
+
+    The four maps are built and validated as ``Homomorphism``s on first
+    read, like ``FiniteSubgroup.structure``: the package's own callers read
+    only ``variety``.
+    """
 
     variety: TorusVariety
-    proj_a: Homomorphism
-    proj_b: Homomorphism
-    inj_a: Homomorphism
-    inj_b: Homomorphism
+    a: TorusVariety
+    b: TorusVariety
+
+    @cached_property
+    def proj_a(self) -> Homomorphism:
+        na, nb = self.a.dim, self.b.dim
+        return Homomorphism(self.variety, self.a, Mat.hstack(Mat.identity(na), Mat.zeros(na, nb)))
+
+    @cached_property
+    def proj_b(self) -> Homomorphism:
+        na, nb = self.a.dim, self.b.dim
+        return Homomorphism(self.variety, self.b, Mat.hstack(Mat.zeros(nb, na), Mat.identity(nb)))
+
+    @cached_property
+    def inj_a(self) -> Homomorphism:
+        na, nb = self.a.dim, self.b.dim
+        return Homomorphism(self.a, self.variety, Mat.vstack(Mat.identity(na), Mat.zeros(nb, na)))
+
+    @cached_property
+    def inj_b(self) -> Homomorphism:
+        na, nb = self.a.dim, self.b.dim
+        return Homomorphism(self.b, self.variety, Mat.vstack(Mat.zeros(na, nb), Mat.identity(nb)))
 
 
 def lift_first(e: Mat, nb: int) -> Mat:
@@ -559,17 +593,7 @@ def product(a: TorusVariety, b: TorusVariety, name: str | None = None) -> Produc
     )
     pol = a.polarization + b.polarization + (0,) * (len(ns) - len(a.ns_basis) - len(b.ns_basis))
     v = TorusVariety(a.g + b.g, j, ns, pol, name if name is not None else f"{a.name}x{b.name}")
-    ia = Mat.vstack(Mat.identity(na), Mat.zeros(nb, na))
-    ib = Mat.vstack(Mat.zeros(na, nb), Mat.identity(nb))
-    pa = Mat.hstack(Mat.identity(na), Mat.zeros(na, nb))
-    pb = Mat.hstack(Mat.zeros(nb, na), Mat.identity(nb))
-    return Product(
-        variety=v,
-        proj_a=Homomorphism(v, a, pa),
-        proj_b=Homomorphism(v, b, pb),
-        inj_a=Homomorphism(a, v, ia),
-        inj_b=Homomorphism(b, v, ib),
-    )
+    return Product(v, a, b)
 
 
 def ns_pullback(f: Homomorphism, c: NSClass) -> NSClass:

@@ -67,6 +67,18 @@ def test_validate_long_entry_prints_one_short_error_line(capsys, tmp_path, entry
     assert lines == []
 
 
+def test_validate_integer_literal_past_the_digit_limit_names_the_limit(capsys, tmp_path):
+    text = corpus.corpus_text("e_i.json")
+    assert '"g": 1,' in text
+    bad = tmp_path / "digits.json"
+    bad.write_text(text.replace('"g": 1,', '"g": ' + "7" * 5000 + ",", 1), "utf-8")
+    code, lines, err = run(capsys, "validate", bad)
+    assert_input_error(code, err)
+    assert err == f"error: {bad}: integer literal longer than 4300 digits\n"
+    assert "set_int_max_str_digits" not in err
+    assert lines == []
+
+
 @pytest.mark.parametrize(
     "literal", ("x" * 6001, "E0+-" + "E0" * 3000, "E" + "1" * 3000, "E0/" + "9" * 5000),
     ids=("term", "near", "name", "denominator"),

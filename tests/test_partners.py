@@ -12,7 +12,6 @@ from fmtori.partners import (
     enumerate_partners,
     find_isomorphism_certificate,
     fingerprint,
-    homomorphism_space_basis,
     partner_from_slope,
     ppav_rigidity_check,
 )
@@ -22,6 +21,7 @@ from fmtori.varieties import (
     PreconditionError,
     TorusVariety,
     dual,
+    intertwiner_basis,
     is_isomorphism_certificate,
     validate,
 )
@@ -158,13 +158,13 @@ def test_enumerate_partners_rejects_bad_bounds(e_i):
 
 
 def test_homomorphism_space_of_square_curve(e_i):
-    basis = homomorphism_space_basis(e_i, e_i)
+    basis = intertwiner_basis(e_i.j, e_i.j)
     assert len(basis) == 2  # the order Z[i]
     assert Mat.identity(2) in basis or -Mat.identity(2) in basis
 
 
 def test_homomorphism_space_between_distinct_curves(e_i, e_2i):
-    basis = homomorphism_space_basis(e_i, e_2i)
+    basis = intertwiner_basis(e_i.j, e_2i.j)
     # Hom(E_i, E_2i) is still rank 2: multiplication by 2 composed with CM
     assert len(basis) == 2
     for m in basis:
@@ -350,7 +350,7 @@ def _ref_find_isomorphism_certificate(src, dst, bound):
     # the search as written with a Mat sum per candidate
     if src.dim != dst.dim:
         return None
-    basis = homomorphism_space_basis(src, dst)
+    basis = intertwiner_basis(src.j, dst.j)
     if not basis:
         return None
     b = Mat.from_cols([tuple(x for row in m.data for x in row) for m in basis])

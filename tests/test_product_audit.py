@@ -312,17 +312,58 @@ def _ref_search_product_classes(a, b, l, coeff_bound, limit):
     return hits
 
 
+_E_I, _E_2I = square_lattice_curve(), doubled_square_lattice_curve()
+
+
+# mixed factors have different correspondence blocks from either square; they
+# have no hits, because E_i and E_2i are not isomorphic and g = 1 asks for a
+# correspondence of degree l^0 = 1, so there both searches reject every class
 @pytest.mark.parametrize(
-    "curve", (square_lattice_curve(), doubled_square_lattice_curve()), ids=("E_i", "E_2i")
+    "a, b",
+    ((_E_I, _E_I), (_E_2I, _E_2I), (_E_I, _E_2I), (_E_2I, _E_I)),
+    ids=("E_i", "E_2i", "E_i,E_2i", "E_2i,E_i"),
 )
 @pytest.mark.parametrize("l", (1, 2, 3))
 @pytest.mark.parametrize("bound", (1, 2))
-def test_product_search_matches_reference_funnel(curve, l, bound):
+def test_product_search_matches_reference_funnel(a, b, l, bound):
     # the reference's hits at a smaller limit are a prefix of these
-    want = [pc.m for pc in _ref_search_product_classes(curve, curve, l, bound, 3)]
+    want = [pc.m for pc in _ref_search_product_classes(a, b, l, bound, 3)]
     for limit in (1, 2, 3):
-        got = search_product_classes(curve, curve, l, bound, limit=limit)
+        got = search_product_classes(a, b, l, bound, limit=limit)
         assert [pc.m for pc in got] == want[:limit]
+
+
+def test_product_search_decides_each_correspondence_degree_once(e_i, monkeypatch):
+    # E_i x E_i has two classes with a nonzero correspondence block, so the
+    # bound-2 box of 625 candidates holds 25 distinct blocks
+    keys, blocks, block_dets = [], [], []
+    combination_map = product_audit.combination_map
+
+    def recording(basis, rows, cols):
+        combine = combination_map(basis, rows, cols)
+        if (rows, cols) != (e_i.dim, e_i.dim):
+            return combine
+
+        def counted(coeffs):
+            keys.append(tuple(coeffs))
+            blocks.append(combine(coeffs))
+            return blocks[-1]
+
+        return counted
+
+    monkeypatch.setattr(product_audit, "combination_map", recording)
+    det = Mat.det
+
+    def counting_det(m):
+        if any(m is c for c in blocks):
+            block_dets.append(m)
+        return det(m)
+
+    monkeypatch.setattr(Mat, "det", counting_det)
+    assert len(search_product_classes(e_i, e_i, 2, 2, limit=2)) == 2
+    assert 0 < len(block_dets) == len(keys) <= 25
+    assert len(set(keys)) == len(keys)
+    assert all(len(key) == 2 for key in keys)
 
 
 def _cyclic_subgroup(v, l):

@@ -48,7 +48,7 @@ FIELDS = {
     "fmtori.varieties.FiniteSubgroup": ("variety", "overlattice"),
     "fmtori.varieties.Homomorphism": ("source", "target", "m"),
     "fmtori.varieties.NSClass": ("variety", "e"),
-    "fmtori.varieties.Product": ("variety", "proj_a", "proj_b", "inj_a", "inj_b"),
+    "fmtori.varieties.Product": ("variety", "a", "b"),
     "fmtori.varieties.TorusVariety": ("g", "j", "ns_basis", "polarization", "name"),
     "fmtori.varieties.ValidationReport": ("failures",),
 }

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from fmtori.corpus import (
 )
 from fmtori.lattices import Lattice
 from fmtori.matrices import Mat, integer_kernel, solve_exact, vec_is_integral
-from fmtori.partners import homomorphism_space_basis
 from fmtori.varieties import (
     Homomorphism,
     _is_positive_definite,
@@ -23,6 +23,7 @@ from fmtori.varieties import (
     coefficients_in_basis,
     generated_span_basis,
     integral_span_basis,
+    intertwiner_basis,
     NotAnIsogenyError,
     NSClass,
     TorusVariety,
@@ -192,6 +193,41 @@ def test_product_structure(e_i):
     assert p.proj_b.compose(p.inj_b).m == Mat.identity(2)
 
 
+@pytest.mark.parametrize("pair", ("E_i, E_i", "E_i, E_2i", "E_2i, E_i x E_i"))
+def test_product_maps_are_built_and_validated_on_first_read(pair, monkeypatch):
+    curves = {
+        "E_i": square_lattice_curve(),
+        "E_2i": doubled_square_lattice_curve(),
+        "E_i x E_i": square_curve_product(),
+    }
+    a, b = (curves[n] for n in pair.split(", "))
+    na, nb = a.dim, b.dim
+    checked = []
+    post_init = Homomorphism.__post_init__
+
+    def counting(self):
+        checked.append((self.source, self.target))
+        post_init(self)
+
+    monkeypatch.setattr(Homomorphism, "__post_init__", counting)
+    p = product(a, b)
+    assert checked == []
+    v = p.variety
+    # the maps as product() built them eagerly before
+    eager = {
+        "proj_a": Homomorphism(v, a, Mat.hstack(Mat.identity(na), Mat.zeros(na, nb))),
+        "proj_b": Homomorphism(v, b, Mat.hstack(Mat.zeros(nb, na), Mat.identity(nb))),
+        "inj_a": Homomorphism(a, v, Mat.vstack(Mat.identity(na), Mat.zeros(nb, na))),
+        "inj_b": Homomorphism(b, v, Mat.vstack(Mat.zeros(na, nb), Mat.identity(nb))),
+    }
+    for name, want in eager.items():
+        del checked[:]
+        assert getattr(p, name) == want
+        assert checked == [(want.source, want.target)]
+        assert getattr(p, name) is getattr(p, name)
+        assert len(checked) == 1
+
+
 def test_correspondence_classes_have_disjoint_support(e_i_squared):
     seen = set()
     for e in e_i_squared.ns_basis:
@@ -230,21 +266,75 @@ def _fixed_by_conjugation(a, b):
     )
 
 
-def test_correspondence_blocks_are_homomorphisms_into_the_dual():
+def _ref_intertwiner_basis(j_src, j_dst):
+    """intertwiner_basis as it was built on matrix units, one Mat and two
+    products per unit."""
+    rows, cols = j_dst.rows, j_src.rows
+    units = []
+    for p in range(rows):
+        for q in range(cols):
+            e_pq = Mat([[int((i, j) == (p, q)) for j in range(cols)] for i in range(rows)])
+            units.append(tuple(x for row in (e_pq @ j_src - j_dst @ e_pq).data for x in row))
+    ker = integer_kernel(Mat.from_cols(units))
+    return tuple(
+        Mat([list(ker.col(k)[i : i + cols]) for i in range(0, rows * cols, cols)])
+        for k in range(ker.cols)
+    )
+
+
+def _shipped_and_duals():
     shipped = [
         square_lattice_curve(),
         doubled_square_lattice_curve(),
         square_curve_product(),
         square_curve_product_principal(),
     ]
-    shipped += [dual(v) for v in shipped]
+    return shipped + [dual(v) for v in shipped]
+
+
+def test_intertwiner_basis_matches_the_unit_matrix_reference():
+    # square and non-square (2x2 against 4x4), integral and rational J
+    js = [s * v.j for v in _shipped_and_duals() for s in (1, -1)]
+    assert len(js) == 16
+    for j_src in js:
+        for j_dst in js:
+            assert intertwiner_basis(j_src, j_dst) == _ref_intertwiner_basis(j_src, j_dst)
+
+
+def _invertible(draw, n):
+    while True:
+        p = Mat([[Fraction(draw.randint(-3, 3), draw.randint(1, 3)) for _ in range(n)]
+                 for _ in range(n)])
+        if p.det() != 0:
+            return p
+
+
+def test_intertwiner_basis_on_rational_conjugates_matches_the_reference():
+    # P J P^-1 squares to -I for any invertible rational P, so the conjugates
+    # are complex structures with denominators the shipped ones lack
+    draw = random.Random(1729)
+    base = {2: [square_lattice_curve().j, doubled_square_lattice_curve().j],
+            4: [square_curve_product().j, square_curve_product_principal().j]}
+    for _ in range(12):
+        js = []
+        for n, choices in base.items():
+            p = _invertible(draw, n)
+            js.append(p @ draw.choice(choices) @ p.inverse())
+        assert any(not j.is_integral() for j in js)
+        for j_src in js:
+            for j_dst in js:
+                assert intertwiner_basis(j_src, j_dst) == _ref_intertwiner_basis(j_src, j_dst)
+
+
+def test_correspondence_blocks_are_homomorphisms_into_the_dual():
+    shipped = _shipped_and_duals()
     for a in shipped:
         for b in shipped:
             p = product(a, b).variety
             na, nb = a.dim, b.dim
             k = len(a.ns_basis) + len(b.ns_basis)
             blocks = tuple(e.submatrix(range(na), range(na, na + nb)) for e in p.ns_basis[k:])
-            assert blocks == homomorphism_space_basis(b, dual(a))
+            assert blocks == intertwiner_basis(b.j, dual(a).j)
             assert blocks == _fixed_by_conjugation(a, b)
 
 
