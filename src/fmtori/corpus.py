@@ -132,7 +132,7 @@ def product_class_from_json(d: dict, a: TorusVariety, b: TorusVariety) -> Produc
         raise CorpusFormatError("product class matrix must be integral")
     name = d.get("name", "M")
     try:
-        return ProductNSClass(a, b, m.to_int(), name=name)
+        return ProductNSClass(a, b, m, name=name)
     except ValueError as exc:
         raise CorpusFormatError(str(exc)) from exc
 

@@ -28,10 +28,6 @@ class FiniteGroupStructure(Record):
     order: int
 
     @staticmethod
-    def trivial() -> "FiniteGroupStructure":
-        return FiniteGroupStructure((), 1)
-
-    @staticmethod
     def from_diagonal(diag: tuple[int, ...]) -> "FiniteGroupStructure":
         ds = tuple(d for d in diag if d > 1)
         order = 1

@@ -122,6 +122,8 @@ class Mat:
         if not cols:
             raise ValueError("need at least one column")
         n = len(cols[0])
+        if any(len(col) != n for col in cols):
+            raise ValueError("ragged matrix")
         return Mat([[col[i] for col in cols] for i in range(n)])
 
     @staticmethod
@@ -160,9 +162,6 @@ class Mat:
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         i, j = ij
         return _scalar(self.num[i][j], self.den)
-
-    def row(self, i: int) -> Vec:
-        return tuple(_scalar(x, self.den) for x in self.num[i])
 
     def col(self, j: int) -> Vec:
         return tuple(_scalar(row[j], self.den) for row in self.num)
@@ -234,18 +233,11 @@ class Mat:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return not any(map(any, self.num))
-
     def is_integral(self) -> bool:
         return self.den == 1
 
     def is_alternating(self) -> bool:
         return self.is_square and self.T == -self
-
-    def denominator(self) -> int:
-        """lcm of entry denominators (1 for an integer matrix)."""
-        return self.den
 
     def cleared(self) -> tuple["Mat", int]:
         """(d * self, d): the integral multiple over the denominator d."""
@@ -256,11 +248,6 @@ class Mat:
         if self.den != 1:
             raise ValueError("content is defined for integral matrices")
         return gcd(*chain.from_iterable(self.num))
-
-    def to_int(self) -> "Mat":
-        if self.den != 1:
-            raise ValueError("matrix is not integral")
-        return self
 
     def det(self) -> Scalar:
         """Determinant by Bareiss elimination on the integer rows.

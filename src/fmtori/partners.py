@@ -178,10 +178,13 @@ def enumerate_partners(
 
     The shared results are kept in dicts local to the call and filled
     outside ``pmap``, so the entries do not depend on the thread count.
+    The cap counts the whole coefficient box once per denominator.
     """
     if coeff_bound < 1 or denom_bound < 1:
         raise PreconditionError("enumeration bounds must be at least 1")
-    require_within_cap((2 * coeff_bound + 1) ** len(a.ns_basis), "partner enumeration")
+    require_within_cap(
+        (2 * coeff_bound + 1) ** len(a.ns_basis) * denom_bound, "partner enumeration"
+    )
     seen: set[tuple] = set()
     members: dict[tuple, tuple] = {}
     candidates: list[tuple[tuple[int, ...], int, Slope, tuple]] = []

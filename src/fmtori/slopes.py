@@ -129,9 +129,6 @@ class SlopeSubvariety(Record):
         image = self.annihilator.apply(tuple(point) + tuple(covector))
         return self.annihilator_lattice.contains_vector(image)
 
-    def kernel(self) -> FiniteSubgroup:
-        return FiniteSubgroup(self.slope.variety, self.member)
-
 
 # product varieties kept by the lru_cache helpers here and in product_audit;
 # a run touches a few varieties, so the bound only caps a long-lived process

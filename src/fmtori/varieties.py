@@ -134,9 +134,6 @@ class NSClass(Record):
     def __rmul__(self, c: int) -> "NSClass":
         return NSClass(self.variety, c * self.e)
 
-    def is_degenerate(self) -> bool:
-        return self.e.det() == 0
-
     def degree(self) -> int:
         """Self-intersection degree |det e| (square of the Pfaffian)."""
         return abs(int(self.e.det()))
@@ -182,12 +179,12 @@ def validate(a: TorusVariety) -> ValidationReport:
             fails.append(f"{label} is not alternating")
         elif a.j.T @ e @ a.j != e:
             fails.append(f"{label} is not J-compatible")
-    if a.ns_basis:
+    if not a.ns_basis:
+        fails.append("ns_basis is empty")
+    elif all((e.rows, e.cols) == (n, n) for e in a.ns_basis):
         vecs = Mat.from_cols([_vec(e) for e in a.ns_basis])
         if vecs.rank() < len(a.ns_basis):
             fails.append("ns_basis is not Z-linearly independent")
-    else:
-        fails.append("ns_basis is empty")
     if len(a.polarization) != len(a.ns_basis):
         fails.append("polarization coefficient vector length mismatch")
         return ValidationReport(tuple(fails))
@@ -224,12 +221,12 @@ def _upper(m: Mat) -> tuple:
     return tuple(d[i][j] for i, j in combinations(range(m.rows), 2))
 
 
-def _from_upper(v, n: int, den: int = 1) -> Mat:
-    """The alternating n x n matrix with integer upper coordinates v / den."""
+def _from_upper(v, n: int) -> Mat:
+    """The alternating n x n matrix with integer upper coordinates v."""
     m = [[0] * n for _ in range(n)]
     for (p, q), x in zip(combinations(range(n), 2), v):
         m[p][q], m[q][p] = x, -x
-    return Mat._make(tuple(map(tuple, m)), n, n, den)
+    return Mat._make(tuple(map(tuple, m)), n, n)
 
 
 def _transport(forms, t: Mat) -> list[tuple]:
@@ -282,30 +279,6 @@ def _coefficients(target: tuple, basis: list[tuple]) -> tuple[int, ...]:
     return x
 
 
-def _uppers(mats, message: str) -> tuple[list[tuple[int, ...]], int]:
-    """(forms, d): the upper coordinates of d * m for each alternating
-    matrix m, integer over the common denominator d of the matrices."""
-    if not all(m.is_alternating() for m in mats):
-        raise ValueError(message)
-    d = lcm(*(m.den for m in mats))
-    return [_upper(d * m) for m in mats], d
-
-
-def integral_span_basis(mats: list[Mat]) -> tuple[Mat, ...]:
-    """Canonical basis of the integral points of the Q-span of alternating matrices."""
-    forms, _ = _uppers(mats, "span bases are defined for alternating matrices")
-    return tuple(_from_upper(v, mats[0].rows) for v in _span(forms, saturated=True))
-
-
-def generated_span_basis(mats: list[Mat]) -> tuple[Mat, ...]:
-    """Canonical basis of the lattice alternating matrices generate (no saturation).
-
-    The matrices generate 1/d times the lattice of their integer multiples
-    by d, and the Hermite form scales with the lattice."""
-    forms, d = _uppers(mats, "span bases are defined for alternating matrices")
-    return tuple(_from_upper(v, mats[0].rows, d) for v in _span(forms, saturated=False))
-
-
 def intertwiner_basis(j_src: Mat, j_dst: Mat) -> tuple[Mat, ...]:
     """Canonical basis of the integral matrices m with m @ j_src == j_dst @ m.
 
@@ -341,9 +314,10 @@ def intertwiner_basis(j_src: Mat, j_dst: Mat) -> tuple[Mat, ...]:
 def coefficients_in_basis(target: Mat, basis: tuple[Mat, ...]) -> tuple[int, ...]:
     """Integer coordinates of an alternating target in a basis of
     alternating matrices; ValueError when there are none."""
-    # scaling the target and the basis by d leaves the coordinates unchanged
-    forms, _ = _uppers([target, *basis], "matrix is not an integer combination of the basis")
-    return _coefficients(forms[0], forms[1:])
+    if not all(m.is_alternating() for m in (target, *basis)):
+        raise ValueError("matrix is not an integer combination of the basis")
+    # solve_exact is exact on rational coordinates as well
+    return _coefficients(_upper(target), [_upper(e) for e in basis])
 
 
 # -- duality ------------------------------------------------------------------
@@ -399,9 +373,6 @@ class Homomorphism(Record):
         if self.m @ self.source.j != self.target.j @ self.m:
             raise ValueError("matrix does not intertwine the complex structures")
 
-    def is_isogeny(self) -> bool:
-        return self.m.is_square and self.m.det() != 0
-
     def degree(self) -> int:
         det = self.m.det() if self.m.is_square else 0
         if det == 0:
@@ -421,7 +392,7 @@ class Homomorphism(Record):
     def inverse(self) -> "Homomorphism":
         if not (self.m.is_square and abs(self.m.det()) == 1):
             raise ValueError("only unimodular maps invert integrally")
-        return Homomorphism(self.target, self.source, self.m.inverse().to_int())
+        return Homomorphism(self.target, self.source, self.m.inverse())
 
     def compose(self, first: "Homomorphism") -> "Homomorphism":
         """self after first (matrix product self.m @ first.m)."""
@@ -521,16 +492,6 @@ def image_under(f: Homomorphism, s: FiniteSubgroup) -> FiniteSubgroup:
         raise VarietyMismatchError("subgroup does not live on the source")
     pushed = Lattice(f.target.dim, f.m @ s.overlattice.basis)
     return FiniteSubgroup(f.target, pushed.sum(Lattice.standard(f.target.dim)))
-
-
-def preimage_under(f: Homomorphism, s: FiniteSubgroup) -> FiniteSubgroup:
-    if s.variety != f.target:
-        raise VarietyMismatchError("subgroup does not live on the target")
-    try:
-        inv = f.m.inverse()
-    except ValueError:
-        raise NotAnIsogenyError("preimage under a non-isogeny may be infinite") from None
-    return FiniteSubgroup(f.source, Lattice(f.source.dim, inv @ s.overlattice.basis))
 
 
 # -- products -------------------------------------------------------------------

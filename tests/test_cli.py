@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fmtori import acceptance, cli, corpus
+from fmtori import acceptance, cli, corpus, partners
 from fmtori.cli import main
 
 
@@ -380,6 +380,64 @@ def test_every_command_validates_its_varieties(capsys, corpus_dir, negative, arg
     assert_input_error(code, err)
     assert "neg.json" in err and "not positive" in err
     assert lines == []
+
+
+MIXED_ORDERS = {"3x3 first": 0, "2x2 first": 1}
+
+
+@pytest.fixture(params=MIXED_ORDERS)
+def mixed(request, tmp_path):
+    """(path, index of the 3x3 class): a curve whose NS basis holds a 3x3
+    class beside its 2x2 one, in either order."""
+    doc = json.loads(corpus.corpus_text("e_i.json"))
+    wide = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
+    k = MIXED_ORDERS[request.param]
+    doc["ns_basis"].insert(k, wide)
+    doc["polarization"].insert(k, 0)
+    path = tmp_path / "mixed.json"
+    path.write_text(corpus.render_json(doc), "utf-8")
+    return path, k
+
+
+def test_validate_reports_ns_classes_of_mixed_shape(capsys, mixed):
+    path, k = mixed
+    code, lines, err = run(capsys, "validate", path)
+    assert code == 1
+    assert lines == [f"invalid: ns_basis[{k}] has the wrong shape"]
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual", "mixed.json"],
+    ["kl", "mixed.json", "--class", "2*E0"],
+    ["amu", "mixed.json", "--slope", "1*E0/2"],
+    ["partners", "mixed.json", "--coeff-bound", "1", "--denom-bound", "1"],
+    ["ppav-check", "mixed.json", "--n", "3", "--l", "2"],
+    ["audit", "mixed.json", "mixed.json", "--class", "poincare_class.json", "--l", "1"],
+    ["search-n", "mixed.json", "--l", "2", "--target", "two_torsion.json", "--bound", "3"],
+])
+def test_ns_classes_of_mixed_shape_exit_two(capsys, corpus_dir, mixed, argv):
+    path, k = mixed
+    argv = [path if a == "mixed.json" else corpus_dir / a if a.endswith(".json") else a
+            for a in argv]
+    code, lines, err = run(capsys, *argv)
+    assert_input_error(code, err)
+    assert err.count("\n") == 1
+    assert f"ns_basis[{k}] has the wrong shape" in err
+    assert lines == []
+
+
+def test_partners_over_the_candidate_cap_exit_two_at_once(capsys, corpus_dir, monkeypatch):
+    calls = []
+    monkeypatch.setattr(partners, "reduce_slope", lambda *a: calls.append(a))
+    code, lines, err = run(
+        capsys,
+        "partners", corpus_dir / "e_i.json",
+        "--coeff-bound", "1", "--denom-bound", "1000000000", "--search-bound", "0",
+    )
+    assert_input_error(code, err)
+    assert err.count("\n") == 1 and "candidate cap" in err
+    assert lines == [] and calls == []
 
 
 def test_unreadable_files_exit_two_and_name_the_file(capsys, corpus_dir, tmp_path):

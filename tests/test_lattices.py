@@ -154,7 +154,7 @@ def test_group_structure_normalization():
     assert s.divisors == (2, 2, 6)
     assert s.order == 24
     assert s.exponent == 6
-    assert FiniteGroupStructure.trivial().exponent == 1
+    assert FiniteGroupStructure.from_diagonal(()).exponent == 1
 
 
 @st.composite

@@ -57,7 +57,7 @@ def _reference_fingerprint(a, profile_bound=None):
         if not any(coeffs):
             continue
         c = a.ns_class(coeffs)
-        if c.is_degenerate():
+        if c.e.det() == 0:
             profiles.append((0,))
             continue
         d = snf(c.e)
@@ -327,6 +327,31 @@ def test_enumeration_over_the_cap_raises_before_any_candidate(e_i_squared, monke
     monkeypatch.setattr(partners, "reduce_slope", no_candidate)
     with pytest.raises(PreconditionError, match="candidate cap"):
         enumerate_partners(e_i_squared, 100, 1)
+
+
+def test_enumeration_cap_counts_every_denominator(e_i, monkeypatch):
+    calls = []
+
+    class Started(Exception):
+        pass
+
+    def record(*args):
+        calls.append(args)
+        raise Started
+
+    monkeypatch.setattr(partners, "reduce_slope", record)
+    # a box of 5 vectors times 100 000 denominators is the cap exactly
+    at_cap = SEARCH_CANDIDATE_CAP // 5
+    assert 5 * at_cap == SEARCH_CANDIDATE_CAP
+    with pytest.raises(Started):
+        enumerate_partners(e_i, 2, at_cap)
+    assert len(calls) == 1
+    del calls[:]
+    # the box alone is far below the cap: the denominators carry it over
+    for bounds in ((2, at_cap + 1), (1, 10**9)):
+        with pytest.raises(PreconditionError, match="candidate cap"):
+            enumerate_partners(e_i, *bounds)
+    assert calls == []
 
 
 def _filtered_coefficient_vectors(rank, bound):

@@ -645,7 +645,7 @@ def _ref_audit(pc, l):
     kern = slope_kernel(prod, mu)
     items.append(item("subtorus_kernel_order", l * l, kern.order))
     _, pi, _ = decompose(pc)
-    if pi.is_isogeny():
+    if pi.m.is_square and pi.m.det() != 0:
         items.append(item("correspondence_degree", l ** (2 * g - 2), pi.degree()))
         ker_pi = pi.kernel()
         ker_pi_hat = pi.dual_hom().kernel()
