@@ -182,7 +182,6 @@ def _cmd_partners(args):
     source_print = None
     rows = []
     lines = []
-    code = 0
     for entry in entries:
         rec = entry.record
         fp = entry.partner_fingerprint
@@ -217,7 +216,7 @@ def _cmd_partners(args):
     payload = {"command": "partners", "name": a.name,
                "coeff_bound": args.coeff_bound, "denom_bound": args.denom_bound,
                "search_bound": args.search_bound, "entries": rows}
-    return code, lines, payload
+    return 0, lines, payload
 
 
 def _cmd_ppav_check(args):
@@ -244,7 +243,7 @@ def _cmd_audit(args):
         "command": "audit", "a": a.name, "b": b.name, "class": pc.name, "l": args.l,
         "all_pass": report.all_pass,
         "items": [{"name": it.name, "passed": it.passed,
-                   "expected": str(it.expected), "actual": str(it.actual)}
+                   "expected": it.expected, "actual": it.actual}
                   for it in report.items],
     }
     return (0 if report.all_pass else 1), lines, payload

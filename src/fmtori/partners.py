@@ -250,7 +250,8 @@ def find_isomorphism_certificate(
             continue
         if abs(m.det()) != 1:
             continue
-        return Homomorphism(src, dst, m)
+        # an integer combination of the intertwiner basis
+        return Homomorphism._make(src, dst, m)
     return None
 
 
@@ -280,7 +281,8 @@ def ppav_rigidity_check(a: TorusVariety, n: int, l: int) -> RigidityCheck:
         raise PreconditionError("n and l must be positive")
     if gcd(n, l) != 1:
         raise PreconditionError("n and l must be coprime")
-    mu = reduce_slope(NSClass(a, n * h), l)
+    # n times the validated polarization
+    mu = reduce_slope(NSClass._make(a, n * h), l)
     kern = slope_kernel(a, mu)
     sv = slope_subvariety(a, mu)
     cert = sv.quotient

@@ -77,10 +77,12 @@ class ProductNSClass(Record):
     name: str = "M"
 
     def __post_init__(self):
-        # full validation (integrality, alternation, block J-compatibility);
-        # the class is derived, not a field: out of repr and equality
-        prod = _product_variety(self.a, self.b, self.a.name, self.b.name)
-        object.__setattr__(self, "_class", NSClass(prod, self.m))
+        self._class.__post_init__()  # the full class check, on the product
+
+    # the class on the product is derived, not a field: out of repr and equality
+    @cached_property
+    def _class(self) -> NSClass:
+        return NSClass._make(_product_variety(self.a, self.b, self.a.name, self.b.name), self.m)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -93,15 +95,16 @@ class ProductNSClass(Record):
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.m))
 
+    # the diagonal blocks of a valid class under a block-diagonal J are valid
     @cached_property
     def block_a(self) -> NSClass:
         n = self.a.dim
-        return NSClass(self.a, self.m.submatrix(range(n), range(n)))
+        return NSClass._make(self.a, self.m.submatrix(range(n), range(n)))
 
     @cached_property
     def block_b(self) -> NSClass:
         n, k = self.a.dim, self.b.dim
-        return NSClass(self.b, self.m.submatrix(range(n, n + k), range(n, n + k)))
+        return NSClass._make(self.b, self.m.submatrix(range(n, n + k), range(n, n + k)))
 
     @property
     def correspondence(self) -> Mat:
@@ -124,7 +127,8 @@ def decompose(pc: ProductNSClass) -> tuple[NSClass, Homomorphism, NSClass]:
     the block pairs A-coordinates against B-coordinates, and reading it on
     the dual basis of B transposes it.
     """
-    pi = Homomorphism(pc.a, dual(pc.b), pc.correspondence.T)
+    # pi intertwines: see audit_equivalence
+    pi = Homomorphism._make(pc.a, dual(pc.b), pc.correspondence.T)
     return pc.block_a, pi, pc.block_b
 
 
@@ -166,7 +170,8 @@ def _graph_homs(pc: ProductNSClass) -> tuple[Homomorphism, Homomorphism]:
     na = pc.a.dim
     cols_a = pc.m.submatrix(range(pc.m.rows), range(na))
     cols_b = pc.m.submatrix(range(pc.m.rows), range(na, pc.m.cols))
-    return Homomorphism(pc.a, dp, cols_a), Homomorphism(pc.b, dp, cols_b)
+    # m J = -J^T m for the J-compatible class m, read on the column halves
+    return Homomorphism._make(pc.a, dp, cols_a), Homomorphism._make(pc.b, dp, cols_b)
 
 
 class GraphComparison(Record):
@@ -199,8 +204,8 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
 
     The correspondence isogeny pi: A -> dual(B) of ``decompose`` has degree
     |det corr|, and the kernels of pi and its dual are spanned by corr^-T and
-    corr^-1.  No dual is built: pi intertwines because ProductNSClass checked
-    J_A^T C J_B = C, which gives C^T J_A = -J_B^T C^T.
+    corr^-1.  No dual is built: pi intertwines because the class is
+    J-compatible, so J_A^T C J_B = C, which gives C^T J_A = -J_B^T C^T.
     """
     mu = _slope_of(pc, l)
     if pc.a.g != pc.b.g:
@@ -392,7 +397,8 @@ def search_kernel_class(
         e = class_matrix(coeffs)
         if _torsion_kernel_order(e, l) != order:
             return None
-        cls = NSClass(v, e)
+        # an integer combination of the validated basis
+        cls = NSClass._make(v, e)
         if kernel_torsion_subgroup(v, cls, l) != target:
             raise InternalInvariantViolation(
                 "the kernel of the class found mod l differs from the target"
@@ -467,8 +473,8 @@ def search_product_classes(
     prod = _product_variety(a, b, a.name, b.name)
     na, nb = a.dim, b.dim
     degree = l ** (2 * a.g - 2)
-    # candidates are plain integer combinations of the product basis; the
-    # few that pass the filters are validated once, by ProductNSClass
+    # candidates are plain integer combinations of the product basis, valid
+    # by linearity; none is re-validated
     class_matrix = combination_map(prod.ns_basis, prod.dim, prod.dim)
     blocks = [e.submatrix(range(na), range(na, na + nb)) for e in prod.ns_basis]
     live = [k for k, c in enumerate(blocks) if any(map(any, c.num))]
@@ -485,7 +491,7 @@ def search_product_classes(
         m = class_matrix(coeffs)
         if gcd(m.content(), l) != 1:
             return None
-        pc = ProductNSClass(a, b, m)
+        pc = ProductNSClass._make(a, b, m, "M")
         if l > 1 and not is_ample(pc.block_b):
             return None
         if slope_kernel(prod, Slope(pc.as_class(), l)).order != l * l:
@@ -529,7 +535,8 @@ def twist_to_ample(pc: ProductNSClass, l: int, ample_class: NSClass) -> tuple[Pr
     v_max = _twist_bound(pc.block_b.e @ pc.b.j, l * ample_class.e @ pc.b.j)
     m = pc.m
     for v in range(v_max + 1):
-        candidate = ProductNSClass(pc.a, pc.b, m, name=pc.name)
+        # a valid class plus multiples of a lifted valid class
+        candidate = ProductNSClass._make(pc.a, pc.b, m, pc.name)
         if is_ample(candidate.block_b):
             return candidate, v
         m = m + step

@@ -10,6 +10,9 @@ most of the cost of ``import fmtori``.  The contract:
   ``__init__`` does; a missing, unknown or repeated field raises
   ``TypeError``.  It then calls ``self.__post_init__()`` exactly once (the
   base one does nothing).
+* ``_make(*values)`` binds every field positionally, with no defaults and
+  no ``__post_init__``, as ``Mat._make`` does: for results the package has
+  just proved valid.
 * Instances are immutable: ``__setattr__`` and ``__delattr__`` raise
   ``AttributeError``.  They keep a ``__dict__``, so ``cached_property``
   works, and ``__post_init__`` may store a derived attribute, which is not
@@ -46,6 +49,14 @@ class Record:
         for field, value in zip(fields, args):
             _set(self, field, value)
         self.__post_init__()
+
+    @classmethod
+    def _make(cls, *values):
+        """An instance on every field value, in order, not re-validated."""
+        self = object.__new__(cls)
+        for field, value in zip(cls._fields, values):
+            _set(self, field, value)
+        return self
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:

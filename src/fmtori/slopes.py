@@ -71,7 +71,8 @@ def reduce_slope(numerator: NSClass, l: int) -> Slope:
     if g == 1:
         return Slope(numerator, l)
     reduced = Mat([[x // g for x in row] for row in numerator.e.data])
-    return Slope(NSClass(numerator.variety, reduced), l // g)
+    # a valid class divided by a common factor of its entries
+    return Slope(NSClass._make(numerator.variety, reduced), l // g)
 
 
 def member_lattice(a: TorusVariety, mu: Slope) -> Lattice:
@@ -198,15 +199,17 @@ def _slope_subvariety(
     ns_mu = tuple(_from_upper(v, n) for v in basis)
     pol = _coefficients(pol_r, basis)
     abstract = TorusVariety(a.g, j_mu, ns_mu, pol, name=f"{a.name}_mu")
+    # j_mu = h^-1 J h makes h^-1 and l*h intertwine, and emb_h does because
+    # e is J-compatible; h^-1 is integral because the member lattice holds Z^n
     return SlopeSubvariety(
         slope=mu,
         ambient=amb,
         member=lam_mu,
         embedding=emb,
         variety=abstract,
-        to_ambient=Homomorphism(abstract, amb, emb_h),
-        quotient=Homomorphism(a, abstract, h_inv),
-        projection=Homomorphism(abstract, a, mu.l * h),
+        to_ambient=Homomorphism._make(abstract, amb, emb_h),
+        quotient=Homomorphism._make(a, abstract, h_inv),
+        projection=Homomorphism._make(abstract, a, mu.l * h),
     )
 
 
@@ -235,7 +238,8 @@ def projection_invariants(a: TorusVariety, mu: Slope) -> ProjectionInvariants:
     # a bare torus presentation suffices to carry the kernel; the subtorus NS
     # data plays no role in the projection invariants
     abstract = TorusVariety(a.g, j_mu, (), (), name=f"{a.name}_mu")
-    sigma = Homomorphism(abstract, a, pi).kernel()
+    # l * h intertwines j_mu = h^-1 J h with J
+    sigma = Homomorphism._make(abstract, a, pi).kernel()
     if sigma.order != deg:
         raise InternalInvariantViolation("stabilizer order differs from projection degree")
     return ProjectionInvariants(degree=deg, stabilizer=sigma, rank=r)

@@ -6,13 +6,6 @@ from fmtori import acceptance, cli, corpus, partners
 from fmtori.cli import main
 
 
-@pytest.fixture(scope="session")
-def corpus_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("corpus")
-    corpus.write_corpus(d)
-    return d
-
-
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()

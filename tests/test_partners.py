@@ -18,6 +18,7 @@ from fmtori.partners import (
 from fmtori.slopes import Slope, member_lattice, reduce_slope
 from fmtori.varieties import (
     Homomorphism,
+    NSClass,
     PreconditionError,
     TorusVariety,
     dual,
@@ -47,8 +48,8 @@ def test_fingerprint_sees_rank(e_i, e_i_squared):
 
 
 def _reference_fingerprint(a, profile_bound=None):
-    """The fingerprint by its definition: every class validated through
-    ``ns_class``, degeneracy from the determinant, divisors from Smith."""
+    """The fingerprint by its definition: every class validated as an
+    ``NSClass``, degeneracy from the determinant, divisors from Smith."""
     r = len(a.ns_basis)
     if profile_bound is None:
         profile_bound = 2 if r <= 2 else 1
@@ -56,7 +57,7 @@ def _reference_fingerprint(a, profile_bound=None):
     for coeffs in itertools.product(range(-profile_bound, profile_bound + 1), repeat=r):
         if not any(coeffs):
             continue
-        c = a.ns_class(coeffs)
+        c = NSClass(a, a.ns_class(coeffs).e)
         if c.e.det() == 0:
             profiles.append((0,))
             continue
@@ -119,9 +120,9 @@ def test_fingerprint_rejects_a_basis_class_that_is_not_j_compatible(e_i_squared)
     bad = Mat(((0, 0, 1, 0), (0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 0)))
     assert bad.is_alternating() and a.j.T @ bad @ a.j != bad
     broken = TorusVariety(a.g, a.j, a.ns_basis + (bad,), a.polarization + (0,), "broken")
-    with pytest.raises(ValueError, match="not compatible with the complex structure"):
+    with pytest.raises(ValueError, match="not J-compatible"):
         fingerprint(broken)
-    with pytest.raises(ValueError, match="not compatible with the complex structure"):
+    with pytest.raises(ValueError, match="not J-compatible"):
         _reference_fingerprint(broken)
 
 
