@@ -38,10 +38,10 @@ from .slopes import (
     parse_slope_literal,
     projection_invariants,
     reduce_slope,
-    slope_kernel,
     slope_subvariety,
 )
 from .varieties import (
+    FiniteSubgroup,
     NotAnIsogenyError,
     PreconditionError,
     _excerpt,
@@ -151,8 +151,8 @@ def _cmd_amu(args):
     lines = []
     if mu.l != denom or mu.numerator.e != numerator.e:
         lines.append(f"slope reduced to denominator {mu.l}")
-    kern = slope_kernel(a, mu)
     sv = slope_subvariety(a, mu)
+    kern = FiniteSubgroup(a, sv.member)
     inv = projection_invariants(a, mu)
     sub = sv.variety
     lines += [

@@ -128,8 +128,6 @@ def product_class_from_json(d: dict, a: TorusVariety, b: TorusVariety) -> Produc
     if not isinstance(d, dict) or d.get("format") != "fmtori/product-class":
         raise CorpusFormatError("not a product-class file (format key missing or wrong)")
     m = matrix_from_json(_require(d, "matrix"))
-    if not m.is_integral():
-        raise CorpusFormatError("product class matrix must be integral")
     name = d.get("name", "M")
     try:
         return ProductNSClass(a, b, m, name=name)

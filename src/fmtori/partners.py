@@ -26,7 +26,6 @@ from .slopes import (
     _member_data,
     _slope_subvariety,
     reduce_slope,
-    slope_kernel,
     slope_subvariety,
 )
 from .varieties import (
@@ -88,10 +87,9 @@ def fingerprint(a: TorusVariety, profile_bound: int | None = None) -> Fingerprin
         profile_bound = 2 if r <= 2 else 1
     for e in a.ns_basis:
         NSClass(a, e)
-    combine = combination_map(a.ns_basis, a.dim, a.dim)
     profiles = []
     for coeffs in _normalized_coefficient_vectors(r, profile_bound):
-        diag = snf(combine(coeffs))
+        diag = snf(a.class_matrix(coeffs))
         profile = (0,) if 0 in diag else tuple(x for x in diag if x > 1)
         profiles += (profile, profile)
     return Fingerprint(a.g, r, profile_bound, tuple(sorted(profiles)))
@@ -283,8 +281,8 @@ def ppav_rigidity_check(a: TorusVariety, n: int, l: int) -> RigidityCheck:
         raise PreconditionError("n and l must be coprime")
     # n times the validated polarization
     mu = reduce_slope(NSClass._make(a, n * h), l)
-    kern = slope_kernel(a, mu)
     sv = slope_subvariety(a, mu)
+    kern = FiniteSubgroup(a, sv.member)
     cert = sv.quotient
     ok = kern.order == 1 and is_isomorphism_certificate(cert)
     if (kern.order == 1) != is_isomorphism_certificate(cert):

@@ -31,7 +31,6 @@ from .slopes import (
     Slope,
     _ambient_product,
     reduce_slope,
-    slope_kernel,
     slope_subvariety,
 )
 from .varieties import (
@@ -220,7 +219,8 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     prod = mu.variety
     items: list[AuditItem] = []
 
-    kern = slope_kernel(prod, mu)
+    sv = slope_subvariety(prod, mu)
+    kern = FiniteSubgroup(prod, sv.member)
     items.append(_item("subtorus_kernel_order", l * l, kern.order))
 
     corr = pc.correspondence
@@ -255,7 +255,6 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     # level-D torsion is generated by displayed tuples from (D*l)-torsion
     # points of the product, never from level D alone
     level = l * max((1,) + kern.divisors + pi_divisors)
-    sv = slope_subvariety(prod, mu)
     n_amb = 2 * prod.dim
     window = Lattice.standard(n_amb).scaled(Fraction(1, level))
     w = sv.annihilator_lattice.basis
@@ -341,7 +340,9 @@ def kernel_torsion_subgroup(v: TorusVariety, cls: NSClass, l: int) -> FiniteSubg
 def _torsion_kernel_order(e: Mat, l: int) -> int:
     """Order of K(e) meet the l-torsion: the number of solutions of
     e y = 0 mod l in (Z/l)^n, one factor gcd(d, l) per invariant factor d
-    of e, with gcd(0, l) = l.  It holds for composite l too."""
+    of e, with gcd(0, l) = l.  It holds for composite l too, and for a
+    reduced slope e/l it is the order of the slope kernel.  Its callers are
+    ``search_kernel_class`` and ``search_product_classes``."""
     order = 1
     for d in snf(e):
         order *= gcd(d, l)
@@ -385,16 +386,14 @@ def search_kernel_class(
     y = l * target.overlattice.basis
     if not y.is_integral():
         raise PreconditionError("target subgroup must lie in the l-torsion")
-    n = v.dim
-    order = l**n // abs(y.det())
-    class_matrix = combination_map(v.ns_basis, n, n)
+    order = l**v.dim // abs(y.det())
     # entry k of E_i Y mod l, gathered across the basis classes i
     images = list(zip(*([x % l for row in (e @ y).data for x in row] for e in v.ns_basis)))
 
     def hit(coeffs) -> NSClass | None:
         if any(sum(c * w for c, w in zip(coeffs, entry)) % l for entry in images):
             return None
-        e = class_matrix(coeffs)
+        e = v.class_matrix(coeffs)
         if _torsion_kernel_order(e, l) != order:
             return None
         # an integer combination of the validated basis
@@ -455,11 +454,13 @@ def search_product_classes(
     isogeny of degree exactly l^(2g-2), then a reduced slope (the gcd of
     the entries of the integer class matrix with l), both before the
     ProductNSClass is built, then an ample B-block (the audit's
-    precondition for l > 1) and a slope-subtorus kernel of order l^2.  The
-    degree and kernel-order items stay in the audit, so the filters reject
-    only candidates the audit would not pass, and the hits are those of
-    auditing every candidate; each filter is a necessary condition, so
-    their order does not change the hits either.
+    precondition for l > 1) and a slope-subtorus kernel of order l^2, by
+    the Smith identity the kernel-class search uses, on the class matrix
+    (``_torsion_kernel_order``).  The degree and kernel-order items stay in
+    the audit, so the filters reject only candidates the audit would not
+    pass, and the hits are those of auditing every candidate; each filter
+    is a necessary condition, so their order does not change the hits
+    either.
 
     The correspondence block of a candidate is the same combination of the
     basis classes' own blocks, and only the classes with a nonzero block
@@ -473,9 +474,6 @@ def search_product_classes(
     prod = _product_variety(a, b, a.name, b.name)
     na, nb = a.dim, b.dim
     degree = l ** (2 * a.g - 2)
-    # candidates are plain integer combinations of the product basis, valid
-    # by linearity; none is re-validated
-    class_matrix = combination_map(prod.ns_basis, prod.dim, prod.dim)
     blocks = [e.submatrix(range(na), range(na, na + nb)) for e in prod.ns_basis]
     live = [k for k, c in enumerate(blocks) if any(map(any, c.num))]
     corr_matrix = combination_map([blocks[k] for k in live], na, nb)
@@ -488,13 +486,14 @@ def search_product_classes(
             ok = has_degree[key] = na == nb and abs(corr_matrix(key).det()) == degree
         if not ok:
             return None
-        m = class_matrix(coeffs)
+        m = prod.class_matrix(coeffs)
         if gcd(m.content(), l) != 1:
             return None
+        # an integer combination of the product basis, valid by linearity
         pc = ProductNSClass._make(a, b, m, "M")
         if l > 1 and not is_ample(pc.block_b):
             return None
-        if slope_kernel(prod, Slope(pc.as_class(), l)).order != l * l:
+        if _torsion_kernel_order(m, l) != l * l:
             return None
         if audit_equivalence(pc, l).all_pass:
             return pc

@@ -91,6 +91,11 @@ class TorusVariety(Record):
     def dim(self) -> int:
         return 2 * self.g
 
+    # integer coefficients -> the matrix of that combination of the NS basis
+    @cached_property
+    def class_matrix(self):
+        return combination_map(self.ns_basis, self.dim, self.dim)
+
     def polarization_class(self) -> Mat:
         """The matrix of the designated class."""
         return self.ns_class(self.polarization).e
@@ -106,7 +111,7 @@ class TorusVariety(Record):
             raise ValueError("coefficient vector length must match ns basis")
         if not all(type(c) is int for c in coeffs):
             raise ValueError("class coefficients must be integers")
-        return NSClass._make(self, combination_map(self.ns_basis, self.dim, self.dim)(coeffs))
+        return NSClass._make(self, self.class_matrix(coeffs))
 
 
 def _class_failure(e: Mat, j: Mat) -> str | None:

@@ -53,6 +53,29 @@ def partner_entries():
     return enumerate_partners(square_curve_product(), 1, 2)
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count(module, name): the list that collects the arguments of every
+    call of module.name, counted through each fmtori module that binds the
+    function, so that a caller importing it by name is counted too."""
+
+    def count(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            package = getattr(mod, "__name__", "").partition(".")[0]
+            if package == "fmtori" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return count
+
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 

@@ -102,7 +102,7 @@ def test_product_class_file_needs_integrality(e_i):
     assert pc.name == "poincare"
     doc_bad = json.loads(json.dumps(doc))
     doc_bad["matrix"][0][2] = "1/2"
-    with pytest.raises(corpus.CorpusFormatError):
+    with pytest.raises(corpus.CorpusFormatError, match="class is not integral"):
         corpus.product_class_from_json(doc_bad, e_i, e_i)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmtori import lattices, oracles, product_audit, varieties
+from fmtori import lattices, oracles, product_audit, slopes, varieties
 from fmtori.corpus import (
     doubled_square_lattice_curve,
     poincare_class,
@@ -533,10 +533,14 @@ def test_kernel_search_matches_the_reference_when_nothing_is_found(e_i, e_i_squa
     st.sampled_from((2, 3, 4, 6)),
 )
 def test_torsion_kernel_order_counts_the_kernel_points(coeffs, l):
-    e = square_curve_product().ns_class(coeffs).e
-    assert product_audit._torsion_kernel_order(e, l) == len(
-        oracles.kernel_points_of_class(e, l)
-    )
+    cls = square_curve_product().ns_class(coeffs)
+    e = cls.e
+    order = product_audit._torsion_kernel_order(e, l)
+    assert order == len(oracles.kernel_points_of_class(e, l))
+    # for a reduced slope it is the order of the slope kernel, the lattice
+    # route the product-class search used to take
+    if gcd(e.content(), l) == 1:
+        assert order == slope_kernel(cls.variety, Slope(cls, l)).order
 
 
 def test_kernel_search_checks_the_hit_against_its_kernel(e_i, monkeypatch):
@@ -575,6 +579,16 @@ def test_product_search_audits_only_its_hits(e_i, monkeypatch):
     last = batches[-1][1]
     prod = hits[-1].as_class().variety
     assert len(last) == 1 and prod.ns_class(last[0]).e == hits[-1].m
+
+
+def test_product_search_builds_each_slope_kernel_once(e_i, count_calls):
+    # the filter reads the kernel order from one Smith form, and each audit
+    # builds its hit's member lattice once, for the subtorus and its kernel
+    kernels = count_calls(slopes, "slope_kernel")
+    members = count_calls(slopes, "member_lattice")
+    audits = count_calls(product_audit, "audit_equivalence")
+    assert len(search_product_classes(e_i, e_i, 2, 2, limit=2)) == 2
+    assert (len(kernels), len(members), len(audits)) == (0, 2, 2)
 
 
 def test_kernel_search_builds_one_kernel_per_hit(e_i_squared, monkeypatch):
