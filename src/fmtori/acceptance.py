@@ -196,34 +196,25 @@ def _oracle_subgroup_checks(pc, l: int) -> dict:
     m_a, pi, m_b = decompose(pc)
 
     # members of the slope lattice among l-torsion: x with l*x and M*x integral
-    kernel_pts = [
-        p
-        for p in oracles.torsion_points(prod.dim, l)
-        if oracles.is_integral_vector(pc.m.apply(p))
-    ]
-    kern_count = len(kernel_pts)
+    kern_count = len(oracles.kernel_points_of_class(pc.m, l))
     kern_order = slope_kernel(prod, reduce_slope(pc.as_class(), l)).order
 
-    def inside(points, cls_matrix, bound) -> bool:
+    level = l * l
+
+    def inside(m, cls_matrix) -> bool:
+        # every numerator k with m @ (k / l^2) integral: k / l^2 is killed
+        # by l and by the class
+        in_kernel = oracles.integral_on(m, level)
+        killed = oracles.integral_on(cls_matrix, level)
         return all(
-            oracles.is_integral_vector(cls_matrix.apply(p))
-            and all((bound * x) % 1 == 0 for x in p)
-            for p in points
+            killed(k) and all(x % l == 0 for x in k)
+            for k in oracles.torsion_numerators(m.cols, level)
+            if in_kernel(k)
         )
 
     # kernel of pi among torsion up to l^2, pointwise against h_{m_A} and A_l
-    a_side = [
-        p
-        for p in oracles.torsion_points(pc.a.dim, l * l)
-        if oracles.is_integral_vector(pi.m.apply(p))
-    ]
-    b_side = [
-        p
-        for p in oracles.torsion_points(pc.b.dim, l * l)
-        if oracles.is_integral_vector(pi.m.T.apply(p))
-    ]
-    inclusion_a = inside(a_side, m_a.e, l)
-    inclusion_b = inside(b_side, m_b.e, l)
+    inclusion_a = inside(pi.m, m_a.e)
+    inclusion_b = inside(pi.m.T, m_b.e)
 
     into_a, into_b = _graph_homs(pc)
     set_a = {oracles.apply_mod1(into_a.m, p) for p in oracles.torsion_points(pc.a.dim, l)}

@@ -208,9 +208,15 @@ class Mat:
         return Mat._make(num, self.rows, other.cols, self.den * other.den)
 
     def apply(self, v: Sequence[Scalar]) -> Vec:
+        """self @ v for an exact vector v: the integer rows times the
+        numerators of v over its lcm denominator w, each entry divided once
+        by den * w."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+        w = lcm(*(x.denominator for x in v))
+        k = [x.numerator * (w // x.denominator) for x in v]
+        d = self.den * w
+        return tuple(_scalar(sum(map(mul, row, k)), d) for row in self.num)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -5,30 +5,54 @@ arithmetic, with a self-contained rational solver for coset membership.
 Deliberately no Hermite or Smith forms: these functions are the second
 route that the canonical-form pipeline is tested against, so they must not
 share its failure modes.
+
+A point of order dividing n is k / n for an integer numerator k in
+[0, n)^dim, and the enumerations run on those numerators: m @ (k / n) is
+integral for m = num / den exactly when num @ k = 0 mod n * den.
+``Fraction`` points are built only for the points a function returns.
+Subgroup membership inverts the overlattice basis once per subgroup, by
+the plain elimination of ``_solve_columns``, and then tests each numerator
+the same way.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .matrices import Mat
 from .varieties import FiniteSubgroup
 
 
 def mod1(v) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) % 1 for x in v)
+    return tuple(x % 1 for x in v)
 
 
-def is_integral_vector(v) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
+def torsion_numerators(dim: int, n: int):
+    """The numerators k in [0, n)^dim of the points k / n of order dividing n."""
+    return itertools.product(range(n), repeat=dim)
+
+
+def _point(k, n: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, n) for x in k)
 
 
 def torsion_points(dim: int, n: int) -> list[tuple[Fraction, ...]]:
     """All points of order dividing n, as coordinate tuples in [0, 1)."""
-    line = [Fraction(k, n) for k in range(n)]
-    return [pt for pt in itertools.product(line, repeat=dim)]
+    return [_point(k, n) for k in torsion_numerators(dim, n)]
+
+
+def _kills(rows, mod: int) -> Callable[[Sequence[int]], bool]:
+    """The test, on numerators k, of rows @ k = 0 mod mod."""
+    return lambda k: not any(sum(map(mul, row, k)) % mod for row in rows)
+
+
+def integral_on(m: Mat, n: int) -> Callable[[Sequence[int]], bool]:
+    """The test, on numerators k, of whether m @ (k / n) is integral."""
+    return _kills(m.num, n * m.den)
 
 
 def apply_mod1(m: Mat, point) -> tuple[Fraction, ...]:
@@ -37,14 +61,14 @@ def apply_mod1(m: Mat, point) -> tuple[Fraction, ...]:
 
 def kernel_points_of_class(e: Mat, l: int) -> list[tuple[Fraction, ...]]:
     """Points of order dividing l annihilated by the class, by enumeration."""
-    return [p for p in torsion_points(e.cols, l) if is_integral_vector(e.apply(p))]
+    return [_point(k, l) for k in filter(integral_on(e, l), torsion_numerators(e.cols, l))]
 
 
 def order_counts(points, upto: int) -> dict[int, int]:
     """For each k <= upto, how many of the points are killed by k."""
     out = {}
     for k in range(1, upto + 1):
-        out[k] = sum(1 for p in points if all((k * x) % 1 == 0 for x in p))
+        out[k] = sum(1 for p in points if all(k % x.denominator == 0 for x in p))
     return out
 
 
@@ -59,9 +83,11 @@ def predicted_order_counts(divisors, upto: int) -> dict[int, int]:
     return out
 
 
-def _solve_columns(basis: Mat, rhs) -> list[Fraction] | None:
-    """Plain Gaussian elimination on [basis | rhs], free of normal forms."""
-    rows = [[Fraction(basis[i, j]) for j in range(basis.cols)] + [Fraction(rhs[i])]
+def _solve_columns(basis: Mat, rhs) -> list[list[Fraction]] | None:
+    """Plain Gaussian elimination on [basis | rhs...], free of normal forms:
+    one solution per right-hand side column in rhs, or None when any of
+    them is inconsistent."""
+    rows = [[Fraction(basis[i, j]) for j in range(basis.cols)] + [Fraction(b[i]) for b in rhs]
             for i in range(basis.rows)]
     ncols = basis.cols
     pivots = []
@@ -78,26 +104,32 @@ def _solve_columns(basis: Mat, rhs) -> list[Fraction] | None:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
+    if any(x != 0 for row in rows[r:] for x in row[ncols:]):
+        return None
+    sols = [[Fraction(0)] * ncols for _ in rhs]
     for i, c in enumerate(pivots):
-        sol[c] = rows[i][-1]
-    return sol
-
-
-def point_in_subgroup(point, sub: FiniteSubgroup) -> bool:
-    """Coset membership by solving against the overlattice generators."""
-    basis = sub.overlattice.basis
-    sol = _solve_columns(basis, point)
-    return sol is not None and all(x.denominator == 1 for x in sol)
+        for sol, x in zip(sols, rows[i][ncols:]):
+            sol[c] = x
+    return sols
 
 
 def subgroup_points(sub: FiniteSubgroup) -> list[tuple[Fraction, ...]]:
-    """All points of the subgroup, enumerated through its exponent torsion."""
+    """All points of the subgroup, enumerated through its exponent torsion.
+
+    A point p lies in the subgroup when basis^-1 p is integral, for the
+    basis of the overlattice.  The inverse is one elimination against the
+    unit vectors; over its common denominator d it is num / d for an
+    integer matrix num, so the point k / e is in the subgroup exactly when
+    num @ k = 0 mod d * e.
+    """
+    basis = sub.overlattice.basis
+    dim = basis.rows
+    unit = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    cols = _solve_columns(basis, unit)  # the columns of basis^-1
+    d = lcm(*(x.denominator for col in cols for x in col))
+    num = [[col[i].numerator * (d // col[i].denominator) for col in cols] for i in range(dim)]
     e = sub.structure.exponent
-    pts = [p for p in torsion_points(sub.variety.dim, e) if point_in_subgroup(p, sub)]
+    pts = [_point(k, e) for k in filter(_kills(num, d * e), torsion_numerators(dim, e))]
     if len(pts) != sub.order:
         raise AssertionError(
             f"enumeration found {len(pts)} points, structure claims {sub.order}"

@@ -29,6 +29,7 @@ from .records import Record
 from .slopes import (
     PRODUCT_CACHE_SIZE,
     Slope,
+    SlopeSubvariety,
     _ambient_product,
     reduce_slope,
     slope_subvariety,
@@ -206,10 +207,16 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     corr^-1.  No dual is built: pi intertwines because the class is
     J-compatible, so J_A^T C J_B = C, which gives C^T J_A = -J_B^T C^T.
     """
+    return _audit(pc, l)[0]
+
+
+def _audit(pc: ProductNSClass, l: int) -> tuple[AuditReport, SlopeSubvariety | None]:
+    """audit_equivalence(pc, l) and the slope subtorus it built, None when
+    the factors differ in dimension and no subtorus was built."""
     mu = _slope_of(pc, l)
     if pc.a.g != pc.b.g:
         item = _item("equal_dimensions", pc.a.g, pc.b.g)
-        return AuditReport(pc.a.name, pc.b.name, l, (item,), False)
+        return AuditReport(pc.a.name, pc.b.name, l, (item,), False), None
     if l > 1 and not is_ample(pc.block_b):
         raise PreconditionError(
             "the B-block of the class must be ample for l > 1; "
@@ -272,7 +279,8 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
         )
     )
 
-    return AuditReport(pc.a.name, pc.b.name, l, tuple(items), all(i.passed for i in items))
+    report = AuditReport(pc.a.name, pc.b.name, l, tuple(items), all(i.passed for i in items))
+    return report, sv
 
 
 class ProjectionIso(Record):
@@ -289,11 +297,10 @@ def projection_iso(pc: ProductNSClass, l: int) -> ProjectionIso:
     dual-factor torsion lands on the subtorus of B cut out by the B-block
     slope.  Violations raise, because the theory proves they cannot occur.
     """
-    report = audit_equivalence(pc, l)
+    # the audit's own slope subtorus, not a second one
+    report, sv = _audit(pc, l)
     if not report.all_pass:
         raise PreconditionError("projection_iso requires an all-pass audit")
-    mu = _slope_of(pc, l)
-    sv = slope_subvariety(mu.variety, mu)
     na, nb = pc.a.dim, pc.b.dim
     half = na + nb
     emb = sv.to_ambient.m

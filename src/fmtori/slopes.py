@@ -227,7 +227,15 @@ class ProjectionInvariants(Record):
 
 
 def projection_invariants(a: TorusVariety, mu: Slope) -> ProjectionInvariants:
-    lam_mu, _, j_mu = _member_data(a, mu)
+    return _projection_invariants(a, mu, _member_data(a, mu))
+
+
+def _projection_invariants(
+    a: TorusVariety, mu: Slope, member: tuple[Lattice, Mat, Mat]
+) -> ProjectionInvariants:
+    """projection_invariants(a, mu) on member = _member_data(a, mu), for a
+    caller that has the member data of mu already."""
+    lam_mu, _, j_mu = member
     pi = mu.l * lam_mu.basis
     deg = abs(int(pi.det()))
     r = isqrt(deg)

@@ -33,7 +33,7 @@ from .lattices import (
     dual_lattice_of_form,
     quotient_structure,
 )
-from .matrices import Mat, combination_map, integer_kernel, solve_exact, vec_is_integral
+from .matrices import Mat, combination_map, integer_kernel, snf, solve_exact, vec_is_integral
 from .records import Record
 
 
@@ -421,13 +421,23 @@ def is_isomorphism_certificate(f: Homomorphism) -> bool:
 
 
 def class_kernel(c: NSClass) -> "FiniteSubgroup":
-    """K(L): the finite kernel of the class homomorphism, for nondegenerate c."""
+    """K(L): the finite kernel of the class homomorphism, for nondegenerate c.
+
+    Its structure is filled at construction, from the Smith form of e alone:
+    the kernel lattice is e^-T Z^n, and e^-T Z^n / Z^n is isomorphic to
+    Z^n / e^T Z^n (Mumford, *Abelian Varieties*, section 23).  That skips
+    the inverse and product of the lattice quotient, and no identity is
+    lost: the gate still enumerates the kernel lattice against this
+    structure, pointwise, in the degree law.
+    """
     lam = Lattice.standard(c.variety.dim)
     try:
         kernel = dual_lattice_of_form(c.e, lam)
     except DegenerateFormError:
         raise NotAnIsogenyError("kernel of a degenerate class is not finite") from None
-    return FiniteSubgroup(c.variety, kernel)
+    return FiniteSubgroup._with_structure(
+        c.variety, kernel, FiniteGroupStructure.from_diagonal(snf(c.e))
+    )
 
 
 # -- finite subgroups ----------------------------------------------------------
@@ -438,7 +448,14 @@ class FiniteSubgroup(Record):
 
     The overlattice must contain the periods, so it has full rank: every
     construction here meets that, and ``corpus.subgroup_from_json`` checks
-    it at the file boundary.  ``structure`` is computed on first use.
+    it at the file boundary.  ``structure`` is the lattice quotient, computed
+    on first use, except where ``_with_structure`` fills it at construction.
+    Only ``class_kernel`` does: K(e) is isomorphic to Z^n / eZ^n, so the
+    Smith form of the class is its structure, and the gate's point
+    enumeration still checks that structure against the kernel lattice.
+    ``Homomorphism.kernel`` stays lazy, because the identities that compare
+    a kernel's order with a determinant of the same matrix need the lattice
+    route to mean anything.
     """
 
     variety: TorusVariety
@@ -447,6 +464,16 @@ class FiniteSubgroup(Record):
     def __post_init__(self):
         if self.overlattice.ambient_dim != self.variety.dim:
             raise ValueError("overlattice has the wrong ambient dimension")
+
+    @classmethod
+    def _with_structure(
+        cls, variety: TorusVariety, overlattice: Lattice, structure: FiniteGroupStructure
+    ) -> "FiniteSubgroup":
+        """The subgroup with its structure already known, written to the
+        instance-dict slot that the ``structure`` cached property fills."""
+        sub = cls(variety, overlattice)
+        vars(sub)["structure"] = structure
+        return sub
 
     @cached_property
     def structure(self) -> FiniteGroupStructure:

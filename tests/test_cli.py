@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fmtori import acceptance, cli, corpus, partners
+from fmtori import acceptance, cli, corpus, partners, slopes
 from fmtori.cli import main
 
 
@@ -236,6 +236,28 @@ def test_json_reports_are_byte_stable(capsys, corpus_dir, tmp_path):
     payload = json.loads(p1.read_text("utf-8"))
     assert payload["command"] == "amu"
     assert payload["projection_degree"] == 4
+
+
+def test_amu_builds_one_member_lattice(capsys, corpus_dir, tmp_path, count_calls):
+    # the subtorus and the projection invariants share one member lattice,
+    # and the report is the one the public functions give
+    from fmtori.varieties import FiniteSubgroup
+
+    path = corpus_dir / "e_i_x_e_i.json"
+    members = count_calls(slopes, "member_lattice")
+    code, _, _ = run(capsys, "amu", path, "--slope", "E0+E1+E2/2", "--json", tmp_path / "a.json")
+    assert code == 0
+    assert len(members) == 1
+    payload = json.loads((tmp_path / "a.json").read_text("utf-8"))
+    a = corpus.variety_from_json(json.loads(path.read_text("utf-8")))
+    mu = slopes.reduce_slope(*slopes.parse_slope_literal(a, "E0+E1+E2/2"))
+    sv = slopes.slope_subvariety(a, mu)
+    inv = slopes.projection_invariants(a, mu)
+    kern = FiniteSubgroup(a, sv.member)
+    assert payload["kernel"] == {"order": kern.order, "divisors": list(kern.divisors)}
+    assert (payload["projection_degree"], payload["rank"]) == (inv.degree, inv.rank)
+    assert payload["stabilizer_divisors"] == list(inv.stabilizer.divisors)
+    assert payload["subtorus"] == json.loads(json.dumps(corpus.variety_to_json(sv.variety)))
 
 
 def test_regress_golden(capsys, corpus_dir):

@@ -361,6 +361,23 @@ def test_apply_and_blocks():
     assert side.cols == 4
 
 
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.one_of(entries, fractions), min_size=n, max_size=n),
+                     min_size=1, max_size=4),
+            st.lists(st.one_of(entries, fractions), min_size=n, max_size=n),
+        )
+    )
+)
+def test_apply_is_exact_against_fraction_arithmetic(rows_and_vector):
+    rows, v = rows_and_vector
+    got = Mat(rows).apply(v)
+    assert got == tuple(sum(Fraction(a) * b for a, b in zip(row, v)) for row in rows)
+    # integral entries come back as ints, the others as Fractions
+    assert all(type(x) is int if x.denominator == 1 else type(x) is Fraction for x in got)
+
+
 @pytest.mark.parametrize("cols", [[(1, 2, 3), (4, 5)], [(1, 2), (3, 4, 5)]])
 def test_from_cols_rejects_ragged_columns(cols):
     with pytest.raises(ValueError, match="ragged matrix"):

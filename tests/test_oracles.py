@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fmtori import oracles
+from fmtori import acceptance, oracles
+from fmtori.lattices import Lattice
 from fmtori.matrices import Mat
-from fmtori.varieties import class_kernel, torsion_subgroup, trivial_subgroup
+from fmtori.varieties import FiniteSubgroup, class_kernel, torsion_subgroup, trivial_subgroup
 
 
 def test_torsion_point_counts():
@@ -42,13 +45,111 @@ def test_subgroup_points_rejects_wrong_order(e_i):
 
 
 def test_point_in_subgroup(e_i):
-    half = torsion_subgroup(e_i, 2)
-    assert oracles.point_in_subgroup((Fraction(1, 2), Fraction(1, 2)), half)
-    assert not oracles.point_in_subgroup((Fraction(1, 3), Fraction(0)), half)
-    assert oracles.point_in_subgroup((0, 0), trivial_subgroup(e_i))
+    # coset membership, read off the enumerated subgroup
+    half = set(oracles.subgroup_points(torsion_subgroup(e_i, 2)))
+    assert (Fraction(1, 2), Fraction(1, 2)) in half
+    assert (Fraction(1, 3), Fraction(0)) not in half
+    assert (0, 0) in set(oracles.subgroup_points(trivial_subgroup(e_i)))
 
 
 def test_solver_handles_rectangular_inconsistency():
     basis = Mat(((1,), (1,)))
-    assert oracles._solve_columns(basis, (1, 0)) is None
-    assert oracles._solve_columns(basis, (2, 2)) == [Fraction(2)]
+    assert oracles._solve_columns(basis, [(1, 0)]) is None
+    assert oracles._solve_columns(basis, [(2, 2)]) == [[Fraction(2)]]
+    # one inconsistent column makes the whole system inconsistent
+    assert oracles._solve_columns(basis, [(2, 2), (1, 0)]) is None
+    assert oracles._solve_columns(basis, [(2, 2), (-1, -1)]) == [[Fraction(2)], [Fraction(-1)]]
+
+
+# -- the integer routes against the Fraction routes they replaced ---------------
+
+
+def _ref_apply(m: Mat, v) -> tuple:
+    return tuple(sum(Fraction(a) * b for a, b in zip(row, v)) for row in m.data)
+
+
+def _ref_kernel_points(e: Mat, l: int) -> list:
+    """torsion_points filtered by Fraction arithmetic."""
+    return [
+        p for p in oracles.torsion_points(e.cols, l)
+        if all(x.denominator == 1 for x in _ref_apply(e, p))
+    ]
+
+
+def _ref_subgroup_points(sub) -> list:
+    """torsion_points filtered by one elimination per point."""
+    basis = sub.overlattice.basis
+    out = []
+    for p in oracles.torsion_points(sub.variety.dim, sub.structure.exponent):
+        sol = oracles._solve_columns(basis, [p])
+        if sol is not None and all(x.denominator == 1 for x in sol[0]):
+            out.append(p)
+    return out
+
+
+@pytest.fixture(scope="module")
+def gate_oracle_calls():
+    """The arguments of every kernel_points_of_class, subgroup_points and
+    integral_on call of one gate run."""
+    calls = {name: [] for name in ("kernel_points_of_class", "subgroup_points", "integral_on")}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, seen in calls.items():
+            original = getattr(oracles, name)
+            mp.setattr(oracles, name,
+                       lambda *a, original=original, seen=seen: seen.append(a) or original(*a))
+        assert acceptance.run_all()["ok"]
+    return calls
+
+
+def test_gate_kernel_points_match_the_fraction_route(gate_oracle_calls):
+    calls = gate_oracle_calls["kernel_points_of_class"]
+    assert calls
+    for e, l in calls:
+        assert oracles.kernel_points_of_class(e, l) == _ref_kernel_points(e, l)
+
+
+def test_gate_subgroup_points_match_the_fraction_route(gate_oracle_calls):
+    calls = gate_oracle_calls["subgroup_points"]
+    assert calls
+    for (sub,) in calls:
+        assert oracles.subgroup_points(sub) == _ref_subgroup_points(sub)
+
+
+def test_gate_integrality_tests_match_the_fraction_route(gate_oracle_calls):
+    calls = gate_oracle_calls["integral_on"]
+    assert calls
+    for m, n in calls:
+        test = oracles.integral_on(m, n)
+        for k in oracles.torsion_numerators(m.cols, n):
+            p = tuple(Fraction(x, n) for x in k)
+            assert test(k) == all(x.denominator == 1 for x in _ref_apply(m, p))
+
+
+entries = st.integers(-6, 6)
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def square_matrices(draw, scalars):
+    n = draw(st.sampled_from((2, 4)))
+    return Mat([[draw(scalars) for _ in range(n)] for _ in range(n)])
+
+
+@given(square_matrices(st.one_of(entries, rationals)), st.integers(1, 4))
+def test_kernel_points_match_the_fraction_route(e, l):
+    assert oracles.kernel_points_of_class(e, l) == _ref_kernel_points(e, l)
+
+
+@given(square_matrices(entries), st.integers(1, 4))
+def test_subgroup_points_match_the_fraction_route(e_i, e_i_squared, m, l):
+    # the overlattice Z^n + (1/l) m Z^n holds the periods, so it is a subgroup
+    v = e_i if m.rows == 2 else e_i_squared
+    lat = Lattice(m.rows, Mat.hstack(Mat.identity(m.rows), Fraction(1, l) * m))
+    sub = FiniteSubgroup(v, lat)
+    assert oracles.subgroup_points(sub) == _ref_subgroup_points(sub)
+
+
+def test_subgroup_membership_eliminates_once_per_subgroup(count_calls):
+    eliminations = count_calls(oracles, "_solve_columns")
+    assert acceptance.run_all()["ok"]
+    assert len(eliminations) == 15  # one per point before: 122

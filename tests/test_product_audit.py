@@ -87,6 +87,15 @@ def test_decompose_assemble_round_trip(e_i):
     assert pi.degree() == 1
 
 
+def test_projection_iso_reuses_the_audit_subtorus(count_calls):
+    # the audit's slope subtorus and the B-block one, not the first again
+    subtori = count_calls(slopes, "slope_subvariety")
+    audits = count_calls(product_audit, "audit_equivalence")
+    projection_iso(poincare_class(), 1)
+    assert len(subtori) == 2
+    assert audits == []
+
+
 def test_projection_iso_requires_all_pass(e_i):
     pc = assemble(e_i, e_i, e_i.ns_basis[0], Mat.zeros(2, 2), e_i.ns_basis[0])
     with pytest.raises(PreconditionError):

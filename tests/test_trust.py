@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from fmtori import acceptance, corpus
+from fmtori import acceptance, corpus, lattices, varieties
 from fmtori.cli import main
+from fmtori.lattices import Lattice, quotient_structure
 from fmtori.matrices import Mat
 from fmtori.product_audit import ProductNSClass, assemble, twist_to_ample
 from fmtori.records import Record
@@ -143,3 +144,27 @@ def test_public_constructors_still_validate(e_i, e_2i, e_i_squared):
         Homomorphism(e_i, e_2i, Mat.identity(2))
     with pytest.raises(ValueError, match="class is not integral"):
         ProductNSClass(pc.a, pc.b, Fraction(1, 2) * pc.m)
+
+
+def test_class_kernel_structures_are_their_lattice_quotients(corpus_dir, tmp_path, count_calls):
+    # class_kernel reads the structure off the Smith form of the class; on
+    # every class the gate and the kl command take, the kernel lattice
+    # must have the same quotient
+    class_kernel = varieties.class_kernel
+    classes = count_calls(varieties, "class_kernel")
+    assert acceptance.run_all()["ok"]
+    for i, command in enumerate(c for c in COMMANDS if c[0] == "kl"):
+        assert _json_report(corpus_dir, tmp_path / f"kl{i}.json", command)[0] == 0
+    assert len(classes) == 58
+    for (c,) in classes:
+        kern = class_kernel(c)
+        assert "structure" in vars(kern)
+        std = Lattice.standard(kern.variety.dim)
+        assert kern.structure == quotient_structure(std, kern.overlattice)
+
+
+def test_the_gate_builds_each_lattice_quotient_it_reads(count_calls):
+    # 56 class kernels read the Smith form of their class instead (124 before)
+    quotients = count_calls(lattices, "quotient_structure")
+    assert acceptance.run_all()["ok"]
+    assert len(quotients) == 68

@@ -621,7 +621,6 @@ def test_subgroup_structure_is_computed_on_first_use(e_i, e_i_squared):
         torsion_subgroup(e_i, 4).intersect(torsion_subgroup(e_i, 6)),
         torsion_subgroup(e_i, 2).join(torsion_subgroup(e_i, 3)),
         double.kernel(),
-        class_kernel(c),
         class_kernel(2 * c).intersect(torsion_subgroup(e_i_squared, 4)),
         kernel_torsion_subgroup(e_i_squared, c, 3),
         slope_kernel(e_i_squared, reduce_slope(c, 2)),
@@ -631,3 +630,10 @@ def test_subgroup_structure_is_computed_on_first_use(e_i, e_i_squared):
         std = Lattice.standard(sub.variety.dim)
         assert sub.structure == quotient_structure(std, sub.overlattice)
         assert sub.structure is sub.structure
+    # a class kernel reads its structure off the Smith form of the class,
+    # at construction, into the same slot
+    kern = class_kernel(c)
+    assert "structure" in vars(kern)
+    std = Lattice.standard(kern.variety.dim)
+    assert kern.structure == quotient_structure(std, kern.overlattice)
+    assert kern.structure is kern.structure
