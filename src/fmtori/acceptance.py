@@ -24,13 +24,13 @@ from .corpus import (
 from .matrices import Mat, combination_map
 from .partners import ppav_rigidity_check
 from .product_audit import (
+    _audit,
     _graph_homs,
-    audit_equivalence,
+    _projection_iso,
+    _search_product_classes,
     decompose,
     partner_dual_certificate,
-    projection_iso,
     search_kernel_class,
-    search_product_classes,
 )
 from .slopes import (
     Slope,
@@ -160,8 +160,7 @@ def criterion_projection_counts() -> dict:
     return _result("projection_counts", ok, cases=rows)
 
 
-def _audit_summary(pc, l: int) -> dict:
-    report = audit_equivalence(pc, l)
+def _audit_summary(pc, l: int, report) -> dict:
     return {
         "class": _intlist(pc.m),
         "l": l,
@@ -172,10 +171,12 @@ def _audit_summary(pc, l: int) -> dict:
 
 def _criterion_poincare() -> tuple[dict, list]:
     pc = poincare_class()
-    summary = _audit_summary(pc, 1)
+    # one audit serves the summary and the projections
+    report, sv = _audit(pc, 1)
+    summary = _audit_summary(pc, 1, report)
     m_a, pi, m_b = decompose(pc)
     kern = slope_kernel(pc.as_class().variety, reduce_slope(pc.as_class(), 1))
-    iso = projection_iso(pc, 1)
+    iso = _projection_iso(pc, 1, report, sv)
     good = (
         summary["all_pass"]
         and kern.order == 1
@@ -234,14 +235,15 @@ def _oracle_subgroup_checks(pc, l: int) -> dict:
 
 def _criterion_l2_search(threads: int) -> tuple[dict, list]:
     a = square_lattice_curve()
-    hits = search_product_classes(a, a, 2, 2, threads=threads, limit=2)
+    # each hit with the report of the audit that passed it
+    hits = _search_product_classes(a, a, 2, 2, threads, limit=2)
     if not hits:
         return _result("l2_search_audit", False, hits=0), []
     rows = []
     ok = True
     instances = []
-    for pc in hits:
-        summary = _audit_summary(pc, 2)
+    for pc, report in hits:
+        summary = _audit_summary(pc, 2, report)
         _, pi, _ = decompose(pc)
         oracle = _oracle_subgroup_checks(pc, 2)
         good = (

@@ -183,6 +183,9 @@ def _cmd_partners(args):
     a = _load_variety(args.variety)
     entries = enumerate_partners(a, args.coeff_bound, args.denom_bound, threads=args.threads)
     source_print = None
+    # a certificate search reads only the two complex structures, so it runs
+    # once per partner J: J -> (state, certificate matrix or None)
+    searches = {}
     rows = []
     lines = []
     for entry in entries:
@@ -190,14 +193,17 @@ def _cmd_partners(args):
         fp = entry.partner_fingerprint
         if source_print is None:
             source_print = fingerprint(a, profile_bound=fp.profile_bound)
-        cert = None
-        cert_state = "skipped"
+        cert_state, cert = "skipped", None
         if args.search_bound > 0:
-            try:
-                cert = find_isomorphism_certificate(a, rec.partner, bound=args.search_bound)
-                cert_state = "found" if cert is not None else "not found"
-            except PreconditionError:
-                cert_state = "search too large"
+            j = rec.partner.j
+            if j not in searches:
+                try:
+                    found = find_isomorphism_certificate(a, rec.partner, bound=args.search_bound)
+                except PreconditionError as exc:
+                    searches[j] = (f"search too large ({exc})", None)
+                else:
+                    searches[j] = ("not found", None) if found is None else ("found", found.m)
+            cert_state, cert = searches[j]
         matches = fp == source_print
         coeffs = ",".join(str(c) for c in entry.coefficients)
         lines.append(
@@ -213,7 +219,7 @@ def _cmd_partners(args):
                             "profiles": [list(p) for p in fp.profiles]},
             "fingerprint_matches_source": matches,
             "dual_certificate": matrix_to_json(rec.dual_certificate.m),
-            "source_certificate": matrix_to_json(cert.m) if cert else None,
+            "source_certificate": matrix_to_json(cert) if cert is not None else None,
         })
     lines.append(f"{len(rows)} partner presentations")
     payload = {"command": "partners", "name": a.name,

@@ -112,11 +112,6 @@ class Lattice:
         x = solve_exact(self.basis, v)
         return x is not None and vec_is_integral(x)
 
-    def contains_lattice(self, other: "Lattice") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return all(self.contains_vector(other.basis.col(j)) for j in range(other.rank))
-
     def sum(self, other: "Lattice") -> "Lattice":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")

@@ -163,9 +163,6 @@ class Mat:
         i, j = ij
         return _scalar(self.num[i][j], self.den)
 
-    def col(self, j: int) -> Vec:
-        return tuple(_scalar(row[j], self.den) for row in self.num)
-
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Mat":
         n = self.num
         return Mat._make(
@@ -186,9 +183,6 @@ class Mat:
         (a, b), d = _common_denominator((self, other))
         num = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
         return Mat._make(num, self.rows, self.cols, d)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
 
     def __neg__(self) -> "Mat":
         return Mat._make(

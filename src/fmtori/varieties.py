@@ -42,7 +42,7 @@ class NotAnIsogenyError(ValueError):
 
 
 class VarietyMismatchError(ValueError):
-    """Raised when subgroup operations mix different varieties."""
+    """Raised when an operation mixes objects on different varieties."""
 
 
 class InternalInvariantViolation(AssertionError):
@@ -139,15 +139,6 @@ class NSClass(Record):
         failure = _class_failure(self.e, self.variety.j)
         if failure:
             raise ValueError(f"class {failure}")
-
-    def __add__(self, other: "NSClass") -> "NSClass":
-        if self.variety != other.variety:
-            raise VarietyMismatchError("classes live on different varieties")
-        # a sum of two valid classes
-        return NSClass._make(self.variety, self.e + other.e)
-
-    def __rmul__(self, c: int) -> "NSClass":
-        return NSClass(self.variety, c * self.e)
 
     def degree(self) -> int:
         """Self-intersection degree |det e| (square of the Pfaffian)."""
@@ -486,22 +477,6 @@ class FiniteSubgroup(Record):
     @property
     def divisors(self) -> tuple[int, ...]:
         return self.structure.divisors
-
-    def _check_same_variety(self, other: "FiniteSubgroup"):
-        if self.variety != other.variety:
-            raise VarietyMismatchError("subgroups live on different varieties")
-
-    def intersect(self, other: "FiniteSubgroup") -> "FiniteSubgroup":
-        self._check_same_variety(other)
-        return FiniteSubgroup(self.variety, self.overlattice.intersect(other.overlattice))
-
-    def join(self, other: "FiniteSubgroup") -> "FiniteSubgroup":
-        self._check_same_variety(other)
-        return FiniteSubgroup(self.variety, self.overlattice.sum(other.overlattice))
-
-    def contains(self, other: "FiniteSubgroup") -> bool:
-        self._check_same_variety(other)
-        return self.overlattice.contains_lattice(other.overlattice)
 
 
 def trivial_subgroup(a: TorusVariety) -> FiniteSubgroup:

@@ -196,3 +196,12 @@ def test_the_gate_builds_one_kernel_lattice_per_found_class(monkeypatch):
     found = [c for c in crit["cases"] if c["found"] is not None]
     assert len(found) == len(crit["cases"]) == 9
     assert len(calls) == len(found)
+
+
+def test_the_gate_audits_each_class_once(count_calls):
+    # the Poincare class and the two l=2 search hits: their summaries, the
+    # projections and the search share one audit each (6 audits before)
+    audits = count_calls(product_audit, "_audit")
+    assert acceptance.run_all()["ok"]
+    assert len(audits) == 3
+    assert len({(pc.m, l) for pc, l in audits}) == 3

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -236,6 +237,38 @@ def test_json_reports_are_byte_stable(capsys, corpus_dir, tmp_path):
     payload = json.loads(p1.read_text("utf-8"))
     assert payload["command"] == "amu"
     assert payload["projection_degree"] == 4
+
+
+def test_partners_search_once_per_partner_complex_structure(capsys, corpus_dir, count_calls):
+    # a certificate search reads only the two J's: the 80 partners have 4
+    searches = count_calls(partners, "find_isomorphism_certificate")
+    code, lines, _ = run(capsys, "partners", corpus_dir / "e_i_x_e_i.json",
+                         "--coeff-bound", "1", "--denom-bound", "2")
+    assert code == 0 and len(lines) == 81
+    assert len(searches) == 4
+    # at the default bound 3 every box exceeds the cap, and each line says by how much
+    too_large = re.compile(
+        r"source certificate search too large \(certificate search space of (\d+)"
+        r" candidates exceeds the candidate cap of 500000 at this bound\)$"
+    )
+    boxes = [too_large.search(line) for line in lines[:-1]]
+    assert all(boxes)
+    assert {int(m.group(1)) for m in boxes} == {7**8, 9**8}
+
+
+def test_shared_certificate_searches_match_one_search_per_entry(
+    capsys, corpus_dir, tmp_path, partner_entries
+):
+    out = tmp_path / "p.json"
+    code, _, _ = run(capsys, "partners", corpus_dir / "e_i_x_e_i.json", "--coeff-bound", "1",
+                     "--denom-bound", "2", "--search-bound", "1", "--json", out)
+    assert code == 0
+    rows = json.loads(out.read_text("utf-8"))["entries"]
+    a = corpus.square_curve_product()
+    assert len(rows) == len(partner_entries) == 80
+    for row, entry in zip(rows, partner_entries):
+        cert = partners.find_isomorphism_certificate(a, entry.record.partner, 1)
+        assert row["source_certificate"] == corpus.matrix_to_json(cert.m)
 
 
 def test_amu_builds_one_member_lattice(capsys, corpus_dir, tmp_path, count_calls):

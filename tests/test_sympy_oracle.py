@@ -186,7 +186,7 @@ def _same_lattice(ours: Mat, theirs) -> bool:
 
 
 def _nonzero_columns(m: Mat) -> Mat:
-    return m.submatrix(range(m.rows), [j for j in range(m.cols) if any(m.col(j))])
+    return m.submatrix(range(m.rows), [j for j, col in enumerate(m.T.data) if any(col)])
 
 
 @given(int_matrices(bound=2**40))
