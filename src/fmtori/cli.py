@@ -34,13 +34,7 @@ from .partners import (
     ppav_rigidity_check,
 )
 from .product_audit import audit_equivalence, search_kernel_class
-from .slopes import (
-    _member_data,
-    _projection_invariants,
-    _slope_subvariety,
-    parse_slope_literal,
-    reduce_slope,
-)
+from .slopes import parse_slope_literal, projection_invariants, reduce_slope, slope_subvariety
 from .varieties import (
     FiniteSubgroup,
     NotAnIsogenyError,
@@ -152,11 +146,9 @@ def _cmd_amu(args):
     lines = []
     if mu.l != denom or mu.numerator.e != numerator.e:
         lines.append(f"slope reduced to denominator {mu.l}")
-    # one member lattice for the subtorus and the projection invariants
-    member = _member_data(a, mu)
-    sv = _slope_subvariety(a, mu, member)
+    sv = slope_subvariety(a, mu)
     kern = FiniteSubgroup(a, sv.member)
-    inv = _projection_invariants(a, mu, member)
+    inv = projection_invariants(a, mu)
     sub = sv.variety
     lines += [
         f"kernel of A -> A_mu: order {kern.order}, divisors {_divisor_text(kern.divisors)}",

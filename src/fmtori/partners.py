@@ -20,14 +20,7 @@ from math import gcd, prod
 from .matrices import Mat, combination_map, snf
 from .parallel import pmap
 from .records import Record
-from .slopes import (
-    Slope,
-    SlopeSubvariety,
-    _member_data,
-    _slope_subvariety,
-    reduce_slope,
-    slope_subvariety,
-)
+from .slopes import Slope, SlopeSubvariety, reduce_slope, slope_subvariety
 from .varieties import (
     FiniteSubgroup,
     Homomorphism,
@@ -163,10 +156,9 @@ def enumerate_partners(
     Three results are shared, each exactly:
 
     * the member lattice, the inverse of its basis and the complex
-      structure it carries are computed once per residue key (e mod l, l)
-      of the reduced slopes, on which they depend alone (see
-      ``slopes.slope_subvariety``); the embedding, its checks and the NS
-      transport still run for every slope;
+      structure it carries come from the one member-data cache of
+      ``slopes.slope_subvariety``, built once per (J, e mod l, l); the
+      embedding, its checks and the NS transport run for every slope;
     * a partner is a function of its subtorus, and the names are the same
       for every candidate, so ``dual`` runs once per distinct subtorus; the
       identity certificate is built and checked for every candidate;
@@ -174,7 +166,7 @@ def enumerate_partners(
       it is computed once per distinct presentation (J, NS basis) among the
       partners and shared by every entry with that presentation.
 
-    The shared results are kept in dicts local to the call and filled
+    The duals and fingerprints are kept in dicts local to the call and filled
     outside ``pmap``, so the entries do not depend on the thread count.
     The cap counts the whole coefficient box once per denominator.
     """
@@ -184,8 +176,7 @@ def enumerate_partners(
         (2 * coeff_bound + 1) ** len(a.ns_basis) * denom_bound, "partner enumeration"
     )
     seen: set[tuple] = set()
-    members: dict[tuple, tuple] = {}
-    candidates: list[tuple[tuple[int, ...], int, Slope, tuple]] = []
+    candidates: list[tuple[tuple[int, ...], int, Slope]] = []
     for l in range(1, denom_bound + 1):
         for coeffs in _normalized_coefficient_vectors(len(a.ns_basis), coeff_bound):
             mu = reduce_slope(a.ns_class(coeffs), l)
@@ -193,16 +184,13 @@ def enumerate_partners(
             if (e, mu.l) in seen:
                 continue
             seen.add((e, mu.l))
-            residue = (tuple(tuple(x % mu.l for x in row) for row in e), mu.l)
-            if residue not in members:
-                members[residue] = _member_data(a, mu)
-            candidates.append((coeffs, l, mu, members[residue]))
+            candidates.append((coeffs, l, mu))
 
-    subvarieties = pmap(lambda c: _slope_subvariety(a, c[2], c[3]), candidates, threads)
+    subvarieties = pmap(lambda c: slope_subvariety(a, c[2]), candidates, threads)
     duals: dict[TorusVariety, TorusVariety] = {}
     prints: dict[tuple, Fingerprint] = {}
     entries = []
-    for (coeffs, l, mu, _), sv in zip(candidates, subvarieties):
+    for (coeffs, l, mu), sv in zip(candidates, subvarieties):
         if sv.variety not in duals:
             duals[sv.variety] = dual(sv.variety, name=f"{a.name}_partner")
         rec = _partner_record(a, mu, sv, duals[sv.variety])

@@ -77,8 +77,7 @@ def reduce_slope(numerator: NSClass, l: int) -> Slope:
 
 def member_lattice(a: TorusVariety, mu: Slope) -> Lattice:
     """The overlattice {v in (1/l)Lambda : e v integral} presenting the subtorus."""
-    shell = Lattice.standard(a.dim).scaled(Fraction(1, mu.l))
-    return sublattice_where_integral(shell, mu.numerator.e)
+    return _member(a, mu)[0]
 
 
 def slope_kernel(a: TorusVariety, mu: Slope) -> FiniteSubgroup:
@@ -131,8 +130,9 @@ class SlopeSubvariety(Record):
         return self.annihilator_lattice.contains_vector(image)
 
 
-# product varieties kept by the lru_cache helpers here and in product_audit;
-# a run touches a few varieties, so the bound only caps a long-lived process
+# entries kept by each lru_cache helper here and in product_audit (product
+# varieties, slope member data); a run touches a few varieties and a few
+# dozen slope residues, so the bound only caps a long-lived process
 PRODUCT_CACHE_SIZE = 64
 
 
@@ -150,38 +150,45 @@ def _ambient_forms(a: TorusVariety, name: str) -> tuple[tuple, ...]:
     return tuple(_upper(e) for e in (*amb.ns_basis, amb.polarization_class()))
 
 
+@lru_cache(maxsize=PRODUCT_CACHE_SIZE)
+def _member_data(j: Mat, residue: Mat, l: int) -> tuple[Lattice, Mat, Mat]:
+    """(member lattice, h^-1, h^-1 J h) for the canonical basis h of the
+    member lattice {w/l : residue w = 0 mod l} on the complex structure j.
+
+    e w / l is integral exactly when e w = 0 mod l, so these are the same for
+    every slope on J with numerator e = residue mod l.  The key holds no
+    name, and none of the three results carries one.
+    """
+    shell = Lattice.standard(j.rows).scaled(Fraction(1, l))
+    lam_mu = sublattice_where_integral(shell, residue)
+    h_inv = lam_mu.basis.inverse()
+    return lam_mu, h_inv, h_inv @ j @ lam_mu.basis
+
+
+def _member(a: TorusVariety, mu: Slope) -> tuple[Lattice, Mat, Mat]:
+    """The member data of mu on a, shared by every slope with the same
+    (J, e mod l, l)."""
+    l, n = mu.l, a.dim
+    # the entries of an integral class reduced mod l: still integral
+    residue = Mat._make(tuple(tuple(x % l for x in row) for row in mu.numerator.e.num), n, n)
+    return _member_data(a.j, residue, l)
+
+
 def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
     """The subtorus of A x dual(A) that mu cuts out, with its structure maps.
 
     The member lattice {w/l : e w = 0 mod l}, the inverse of its basis h and
     the complex structure h^-1 J h it carries depend on mu only through
-    (e mod l, l), so ``partners.enumerate_partners`` computes them once per
-    residue and passes them to the same construction.  The embedding, its
-    integrality and primitivity checks, the NS transport and the three maps
-    depend on e itself and are built for every slope.
+    (J, e mod l, l), so they are built once per such key, in the one bounded
+    cache that ``projection_invariants`` and ``slope_kernel`` read too.  The
+    embedding, its integrality and primitivity checks, the NS transport and
+    the three maps depend on e itself and are built for every slope.
     """
     if mu.variety != a:
         raise ValueError("slope does not live on the given variety")
-    return _slope_subvariety(a, mu, _member_data(a, mu))
-
-
-def _member_data(a: TorusVariety, mu: Slope) -> tuple[Lattice, Mat, Mat]:
-    """(member lattice, h^-1, h^-1 J h) for the canonical basis h of the
-    member lattice of mu: the same for every slope with the same e mod l and
-    l, since e w / l is integral exactly when e w = 0 mod l."""
-    lam_mu = member_lattice(a, mu)
-    h_inv = lam_mu.basis.inverse()
-    return lam_mu, h_inv, h_inv @ a.j @ lam_mu.basis
-
-
-def _slope_subvariety(
-    a: TorusVariety, mu: Slope, member: tuple[Lattice, Mat, Mat]
-) -> SlopeSubvariety:
-    """slope_subvariety(a, mu) on member = _member_data(a, mu'), for mu on a
-    and any mu' on a with the same residue key as mu."""
     n = a.dim
     amb = _ambient_product(a, a.name)
-    lam_mu, h_inv, j_mu = member
+    lam_mu, h_inv, j_mu = _member(a, mu)
     h = lam_mu.basis
     emb = Mat.vstack(mu.l * Mat.identity(n), mu.numerator.e)
     emb_h = emb @ h
@@ -227,15 +234,7 @@ class ProjectionInvariants(Record):
 
 
 def projection_invariants(a: TorusVariety, mu: Slope) -> ProjectionInvariants:
-    return _projection_invariants(a, mu, _member_data(a, mu))
-
-
-def _projection_invariants(
-    a: TorusVariety, mu: Slope, member: tuple[Lattice, Mat, Mat]
-) -> ProjectionInvariants:
-    """projection_invariants(a, mu) on member = _member_data(a, mu), for a
-    caller that has the member data of mu already."""
-    lam_mu, _, j_mu = member
+    lam_mu, _, j_mu = _member(a, mu)
     pi = mu.l * lam_mu.basis
     deg = abs(int(pi.det()))
     r = isqrt(deg)

@@ -76,6 +76,28 @@ def count_calls(monkeypatch):
     return count
 
 
+@pytest.fixture
+def cold_caches():
+    """Empty every ``functools`` cache on the fmtori modules, as in a fresh
+    process, so that a count pin reads no entry an earlier test filled.
+    Every cache must be bounded (``maxsize`` set), so none grows without
+    limit in a long-lived process."""
+    caches = {
+        f"{mod.__name__}.{attr}": value
+        for mod in list(sys.modules.values())
+        if getattr(mod, "__name__", "").partition(".")[0] == "fmtori"
+        for attr, value in vars(mod).items()
+        if callable(getattr(value, "cache_clear", None))
+    }
+    assert caches
+    unbounded = sorted(
+        name for name, c in caches.items() if c.cache_parameters()["maxsize"] is None
+    )
+    assert not unbounded, f"unbounded caches: {unbounded}"
+    for cache in caches.values():
+        cache.cache_clear()
+
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import fmtori
-from fmtori import acceptance, corpus, product_audit
+from fmtori import acceptance, corpus, product_audit, slopes
 
 # the directory holding the package under test, so the subprocess imports
 # the same sources whether or not the package is installed
@@ -205,3 +205,11 @@ def test_the_gate_audits_each_class_once(count_calls):
     assert acceptance.run_all()["ok"]
     assert len(audits) == 3
     assert len({(pc.m, l) for pc, l in audits}) == 3
+
+
+def test_the_gate_builds_member_data_once_per_key(cold_caches):
+    # subtori, projection invariants and slope kernels read one member-data
+    # cache on (J, e mod l, l): 13 keys, where each call built its own (51)
+    assert acceptance.run_all()["ok"]
+    info = slopes._member_data.cache_info()
+    assert (info.misses, info.currsize) == (13, 13)

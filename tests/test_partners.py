@@ -1,10 +1,13 @@
 import itertools
 import json
+import sys
+from fractions import Fraction
 from math import prod
 
 import pytest
 
 from fmtori import corpus, partners, slopes
+from fmtori.lattices import Lattice, sublattice_where_integral
 from fmtori.matrices import Mat, snf
 from fmtori.partners import (
     SEARCH_CANDIDATE_CAP,
@@ -15,7 +18,7 @@ from fmtori.partners import (
     partner_from_slope,
     ppav_rigidity_check,
 )
-from fmtori.slopes import Slope, member_lattice, reduce_slope
+from fmtori.slopes import Slope, reduce_slope
 from fmtori.varieties import (
     Homomorphism,
     NSClass,
@@ -260,22 +263,24 @@ def test_enumeration_dualizes_each_partner_once(e_i_squared, monkeypatch):
 
 
 def _member_data_by_definition(a, mu):
-    lam = member_lattice(a, mu)
+    shell = Lattice.standard(a.dim).scaled(Fraction(1, mu.l))
+    lam = sublattice_where_integral(shell, mu.numerator.e)
     h_inv = lam.basis.inverse()
     return lam, h_inv, h_inv @ a.j @ lam.basis
 
 
 def _shared_member_data(a, monkeypatch, *bounds):
-    """(slope, member data) as enumerate_partners hands each candidate to
-    the subtorus construction."""
+    """(slope, member data) as the member-data cache returns it to the
+    subtorus construction of each candidate."""
     seen = []
-    original = partners._slope_subvariety
+    original = slopes._member
 
-    def recorded(v, mu, member):
+    def recorded(v, mu):
+        member = original(v, mu)
         seen.append((mu, member))
-        return original(v, mu, member)
+        return member
 
-    monkeypatch.setattr(partners, "_slope_subvariety", recorded)
+    monkeypatch.setattr(slopes, "_member", recorded)
     entries = enumerate_partners(a, *bounds)
     assert [mu for mu, _ in seen] == [e.slope for e in entries]
     return seen
@@ -294,22 +299,23 @@ def test_shared_member_data_is_each_candidates_own(name, bounds, request, monkey
         assert member == _member_data_by_definition(a, mu)
 
 
-def test_enumeration_computes_each_member_lattice_once_per_residue(e_i_squared, monkeypatch):
-    calls = []
-    original = slopes.member_lattice
-
-    def counted(a, mu):
-        calls.append((tuple(tuple(x % mu.l for x in row) for row in mu.numerator.e.data), mu.l))
-        return original(a, mu)
-
-    monkeypatch.setattr(slopes, "member_lattice", counted)
-    assert len(enumerate_partners(e_i_squared, 1, 2)) == 80
-    assert len(calls) == 16
-    assert len(set(calls)) == 16
+def test_enumeration_computes_each_member_lattice_once_per_residue(e_i_squared, cold_caches):
+    entries = enumerate_partners(e_i_squared, 1, 2)
+    assert len(entries) == 80
+    residues = {(tuple(tuple(x % e.slope.l for x in row) for row in e.slope.numerator.e.data),
+                 e.slope.l) for e in entries}
+    assert len(residues) == 16
+    assert slopes._member_data.cache_info().misses == 16
 
 
-def test_enumeration_entries_do_not_depend_on_threads(e_i_squared, partner_entries):
-    four = enumerate_partners(e_i_squared, 1, 2, threads=4)
+def test_enumeration_entries_do_not_depend_on_threads(e_i_squared, partner_entries, cold_caches):
+    # from cold caches, the pool threads race to fill the member-data cache
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = enumerate_partners(e_i_squared, 1, 2, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
     assert four == partner_entries
     assert [e.record.partner.name for e in four] == [
         e.record.partner.name for e in partner_entries

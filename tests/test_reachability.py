@@ -18,7 +18,6 @@ from pathlib import Path
 from types import CodeType
 
 import fmtori
-from fmtori import product_audit, slopes
 from fmtori.acceptance import run_all
 from fmtori.cli import main
 from fmtori.corpus import write_corpus
@@ -92,12 +91,9 @@ def _entered(run) -> set[str]:
     }
 
 
-def test_every_src_function_is_entered_or_exempt(bench_modules, tmp_path, capsys):
-    layers, workloads = bench_modules
+def test_every_src_function_is_entered_or_exempt(bench_modules, cold_caches, tmp_path, capsys):
     # cold caches, so that a cached body is entered whatever ran before
-    for cached in (slopes._ambient_product, slopes._ambient_forms,
-                   product_audit._product_variety, product_audit._dual_product_variety):
-        cached.cache_clear()
+    layers, workloads = bench_modules
 
     def run():
         assert run_all()["ok"]

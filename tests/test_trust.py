@@ -1,12 +1,15 @@
 """Trusted construction: what ``Record._make`` skips, and that it is safe.
 
 Results the package proves valid are built with ``Record._make``, which runs
-no ``__post_init__``.  The trust audit routes ``_make`` through the
-validating constructor and reruns the gate, the four benchmark workloads and
-the ``--json`` report of every CLI command on the shipped corpus: the bytes
-must not change and no ``ValueError`` may surface, so every record built
-without validation on these inputs would have passed it.  The count pin fixes
-how many validations the benchmark's timed calls still run.
+no ``__post_init__``, and slope member data is shared through a cache on
+(J, e mod l, l).  The trust audit routes ``_make`` through the validating
+constructor, bypasses the member-data cache so that every slope recomputes
+its own, and reruns the gate, the four benchmark workloads and the
+``--json`` report of every CLI command on the shipped corpus: the bytes must
+not change and no ``ValueError`` may surface, so every record built without
+validation on these inputs would have passed it, and no shared member data
+changed an answer.  The count pin fixes how many validations the benchmark's
+timed calls still run.
 """
 
 from fractions import Fraction
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from fmtori import acceptance, corpus, lattices, varieties
+from fmtori import acceptance, corpus, lattices, slopes, varieties
 from fmtori.cli import main
 from fmtori.lattices import Lattice, quotient_structure
 from fmtori.matrices import Mat
@@ -48,9 +51,15 @@ COMMANDS = [
 VALIDATING_MAKE = classmethod(lambda cls, *values: cls(*values))
 
 
-@pytest.fixture
-def validate_everything(monkeypatch):
+def _trust_nothing(monkeypatch):
+    """Validate every record and recompute the member data of every slope."""
     monkeypatch.setattr(Record, "_make", VALIDATING_MAKE)
+    monkeypatch.setattr(slopes, "_member_data", slopes._member_data.__wrapped__)
+
+
+@pytest.fixture
+def trust_nothing(monkeypatch):
+    _trust_nothing(monkeypatch)
 
 
 def _json_report(corpus_dir, out, command) -> tuple[int, bytes]:
@@ -59,14 +68,14 @@ def _json_report(corpus_dir, out, command) -> tuple[int, bytes]:
     return code, out.read_bytes()
 
 
-def test_the_gate_is_golden_with_every_record_validated(validate_everything):
+def test_the_gate_is_golden_with_every_record_validated(trust_nothing):
     report = corpus.render_json(acceptance.run_all())
     assert report.encode("utf-8") == GOLDEN.read_bytes()
 
 
 @pytest.mark.parametrize("name", ("regress", "partners", "search_l2", "kernel_search"))
 def test_workload_checks_pass_with_every_record_validated(
-    bench_modules, validate_everything, name
+    bench_modules, trust_nothing, name
 ):
     _, workloads = bench_modules
     inputs = workloads.BUILD[name](0)
@@ -79,7 +88,7 @@ def test_cli_reports_are_unchanged_with_every_record_validated(
     corpus_dir, tmp_path, monkeypatch, capsys, command
 ):
     trusted = _json_report(corpus_dir, tmp_path / "trusted.json", command)
-    monkeypatch.setattr(Record, "_make", VALIDATING_MAKE)
+    _trust_nothing(monkeypatch)
     validated = _json_report(corpus_dir, tmp_path / "validated.json", command)
     capsys.readouterr()
     assert trusted[0] == 0

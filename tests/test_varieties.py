@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmtori import corpus, matrices, oracles, product_audit, slopes
+from fmtori import corpus, matrices, oracles
 from fmtori.corpus import (
     doubled_square_lattice_curve,
     square_curve_product,
@@ -341,22 +341,15 @@ def test_polarization_class_is_the_validated_combination(partner_entries):
         assert got == v.ns_class(v.polarization).e and got.is_integral()
 
 
-# combination maps built in each workload's timed call, with the product
-# caches empty as in a fresh process: one per variety whose classes are
+# combination maps built in each workload's timed call, with every cache
+# empty as in a fresh process: one per variety whose classes are
 # combined, plus the correspondence and certificate combinations
 COMBINATION_MAPS = {"regress": 19, "partners": 66, "search_l2": 4, "kernel_search": 0}
 
 
 @pytest.mark.parametrize("name", sorted(COMBINATION_MAPS))
-def test_timed_calls_flatten_each_ns_basis_once(bench_modules, count_calls, name):
+def test_timed_calls_flatten_each_ns_basis_once(bench_modules, cold_caches, count_calls, name):
     _, workloads = bench_modules
-    for cache in (
-        slopes._ambient_product,
-        slopes._ambient_forms,
-        product_audit._product_variety,
-        product_audit._dual_product_variety,
-    ):
-        cache.cache_clear()
     inputs = workloads.BUILD[name](0)
     maps = count_calls(matrices, "combination_map")
     workloads.RUN[name](inputs)
