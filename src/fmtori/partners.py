@@ -157,8 +157,11 @@ def enumerate_partners(
 
     * the member lattice, the inverse of its basis and the complex
       structure it carries come from the one member-data cache of
-      ``slopes.slope_subvariety``, built once per (J, e mod l, l); the
-      embedding, its checks and the NS transport run for every slope;
+      ``slopes.slope_subvariety``, keyed by (J, e mod l, l); slopes are
+      built grouped by coefficients mod l, so a single thread builds each
+      key once however many keys the box has (pool threads that miss the
+      same key at once may each build it); the embedding, its checks and
+      the NS transport run for every slope;
     * a partner is a function of its subtorus, and the names are the same
       for every candidate, so ``dual`` runs once per distinct subtorus; the
       identity certificate is built and checked for every candidate;
@@ -186,11 +189,17 @@ def enumerate_partners(
             seen.add((e, mu.l))
             candidates.append((coeffs, l, mu))
 
-    subvarieties = pmap(lambda c: slope_subvariety(a, c[2]), candidates, threads)
+    # group by coefficients mod l, which fix the member-data key
+    order = sorted(
+        range(len(candidates)),
+        key=lambda i: (candidates[i][1], [x % candidates[i][1] for x in candidates[i][0]]),
+    )
+    built = dict(zip(order, pmap(lambda i: slope_subvariety(a, candidates[i][2]), order, threads)))
     duals: dict[TorusVariety, TorusVariety] = {}
     prints: dict[tuple, Fingerprint] = {}
     entries = []
-    for (coeffs, l, mu), sv in zip(candidates, subvarieties):
+    for i, (coeffs, l, mu) in enumerate(candidates):
+        sv = built[i]
         if sv.variety not in duals:
             duals[sv.variety] = dual(sv.variety, name=f"{a.name}_partner")
         rec = _partner_record(a, mu, sv, duals[sv.variety])

@@ -131,8 +131,11 @@ class SlopeSubvariety(Record):
 
 
 # entries kept by each lru_cache helper here and in product_audit (product
-# varieties, slope member data); a run touches a few varieties and a few
-# dozen slope residues, so the bound only caps a long-lived process
+# varieties, slope member data).  A run touches a few varieties; the gate
+# builds 13 member-data keys and the partners workload 16.  Larger partner
+# boxes have more keys than this (804 on E_i x E_i at coefficient bound 3,
+# denominator bound 5), and enumerate_partners builds their slopes grouped
+# by key, so each key is still built once and the bound only caps memory
 PRODUCT_CACHE_SIZE = 64
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import sys
@@ -282,7 +283,9 @@ def _shared_member_data(a, monkeypatch, *bounds):
 
     monkeypatch.setattr(slopes, "_member", recorded)
     entries = enumerate_partners(a, *bounds)
-    assert [mu for mu, _ in seen] == [e.slope for e in entries]
+    # candidates are built grouped by residue, not in entry order
+    assert len(seen) == len(entries)
+    assert {mu for mu, _ in seen} == {e.slope for e in entries}
     return seen
 
 
@@ -306,6 +309,23 @@ def test_enumeration_computes_each_member_lattice_once_per_residue(e_i_squared, 
                  e.slope.l) for e in entries}
     assert len(residues) == 16
     assert slopes._member_data.cache_info().misses == 16
+
+
+@pytest.mark.parametrize("bounds, residues", (((1, 2), 16), ((2, 3), 96)))
+def test_enumeration_builds_each_residue_once_through_a_one_entry_cache(
+    e_i_squared, monkeypatch, bounds, residues
+):
+    # candidates sharing member data are built next to each other, so even a
+    # cache of one entry builds each residue once: a box with more residues
+    # than the cache holds does not rebuild any (lexicographic order builds
+    # 41 and 572 times here)
+    one = functools.lru_cache(maxsize=1)(slopes._member_data.__wrapped__)
+    monkeypatch.setattr(slopes, "_member_data", one)
+    entries = enumerate_partners(e_i_squared, *bounds)
+    keys = {(tuple(tuple(x % e.slope.l for x in row) for row in e.slope.numerator.e.data),
+             e.slope.l) for e in entries}
+    assert len(keys) == residues
+    assert one.cache_info().misses == residues
 
 
 def test_enumeration_entries_do_not_depend_on_threads(e_i_squared, partner_entries, cold_caches):
