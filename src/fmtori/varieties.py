@@ -419,7 +419,9 @@ def class_kernel(c: NSClass) -> "FiniteSubgroup":
     Z^n / e^T Z^n (Mumford, *Abelian Varieties*, section 23).  That skips
     the inverse and product of the lattice quotient, and no identity is
     lost: the gate still enumerates the kernel lattice against this
-    structure, pointwise, in the degree law.
+    structure, pointwise, in the degree law.  The paired-divisor criterion
+    needs only the structure, so it reads the Smith form of e directly and
+    builds no kernel.
     """
     lam = Lattice.standard(c.variety.dim)
     try:

@@ -9,7 +9,9 @@ the gate twice in one process, so the second run reads warm caches, and
 compares both with the golden report.
 """
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,8 @@ from pathlib import Path
 import pytest
 
 import fmtori
-from fmtori import acceptance, corpus, product_audit, slopes
+from fmtori import acceptance, corpus, lattices, matrices, product_audit, slopes
+from fmtori.matrices import Mat
 
 # the directory holding the package under test, so the subprocess imports
 # the same sources whether or not the package is installed
@@ -213,3 +216,29 @@ def test_the_gate_builds_member_data_once_per_key(cold_caches):
     assert acceptance.run_all()["ok"]
     info = slopes._member_data.cache_info()
     assert (info.misses, info.currsize) == (13, 13)
+
+
+def test_the_gate_builds_a_kernel_lattice_only_where_it_reads_one(count_calls):
+    # the degree law's six class kernels; the paired-divisor criterion reads
+    # Smith forms instead of 50 kernel lattices (56 before)
+    forms = count_calls(lattices, "dual_lattice_of_form")
+    assert acceptance.run_all()["ok"]
+    assert len(forms) == 6
+
+
+def test_paired_divisors_take_one_smith_form_per_nonzero_draw(count_calls, monkeypatch):
+    # the Smith form of e is both the degeneracy test and the divisors: no
+    # determinant (a det filter and a kernel lattice per class before)
+    smith = count_calls(matrices, "snf")
+    dets = []
+    det = Mat.det
+    monkeypatch.setattr(Mat, "det", lambda m: dets.append(m) or det(m))
+    crit = acceptance.criterion_paired_divisors()
+    assert crit["ok"] and crit["sampled"] == 50
+    assert dets == []
+    # the draws replayed: 50 nondegenerate classes and one degenerate one
+    p = corpus.square_curve_product()
+    rng = random.Random(acceptance._C2_SEED)
+    draws = (tuple(rng.randint(-5, 5) for _ in p.ns_basis) for _ in itertools.count())
+    nonzero = (p.ns_class(c).e for c in draws if any(c))
+    assert [m for (m,) in smith] == list(itertools.islice(nonzero, 51))

@@ -5,19 +5,24 @@ installed.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmtori import product_audit
+from fmtori import acceptance, product_audit
 from fmtori.corpus import square_curve_product
 from fmtori.lattices import Lattice
 from fmtori.matrices import Mat, hnf_columns, integer_kernel, snf, solve_exact
 
 sympy = pytest.importorskip("sympy")
-from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  # noqa: E402
+from sympy.matrices.normalforms import (  # noqa: E402
+    hermite_normal_form,
+    invariant_factors,
+    smith_normal_form,
+)
 
 dims = st.integers(min_value=1, max_value=6)
 
@@ -160,6 +165,24 @@ def test_torsion_kernel_order_matches_sympy(coeffs, l):
     factors = [int(x) for x in invariant_factors(sympy.Matrix(e.data), domain=sympy.ZZ)]
     factors += [0] * (e.rows - len(factors))
     assert product_audit._torsion_kernel_order(e, l) == math.prod(math.gcd(d, l) for d in factors)
+
+
+def test_paired_divisor_sample_matches_sympy_smith_form():
+    # the paired-divisor criterion rests on snf alone: on its 50 classes,
+    # sympy's Smith form has the same invariant factors up to sign, and a
+    # det filter by sympy skips the same draws
+    sample = acceptance._paired_divisor_sample()
+    p = square_curve_product()
+    rng = random.Random(acceptance._C2_SEED)
+    kept = []
+    while len(kept) < 50:
+        coeffs = tuple(rng.randint(-5, 5) for _ in p.ns_basis)
+        if any(coeffs) and sympy.Matrix(p.ns_class(coeffs).e.data).det() != 0:
+            kept.append(coeffs)
+    assert [coeffs for coeffs, _, _ in sample] == kept
+    for _, cls, diag in sample:
+        theirs = smith_normal_form(sympy.Matrix(cls.e.data), domain=sympy.ZZ)
+        assert tuple(abs(int(theirs[i, i])) for i in range(theirs.rows)) == diag
 
 
 # -- the normal forms, compared as lattices ---------------------------------

@@ -19,7 +19,7 @@ import pytest
 
 from fmtori import acceptance, corpus, lattices, slopes, varieties
 from fmtori.cli import main
-from fmtori.lattices import Lattice, quotient_structure
+from fmtori.lattices import FiniteGroupStructure, Lattice, quotient_structure
 from fmtori.matrices import Mat
 from fmtori.product_audit import ProductNSClass, assemble, twist_to_ample
 from fmtori.records import Record
@@ -156,25 +156,35 @@ def test_public_constructors_still_validate(e_i, e_2i, e_i_squared):
 
 
 def test_class_kernel_structures_are_their_lattice_quotients(corpus_dir, tmp_path, count_calls):
-    # class_kernel reads the structure off the Smith form of the class; on
-    # every class the gate and the kl command take, the kernel lattice
-    # must have the same quotient
+    # class_kernel reads the structure off the Smith form of the class, and
+    # the paired-divisor criterion reads that Smith form with no kernel at
+    # all; on every class the gate and the kl command take, and on the
+    # criterion's 50 sampled classes, the kernel lattice must have the same
+    # quotient
     class_kernel = varieties.class_kernel
     classes = count_calls(varieties, "class_kernel")
     assert acceptance.run_all()["ok"]
     for i, command in enumerate(c for c in COMMANDS if c[0] == "kl"):
         assert _json_report(corpus_dir, tmp_path / f"kl{i}.json", command)[0] == 0
-    assert len(classes) == 58
+    assert len(classes) == 8
+    smith = []
     for (c,) in classes:
         kern = class_kernel(c)
         assert "structure" in vars(kern)
-        std = Lattice.standard(kern.variety.dim)
-        assert kern.structure == quotient_structure(std, kern.overlattice)
+        smith.append((c, kern.structure))
+    sample = acceptance._paired_divisor_sample()
+    smith += [(c, FiniteGroupStructure.from_diagonal(diag)) for _, c, diag in sample]
+    assert len(smith) == 58
+    for c, structure in smith:
+        std = Lattice.standard(c.variety.dim)
+        assert structure == quotient_structure(std, class_kernel(c).overlattice)
 
 
 def test_the_gate_builds_each_lattice_quotient_it_reads(count_calls):
-    # 56 class kernels read the Smith form of their class instead (124 before),
-    # and each of the three audited classes is audited once, not twice (68)
+    # 56 classes read the Smith form of their class instead (124 before): the
+    # degree law's 6 class kernels and the paired-divisor criterion's 50
+    # draws; and each of the three audited classes is audited once, not
+    # twice (68)
     quotients = count_calls(lattices, "quotient_structure")
     assert acceptance.run_all()["ok"]
     assert len(quotients) == 59
