@@ -25,12 +25,11 @@ from .lattices import FiniteGroupStructure
 from .matrices import Mat, combination_map, snf
 from .partners import ppav_rigidity_check
 from .product_audit import (
-    _audit,
-    _graph_homs,
-    _projection_iso,
     _search_product_classes,
+    audit_equivalence,
     decompose,
     partner_dual_certificate,
+    projection_iso,
     search_kernel_class,
 )
 from .slopes import (
@@ -181,10 +180,10 @@ def criterion_projection_counts() -> dict:
     return _result("projection_counts", ok, cases=rows)
 
 
-def _audit_summary(pc, l: int, report) -> dict:
+def _audit_summary(report) -> dict:
     return {
-        "class": _intlist(pc.m),
-        "l": l,
+        "class": _intlist(report.pc.m),
+        "l": report.l,
         "all_pass": report.all_pass,
         "items": [{"name": it.name, "ok": it.passed} for it in report.items],
     }
@@ -193,11 +192,11 @@ def _audit_summary(pc, l: int, report) -> dict:
 def _criterion_poincare() -> tuple[dict, list]:
     pc = poincare_class()
     # one audit serves the summary and the projections
-    report, sv = _audit(pc, 1)
-    summary = _audit_summary(pc, 1, report)
-    m_a, pi, m_b = decompose(pc)
+    report = audit_equivalence(pc, 1)
+    summary = _audit_summary(report)
+    _, pi, _ = decompose(pc)
     kern = slope_kernel(pc.as_class().variety, reduce_slope(pc.as_class(), 1))
-    iso = _projection_iso(pc, 1, report, sv)
+    iso = projection_iso(report)
     good = (
         summary["all_pass"]
         and kern.order == 1
@@ -212,10 +211,10 @@ def _criterion_poincare() -> tuple[dict, list]:
     return detail, ([(pc, 1)] if good else [])
 
 
-def _oracle_subgroup_checks(pc, l: int) -> dict:
-    """Re-derive the audit's subgroup identities by enumerating torsion points."""
+def _oracle_subgroup_checks(pc, l: int, m_a, pi, m_b) -> dict:
+    """Re-derive the audit's subgroup identities by enumerating torsion
+    points; m_a, pi and m_b are the blocks of ``decompose(pc)``."""
     prod = pc.as_class().variety
-    m_a, pi, m_b = decompose(pc)
 
     # members of the slope lattice among l-torsion: x with l*x and M*x integral
     kern_count = len(oracles.kernel_points_of_class(pc.m, l))
@@ -238,9 +237,12 @@ def _oracle_subgroup_checks(pc, l: int) -> dict:
     inclusion_a = inside(pi.m, m_a.e)
     inclusion_b = inside(pi.m.T, m_b.e)
 
-    into_a, into_b = _graph_homs(pc)
-    set_a = {oracles.apply_mod1(into_a.m, p) for p in oracles.torsion_points(pc.a.dim, l)}
-    set_b = {oracles.apply_mod1(into_b.m, p) for p in oracles.torsion_points(pc.b.dim, l)}
+    # the partial-graph maps are the two column halves of the class matrix
+    na, m = pc.a.dim, pc.m
+    into_a = m.submatrix(range(m.rows), range(na))
+    into_b = m.submatrix(range(m.rows), range(na, m.cols))
+    set_a = {oracles.apply_mod1(into_a, p) for p in oracles.torsion_points(na, l)}
+    set_b = {oracles.apply_mod1(into_b, p) for p in oracles.torsion_points(pc.b.dim, l)}
     graphs_equal = set_a == set_b
     graph_order = len(set_a)
 
@@ -256,17 +258,18 @@ def _oracle_subgroup_checks(pc, l: int) -> dict:
 
 def _criterion_l2_search(threads: int) -> tuple[dict, list]:
     a = square_lattice_curve()
-    # each hit with the report of the audit that passed it
+    # the report of the audit that passed each hit
     hits = _search_product_classes(a, a, 2, 2, threads, limit=2)
     if not hits:
         return _result("l2_search_audit", False, hits=0), []
     rows = []
     ok = True
     instances = []
-    for pc, report in hits:
-        summary = _audit_summary(pc, 2, report)
-        _, pi, _ = decompose(pc)
-        oracle = _oracle_subgroup_checks(pc, 2)
+    for report in hits:
+        pc = report.pc
+        summary = _audit_summary(report)
+        m_a, pi, m_b = decompose(pc)
+        oracle = _oracle_subgroup_checks(pc, 2, m_a, pi, m_b)
         good = (
             summary["all_pass"]
             and oracle["kernel_points"] == 4

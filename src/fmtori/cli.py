@@ -25,8 +25,8 @@ from .corpus import (
     variety_from_json,
     variety_to_json,
 )
-from .lattices import DegenerateFormError
-from .matrices import Mat
+from .lattices import FiniteGroupStructure
+from .matrices import Mat, snf
 from .partners import (
     enumerate_partners,
     find_isomorphism_certificate,
@@ -37,10 +37,8 @@ from .product_audit import audit_equivalence, search_kernel_class
 from .slopes import parse_slope_literal, projection_invariants, reduce_slope, slope_subvariety
 from .varieties import (
     FiniteSubgroup,
-    NotAnIsogenyError,
     PreconditionError,
     _excerpt,
-    class_kernel,
     coefficients_in_basis,
     dual,
     validate,
@@ -122,13 +120,15 @@ def _cmd_kl(args):
     cls, denom = _parse_literal(a, getattr(args, "class"))
     if denom != 1:
         raise InputError("kl takes an integral class; slopes belong to amu")
-    try:
-        kern = class_kernel(cls)
-    except (DegenerateFormError, NotAnIsogenyError) as exc:
-        raise InputError(f"class has no finite kernel: {exc}") from exc
+    # K(e) is isomorphic to Z^n / eZ^n: the Smith form of e is its
+    # structure, and a zero invariant factor leaves the kernel infinite
+    diag = snf(cls.e)
+    if 0 in diag:
+        raise InputError("class has no finite kernel: kernel of a degenerate class is not finite")
+    kern = FiniteGroupStructure.from_diagonal(diag)
     oracle_checked = False
-    if kern.structure.exponent ** a.dim <= _ORACLE_POINT_CAP:
-        pts = oracles.kernel_points_of_class(cls.e, kern.structure.exponent)
+    if kern.exponent ** a.dim <= _ORACLE_POINT_CAP:
+        pts = oracles.kernel_points_of_class(cls.e, kern.exponent)
         if len(pts) != kern.order:
             raise AssertionError("normal form and enumeration disagree on the kernel")
         oracle_checked = True

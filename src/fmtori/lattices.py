@@ -13,10 +13,6 @@ from .matrices import Mat, Scalar, hnf_columns, integer_kernel, snf, solve_exact
 from .records import Record
 
 
-class DegenerateFormError(ValueError):
-    """Raised when a dual lattice of a degenerate form is requested."""
-
-
 class LatticeContainmentError(ValueError):
     """Raised when a quotient of non-nested lattices is requested."""
 
@@ -151,23 +147,6 @@ def sublattice_where_integral(container: Lattice, conditions: Mat) -> Lattice:
     ker = integer_kernel(blocked)
     x = ker.submatrix(range(c.cols), range(ker.cols))
     return Lattice(container.ambient_dim, c @ x)
-
-
-def dual_lattice_of_form(e: Mat, lam: Lattice) -> Lattice:
-    """Dual lattice {v : e(v, w) integral for all w in lam} of an alternating form.
-
-    Raises DegenerateFormError when e is singular (the dual is then not a
-    lattice; callers wanting the degenerate variant intersect with a
-    containing lattice via sublattice_where_integral).
-    """
-    if not e.is_alternating():
-        raise ValueError("form must be alternating")
-    if not lam.is_full_rank:
-        raise ValueError("dual lattice needs a full rank lattice")
-    if e.det() == 0:
-        raise DegenerateFormError("form is degenerate")
-    m = lam.basis.T @ e.T
-    return Lattice(lam.ambient_dim, m.inverse())
 
 
 def quotient_structure(sub: Lattice, sup: Lattice) -> FiniteGroupStructure:

@@ -140,11 +140,16 @@ class AuditItem(Record):
 
 
 class AuditReport(Record):
-    a_name: str
-    b_name: str
+    """The audit of a product class over denominator l, item by item, with
+    the slope subtorus it built, which ``projection_iso`` reads.  The
+    subtorus is None when the factors differ in dimension: that audit has
+    one failing item and builds none."""
+
+    pc: ProductNSClass
     l: int
     items: tuple[AuditItem, ...]
     all_pass: bool
+    subtorus: SlopeSubvariety | None
 
 
 def _item(name: str, expected, actual) -> AuditItem:
@@ -158,22 +163,6 @@ def _kernel_inside(over: Lattice, cls: Mat, l: int) -> bool:
     return (l * over.basis).is_integral() and (cls @ over.basis).is_integral()
 
 
-def _graph_homs(pc: ProductNSClass) -> tuple[Homomorphism, Homomorphism]:
-    """The two partial-graph maps into dual(A) x dual(B).
-
-    Composing the class homomorphism of the product class with the two
-    factor inclusions splits the class matrix into its column halves; the
-    images of l-torsion under these two maps are the graph subgroups the
-    theory compares.
-    """
-    dp = _dual_product_variety(pc.a, pc.b, pc.a.name, pc.b.name)
-    na = pc.a.dim
-    cols_a = pc.m.submatrix(range(pc.m.rows), range(na))
-    cols_b = pc.m.submatrix(range(pc.m.rows), range(na, pc.m.cols))
-    # m J = -J^T m for the J-compatible class m, read on the column halves
-    return Homomorphism._make(pc.a, dp, cols_a), Homomorphism._make(pc.b, dp, cols_b)
-
-
 class GraphComparison(Record):
     first: FiniteSubgroup
     second: FiniteSubgroup
@@ -182,7 +171,17 @@ class GraphComparison(Record):
 
 
 def graph_subgroup_comparison(pc: ProductNSClass, l: int) -> GraphComparison:
-    ga, gb = _graph_homs(pc)
+    """The graph subgroups the theory compares: the images of l-torsion
+    under the two partial-graph maps into dual(A) x dual(B).
+
+    Composing the class homomorphism of the product class with the two
+    factor inclusions splits the class matrix into its column halves.
+    """
+    dp = _dual_product_variety(pc.a, pc.b, pc.a.name, pc.b.name)
+    na, m = pc.a.dim, pc.m
+    # m J = -J^T m for the J-compatible class m, read on the column halves
+    ga = Homomorphism._make(pc.a, dp, m.submatrix(range(m.rows), range(na)))
+    gb = Homomorphism._make(pc.b, dp, m.submatrix(range(m.rows), range(na, m.cols)))
     g1 = image_under(ga, torsion_subgroup(pc.a, l))
     g2 = image_under(gb, torsion_subgroup(pc.b, l))
     return GraphComparison(g1, g2, g1 == g2, g1.order)
@@ -206,17 +205,14 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     |det corr|, and the kernels of pi and its dual are spanned by corr^-T and
     corr^-1.  No dual is built: pi intertwines because the class is
     J-compatible, so J_A^T C J_B = C, which gives C^T J_A = -J_B^T C^T.
+
+    The report keeps the class and the slope subtorus the audit built, so
+    ``projection_iso`` reads them instead of auditing again.
     """
-    return _audit(pc, l)[0]
-
-
-def _audit(pc: ProductNSClass, l: int) -> tuple[AuditReport, SlopeSubvariety | None]:
-    """audit_equivalence(pc, l) and the slope subtorus it built, None when
-    the factors differ in dimension and no subtorus was built."""
     mu = _slope_of(pc, l)
     if pc.a.g != pc.b.g:
         item = _item("equal_dimensions", pc.a.g, pc.b.g)
-        return AuditReport(pc.a.name, pc.b.name, l, (item,), False), None
+        return AuditReport(pc, l, (item,), False, None)
     if l > 1 and not is_ample(pc.block_b):
         raise PreconditionError(
             "the B-block of the class must be ample for l > 1; "
@@ -279,8 +275,7 @@ def _audit(pc: ProductNSClass, l: int) -> tuple[AuditReport, SlopeSubvariety | N
         )
     )
 
-    report = AuditReport(pc.a.name, pc.b.name, l, tuple(items), all(i.passed for i in items))
-    return report, sv
+    return AuditReport(pc, l, tuple(items), all(i.passed for i in items), sv)
 
 
 class ProjectionIso(Record):
@@ -289,24 +284,20 @@ class ProjectionIso(Record):
     eta: Homomorphism
 
 
-def projection_iso(pc: ProductNSClass, l: int) -> ProjectionIso:
-    """The two coordinate projections off the subtorus and their ratio.
+def projection_iso(report: AuditReport) -> ProjectionIso:
+    """The two coordinate projections off the audited slope subtorus and
+    their ratio.
 
-    Both projections must be unimodular on an all-pass instance; their
-    ratio eta maps A x dual(A) to B x dual(B), and the image of the
-    dual-factor torsion lands on the subtorus of B cut out by the B-block
-    slope.  Violations raise, because the theory proves they cannot occur.
+    It reads the class, l and the subtorus from an all-pass audit report,
+    so it builds only the B-block subtorus.  Both projections must be
+    unimodular on an all-pass instance; their ratio eta maps A x dual(A) to
+    B x dual(B), and the image of the dual-factor torsion lands on the
+    subtorus of B cut out by the B-block slope.  Violations raise, because
+    the theory proves they cannot occur.
     """
-    return _projection_iso(pc, l, *_audit(pc, l))
-
-
-def _projection_iso(
-    pc: ProductNSClass, l: int, report: AuditReport, sv: SlopeSubvariety
-) -> ProjectionIso:
-    """projection_iso(pc, l) on the report and slope subtorus of
-    ``_audit(pc, l)``, so that a caller holding them audits once."""
     if not report.all_pass:
         raise PreconditionError("projection_iso requires an all-pass audit")
+    pc, l, sv = report.pc, report.l, report.subtorus
     na, nb = pc.a.dim, pc.b.dim
     half = na + nb
     emb = sv.to_ambient.m
@@ -484,13 +475,15 @@ def search_product_classes(
     can only compute the same entry twice.  With one thread the scan stops
     at the `limit`-th hit; the result is the same for any thread count.
     """
-    return [pc for pc, _ in _search_product_classes(a, b, l, coeff_bound, threads, limit)]
+    return [r.pc for r in _search_product_classes(a, b, l, coeff_bound, threads, limit)]
 
 
 def _search_product_classes(
     a: TorusVariety, b: TorusVariety, l: int, coeff_bound: int, threads: int, limit: int
-) -> list[tuple[ProductNSClass, AuditReport]]:
-    """search_product_classes with the audit report of each hit."""
+) -> list[AuditReport]:
+    """The audit reports of the hits of search_product_classes, which the
+    gate reads.  The public function stays only because the benchmark
+    trace binds its name (bench/layers.py, ROADMAP item 3(a))."""
     prod = _product_variety(a, b, a.name, b.name)
     na, nb = a.dim, b.dim
     degree = l ** (2 * a.g - 2)
@@ -499,7 +492,7 @@ def _search_product_classes(
     corr_matrix = combination_map([blocks[k] for k in live], na, nb)
     has_degree: dict[tuple[int, ...], bool] = {}
 
-    def evaluate(coeffs) -> tuple[ProductNSClass, AuditReport] | None:
+    def evaluate(coeffs) -> AuditReport | None:
         key = tuple(coeffs[k] for k in live)
         ok = has_degree.get(key)
         if ok is None:
@@ -517,7 +510,7 @@ def _search_product_classes(
             return None
         # the public entry: the benchmark trace counts its spans as audits
         report = audit_equivalence(pc, l)
-        return (pc, report) if report.all_pass else None
+        return report if report.all_pass else None
 
     return _scan(len(prod.ns_basis), coeff_bound, coeff_bound, evaluate, threads, limit)
 

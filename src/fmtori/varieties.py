@@ -26,13 +26,7 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from .lattices import (
-    DegenerateFormError,
-    FiniteGroupStructure,
-    Lattice,
-    dual_lattice_of_form,
-    quotient_structure,
-)
+from .lattices import FiniteGroupStructure, Lattice, quotient_structure
 from .matrices import Mat, combination_map, integer_kernel, snf, solve_exact, vec_is_integral
 from .records import Record
 
@@ -414,22 +408,23 @@ def is_isomorphism_certificate(f: Homomorphism) -> bool:
 def class_kernel(c: NSClass) -> "FiniteSubgroup":
     """K(L): the finite kernel of the class homomorphism, for nondegenerate c.
 
-    Its structure is filled at construction, from the Smith form of e alone:
-    the kernel lattice is e^-T Z^n, and e^-T Z^n / Z^n is isomorphic to
+    The kernel lattice is e^-T Z^n, the dual of Z^n under e, and it is
+    spanned by the columns of e^-1, because e^T = -e; a singular e has no
+    inverse and no finite kernel.  Its structure is filled at construction,
+    from the Smith form of e alone: e^-T Z^n / Z^n is isomorphic to
     Z^n / e^T Z^n (Mumford, *Abelian Varieties*, section 23).  That skips
     the inverse and product of the lattice quotient, and no identity is
     lost: the gate still enumerates the kernel lattice against this
     structure, pointwise, in the degree law.  The paired-divisor criterion
-    needs only the structure, so it reads the Smith form of e directly and
-    builds no kernel.
+    and the ``kl`` command need only the structure, so they read the Smith
+    form of e directly and build no kernel.
     """
-    lam = Lattice.standard(c.variety.dim)
     try:
-        kernel = dual_lattice_of_form(c.e, lam)
-    except DegenerateFormError:
+        inverse = c.e.inverse()
+    except ValueError:
         raise NotAnIsogenyError("kernel of a degenerate class is not finite") from None
     return FiniteSubgroup._with_structure(
-        c.variety, kernel, FiniteGroupStructure.from_diagonal(snf(c.e))
+        c.variety, Lattice(c.variety.dim, inverse), FiniteGroupStructure.from_diagonal(snf(c.e))
     )
 
 

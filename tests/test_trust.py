@@ -20,9 +20,10 @@ import pytest
 from fmtori import acceptance, corpus, lattices, slopes, varieties
 from fmtori.cli import main
 from fmtori.lattices import FiniteGroupStructure, Lattice, quotient_structure
-from fmtori.matrices import Mat
+from fmtori.matrices import Mat, snf
 from fmtori.product_audit import ProductNSClass, assemble, twist_to_ample
 from fmtori.records import Record
+from fmtori.slopes import parse_slope_literal
 from fmtori.varieties import Homomorphism, NSClass
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "regress.json"
@@ -157,21 +158,26 @@ def test_public_constructors_still_validate(e_i, e_2i, e_i_squared):
 
 def test_class_kernel_structures_are_their_lattice_quotients(corpus_dir, tmp_path, count_calls):
     # class_kernel reads the structure off the Smith form of the class, and
-    # the paired-divisor criterion reads that Smith form with no kernel at
-    # all; on every class the gate and the kl command take, and on the
-    # criterion's 50 sampled classes, the kernel lattice must have the same
-    # quotient
+    # the paired-divisor criterion and the kl command read that Smith form
+    # with no kernel at all; on every class the gate and the kl command
+    # take, and on the criterion's 50 sampled classes, the kernel lattice
+    # must have the same quotient
     class_kernel = varieties.class_kernel
     classes = count_calls(varieties, "class_kernel")
     assert acceptance.run_all()["ok"]
-    for i, command in enumerate(c for c in COMMANDS if c[0] == "kl"):
+    kl = [c for c in COMMANDS if c[0] == "kl"]
+    for i, command in enumerate(kl):
         assert _json_report(corpus_dir, tmp_path / f"kl{i}.json", command)[0] == 0
-    assert len(classes) == 8
+    assert len(classes) == 6
     smith = []
     for (c,) in classes:
         kern = class_kernel(c)
         assert "structure" in vars(kern)
         smith.append((c, kern.structure))
+    for _, path, _, literal in kl:
+        v = corpus.variety_from_json(corpus.load_json_file(corpus_dir / path))
+        c, _ = parse_slope_literal(v, literal)
+        smith.append((c, FiniteGroupStructure.from_diagonal(snf(c.e))))
     sample = acceptance._paired_divisor_sample()
     smith += [(c, FiniteGroupStructure.from_diagonal(diag)) for _, c, diag in sample]
     assert len(smith) == 58
