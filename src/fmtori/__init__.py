@@ -33,7 +33,6 @@ from .product_audit import (
     audit_equivalence,
     decompose,
     is_ample,
-    partner_dual_certificate,
     projection_iso,
     search_kernel_class,
     search_product_classes,
@@ -112,7 +111,6 @@ __all__ = [
     "member_lattice",
     "ns_pullback",
     "parse_slope_literal",
-    "partner_dual_certificate",
     "partner_from_slope",
     "ppav_rigidity_check",
     "product",

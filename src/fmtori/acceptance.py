@@ -23,12 +23,11 @@ from .corpus import (
 )
 from .lattices import FiniteGroupStructure
 from .matrices import Mat, combination_map, snf
-from .partners import ppav_rigidity_check
+from .partners import find_isomorphism_certificate, ppav_rigidity_check
 from .product_audit import (
     _search_product_classes,
     audit_equivalence,
     decompose,
-    partner_dual_certificate,
     projection_iso,
     search_kernel_class,
 )
@@ -208,7 +207,7 @@ def _criterion_poincare() -> tuple[dict, list]:
     detail = _result("poincare_audit", good, audit=summary,
                      kernel_order=kern.order, projection_degree=pi.degree(),
                      eta=_intlist(iso.eta.m))
-    return detail, ([(pc, 1)] if good else [])
+    return detail, ([(pc, 1, iso)] if good else [])
 
 
 def _oracle_subgroup_checks(pc, l: int, m_a, pi, m_b) -> dict:
@@ -284,17 +283,18 @@ def _criterion_l2_search(threads: int) -> tuple[dict, list]:
         rows.append({"audit": summary, "projection_degree": pi.degree(),
                      "oracle": oracle, "ok": good})
         if good:
-            instances.append((pc, 2))
+            instances.append((pc, 2, projection_iso(report)))
     return _result("l2_search_audit", ok, hits=len(hits), cases=rows), instances
 
 
 def _criterion_dual_partner(instances) -> dict:
     """On every all-pass audit instance, dual(A) is isomorphic to the B-side
-    slope subtorus, certified at search bound 3."""
+    slope subtorus: ``projection_iso`` read a certificate off eta, and a box
+    search at bound 3 between the same two varieties finds one independently."""
     rows = []
     ok = bool(instances)
-    for pc, l in instances:
-        cert = partner_dual_certificate(pc, l, bound=3)
+    for pc, l, iso in instances:
+        cert = find_isomorphism_certificate(iso.dual_certificate.source, iso.dual_certificate.target, 3)
         good = cert is not None and is_isomorphism_certificate(cert)
         ok = ok and good
         rows.append({"class": _intlist(pc.m), "l": l,

@@ -9,7 +9,7 @@ quotient; this is where kernel groups K(L) and slope kernels come from.
 
 from __future__ import annotations
 
-from .matrices import Mat, Scalar, hnf_columns, integer_kernel, snf, solve_exact, vec_is_integral
+from .matrices import Mat, Scalar, hnf_columns, integer_kernel, snf
 from .records import Record
 
 
@@ -103,10 +103,6 @@ class Lattice:
         # -c span the same lattice, so |c| times the canonical basis is the
         # canonical basis of the scaled lattice
         return Lattice._make(self.ambient_dim, abs(c) * self.basis)
-
-    def contains_vector(self, v) -> bool:
-        x = solve_exact(self.basis, v)
-        return x is not None and vec_is_integral(x)
 
     def sum(self, other: "Lattice") -> "Lattice":
         if self.ambient_dim != other.ambient_dim:

@@ -22,9 +22,9 @@ from functools import cached_property, lru_cache
 from math import floor, gcd
 
 from .lattices import Lattice, sublattice_where_integral
-from .matrices import Mat, combination_map, snf
+from .matrices import Mat, combination_map, integer_kernel, snf
 from .parallel import pmap
-from .partners import find_isomorphism_certificate, require_within_cap
+from .partners import require_within_cap
 from .records import Record
 from .slopes import (
     PRODUCT_CACHE_SIZE,
@@ -260,8 +260,9 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     level = l * max((1,) + kern.divisors + pi_divisors)
     n_amb = 2 * prod.dim
     window = Lattice.standard(n_amb).scaled(Fraction(1, level))
-    w = sv.annihilator_lattice.basis
-    on_subtorus = sublattice_where_integral(window, w.inverse() @ sv.annihilator)
+    # integer rows cutting out the embedded image, and the lattice they span
+    ann = integer_kernel(sv.embedding.T).T
+    on_subtorus = sublattice_where_integral(window, Lattice(ann.rows, ann).basis.inverse() @ ann)
     generated = Lattice(
         n_amb,
         Mat.hstack(Fraction(1, level * l) * sv.embedding, Mat.identity(n_amb)),
@@ -282,18 +283,50 @@ class ProjectionIso(Record):
     to_b_side: Homomorphism
     to_a_side: Homomorphism
     eta: Homomorphism
+    dual_certificate: Homomorphism
+
+
+def _hyperbolic(n: int) -> Mat:
+    """Q_n = [[0, I], [I, 0]]: the symmetric form pairing Z^n with its dual."""
+    return Mat.identity(2 * n).submatrix([*range(n, 2 * n), *range(n)], range(2 * n))
+
+
+def _is_anti_isometry(m: Mat) -> bool:
+    """m^T Q_B m == -Q_A, for m from Z^2na (A x dual(A)) to Z^2nb."""
+    return m.T @ _hyperbolic(m.rows // 2) @ m == -1 * _hyperbolic(m.cols // 2)
+
+
+def _dual_certificate(pc: ProductNSClass, l: int, eta: Mat) -> Homomorphism:
+    """dual(A) -> B_delta: the dual-factor columns y of eta, solved in the
+    embedded lattice of B_delta through its top block l*h (the projection
+    to B); the solution must be integral, unimodular and reproduce y."""
+    na, nb = pc.a.dim, pc.b.dim
+    b_delta = slope_subvariety(pc.b, reduce_slope(pc.block_b, l))
+    y = eta.submatrix(range(eta.rows), range(na, 2 * na))
+    x = b_delta.projection.m.inverse() @ y.submatrix(range(nb), range(na))
+    if not (b_delta.to_ambient.m @ x == y and x.is_integral() and abs(x.det()) == 1):
+        raise InternalInvariantViolation("the dual factor of eta misses the B-block subtorus")
+    # eta and the injective embedding of B_delta intertwine, so x does
+    return Homomorphism._make(dual(pc.a), b_delta.variety, x)
 
 
 def projection_iso(report: AuditReport) -> ProjectionIso:
-    """The two coordinate projections off the audited slope subtorus and
-    their ratio.
+    """The coordinate projections q, p off the audited slope subtorus, their
+    ratio eta = p q^-1: A x dual(A) -> B x dual(B), and the isomorphism
+    dual(A) -> B_delta that eta restricts to, B_delta being the subtorus of
+    the B-block slope block_b / l, the only subtorus built here.
 
-    It reads the class, l and the subtorus from an all-pass audit report,
-    so it builds only the B-block subtorus.  Both projections must be
-    unimodular on an all-pass instance; their ratio eta maps A x dual(A) to
-    B x dual(B), and the image of the dual-factor torsion lands on the
-    subtorus of B cut out by the B-block slope.  Violations raise, because
-    the theory proves they cannot occur.
+    q and p must be unimodular and these must hold, or it raises; on an
+    all-pass audit they do:
+    * eta^T Q_B eta = -Q_A (Orlov's isometry).  Q_{A x B} = Q_A + Q_B on the
+      graph {(q, p)} of eta, the slope subtorus {(l v, e v)}, where it is
+      (e v)^T l w + (e w)^T l v = l v^T (e^T + e) w = 0, e being alternating.
+      The skew form [[0, I], [-I, 0]] reads 2l v^T e w != 0 there instead.
+    * The dual-factor columns of eta are a basis of B_delta (Mukai).  A
+      subtorus point with A-coordinate 0 is (l w, e w) for v = (0, w), with
+      q-part (0, corr w) and p-part (l w, block_b w); corr is invertible,
+      so eta maps 0 x dual(A) onto B_delta over Q, and, being unimodular,
+      maps the primitive lattice of the one onto that of the other.
     """
     if not report.all_pass:
         raise PreconditionError("projection_iso requires an all-pass audit")
@@ -311,25 +344,9 @@ def projection_iso(report: AuditReport) -> ProjectionIso:
             "coordinate projections must be unimodular on an all-pass instance"
         )
     eta = p.compose(q.inverse())
-    delta = reduce_slope(pc.block_b, l)
-    b_delta = slope_subvariety(pc.b, delta)
-    level = l * l
-    for i in range(na):
-        gen = [Fraction(0)] * (2 * na)
-        gen[na + i] = Fraction(1, level)
-        y = eta.m.apply(tuple(gen))
-        if not b_delta.contains(y[:nb], y[nb:]):
-            raise InternalInvariantViolation(
-                "image of the dual-factor torsion leaves the B-block subtorus"
-            )
-    return ProjectionIso(to_b_side=p, to_a_side=q, eta=eta)
-
-
-def partner_dual_certificate(pc: ProductNSClass, l: int, bound: int = 3) -> Homomorphism | None:
-    """Bounded certificate search: dual(A) against the B-block subtorus."""
-    delta = reduce_slope(pc.block_b, l)
-    b_delta = slope_subvariety(pc.b, delta).variety
-    return find_isomorphism_certificate(dual(pc.a), b_delta, bound)
+    if not _is_anti_isometry(eta.m):
+        raise InternalInvariantViolation("eta is not an anti-isometry of the hyperbolic forms")
+    return ProjectionIso(p, q, eta, _dual_certificate(pc, l, eta.m))
 
 
 # -- searches ---------------------------------------------------------------------

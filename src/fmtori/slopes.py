@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .lattices import Lattice, sublattice_where_integral
-from .matrices import Mat, Vec, integer_kernel, snf
+from .matrices import Mat, snf
 from .records import Record
 from .varieties import (
     FiniteSubgroup,
@@ -92,8 +92,6 @@ class SlopeSubvariety(Record):
     coordinates; the abstract variety presents the subtorus on its own
     member lattice, with NS data pulled back from the ambient product.
     quotient: A -> abstract is v -> v; projection: abstract -> A is v -> l*v.
-    The annihilator of the embedded image, which only membership tests
-    and the audit read, is computed on first use.
     """
 
     slope: Slope
@@ -104,30 +102,6 @@ class SlopeSubvariety(Record):
     to_ambient: Homomorphism
     quotient: Homomorphism
     projection: Homomorphism
-
-    @cached_property
-    def annihilator(self) -> Mat:
-        """Integer rows cutting out the embedded image: a saturated basis of
-        the integer covectors that vanish on it."""
-        return integer_kernel(self.embedding.T).T
-
-    @cached_property
-    def annihilator_lattice(self) -> Lattice:
-        ann = self.annihilator
-        return Lattice(ann.rows, ann)
-
-    def contains(self, point: Vec, covector: Vec) -> bool:
-        """Membership of a rational (point, covector) pair in the subtorus.
-
-        True iff some v has l*v = point mod Lambda and e*v = covector mod
-        the dual lattice: the pair, reduced modulo the ambient period
-        lattice, lies on the embedded image.
-        """
-        n = self.slope.variety.dim
-        if len(point) != n or len(covector) != n:
-            raise ValueError("point/covector have the wrong length")
-        image = self.annihilator.apply(tuple(point) + tuple(covector))
-        return self.annihilator_lattice.contains_vector(image)
 
 
 # entries kept by each lru_cache helper here and in product_audit (product

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import fmtori
-from fmtori import acceptance, corpus, matrices, product_audit, slopes, varieties
+from fmtori import acceptance, corpus, matrices, partners, product_audit, slopes, varieties
 from fmtori.matrices import Mat
 
 # the directory holding the package under test, so the subprocess imports
@@ -209,6 +209,27 @@ def test_the_gate_audits_each_class_once(count_calls):
     assert acceptance.run_all()["ok"]
     assert len(audits) == 3
     assert len({(pc.m, l) for pc, l in audits}) == 3
+
+
+def test_the_gate_reads_each_dual_certificate_off_eta(cold_caches, count_calls):
+    # projection_iso runs on the Poincare class and on both l=2 hits, and
+    # builds the one B-block subtorus the box search then reads, so the gate
+    # builds 28 subtori (29 when the search built its own) and 17 duals
+    subtori = count_calls(slopes, "slope_subvariety")
+    isos = count_calls(product_audit, "projection_iso")
+    duals = count_calls(varieties, "dual")
+    searches = count_calls(partners, "find_isomorphism_certificate")
+    result = acceptance.run_all()
+    assert result["ok"]
+    assert (len(subtori), len(isos), len(duals), len(searches)) == (28, 3, 17, 3)
+    reports = [report for (report,) in isos]
+    built = [product_audit.projection_iso(report).dual_certificate for report in reports]
+    i = Mat.identity(2)
+    assert [c.m for c in built] == [i, -1 * i, Mat(((0, 1), (-1, 0)))]
+    # both routes certify every instance, between the same two varieties
+    assert [(src, dst) for src, dst, _ in searches] == [(c.source, c.target) for c in built]
+    crit = next(c for c in result["criteria"] if c["name"] == "dual_partner_certificates")
+    assert [c["certificate"] for c in crit["cases"]] == [[[-1, 0], [0, -1]]] * 3
 
 
 def test_the_gate_builds_member_data_once_per_key(cold_caches):

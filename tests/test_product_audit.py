@@ -18,8 +18,8 @@ from fmtori.corpus import (
     square_lattice_curve,
 )
 from fmtori.lattices import Lattice
-from fmtori.matrices import Mat
-from fmtori.partners import SEARCH_CANDIDATE_CAP
+from fmtori.matrices import Mat, integer_kernel
+from fmtori.partners import SEARCH_CANDIDATE_CAP, find_isomorphism_certificate
 from fmtori.product_audit import (
     ProductNSClass,
     assemble,
@@ -28,7 +28,6 @@ from fmtori.product_audit import (
     graph_subgroup_comparison,
     is_ample,
     kernel_torsion_subgroup,
-    partner_dual_certificate,
     projection_iso,
     search_kernel_class,
     search_product_classes,
@@ -69,6 +68,59 @@ def test_poincare_projection_iso_is_swap_with_duality():
     assert is_isomorphism_certificate(iso.to_b_side)
     z, i = Mat.zeros(2, 2), Mat.identity(2)
     assert iso.eta.m == Mat.block(((z, i), (-i, z)))
+    # eta sends dual(A) identically onto B_delta = B x 0 of the zero B-block
+    assert iso.dual_certificate.m == i
+    assert iso.dual_certificate.source == dual(poincare_class().a)
+
+
+def _q(n):
+    z, i = Mat.zeros(n, n), Mat.identity(n)
+    return Mat.block(((z, i), (i, z)))
+
+
+def _all_pass_audits():
+    # every all-pass audit the search finds at bound 1, l = 1 and 2, over the
+    # ordered pairs of the curves and their duals
+    curves = (square_lattice_curve(), doubled_square_lattice_curve())
+    factors = curves + tuple(dual(c) for c in curves)
+    for a, b in itertools.product(factors, repeat=2):
+        for l in (1, 2):
+            yield from product_audit._search_product_classes(a, b, l, 1, 1, SEARCH_CANDIDATE_CAP)
+
+
+def test_eta_is_an_anti_isometry_carrying_the_dual_factor_onto_b_delta():
+    count = 0
+    for report in _all_pass_audits():
+        pc, l = report.pc, report.l
+        iso = projection_iso(report)
+        eta, na = iso.eta.m, pc.a.dim
+        assert eta.T @ _q(pc.b.dim) @ eta == -1 * _q(na)
+        cert = iso.dual_certificate
+        assert cert.m.is_integral() and abs(cert.m.det()) == 1
+        b_delta = slope_subvariety(pc.b, reduce_slope(pc.block_b, l))
+        assert (cert.source, cert.target) == (dual(pc.a), b_delta.variety)
+        assert b_delta.to_ambient.m @ cert.m == eta.submatrix(range(eta.rows), range(na, 2 * na))
+        count += 1
+    assert count == 264
+
+
+def test_the_isometry_check_rejects_a_unimodular_non_isometry():
+    eta = projection_iso(audit_equivalence(poincare_class(), 1)).eta.m
+    assert product_audit._is_anti_isometry(eta)
+    assert not product_audit._is_anti_isometry(Mat.identity(4))
+
+
+def test_the_dual_factor_check_rejects_an_eta_that_misses_b_delta():
+    # the identity sends dual(A) to 0 x dual(B), not to B_delta = B x 0
+    with pytest.raises(varieties.InternalInvariantViolation):
+        product_audit._dual_certificate(poincare_class(), 1, Mat.identity(4))
+
+
+def test_projection_iso_raises_on_a_failed_isometry(monkeypatch):
+    report = audit_equivalence(poincare_class(), 1)
+    monkeypatch.setattr(product_audit, "_is_anti_isometry", lambda m: False)
+    with pytest.raises(varieties.InternalInvariantViolation):
+        projection_iso(report)
 
 
 def test_block_diagonal_class_fails(e_i):
@@ -137,7 +189,9 @@ def test_search_finds_passing_classes_and_counting_invariant(e_i):
         assert inv.degree == inv.rank**2
         iso = projection_iso(report)
         assert is_isomorphism_certificate(iso.eta)
-        cert = partner_dual_certificate(pc, 2, bound=3)
+        built = iso.dual_certificate
+        assert is_isomorphism_certificate(built)
+        cert = find_isomorphism_certificate(built.source, built.target, 3)
         assert cert is not None and is_isomorphism_certificate(cert)
 
 
@@ -709,8 +763,12 @@ def _ref_audit(pc, l):
     sv = slope_subvariety(prod, mu)
     n_amb = 2 * prod.dim
     window = Lattice.standard(n_amb).scaled(Fraction(1, level))
+    ann = integer_kernel(sv.embedding.T).T
+    # the annihilator vanishes on the embedded image
+    ann_on_image = ann @ sv.to_ambient.m
+    assert ann_on_image == Mat.zeros(ann_on_image.rows, ann_on_image.cols)
     on_subtorus = product_audit.sublattice_where_integral(
-        window, sv.annihilator_lattice.basis.inverse() @ sv.annihilator
+        window, Lattice(ann.rows, ann).basis.inverse() @ ann
     )
     generated = Lattice(
         n_amb, Mat.hstack(Fraction(1, level * l) * sv.embedding, Mat.identity(n_amb))

@@ -39,7 +39,7 @@ FIELDS = {
     "fmtori.product_audit.AuditReport": ("pc", "l", "items", "all_pass", "subtorus"),
     "fmtori.product_audit.GraphComparison": ("first", "second", "equal", "order"),
     "fmtori.product_audit.ProductNSClass": ("a", "b", "m", "name"),
-    "fmtori.product_audit.ProjectionIso": ("to_b_side", "to_a_side", "eta"),
+    "fmtori.product_audit.ProjectionIso": ("to_b_side", "to_a_side", "eta", "dual_certificate"),
     "fmtori.slopes.ProjectionInvariants": ("degree", "stabilizer", "rank"),
     "fmtori.slopes.Slope": ("numerator", "l"),
     "fmtori.slopes.SlopeSubvariety": (

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from fmtori import corpus, partners
 from fmtori.lattices import Lattice, saturate
-from fmtori.matrices import Mat, integer_kernel
+from fmtori.matrices import Mat
 from fmtori.slopes import (
     Slope,
     member_lattice,
@@ -75,15 +74,6 @@ def test_subvariety_is_valid_and_embeds_primitively(e_i):
     # quotient then projection is multiplication by l on the source
     comp = sv.projection.compose(sv.quotient)
     assert comp.m == 5 * Mat.identity(2)
-
-
-def test_contains_distinguishes_points(e_i):
-    mu = Slope(e_i.ns_class((1,)), 2)
-    sv = slope_subvariety(e_i, mu)
-    member = tuple(Fraction(v) for v in sv.embedding.apply((Fraction(1, 2), 0)))
-    point, covector = member[:2], member[2:]
-    assert sv.contains(point, covector)
-    assert not sv.contains(point, (Fraction(1, 3), Fraction(0)))
 
 
 @given(st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4))
@@ -155,8 +145,7 @@ def test_nonpositive_denominators_are_precondition_errors(e_i):
 def _ref_slope_subvariety(a, mu):
     """Every field of slope_subvariety by the construction it replaced: a
     freshly built ambient product, primitivity through saturate, every class
-    restricted by matrix products, the validated ambient polarization, and
-    the annihilator computed eagerly."""
+    restricted by matrix products and the validated ambient polarization."""
     n = a.dim
     amb = product(a, dual(a), name=f"{a.name}x{a.name}^").variety
     lam_mu = member_lattice(a, mu)
@@ -171,7 +160,6 @@ def _ref_slope_subvariety(a, mu):
     pol_r = emb_h.T @ amb.ns_class(amb.polarization).e @ emb_h
     pol = _ref_coefficients_in_basis(pol_r, ns_mu)
     abstract = TorusVariety(a.g, j_mu, ns_mu, pol, name=f"{a.name}_mu")
-    ann = integer_kernel(emb.T).T
     return {
         "slope": mu,
         "ambient": amb,
@@ -181,8 +169,6 @@ def _ref_slope_subvariety(a, mu):
         "to_ambient": Homomorphism(abstract, amb, emb_h),
         "quotient": Homomorphism(a, abstract, h.inverse()),
         "projection": Homomorphism(abstract, a, mu.l * h),
-        "annihilator": ann,
-        "annihilator_lattice": Lattice(ann.rows, ann),
     }
 
 
@@ -219,17 +205,3 @@ def test_subvariety_matches_reference_on_corpus_slopes():
     assert len(cases) >= 120
     for a, mu in cases:
         _assert_matches_reference(slope_subvariety(a, mu), a, mu)
-
-
-def test_annihilator_is_computed_on_first_use(partner_entries):
-    source = corpus.square_curve_product()
-    for entry in partner_entries[:20]:
-        sv = slope_subvariety(source, entry.slope)
-        assert "annihilator" not in vars(sv)
-        want = integer_kernel(sv.embedding.T).T
-        assert sv.annihilator == want
-        assert sv.annihilator is sv.annihilator
-        assert sv.annihilator_lattice == Lattice(want.rows, want)
-        # the embedded image is exactly what the annihilator cuts out
-        ann_on_image = sv.annihilator @ sv.to_ambient.m
-        assert ann_on_image == Mat.zeros(ann_on_image.rows, ann_on_image.cols)

@@ -13,9 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fmtori import acceptance, product_audit
-from fmtori.corpus import square_curve_product
+from fmtori.corpus import poincare_class, square_curve_product, square_lattice_curve
 from fmtori.lattices import Lattice
 from fmtori.matrices import Mat, hnf_columns, integer_kernel, snf, solve_exact
+from fmtori.slopes import reduce_slope, slope_subvariety
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import (  # noqa: E402
@@ -183,6 +184,38 @@ def test_paired_divisor_sample_matches_sympy_smith_form():
     for _, cls, diag in sample:
         theirs = smith_normal_form(sympy.Matrix(cls.e.data), domain=sympy.ZZ)
         assert tuple(abs(int(theirs[i, i])) for i in range(theirs.rows)) == diag
+
+
+def _hyperbolic(n):
+    z, i = sympy.zeros(n, n), sympy.eye(n)
+    return sympy.Matrix(sympy.BlockMatrix([[z, i], [i, z]]))
+
+
+def test_eta_isometry_and_dual_certificate_match_sympy():
+    # on the gate's three all-pass audits, sympy recomputes eta = p q^-1
+    # from the rows of the audited subtorus, the form eta^T Q_B eta, and the
+    # dual-factor columns solved in the embedded lattice of B_delta
+    a = square_lattice_curve()
+    reports = [product_audit.audit_equivalence(poincare_class(), 1)]
+    reports += product_audit._search_product_classes(a, a, 2, 2, 1, 2)
+    assert len(reports) == 3
+    for report in reports:
+        pc, l = report.pc, report.l
+        na, nb = pc.a.dim, pc.b.dim
+        half = na + nb
+        emb = sympy.Matrix(report.subtorus.to_ambient.m.data)
+        cols = list(range(emb.cols))
+        q = emb.extract(list(range(na)) + list(range(half, half + na)), cols)
+        p = emb.extract(list(range(na, half)) + list(range(half + na, 2 * half)), cols)
+        eta = p * q.inv()
+        iso = product_audit.projection_iso(report)
+        assert iso.eta.m == Mat(_from_sympy(eta))
+        assert eta.T * _hyperbolic(nb) * eta == -_hyperbolic(na)
+        b_delta = slope_subvariety(pc.b, reduce_slope(pc.block_b, l))
+        x, params = sympy.Matrix(b_delta.to_ambient.m.data).gauss_jordan_solve(eta[:, na:2 * na])
+        assert not params
+        assert all(v.is_integer for v in x) and abs(x.det()) == 1
+        assert iso.dual_certificate.m == Mat(_from_sympy(x))
 
 
 # -- the normal forms, compared as lattices ---------------------------------
