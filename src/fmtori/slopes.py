@@ -30,9 +30,9 @@ from .varieties import (
     NSClass,
     PreconditionError,
     TorusVariety,
-    _coefficients,
     _excerpt,
     _from_upper,
+    _hermite_coordinates,
     _span,
     _transport,
     _upper,
@@ -167,7 +167,9 @@ def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
     amb = _ambient_product(a, a.name)
     lam_mu, h_inv, j_mu = _member(a, mu)
     h = lam_mu.basis
-    emb = Mat.vstack(mu.l * Mat.identity(n), mu.numerator.e)
+    # the rows of l*I over those of e, which is integral
+    scaled = tuple(tuple(mu.l if i == k else 0 for k in range(n)) for i in range(n))
+    emb = Mat._make(scaled + mu.numerator.e.num, 2 * n, n)
     emb_h = emb @ h
     if not emb_h.is_integral():
         raise InternalInvariantViolation("embedding is not integral on the member lattice")
@@ -181,7 +183,7 @@ def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
     *restricted, pol_r = _transport(_ambient_forms(a, a.name), emb_h)
     basis = _span(restricted, saturated=False)
     ns_mu = tuple(_from_upper(v, n) for v in basis)
-    pol = _coefficients(pol_r, basis)
+    pol = _hermite_coordinates(pol_r, basis)
     abstract = TorusVariety(a.g, j_mu, ns_mu, pol, name=f"{a.name}_mu")
     # j_mu = h^-1 J h makes h^-1 and l*h intertwine, and emb_h does because
     # e is J-compatible; h^-1 is integral because the member lattice holds Z^n

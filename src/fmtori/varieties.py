@@ -27,7 +27,7 @@ from itertools import combinations
 from math import lcm
 
 from .lattices import FiniteGroupStructure, Lattice, quotient_structure
-from .matrices import Mat, combination_map, integer_kernel, snf, solve_exact, vec_is_integral
+from .matrices import Mat, _row_hnf, combination_map, integer_kernel, snf, solve_exact, vec_is_integral
 from .records import Record
 
 
@@ -148,10 +148,28 @@ class ValidationReport(Record):
 
 
 def _is_positive_definite(s: Mat) -> bool:
-    # Sylvester: all leading principal minors positive (exact rationals)
-    for k in range(1, s.rows + 1):
-        if s.submatrix(range(k), range(k)).det() <= 0:
+    """Sylvester's test: every leading principal minor of the square s is
+    positive, read in one Bareiss pass on the integer rows of s.
+
+    Without row swaps, the k-th Bareiss pivot is exactly the k-th leading
+    principal minor of ``num`` (Bareiss 1968), so the pass stops at the
+    first pivot <= 0 and never divides by zero.  The minors of s are those
+    of ``num`` over a positive power of ``den``, so their signs agree.
+    """
+    a = list(map(list, s.num))
+    n = s.rows
+    prev = 1
+    for k in range(n):
+        rk = a[k]
+        p = rk[k]
+        if p <= 0:
             return False
+        for i in range(k + 1, n):
+            ri = a[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * p - f * rk[j]) // prev
+        prev = p
     return True
 
 
@@ -202,6 +220,9 @@ def validate(a: TorusVariety) -> ValidationReport:
 # the diagonal, so every Hermite pivot, and every coordinate the reduction
 # conditions read, is an upper one; the projection is injective and keeps
 # integrality both ways; and the Hermite form is unique (Cohen, GTM 138, 2.4).
+# Every span basis is read as integer Hermite rows: the generated span is
+# the nonzero rows of the row Hermite form of the forms, and the coordinates
+# of a target in either span come by forward substitution on those rows.
 
 
 def _vec(m: Mat) -> tuple:
@@ -249,26 +270,48 @@ def _transport(forms, t: Mat) -> list[tuple]:
 
 
 def _span(forms, saturated: bool) -> list[tuple[int, ...]]:
-    """Canonical basis, in column Hermite form, of the lattice the integer
-    upper coordinate vectors generate, or of the integral points of its
-    Q-span; the basis vectors are integer too."""
-    nz = [v for v in forms if any(v)]
-    if not nz:
+    """Canonical basis, as the rows of a row Hermite form, of the lattice
+    the integer upper coordinate vectors generate, or of the integral points
+    of its Q-span: each vector's first nonzero entry is positive, at
+    strictly increasing positions, which ``_hermite_coordinates`` reads.
+
+    Zero forms, and forms that repeat up to sign, span nothing new and are
+    dropped first.  The generated lattice is then the nonzero rows of the
+    row Hermite form of the forms themselves; the saturated one is the
+    integer kernel of their integer kernel, whose column Hermite basis is
+    the same kind of rows.  Both forms are unique, so the basis is too."""
+    rows = list(dict.fromkeys(max(v, tuple(-x for x in v)) for v in forms if any(v)))
+    if not rows:
         return []
-    m = Mat._make(tuple(nz), len(nz), len(nz[0]))  # the forms as rows
-    if saturated:
-        y = integer_kernel(m)  # the orthogonal complement
-        basis = integer_kernel(y.T) if y.cols else Mat.identity(m.cols)
-    else:
-        basis = Lattice(m.cols, m.T).basis
+    if not saturated:
+        return [tuple(r) for r in _row_hnf(list(map(list, rows))) if any(r)]
+    m = Mat._make(tuple(rows), len(rows), len(rows[0]))  # the forms as rows
+    y = integer_kernel(m)  # the orthogonal complement
+    basis = integer_kernel(y.T) if y.cols else Mat.identity(m.cols)
     return list(zip(*basis.num))
 
 
-def _coefficients(target: tuple, basis: list[tuple]) -> tuple[int, ...]:
-    x = solve_exact(Mat.from_cols(basis), target)
-    if x is None or not vec_is_integral(x):
+def _hermite_coordinates(target, basis: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Integer coordinates of target in a basis from ``_span``, by forward
+    substitution on its Hermite rows (Cohen, GTM 138, 2.4).
+
+    The later basis vectors vanish up to each vector's pivot, so the
+    coordinate of each is the running residual at its pivot divided by the
+    pivot.  A remainder of that division stays in the residual, where no
+    later vector can clear it, so target is an integer combination exactly
+    when the final residual is zero.  The solution is unique, so this is
+    the exact solve and its integrality test in one pass."""
+    r = list(target)
+    x = []
+    for v in basis:
+        c = next(i for i, y in enumerate(v) if y)
+        q = r[c] // v[c]
+        if q:
+            r = [s - q * y for s, y in zip(r, v)]
+        x.append(q)
+    if any(r):
         raise ValueError("matrix is not an integer combination of the basis")
-    return x
+    return tuple(x)
 
 
 def intertwiner_basis(j_src: Mat, j_dst: Mat) -> tuple[Mat, ...]:
@@ -305,11 +348,17 @@ def intertwiner_basis(j_src: Mat, j_dst: Mat) -> tuple[Mat, ...]:
 
 def coefficients_in_basis(target: Mat, basis: tuple[Mat, ...]) -> tuple[int, ...]:
     """Integer coordinates of an alternating target in a basis of
-    alternating matrices; ValueError when there are none."""
+    alternating matrices; ValueError when there are none.
+
+    The basis is arbitrary, not a Hermite basis from ``_span``, so the
+    coordinates come from one exact solve, which is exact on rational
+    coordinates as well, rather than by substitution on pivots."""
     if not all(m.is_alternating() for m in (target, *basis)):
         raise ValueError("matrix is not an integer combination of the basis")
-    # solve_exact is exact on rational coordinates as well
-    return _coefficients(_upper(target), [_upper(e) for e in basis])
+    x = solve_exact(Mat.from_cols([_upper(e) for e in basis]), _upper(target))
+    if x is None or not vec_is_integral(x):
+        raise ValueError("matrix is not an integer combination of the basis")
+    return x
 
 
 # -- duality ------------------------------------------------------------------
@@ -329,6 +378,9 @@ def dual(a: TorusVariety, name: str | None = None) -> TorusVariety:
     for an integer matrix hi, hi^T e hi is d^2 times the transported class,
     its upper coordinates are sums of e's times 2x2 minors of hi, and the
     re-saturation reads only the rational span, which d^2 leaves unchanged.
+    The sign of the dual polarization is Sylvester's test in one Bareiss
+    pass, and its coordinates are read off the Hermite rows of the
+    re-saturated span by forward substitution.
     """
     jd = -1 * a.j.T
     h = a.polarization_class()
@@ -342,7 +394,7 @@ def dual(a: TorusVariety, name: str | None = None) -> TorusVariety:
     hd = -hi
     if not _is_positive_definite(hd @ jd):
         hd = hi
-    pol = _coefficients(_upper(hd), ns_up)
+    pol = _hermite_coordinates(_upper(hd), ns_up)
     ns_d = tuple(_from_upper(v, a.dim) for v in ns_up)
     return TorusVariety(a.g, jd, ns_d, pol, name if name is not None else a.name + "^")
 
@@ -437,13 +489,14 @@ class FiniteSubgroup(Record):
     The overlattice must contain the periods, so it has full rank: every
     construction here meets that, and ``corpus.subgroup_from_json`` checks
     it at the file boundary.  ``structure`` is the lattice quotient, computed
-    on first use, except where ``_with_structure`` fills it at construction.
-    Only ``class_kernel`` does: K(e) is isomorphic to Z^n / eZ^n, so the
-    Smith form of the class is its structure, and the gate's point
-    enumeration still checks that structure against the kernel lattice.
-    ``Homomorphism.kernel`` stays lazy, because the identities that compare
-    a kernel's order with a determinant of the same matrix need the lattice
-    route to mean anything.
+    on first use, except where ``_with_structure`` fills it at construction
+    because it is known outright: ``class_kernel`` (K(e) is isomorphic to
+    Z^n / eZ^n, so the Smith form of the class is its structure, and the
+    gate's point enumeration still checks that structure against the kernel
+    lattice), ``torsion_subgroup(a, n)``, which is (Z/n)^2g, and
+    ``trivial_subgroup``.  ``Homomorphism.kernel`` stays lazy, because the
+    identities that compare a kernel's order with a determinant of the same
+    matrix need the lattice route to mean anything.
     """
 
     variety: TorusVariety
@@ -477,13 +530,18 @@ class FiniteSubgroup(Record):
 
 
 def trivial_subgroup(a: TorusVariety) -> FiniteSubgroup:
-    return FiniteSubgroup(a, Lattice.standard(a.dim))
+    return torsion_subgroup(a, 1)
 
 
 def torsion_subgroup(a: TorusVariety, n: int) -> FiniteSubgroup:
+    """A[n]: the overlattice (1/n)Z^2g, whose quotient is (Z/n)^2g."""
     if n < 1:
         raise PreconditionError("torsion level must be positive")
-    return FiniteSubgroup(a, Lattice.standard(a.dim).scaled(Fraction(1, n)))
+    return FiniteSubgroup._with_structure(
+        a,
+        Lattice.standard(a.dim).scaled(Fraction(1, n)),
+        FiniteGroupStructure.from_diagonal((n,) * a.dim),
+    )
 
 
 def image_under(f: Homomorphism, s: FiniteSubgroup) -> FiniteSubgroup:

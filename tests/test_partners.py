@@ -7,7 +7,7 @@ from math import prod
 
 import pytest
 
-from fmtori import corpus, partners, slopes
+from fmtori import corpus, matrices, partners, slopes
 from fmtori.lattices import Lattice, sublattice_where_integral
 from fmtori.matrices import Mat, snf
 from fmtori.partners import (
@@ -261,6 +261,30 @@ def test_enumeration_dualizes_each_partner_once(e_i_squared, monkeypatch):
         fresh = original(entry.record.subvariety.variety, name=f"{e_i_squared.name}_partner")
         assert entry.record.partner == fresh
         assert entry.record.partner.name == fresh.name
+
+
+def test_enumeration_reads_spans_and_signs_off_integer_rows(
+    e_i_squared, cold_caches, count_calls, monkeypatch
+):
+    # the coordinates in every span basis come by substitution on its Hermite
+    # rows and every Sylvester test is one Bareiss pass, so no exact solve
+    # runs, and the only determinants are the unimodularity checks of the
+    # entries' identity certificates, one per entry
+    solves = count_calls(matrices, "solve_exact")
+    dets = []
+    det = Mat.det
+
+    def counted(self):
+        dets.append(self)
+        return det(self)
+
+    monkeypatch.setattr(Mat, "det", counted)
+    entries = enumerate_partners(e_i_squared, 1, 2)
+    assert len(entries) == 80
+    assert solves == []
+    assert len(dets) == len(entries)
+    assert dets == [e.record.dual_certificate.m for e in entries]
+    assert all(m == Mat.identity(m.rows) for m in dets)
 
 
 def _member_data_by_definition(a, mu):

@@ -25,7 +25,14 @@ from fmtori.product_audit import (
 )
 from fmtori.records import Record
 from fmtori.slopes import projection_invariants, reduce_slope, slope_subvariety
-from fmtori.varieties import NSClass, TorusVariety, product, torsion_subgroup, validate
+from fmtori.varieties import (
+    FiniteSubgroup,
+    NSClass,
+    TorusVariety,
+    product,
+    torsion_subgroup,
+    validate,
+)
 
 FIELDS = {
     "fmtori.lattices.FiniteGroupStructure": ("divisors", "order"),
@@ -211,7 +218,9 @@ def test_validation_still_raises(e_i):
 
 
 def test_cached_properties_fill_the_instance_dict(e_i):
-    sub = torsion_subgroup(e_i, 2)
+    # torsion_subgroup fills its known structure at construction, so the
+    # same overlattice is wrapped directly to leave the property lazy
+    sub = FiniteSubgroup(e_i, torsion_subgroup(e_i, 2).overlattice)
     assert "structure" not in sub.__dict__
     assert sub.structure == FiniteGroupStructure((2, 2), 4)
     assert sub.__dict__["structure"] is sub.structure

@@ -4,6 +4,7 @@ The package itself never imports sympy; these tests skip where it is not
 installed.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmtori import acceptance, product_audit
+from fmtori import acceptance, corpus, product_audit
 from fmtori.corpus import poincare_class, square_curve_product, square_lattice_curve
 from fmtori.lattices import Lattice
 from fmtori.matrices import Mat, hnf_columns, integer_kernel, snf, solve_exact
 from fmtori.slopes import reduce_slope, slope_subvariety
+from fmtori.varieties import _is_positive_definite, dual
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import (  # noqa: E402
@@ -157,6 +159,34 @@ def test_smith_invariant_factors_match_sympy(rows):
     ours = list(snf(Mat(rows)))
     theirs = [int(x) for x in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
     assert ours == theirs
+
+
+@given(exact_matrices(square=True), st.integers(-2, 2))
+def test_one_pass_sylvester_matches_sympy_on_symmetric_matrices(rows, shift):
+    # symmetric draws: m + m^T (mostly indefinite) and shifted Gram matrices
+    # m^T m + shift*I (semidefinite, definite, or just off either)
+    m = Mat(rows)
+    for s in (m + m.T, m.T @ m + shift * Mat.identity(m.rows)):
+        assert _is_positive_definite(s) == sympy.Matrix(s.data).is_positive_definite
+
+
+def test_one_pass_sylvester_matches_sympy_on_the_dual_polarizations():
+    # the pairing hd @ jd that dual reads the sign of its polarization off,
+    # on the dual of every shipped variety, with both signs of hd
+    seen = 0
+    for fname in corpus.shipped_names():
+        doc = json.loads(corpus.corpus_text(fname))
+        if doc["format"] != "fmtori/variety":
+            continue
+        d = dual(corpus.variety_from_json(doc))
+        hd = d.polarization_class()
+        for sign in (1, -1):
+            s = sign * hd @ d.j
+            want = sympy.Matrix(s.data).is_positive_definite
+            assert _is_positive_definite(s) == want
+            assert want == (sign == 1)
+            seen += 1
+    assert seen == 8
 
 
 @given(st.lists(st.integers(-6, 6), min_size=4, max_size=4), st.sampled_from((2, 3, 4, 6)))

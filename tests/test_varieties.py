@@ -20,6 +20,7 @@ from fmtori.varieties import (
     FiniteSubgroup,
     Homomorphism,
     _from_upper,
+    _hermite_coordinates,
     _is_positive_definite,
     _span,
     _transport,
@@ -442,23 +443,30 @@ def _outcome(f, *args):
 
 def _assert_span_layer_matches(mats, targets=()):
     """Both span bases of integer alternating matrices, on their upper
-    coordinates, and the coordinates of each target in each, equal the n^2
-    constructions' exactly (a failed solve on both sides alike)."""
+    coordinates, and the coordinates of each alternating target in each,
+    by the general solve and by substitution on the Hermite rows, equal the
+    n^2 constructions' exactly (a failed solve on all sides alike)."""
     assert all(m.is_integral() for m in mats)
+    assert all(t.is_alternating() for t in targets)
     forms = [_upper(m) for m in mats]
     for saturated, ref in (
         (True, _ref_integral_span_basis),
         (False, _ref_generated_span_basis),
     ):
-        got = tuple(_from_upper(v, mats[0].rows) for v in _span(forms, saturated))
+        rows = _span(forms, saturated)
+        got = tuple(_from_upper(v, mats[0].rows) for v in rows)
         want = ref(mats)
         _assert_same_mats(got, want)
         if not want:
             continue
         for target in targets:
+            expected = _outcome(_ref_coefficients_in_basis, target, want)
             x = _outcome(coefficients_in_basis, target, got)
-            assert x == _outcome(_ref_coefficients_in_basis, target, want)
+            assert x == expected
             assert type(x) is str or all(type(c) is int for c in x)
+            y = _outcome(_hermite_coordinates, _upper(target), rows)
+            assert y == expected
+            assert type(y) is str or all(type(c) is int for c in y)
 
 
 def _alternating(n, upper):
@@ -527,6 +535,77 @@ def _alternating_families(draw):
 def test_span_layer_matches_on_alternating_families(case):
     family, targets = case
     _assert_span_layer_matches(family, targets)
+
+
+@st.composite
+def _families_with_repeats(draw):
+    """A few fresh integer alternating forms, listed with zero forms,
+    repeats and negated repeats in any order, and targets that are integer
+    members, fractional members, and (as the family spans at most 3 of the
+    n(n-1)/2 >= 6 upper coordinates) mostly outside its Q-span."""
+    n = draw(st.sampled_from((4, 6)))
+    m = n * (n - 1) // 2
+    fresh = st.lists(st.integers(-9, 9), min_size=m, max_size=m)
+    base = [_alternating(n, draw(fresh)) for _ in range(draw(st.integers(1, 3)))]
+    family = list(base)
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("zero", "repeat", "negated")))
+        if kind == "zero":
+            family.append(Mat.zeros(n, n))
+        else:
+            e = draw(st.sampled_from(base))
+            family.append(e if kind == "repeat" else -1 * e)
+    family = draw(st.permutations(family))
+    acc = Mat.zeros(n, n)
+    for e in base:
+        acc = acc + draw(st.integers(-3, 3)) * e
+    k = draw(st.integers(2, 4))
+    part = Fraction(1, k)
+    targets = [acc, part * acc, part * (acc + base[0]), _alternating(n, draw(fresh))]
+    return base, family, targets
+
+
+@given(_families_with_repeats())
+def test_span_drops_zeros_and_repeats_up_to_sign(case):
+    base, family, targets = case
+    forms = [_upper(e) for e in family]
+    for saturated in (True, False):
+        assert _span(forms, saturated) == _span([_upper(e) for e in base], saturated)
+    _assert_span_layer_matches(family, targets)
+
+
+@st.composite
+def _square_rationals(draw):
+    """Square rational matrices up to 5 x 5: plain, symmetric, Gram
+    matrices shifted to be often definite, and Gram matrices whose leading
+    k x k block is singular (column k-1 of the Gram basis repeats column 0,
+    or is zero for k = 1), some with 1 added at the last diagonal entry so
+    that a later minor is nonzero."""
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    m = Mat(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(("plain", "symmetric", "gram", "singular_lead")))
+    if kind == "plain":
+        return m
+    if kind == "symmetric":
+        return m + m.T
+    if kind == "gram":
+        return m.T @ m + draw(st.integers(-2, 3)) * Mat.identity(n)
+    k = draw(st.integers(1, n))
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        p[i][k - 1] = int(k > 1 and i == 0)
+    t = m @ Mat(p)
+    return t.T @ t + draw(st.sampled_from((0, 1))) * _with_entry(Mat.zeros(n, n), n - 1, n - 1, 1)
+
+
+def _leading_minors_positive(s):
+    return all(s.submatrix(range(k), range(k)).det() > 0 for k in range(1, s.rows + 1))
+
+
+@given(_square_rationals())
+def test_one_pass_sylvester_is_the_leading_minor_test(s):
+    assert _is_positive_definite(s) == _leading_minors_positive(s)
 
 
 @given(st.data())
@@ -608,7 +687,7 @@ def test_subgroup_structure_is_computed_on_first_use(e_i, e_i_squared):
     a2, a3, a4, a6 = (torsion_subgroup(e_i, n).overlattice for n in (2, 3, 4, 6))
     doubled = class_kernel(NSClass(e_i_squared, 2 * c.e)).overlattice
     subgroups = [
-        torsion_subgroup(e_i, 6),
+        FiniteSubgroup(e_i, a6),
         image_under(double, torsion_subgroup(e_i, 4)),
         FiniteSubgroup(e_i, a4.intersect(a6)),
         FiniteSubgroup(e_i, a2.sum(a3)),
@@ -623,9 +702,19 @@ def test_subgroup_structure_is_computed_on_first_use(e_i, e_i_squared):
         assert sub.structure == quotient_structure(std, sub.overlattice)
         assert sub.structure is sub.structure
     # a class kernel reads its structure off the Smith form of the class,
-    # at construction, into the same slot
-    kern = class_kernel(c)
-    assert "structure" in vars(kern)
-    std = Lattice.standard(kern.variety.dim)
-    assert kern.structure == quotient_structure(std, kern.overlattice)
-    assert kern.structure is kern.structure
+    # and the torsion and trivial subgroups are (Z/n)^2g and 0 outright: each
+    # fills the same slot at construction
+    known = [
+        class_kernel(c),
+        torsion_subgroup(e_i, 6),
+        torsion_subgroup(e_i_squared, 4),
+        trivial_subgroup(e_i),
+        trivial_subgroup(e_i_squared),
+    ]
+    for kern in known:
+        assert "structure" in vars(kern)
+        std = Lattice.standard(kern.variety.dim)
+        assert kern.structure == quotient_structure(std, kern.overlattice)
+        assert kern.structure is kern.structure
+    assert torsion_subgroup(e_i_squared, 4).divisors == (4, 4, 4, 4)
+    assert trivial_subgroup(e_i_squared).order == 1
