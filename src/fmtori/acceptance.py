@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from . import oracles
 from .corpus import (
@@ -61,7 +61,8 @@ def _result(name: str, ok: bool, **detail) -> dict:
 
 
 def _intlist(m: Mat) -> list[list[int]]:
-    return [[int(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    # index raises TypeError on a Fraction entry, where int would truncate
+    return [list(map(index, row)) for row in m.data]
 
 
 def criterion_degree_law() -> dict:
@@ -169,7 +170,7 @@ def criterion_projection_counts() -> dict:
             if gcd(num.e.content(), l) != 1:
                 continue
             mu = Slope(num, l)
-            inv = projection_invariants(a, mu)
+            inv = projection_invariants(mu)
             good = inv.rank * inv.rank == inv.degree and inv.stabilizer.order == inv.degree
             if abs(int(num.e.det())) == 1:
                 good = good and inv.rank == l
@@ -194,7 +195,7 @@ def _criterion_poincare() -> tuple[dict, list]:
     report = audit_equivalence(pc, 1)
     summary = _audit_summary(report)
     _, pi, _ = decompose(pc)
-    kern = slope_kernel(pc.as_class().variety, reduce_slope(pc.as_class(), 1))
+    kern = slope_kernel(reduce_slope(pc.as_class(), 1))
     iso = projection_iso(report)
     good = (
         summary["all_pass"]
@@ -213,11 +214,9 @@ def _criterion_poincare() -> tuple[dict, list]:
 def _oracle_subgroup_checks(pc, l: int, m_a, pi, m_b) -> dict:
     """Re-derive the audit's subgroup identities by enumerating torsion
     points; m_a, pi and m_b are the blocks of ``decompose(pc)``."""
-    prod = pc.as_class().variety
-
     # members of the slope lattice among l-torsion: x with l*x and M*x integral
     kern_count = len(oracles.kernel_points_of_class(pc.m, l))
-    kern_order = slope_kernel(prod, reduce_slope(pc.as_class(), l)).order
+    kern_order = slope_kernel(reduce_slope(pc.as_class(), l)).order
 
     level = l * l
 
@@ -316,7 +315,7 @@ def criterion_kernel_class_search(threads: int = 1) -> dict:
     ok = True
     duals = dual(a)
     for l in (1, 2, 3):
-        pihat = slope_subvariety(a, reduce_slope(NSClass(a, h), l)).projection.dual_hom()
+        pihat = slope_subvariety(reduce_slope(NSClass(a, h), l)).projection.dual_hom()
         targets = [
             ("trivial", a, trivial_subgroup(a)),
             ("full_torsion", a, torsion_subgroup(a, l)),

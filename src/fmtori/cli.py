@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import acceptance, oracles
 from .corpus import (
@@ -34,9 +33,8 @@ from .partners import (
     ppav_rigidity_check,
 )
 from .product_audit import audit_equivalence, search_kernel_class
-from .slopes import parse_slope_literal, projection_invariants, reduce_slope, slope_subvariety
+from .slopes import parse_slope_literal, projection_invariants, reduce_slope, slope_kernel, slope_subvariety
 from .varieties import (
-    FiniteSubgroup,
     PreconditionError,
     _excerpt,
     coefficients_in_basis,
@@ -55,10 +53,7 @@ class InputError(Exception):
 
 
 def _fmt_mat(m: Mat) -> str:
-    rows = []
-    for i in range(m.rows):
-        rows.append("[" + " ".join(str(Fraction(m[i, j])) for j in range(m.cols)) + "]")
-    return "[" + " ".join(rows) + "]"
+    return "[" + " ".join("[" + " ".join(map(str, row)) + "]" for row in m.data) + "]"
 
 
 def _parse_file(path, parse, *args):
@@ -146,9 +141,9 @@ def _cmd_amu(args):
     lines = []
     if mu.l != denom or mu.numerator.e != numerator.e:
         lines.append(f"slope reduced to denominator {mu.l}")
-    sv = slope_subvariety(a, mu)
-    kern = FiniteSubgroup(a, sv.member)
-    inv = projection_invariants(a, mu)
+    sv = slope_subvariety(mu)
+    kern = slope_kernel(mu)
+    inv = projection_invariants(mu)
     sub = sv.variety
     lines += [
         f"kernel of A -> A_mu: order {kern.order}, divisors {_divisor_text(kern.divisors)}",

@@ -36,11 +36,12 @@ class CorpusFormatError(ValueError):
 
 
 def rational_to_json(x):
-    f = Fraction(x)
-    if f.denominator == 1:
-        n = f.numerator
-        return n if abs(n) < _SAFE_INT else str(n)
-    return f"{f.numerator}/{f.denominator}"
+    if type(x) is not int:
+        x = Fraction(x)
+        if x.denominator != 1:
+            return f"{x.numerator}/{x.denominator}"
+        x = x.numerator
+    return x if abs(x) < _SAFE_INT else str(x)
 
 
 def rational_from_json(v) -> Fraction:
@@ -57,7 +58,7 @@ def rational_from_json(v) -> Fraction:
 
 
 def matrix_to_json(m: Mat) -> list[list]:
-    return [[rational_to_json(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return [list(map(rational_to_json, row)) for row in m.data]
 
 
 def matrix_from_json(rows) -> Mat:

@@ -20,7 +20,7 @@ from math import gcd, prod
 from .matrices import Mat, combination_map, snf
 from .parallel import pmap
 from .records import Record
-from .slopes import Slope, SlopeSubvariety, reduce_slope, slope_subvariety
+from .slopes import Slope, SlopeSubvariety, reduce_slope, slope_kernel, slope_subvariety
 from .varieties import (
     FiniteSubgroup,
     Homomorphism,
@@ -100,15 +100,13 @@ class PartnerRecord(Record):
     dual_certificate: Homomorphism
 
 
-def partner_from_slope(a: TorusVariety, mu: Slope) -> PartnerRecord:
+def partner_from_slope(mu: Slope) -> PartnerRecord:
     """The partner dual(A_mu) with its identity certificate."""
-    sv = slope_subvariety(a, mu)
-    return _partner_record(a, mu, sv, dual(sv.variety, name=f"{a.name}_partner"))
+    sv = slope_subvariety(mu)
+    return _partner_record(sv, dual(sv.variety, name=f"{mu.variety.name}_partner"))
 
 
-def _partner_record(
-    a: TorusVariety, mu: Slope, sv: SlopeSubvariety, b: TorusVariety
-) -> PartnerRecord:
+def _partner_record(sv: SlopeSubvariety, b: TorusVariety) -> PartnerRecord:
     """The record of the partner b = dual(sv.variety), with its certificate.
 
     Dualizing twice returns the complex structure on the nose, so the
@@ -118,10 +116,10 @@ def _partner_record(
     transported a second time.
     """
     torus = TorusVariety(b.g, -1 * b.j.T, (), (), name=b.name + "^")
-    cert = Homomorphism(torus, sv.variety, Mat.identity(a.dim))
+    cert = Homomorphism(torus, sv.variety, Mat.identity(b.dim))
     if not is_isomorphism_certificate(cert):
         raise InternalInvariantViolation("identity certificate is not unimodular")
-    return PartnerRecord(a, mu, sv, b, cert)
+    return PartnerRecord(sv.slope.variety, sv.slope, sv, b, cert)
 
 
 class PartnerEntry(Record):
@@ -194,7 +192,7 @@ def enumerate_partners(
         range(len(candidates)),
         key=lambda i: (candidates[i][1], [x % candidates[i][1] for x in candidates[i][0]]),
     )
-    built = dict(zip(order, pmap(lambda i: slope_subvariety(a, candidates[i][2]), order, threads)))
+    built = dict(zip(order, pmap(lambda i: slope_subvariety(candidates[i][2]), order, threads)))
     duals: dict[TorusVariety, TorusVariety] = {}
     prints: dict[tuple, Fingerprint] = {}
     entries = []
@@ -202,7 +200,7 @@ def enumerate_partners(
         sv = built[i]
         if sv.variety not in duals:
             duals[sv.variety] = dual(sv.variety, name=f"{a.name}_partner")
-        rec = _partner_record(a, mu, sv, duals[sv.variety])
+        rec = _partner_record(sv, duals[sv.variety])
         key = (rec.partner.j, rec.partner.ns_basis)
         if key not in prints:
             prints[key] = fingerprint(rec.partner)
@@ -278,8 +276,8 @@ def ppav_rigidity_check(a: TorusVariety, n: int, l: int) -> RigidityCheck:
         raise PreconditionError("n and l must be coprime")
     # n times the validated polarization
     mu = reduce_slope(NSClass._make(a, n * h), l)
-    sv = slope_subvariety(a, mu)
-    kern = FiniteSubgroup(a, sv.member)
+    sv = slope_subvariety(mu)
+    kern = slope_kernel(mu)
     cert = sv.quotient
     ok = kern.order == 1 and is_isomorphism_certificate(cert)
     if (kern.order == 1) != is_isomorphism_certificate(cert):

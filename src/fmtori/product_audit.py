@@ -32,6 +32,7 @@ from .slopes import (
     SlopeSubvariety,
     _ambient_product,
     reduce_slope,
+    slope_kernel,
     slope_subvariety,
 )
 from .varieties import (
@@ -191,7 +192,9 @@ def _slope_of(pc: ProductNSClass, l: int) -> Slope:
     cls = pc.as_class()
     if gcd(cls.e.content(), l) != 1:
         raise PreconditionError("slope of the product class is not reduced")
-    return Slope(cls, l)
+    if l < 1:
+        raise PreconditionError("slope denominator must be positive")
+    return Slope._make(cls, l)
 
 
 def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
@@ -219,11 +222,10 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
             "twist_to_ample provides the normalization"
         )
     g = pc.a.g
-    prod = mu.variety
     items: list[AuditItem] = []
 
-    sv = slope_subvariety(prod, mu)
-    kern = FiniteSubgroup(prod, sv.member)
+    sv = slope_subvariety(mu)
+    kern = slope_kernel(mu)
     items.append(_item("subtorus_kernel_order", l * l, kern.order))
 
     corr = pc.correspondence
@@ -258,7 +260,7 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     # level-D torsion is generated by displayed tuples from (D*l)-torsion
     # points of the product, never from level D alone
     level = l * max((1,) + kern.divisors + pi_divisors)
-    n_amb = 2 * prod.dim
+    n_amb = 2 * mu.variety.dim
     window = Lattice.standard(n_amb).scaled(Fraction(1, level))
     # integer rows cutting out the embedded image, and the lattice they span
     ann = integer_kernel(sv.embedding.T).T
@@ -301,7 +303,7 @@ def _dual_certificate(pc: ProductNSClass, l: int, eta: Mat) -> Homomorphism:
     embedded lattice of B_delta through its top block l*h (the projection
     to B); the solution must be integral, unimodular and reproduce y."""
     na, nb = pc.a.dim, pc.b.dim
-    b_delta = slope_subvariety(pc.b, reduce_slope(pc.block_b, l))
+    b_delta = slope_subvariety(reduce_slope(pc.block_b, l))
     y = eta.submatrix(range(eta.rows), range(na, 2 * na))
     x = b_delta.projection.m.inverse() @ y.submatrix(range(nb), range(na))
     if not (b_delta.to_ambient.m @ x == y and x.is_integral() and abs(x.det()) == 1):
@@ -354,6 +356,8 @@ def projection_iso(report: AuditReport) -> ProjectionIso:
 
 def kernel_torsion_subgroup(v: TorusVariety, cls: NSClass, l: int) -> FiniteSubgroup:
     """K(class) intersected with the l-torsion, tolerant of degenerate classes."""
+    if cls.variety != v:
+        raise VarietyMismatchError("class does not live on the variety")
     shell = Lattice.standard(v.dim).scaled(Fraction(1, l))
     return FiniteSubgroup(v, sublattice_where_integral(shell, cls.e))
 

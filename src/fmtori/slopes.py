@@ -69,20 +69,21 @@ def reduce_slope(numerator: NSClass, l: int) -> Slope:
         raise PreconditionError("slope denominator must be positive")
     g = gcd(numerator.e.content(), l)
     if g == 1:
-        return Slope(numerator, l)
-    reduced = Mat([[x // g for x in row] for row in numerator.e.data])
-    # a valid class divided by a common factor of its entries
-    return Slope(NSClass._make(numerator.variety, reduced), l // g)
+        return Slope._make(numerator, l)
+    n = numerator.variety.dim
+    # a valid class over a common factor g of its entries: gcd(content/g, l/g) = 1
+    reduced = Mat._make(tuple(tuple(x // g for x in row) for row in numerator.e.num), n, n)
+    return Slope._make(NSClass._make(numerator.variety, reduced), l // g)
 
 
-def member_lattice(a: TorusVariety, mu: Slope) -> Lattice:
+def member_lattice(mu: Slope) -> Lattice:
     """The overlattice {v in (1/l)Lambda : e v integral} presenting the subtorus."""
-    return _member(a, mu)[0]
+    return _member(mu)[0]
 
 
-def slope_kernel(a: TorusVariety, mu: Slope) -> FiniteSubgroup:
+def slope_kernel(mu: Slope) -> FiniteSubgroup:
     """Kernel of A -> A_mu, v -> v: the member lattice modulo the period lattice."""
-    return FiniteSubgroup(a, member_lattice(a, mu))
+    return FiniteSubgroup(mu.variety, member_lattice(mu))
 
 
 class SlopeSubvariety(Record):
@@ -142,16 +143,16 @@ def _member_data(j: Mat, residue: Mat, l: int) -> tuple[Lattice, Mat, Mat]:
     return lam_mu, h_inv, h_inv @ j @ lam_mu.basis
 
 
-def _member(a: TorusVariety, mu: Slope) -> tuple[Lattice, Mat, Mat]:
-    """The member data of mu on a, shared by every slope with the same
+def _member(mu: Slope) -> tuple[Lattice, Mat, Mat]:
+    """The member data of mu, shared by every slope with the same
     (J, e mod l, l)."""
-    l, n = mu.l, a.dim
+    a, l, n = mu.variety, mu.l, mu.variety.dim
     # the entries of an integral class reduced mod l: still integral
     residue = Mat._make(tuple(tuple(x % l for x in row) for row in mu.numerator.e.num), n, n)
     return _member_data(a.j, residue, l)
 
 
-def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
+def slope_subvariety(mu: Slope) -> SlopeSubvariety:
     """The subtorus of A x dual(A) that mu cuts out, with its structure maps.
 
     The member lattice {w/l : e w = 0 mod l}, the inverse of its basis h and
@@ -161,11 +162,9 @@ def slope_subvariety(a: TorusVariety, mu: Slope) -> SlopeSubvariety:
     embedding, its integrality and primitivity checks, the NS transport and
     the three maps depend on e itself and are built for every slope.
     """
-    if mu.variety != a:
-        raise ValueError("slope does not live on the given variety")
-    n = a.dim
+    a, n = mu.variety, mu.variety.dim
     amb = _ambient_product(a, a.name)
-    lam_mu, h_inv, j_mu = _member(a, mu)
+    lam_mu, h_inv, j_mu = _member(mu)
     h = lam_mu.basis
     # the rows of l*I over those of e, which is integral
     scaled = tuple(tuple(mu.l if i == k else 0 for k in range(n)) for i in range(n))
@@ -212,8 +211,9 @@ class ProjectionInvariants(Record):
     rank: int
 
 
-def projection_invariants(a: TorusVariety, mu: Slope) -> ProjectionInvariants:
-    lam_mu, _, j_mu = _member(a, mu)
+def projection_invariants(mu: Slope) -> ProjectionInvariants:
+    a = mu.variety
+    lam_mu, _, j_mu = _member(mu)
     pi = mu.l * lam_mu.basis
     deg = abs(int(pi.det()))
     r = isqrt(deg)

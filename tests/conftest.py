@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 settings.register_profile(
     "ci",
@@ -19,6 +20,36 @@ from fmtori.corpus import (  # noqa: E402
     square_lattice_curve,
     write_corpus,
 )
+from fmtori.matrices import Mat  # noqa: E402
+from fmtori.varieties import TorusVariety  # noqa: E402
+
+
+def unimodular(n: int):
+    """Hypothesis strategy for n x n integer matrices U with det U = +-1:
+    the identity after at most 6 elementary column moves, each adding k
+    times one column to another (|k| <= 2) or negating a column."""
+    move = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    return st.lists(move, max_size=6).map(lambda moves: _column_moves(n, moves))
+
+
+def _column_moves(n: int, moves) -> Mat:
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for src, dst, k in moves:
+        if src == dst:
+            cols[dst] = [-x for x in cols[dst]]
+        else:
+            cols[dst] = [x + k * y for x, y in zip(cols[dst], cols[src])]
+    return Mat.from_cols(cols)
+
+
+def transported(a: TorusVariety, u: Mat) -> TorusVariety:
+    """T_U(A): A presented in the lattice basis given by the columns of U,
+    (U^-1 J U, U^T e U for each NS basis class, the same polarization
+    coefficients), under the same name.  U itself is an isomorphism
+    T_U(A) -> A, so invariants agree, and the NS basis order is kept, so
+    coefficient-space answers agree too."""
+    classes = tuple(u.T @ e @ u for e in a.ns_basis)
+    return TorusVariety(a.g, u.inverse() @ a.j @ u, classes, a.polarization, name=a.name)
 
 
 @pytest.fixture(scope="session")

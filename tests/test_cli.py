@@ -292,8 +292,8 @@ def test_amu_builds_one_member_lattice(capsys, corpus_dir, tmp_path, cold_caches
     payload = json.loads((tmp_path / "a.json").read_text("utf-8"))
     a = corpus.variety_from_json(json.loads(path.read_text("utf-8")))
     mu = slopes.reduce_slope(*slopes.parse_slope_literal(a, "E0+E1+E2/2"))
-    sv = slopes.slope_subvariety(a, mu)
-    inv = slopes.projection_invariants(a, mu)
+    sv = slopes.slope_subvariety(mu)
+    inv = slopes.projection_invariants(mu)
     kern = FiniteSubgroup(a, sv.member)
     assert payload["kernel"] == {"order": kern.order, "divisors": list(kern.divisors)}
     assert (payload["projection_degree"], payload["rank"]) == (inv.degree, inv.rank)

@@ -131,7 +131,7 @@ def test_fingerprint_rejects_a_basis_class_that_is_not_j_compatible(e_i_squared)
 
 
 def test_partner_record_certificate(e_i):
-    rec = partner_from_slope(e_i, Slope(e_i.ns_class((1,)), 2))
+    rec = partner_from_slope(Slope(e_i.ns_class((1,)), 2))
     assert validate(rec.partner).ok
     assert is_isomorphism_certificate(rec.dual_certificate)
     assert fingerprint(rec.partner) == fingerprint(e_i)
@@ -300,8 +300,8 @@ def _shared_member_data(a, monkeypatch, *bounds):
     seen = []
     original = slopes._member
 
-    def recorded(v, mu):
-        member = original(v, mu)
+    def recorded(mu):
+        member = original(mu)
         seen.append((mu, member))
         return member
 

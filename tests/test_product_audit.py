@@ -37,6 +37,7 @@ from fmtori.slopes import Slope, projection_invariants, reduce_slope, slope_kern
 from fmtori.varieties import (
     FiniteSubgroup,
     PreconditionError,
+    VarietyMismatchError,
     _is_positive_definite,
     dual,
     is_isomorphism_certificate,
@@ -97,7 +98,7 @@ def test_eta_is_an_anti_isometry_carrying_the_dual_factor_onto_b_delta():
         assert eta.T @ _q(pc.b.dim) @ eta == -1 * _q(na)
         cert = iso.dual_certificate
         assert cert.m.is_integral() and abs(cert.m.det()) == 1
-        b_delta = slope_subvariety(pc.b, reduce_slope(pc.block_b, l))
+        b_delta = slope_subvariety(reduce_slope(pc.block_b, l))
         assert (cert.source, cert.target) == (dual(pc.a), b_delta.variety)
         assert b_delta.to_ambient.m @ cert.m == eta.submatrix(range(eta.rows), range(na, 2 * na))
         count += 1
@@ -183,9 +184,8 @@ def test_search_finds_passing_classes_and_counting_invariant(e_i):
         report = audit_equivalence(pc, 2)
         assert report.all_pass
         # |Sigma| * deg(pi_1) accounting on the product subtorus
-        prod = pc.as_class().variety
         mu = reduce_slope(pc.as_class(), 2)
-        inv = projection_invariants(prod, mu)
+        inv = projection_invariants(mu)
         assert inv.degree == inv.rank**2
         iso = projection_iso(report)
         assert is_isomorphism_certificate(iso.eta)
@@ -314,6 +314,15 @@ def test_search_kernel_class_precondition(e_i):
         search_kernel_class(e_i, 2, torsion_subgroup(e_i, 3), 3)
 
 
+def test_kernel_torsion_subgroup_rejects_a_class_of_another_variety(e_i, e_2i):
+    # a class of E_i with E_2i's label and lattice shell would be an order-4
+    # subgroup of E_2i that is not the kernel of any class of E_2i
+    with pytest.raises(VarietyMismatchError):
+        kernel_torsion_subgroup(e_2i, e_i.ns_class((2,)), 2)
+    kern = kernel_torsion_subgroup(e_2i, e_2i.ns_class((2,)), 2)
+    assert kern.variety is e_2i and kern == torsion_subgroup(e_2i, 2)
+
+
 @pytest.mark.parametrize("bound", [0, -1])
 def test_searches_reject_bounds_below_one(e_i, bound):
     with pytest.raises(PreconditionError):
@@ -342,7 +351,7 @@ def test_cached_products_keep_each_variety_name():
     # ignores names; every product must still be named after its factors
     for n in ("A", "B"):
         a = square_lattice_curve(n)
-        sv = slope_subvariety(a, reduce_slope(a.ns_class((1,)), 2))
+        sv = slope_subvariety(reduce_slope(a.ns_class((1,)), 2))
         assert sv.ambient.name == f"{n}x{n}^"
         pc = ProductNSClass(a, a, poincare_class().m)
         assert pc.as_class().variety.name == f"{n}x{n}"
@@ -369,7 +378,7 @@ def _ref_search_product_classes(a, b, l, coeff_bound, limit):
         corr = pc.correspondence
         if not corr.is_square or corr.det() == 0:
             return None
-        if slope_kernel(prod, Slope(pc.as_class(), l)).order != l * l:
+        if slope_kernel(Slope(pc.as_class(), l)).order != l * l:
             return None
         return pc if audit_equivalence(pc, l).all_pass else None
 
@@ -611,7 +620,7 @@ def test_torsion_kernel_order_counts_the_kernel_points(coeffs, l):
     # for a reduced slope it is the order of the slope kernel, the lattice
     # route the product-class search used to take
     if gcd(e.content(), l) == 1:
-        assert order == slope_kernel(cls.variety, Slope(cls, l)).order
+        assert order == slope_kernel(Slope(cls, l)).order
 
 
 def test_kernel_search_checks_the_hit_against_its_kernel(e_i, monkeypatch):
@@ -653,13 +662,14 @@ def test_product_search_audits_only_its_hits(e_i, monkeypatch):
 
 
 def test_product_search_builds_each_slope_kernel_once(e_i, cold_caches, count_calls):
-    # the filter reads the kernel order from one Smith form, and each audit
-    # builds its hit's member lattice once, for the subtorus and its kernel
+    # the filter reads the kernel order from one Smith form, so only the
+    # audits read slope_kernel, once per hit, and each audit builds its hit's
+    # member lattice once, for the subtorus and its kernel
     kernels = count_calls(slopes, "slope_kernel")
     audits = count_calls(product_audit, "audit_equivalence")
     assert len(search_product_classes(e_i, e_i, 2, 2, limit=2)) == 2
     members = slopes._member_data.cache_info().misses
-    assert (len(kernels), members, len(audits)) == (0, 2, 2)
+    assert (len(kernels), members, len(audits)) == (2, 2, 2)
 
 
 def test_kernel_search_builds_one_kernel_per_hit(e_i_squared, monkeypatch):
@@ -728,7 +738,7 @@ def _ref_audit(pc, l):
         raise PreconditionError("B-block not ample")
     g, prod, item = pc.a.g, mu.variety, product_audit._item
     items = []
-    kern = slope_kernel(prod, mu)
+    kern = slope_kernel(mu)
     items.append(item("subtorus_kernel_order", l * l, kern.order))
     _, pi, _ = decompose(pc)
     if pi.m.is_square and pi.m.det() != 0:
@@ -760,7 +770,7 @@ def _ref_audit(pc, l):
         )
     )
     level = l * max((1,) + kern.divisors + pi_divisors)
-    sv = slope_subvariety(prod, mu)
+    sv = slope_subvariety(mu)
     n_amb = 2 * prod.dim
     window = Lattice.standard(n_amb).scaled(Fraction(1, level))
     ann = integer_kernel(sv.embedding.T).T

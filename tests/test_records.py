@@ -88,12 +88,12 @@ def instances(e_i, partner_entries):
         validate(e_i),
         torsion_subgroup(e_i, 2),
         prod,
-        slope_subvariety(e_i, mu).quotient,
+        slope_subvariety(mu).quotient,
         mu,
-        slope_subvariety(e_i, mu),
-        projection_invariants(e_i, mu),
+        slope_subvariety(mu),
+        projection_invariants(mu),
         fingerprint(e_i),
-        partner_from_slope(e_i, mu),
+        partner_from_slope(mu),
         partner_entries[0],
         ppav_rigidity_check(e_i, 1, 2),
         pc,

@@ -50,14 +50,14 @@ def test_reduce_slope_divides_out_gcd(e_i):
 def test_member_lattice_unimodular_numerator(e_i):
     # reduced slope with unimodular numerator: members are just the lattice
     mu = Slope(e_i.ns_class((1,)), 4)
-    assert member_lattice(e_i, mu) == Lattice.standard(2)
-    assert slope_kernel(e_i, mu).order == 1
+    assert member_lattice(mu) == Lattice.standard(2)
+    assert slope_kernel(mu).order == 1
 
 
 def test_slope_kernel_is_torsion_meet_class_kernel(e_i_squared):
     # two-route identity on a denominator-2 slope of the product
     mu = reduce_slope(e_i_squared.ns_class((1, 1, 0, 0)), 2)
-    kern = slope_kernel(e_i_squared, mu)
+    kern = slope_kernel(mu)
     other = FiniteSubgroup(
         e_i_squared,
         torsion_subgroup(e_i_squared, 2).overlattice.intersect(
@@ -69,7 +69,7 @@ def test_slope_kernel_is_torsion_meet_class_kernel(e_i_squared):
 
 def test_subvariety_is_valid_and_embeds_primitively(e_i):
     mu = Slope(e_i.ns_class((1,)), 5)
-    sv = slope_subvariety(e_i, mu)
+    sv = slope_subvariety(mu)
     assert validate(sv.variety).ok
     # quotient then projection is multiplication by l on the source
     comp = sv.projection.compose(sv.quotient)
@@ -84,7 +84,7 @@ def test_projection_invariants_square_law(n, l):
     num = a.ns_class((n,))
     if gcd(num.e.content(), l) != 1:
         return
-    inv = projection_invariants(a, Slope(num, l))
+    inv = projection_invariants(Slope(num, l))
     assert inv.degree == inv.rank**2
     assert inv.stabilizer.order == inv.degree
     if abs(n) == 1:
@@ -95,17 +95,17 @@ def test_translation_invariance_of_invariants(e_i):
     # shifting the numerator by l times an integral class changes nothing
     mu = Slope(e_i.ns_class((1,)), 3)
     shifted = reduce_slope(e_i.ns_class((1 + 3 * 2,)), 3)
-    a, b = projection_invariants(e_i, mu), projection_invariants(e_i, shifted)
+    a, b = projection_invariants(mu), projection_invariants(shifted)
     assert (a.degree, a.rank) == (b.degree, b.rank)
-    assert slope_kernel(e_i, mu).order == slope_kernel(e_i, shifted).order
+    assert slope_kernel(mu).order == slope_kernel(shifted).order
 
 
 def test_degenerate_numerator_on_product(e_i_squared):
     # lift of a curve class is degenerate on the surface but still slopes
     mu = reduce_slope(e_i_squared.ns_class((1, 0, 0, 0)), 2)
-    kern = slope_kernel(e_i_squared, mu)
+    kern = slope_kernel(mu)
     assert kern.order == 4
-    sv = slope_subvariety(e_i_squared, mu)
+    sv = slope_subvariety(mu)
     assert validate(sv.variety).ok
 
 
@@ -128,6 +128,44 @@ def test_literal_rejections(e_i):
             parse_slope_literal(e_i, bad)
 
 
+def test_slope_results_live_on_the_slopes_variety(e_i, e_2i, e_i_squared):
+    # every result is read off mu.variety, its name included, also for a
+    # presentation equal to E_i under another name
+    renamed = TorusVariety(e_i.g, e_i.j, e_i.ns_basis, e_i.polarization, name="X")
+    for a in (e_i, e_2i, e_i_squared, renamed):
+        mu = reduce_slope(a.ns_class((1,) + (0,) * (len(a.ns_basis) - 1)), 2)
+        assert mu.variety is a
+        assert slope_kernel(mu).variety is a
+        sv = slope_subvariety(mu)
+        assert (sv.variety.name, sv.ambient.name) == (f"{a.name}_mu", f"{a.name}x{a.name}^")
+        assert sv.quotient.source is a and sv.projection.target is a
+        stabilizer = projection_invariants(mu).stabilizer
+        assert stabilizer.variety.name == f"{a.name}_mu"
+        assert stabilizer.variety.j == sv.variety.j
+        rec = partners.partner_from_slope(mu)
+        assert rec.source is a and (rec.slope, rec.partner.name) == (mu, f"{a.name}_partner")
+
+
+_DOCS = [json.loads(corpus.corpus_text(f)) for f in corpus.shipped_names()]
+SHIPPED = [corpus.variety_from_json(d) for d in _DOCS if d["format"] == "fmtori/variety"]
+
+
+@given(st.data(), st.integers(min_value=1, max_value=6))
+def test_reduced_slopes_pass_the_public_constructor(data, l):
+    # reduce_slope builds its result unchecked; the checks it skips pass
+    a = data.draw(st.sampled_from(SHIPPED))
+    rank = len(a.ns_basis)
+    coeffs = data.draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank))
+    cls = a.ns_class(coeffs)
+    mu = reduce_slope(cls, l)
+    mu.__post_init__()
+    mu.numerator.__post_init__()
+    public = Slope(NSClass(a, Mat(mu.numerator.e.data)), mu.l)
+    assert public == mu and hash(public) == hash(mu)
+    # the same fraction: e / l == e' / l'
+    assert mu.l * cls.e == l * mu.numerator.e
+
+
 def test_nonpositive_denominators_are_precondition_errors(e_i):
     cls = e_i.ns_class((1,))
     for l in (0, -2):
@@ -148,7 +186,7 @@ def _ref_slope_subvariety(a, mu):
     restricted by matrix products and the validated ambient polarization."""
     n = a.dim
     amb = product(a, dual(a), name=f"{a.name}x{a.name}^").variety
-    lam_mu = member_lattice(a, mu)
+    lam_mu = member_lattice(mu)
     h = lam_mu.basis
     emb = Mat.vstack(mu.l * Mat.identity(n), mu.numerator.e)
     emb_h = emb @ h
@@ -183,11 +221,7 @@ def _assert_matches_reference(sv, a, mu):
 
 
 def _corpus_slopes():
-    for fname in corpus.shipped_names():
-        doc = json.loads(corpus.corpus_text(fname))
-        if doc["format"] != "fmtori/variety":
-            continue
-        a = corpus.variety_from_json(doc)
+    for a in SHIPPED:
         for coeffs in partners._normalized_coefficient_vectors(len(a.ns_basis), 1):
             for l in (1, 2, 3):
                 yield a, reduce_slope(a.ns_class(coeffs), l)
@@ -204,4 +238,4 @@ def test_subvariety_matches_reference_on_corpus_slopes():
     cases = list(_corpus_slopes())
     assert len(cases) >= 120
     for a, mu in cases:
-        _assert_matches_reference(slope_subvariety(a, mu), a, mu)
+        _assert_matches_reference(slope_subvariety(mu), a, mu)

@@ -241,7 +241,7 @@ def test_eta_isometry_and_dual_certificate_match_sympy():
         iso = product_audit.projection_iso(report)
         assert iso.eta.m == Mat(_from_sympy(eta))
         assert eta.T * _hyperbolic(nb) * eta == -_hyperbolic(na)
-        b_delta = slope_subvariety(pc.b, reduce_slope(pc.block_b, l))
+        b_delta = slope_subvariety(reduce_slope(pc.block_b, l))
         x, params = sympy.Matrix(b_delta.to_ambient.m.data).gauss_jordan_solve(eta[:, na:2 * na])
         assert not params
         assert all(v.is_integer for v in x) and abs(x.det()) == 1

@@ -694,7 +694,7 @@ def test_subgroup_structure_is_computed_on_first_use(e_i, e_i_squared):
         double.kernel(),
         FiniteSubgroup(e_i_squared, doubled.intersect(torsion_subgroup(e_i_squared, 4).overlattice)),
         kernel_torsion_subgroup(e_i_squared, c, 3),
-        slope_kernel(e_i_squared, reduce_slope(c, 2)),
+        slope_kernel(reduce_slope(c, 2)),
     ]
     for sub in subgroups:
         assert "structure" not in vars(sub)
