@@ -9,7 +9,7 @@ quotient; this is where kernel groups K(L) and slope kernels come from.
 
 from __future__ import annotations
 
-from .matrices import Mat, Scalar, hnf_columns, integer_kernel, snf
+from .matrices import Mat, Scalar, _row_echelon, _row_hnf, hnf_columns, integer_kernel, snf
 from .records import Record
 
 
@@ -126,23 +126,28 @@ class Lattice:
         return joint.rank() == other.basis.rank()
 
 
-def sublattice_where_integral(container: Lattice, conditions: Mat) -> Lattice:
-    """{v in container : conditions @ v is integral}, as a lattice.
+def sublattice_where_integral(level: int, conditions: Mat) -> Lattice:
+    """{v in (1/level) Z^n : conditions @ v is integral}, n the width of
+    ``conditions``, in canonical form.
 
-    ``conditions`` may be rational and of any rank; the result is a finite
-    index sublattice of ``container``.
+    ``conditions`` = C / c may be rational, with any number of rows and of
+    any rank; the result is a full rank sublattice of (1/level) Z^n.  With
+    d = c * level, v = y / level is a member exactly when C y = 0 mod d, and
+    C mod d decides that.  The rows (C^T e_i | e_i) and (d e_j | 0) span
+    {(C y + d z | y)}; a row echelon form in the first k columns (k the
+    number of conditions) has k pivot rows, because d I is among the rows,
+    and its n rows below them are a basis of those y (Cohen, GTM 138,
+    section 2.4).  Their row Hermite form over level is the canonical basis.
     """
-    if conditions.cols != container.ambient_dim:
-        raise ValueError("condition width must match ambient dimension")
-    c = container.basis
-    ri, d = (conditions @ c).cleared()
-    if d == 1:
-        return container
-    k = ri.rows
-    blocked = Mat.hstack(ri, -d * Mat.identity(k))
-    ker = integer_kernel(blocked)
-    x = ker.submatrix(range(c.cols), range(ker.cols))
-    return Lattice(container.ambient_dim, c @ x)
+    if level < 1:
+        raise ValueError("level must be positive")
+    k, n, d = conditions.rows, conditions.cols, conditions.den * level
+    a = [[x % d for x in col] + [int(i == j) for j in range(n)]
+         for i, col in enumerate(conditions.T.num)]
+    a += [[d * int(i == j) for j in range(k)] + [0] * n for i in range(k)]
+    _row_echelon(a, k, reduce=False)
+    h = _row_hnf([row[k:] for row in a[k:]])
+    return Lattice._make(n, Mat._make(tuple(zip(*h)), n, n, level))
 
 
 def quotient_structure(sub: Lattice, sup: Lattice) -> FiniteGroupStructure:

@@ -264,7 +264,7 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     window = Lattice.standard(n_amb).scaled(Fraction(1, level))
     # integer rows cutting out the embedded image, and the lattice they span
     ann = integer_kernel(sv.embedding.T).T
-    on_subtorus = sublattice_where_integral(window, Lattice(ann.rows, ann).basis.inverse() @ ann)
+    on_subtorus = sublattice_where_integral(level, Lattice(ann.rows, ann).basis.inverse() @ ann)
     generated = Lattice(
         n_amb,
         Mat.hstack(Fraction(1, level * l) * sv.embedding, Mat.identity(n_amb)),
@@ -355,11 +355,14 @@ def projection_iso(report: AuditReport) -> ProjectionIso:
 
 
 def kernel_torsion_subgroup(v: TorusVariety, cls: NSClass, l: int) -> FiniteSubgroup:
-    """K(class) intersected with the l-torsion, tolerant of degenerate classes."""
+    """K(class) intersected with the l-torsion, tolerant of degenerate classes:
+    {y/l : e y = 0 mod l} (Mumford, Abelian Varieties, section 23), read
+    off one congruence echelon by ``sublattice_where_integral``."""
+    if l < 1:
+        raise PreconditionError("torsion level must be positive")
     if cls.variety != v:
         raise VarietyMismatchError("class does not live on the variety")
-    shell = Lattice.standard(v.dim).scaled(Fraction(1, l))
-    return FiniteSubgroup(v, sublattice_where_integral(shell, cls.e))
+    return FiniteSubgroup(v, sublattice_where_integral(l, cls.e))
 
 
 def _torsion_kernel_order(e: Mat, l: int) -> int:
@@ -401,8 +404,9 @@ def search_kernel_class(
     each residue once.  The sub-box holds the zero vector only when l > B,
     and then the zero residue has no other vector in the box, so leaving
     zero out loses nothing.  No lattice is built for a candidate; the hit
-    alone becomes an NSClass, and its kernel is computed as a lattice and
-    must equal the target, or the identity above has failed.
+    alone becomes an NSClass, and its kernel lattice, read off one
+    congruence echelon by ``kernel_torsion_subgroup``, must equal the
+    target, or the identity above has failed.
     """
     if l < 1:
         raise PreconditionError("torsion level must be positive")

@@ -16,7 +16,6 @@ subgroup.  None of the sheaves are constructed here, only these invariants.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -134,11 +133,11 @@ def _member_data(j: Mat, residue: Mat, l: int) -> tuple[Lattice, Mat, Mat]:
     member lattice {w/l : residue w = 0 mod l} on the complex structure j.
 
     e w / l is integral exactly when e w = 0 mod l, so these are the same for
-    every slope on J with numerator e = residue mod l.  The key holds no
-    name, and none of the three results carries one.
+    every slope on J with numerator e = residue mod l, and the lattice is
+    read off one congruence echelon by ``sublattice_where_integral``.  The
+    key holds no name, and none of the three results carries one.
     """
-    shell = Lattice.standard(j.rows).scaled(Fraction(1, l))
-    lam_mu = sublattice_where_integral(shell, residue)
+    lam_mu = sublattice_where_integral(l, residue)
     h_inv = lam_mu.basis.inverse()
     return lam_mu, h_inv, h_inv @ j @ lam_mu.basis
 

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,24 @@ from fmtori.corpus import (  # noqa: E402
     square_lattice_curve,
     write_corpus,
 )
-from fmtori.matrices import Mat  # noqa: E402
+from fmtori.lattices import Lattice  # noqa: E402
+from fmtori.matrices import Mat, integer_kernel  # noqa: E402
 from fmtori.varieties import TorusVariety  # noqa: E402
+
+
+def where_integral_by_kernel(level: int, conditions: Mat) -> Lattice:
+    """{v in (1/level) Z^n : conditions @ v integral} by an independent
+    route: the conditions on the scaled standard basis c cleared to ri / d,
+    the integer kernel of [ri | -d I], and c times its top block
+    canonicalized by the ``Lattice`` constructor.  It never calls
+    ``sublattice_where_integral``, so it can check that function."""
+    n = conditions.cols
+    c = Fraction(1, level) * Mat.identity(n)
+    ri, d = (conditions @ c).cleared()
+    if d == 1:
+        return Lattice(n, c)
+    ker = integer_kernel(Mat.hstack(ri, -d * Mat.identity(ri.rows)))
+    return Lattice(n, c @ ker.submatrix(range(n), range(ker.cols)))
 
 
 def unimodular(n: int):

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from conftest import where_integral_by_kernel
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmtori.lattices import (
@@ -133,19 +134,58 @@ def test_sum_is_smallest_and_intersection_largest(a, b):
 def test_sublattice_where_integral():
     window = Lattice.standard(2).scaled(Fraction(1, 2))
     e = Mat(((0, 2), (-2, 0)))
-    lam = sublattice_where_integral(window, e)
+    lam = sublattice_where_integral(2, e)
     # every half point already pairs integrally under 2*(alternating form)
     assert lam == window
-    strict = sublattice_where_integral(window, Mat(((0, 1), (-1, 0))))
+    strict = sublattice_where_integral(2, Mat(((0, 1), (-1, 0))))
     assert strict == Lattice.standard(2)
 
 
 def test_sublattice_where_integral_degenerate_condition():
-    window = Lattice.standard(2).scaled(Fraction(1, 4))
     rank_one = Mat(((1, 0), (0, 0)))
-    lam = sublattice_where_integral(window, rank_one)
+    lam = sublattice_where_integral(4, rank_one)
     assert _has_point(lam, (0, Fraction(1, 4)))
     assert not _has_point(lam, (Fraction(1, 4), 0))
+
+
+@pytest.mark.parametrize("level", (0, -2))
+def test_sublattice_where_integral_rejects_a_level_below_one(level):
+    with pytest.raises(ValueError, match="level must be positive"):
+        sublattice_where_integral(level, Mat(((0, 1), (-1, 0))))
+
+
+@st.composite
+def integrality_conditions(draw):
+    """(level, conditions): k x n rational conditions, n <= 6 and k <= 7
+    (k = n or not), entries over denominators <= 4, with zero rows and rows
+    that repeat a multiple of an earlier one mixed in; levels up to 12."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4))
+    for src, k in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), max_size=3)):
+        rows.append([k * x for x in rows[src]] if src < len(rows) else [0] * n)
+    dens = st.sampled_from((1, 2, 3, 4))
+    if not rows:
+        return draw(st.integers(1, 12)), Mat.zeros(0, n)
+    return draw(st.integers(1, 12)), Mat([[Fraction(x, draw(dens)) for x in row] for row in rows])
+
+
+@given(integrality_conditions())
+@settings(max_examples=300)
+@example((1, Mat(((Fraction(1, 2), 0, 1), (0, Fraction(3, 4), 0)))))
+@example((12, Mat(((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 2), (0, 0, -2, 0)))))
+@example((6, Mat(((1, 2), (2, 4), (0, 0)))))
+@example((4, Mat.zeros(2, 3)))
+@example((3, Mat.zeros(0, 2)))
+def test_sublattice_where_integral_matches_the_kernel_route(case):
+    level, conditions = case
+    n = conditions.cols
+    lam = sublattice_where_integral(level, conditions)
+    assert lam == where_integral_by_kernel(level, conditions)
+    # by definition: a full rank lattice of points of (1/level) Z^n on which
+    # the conditions are integral
+    assert lam.is_full_rank
+    assert (level * lam.basis).is_integral()
+    assert (conditions @ lam.basis).is_integral()
 
 
 def test_dual_lattice_of_form_degree():

@@ -2,13 +2,12 @@ import functools
 import itertools
 import json
 import sys
-from fractions import Fraction
 from math import prod
 
 import pytest
+from conftest import where_integral_by_kernel
 
 from fmtori import corpus, matrices, partners, slopes
-from fmtori.lattices import Lattice, sublattice_where_integral
 from fmtori.matrices import Mat, snf
 from fmtori.partners import (
     SEARCH_CANDIDATE_CAP,
@@ -288,8 +287,7 @@ def test_enumeration_reads_spans_and_signs_off_integer_rows(
 
 
 def _member_data_by_definition(a, mu):
-    shell = Lattice.standard(a.dim).scaled(Fraction(1, mu.l))
-    lam = sublattice_where_integral(shell, mu.numerator.e)
+    lam = where_integral_by_kernel(mu.l, mu.numerator.e)
     h_inv = lam.basis.inverse()
     return lam, h_inv, h_inv @ a.j @ lam.basis
 

@@ -10,6 +10,7 @@ and bounded certificate searches are presentation-level and are not
 compared here.
 """
 
+import itertools
 from functools import cache
 
 import pytest
@@ -25,6 +26,7 @@ from fmtori.product_audit import (
     ProductNSClass,
     _product_variety,
     audit_equivalence,
+    kernel_torsion_subgroup,
     projection_iso,
     search_kernel_class,
 )
@@ -99,6 +101,31 @@ def test_kernel_class_search_for_the_full_torsion_is_invariant(name, data):
             hit.e, a.ns_basis
         )
         assert hit_t.e == u.T @ hit.e @ u
+
+
+@cache
+def _box_kernels(l: int):
+    """(coefficients, K(e) meet A[l]) for every nonzero class of the bound-2
+    box on E_i x E_i, degenerate classes included."""
+    a = VARIETIES["e_i_squared"]
+    box = itertools.product(range(-2, 3), repeat=len(a.ns_basis))
+    return [(c, kernel_torsion_subgroup(a, a.ns_class(c), l)) for c in box if any(c)]
+
+
+@given(data=st.data())
+@settings(max_examples=3)
+def test_torsion_kernels_of_the_bound_2_box_move_by_u(data):
+    a = VARIETIES["e_i_squared"]
+    u = data.draw(unimodular(a.dim))
+    t, u_inv = transported(a, u), u.inverse()
+    assert any(a.ns_class(c).e.det() == 0 for c, _ in _box_kernels(2))
+    for l in (2, 3, 4):
+        for c, kern in _box_kernels(l):
+            cls_t = t.ns_class(c)
+            assert cls_t.e == u.T @ a.ns_class(c).e @ u
+            kern_t = kernel_torsion_subgroup(t, cls_t, l)
+            # v is in K(U^T e U) exactly when U v is in K(e)
+            assert kern_t.overlattice == Lattice(a.dim, u_inv @ kern.overlattice.basis)
 
 
 @cache

@@ -6,10 +6,11 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from conftest import where_integral_by_kernel
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmtori import lattices, oracles, product_audit, slopes, varieties
+from fmtori import lattices, matrices, oracles, product_audit, slopes, varieties
 from fmtori.corpus import (
     doubled_square_lattice_curve,
     poincare_class,
@@ -321,6 +322,16 @@ def test_kernel_torsion_subgroup_rejects_a_class_of_another_variety(e_i, e_2i):
         kernel_torsion_subgroup(e_2i, e_i.ns_class((2,)), 2)
     kern = kernel_torsion_subgroup(e_2i, e_2i.ns_class((2,)), 2)
     assert kern.variety is e_2i and kern == torsion_subgroup(e_2i, 2)
+
+
+@pytest.mark.parametrize("l", (0, -2))
+def test_kernel_torsion_subgroup_rejects_a_level_below_one(e_i, l):
+    # as torsion_subgroup and search_kernel_class do; l = 0 divided by zero
+    # and l = -2 gave the l = 2 answer
+    with pytest.raises(PreconditionError, match="torsion level must be positive"):
+        kernel_torsion_subgroup(e_i, e_i.ns_class((2,)), l)
+    with pytest.raises(PreconditionError):
+        torsion_subgroup(e_i, l)
 
 
 @pytest.mark.parametrize("bound", [0, -1])
@@ -699,6 +710,33 @@ def test_kernel_search_builds_one_kernel_per_hit(e_i_squared, monkeypatch):
             assert found == v.ns_class(evaluated[-1])
 
 
+def test_kernel_search_builds_no_generic_lattice(e_i_squared, cold_caches, count_calls, monkeypatch):
+    # the hit's kernel is read off one congruence echelon: no integer kernel,
+    # no Hermite form of a generating set and no canonicalizing Lattice
+    v = e_i_squared
+    for l, coeffs in ((2, (1, 0, 1, 1)), (3, (2, -1, 0, 1)), (3, None)):
+        target = (
+            kernel_torsion_subgroup(v, v.ns_class(coeffs), l) if coeffs
+            else torsion_subgroup(v, l)
+        )
+        kernels = count_calls(matrices, "integer_kernel")
+        hermite = count_calls(matrices, "hnf_columns")
+        sublattices = count_calls(lattices, "sublattice_where_integral")
+        inits = []
+        init = Lattice.__init__
+
+        def counted(self, *args):
+            inits.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Lattice, "__init__", counted)
+        found = search_kernel_class(v, l, target, 2)
+        monkeypatch.undo()
+        assert (found is None) == (coeffs is None)
+        assert (len(kernels), len(hermite), len(inits)) == (0, 0, 0)
+        assert len(sublattices) == (0 if found is None else 1)
+
+
 def test_kernel_search_answer_does_not_depend_on_threads(e_i_squared):
     # with frequent thread switches and more threads than cores, every
     # answer must equal the one-thread answer
@@ -777,9 +815,7 @@ def _ref_audit(pc, l):
     # the annihilator vanishes on the embedded image
     ann_on_image = ann @ sv.to_ambient.m
     assert ann_on_image == Mat.zeros(ann_on_image.rows, ann_on_image.cols)
-    on_subtorus = product_audit.sublattice_where_integral(
-        window, Lattice(ann.rows, ann).basis.inverse() @ ann
-    )
+    on_subtorus = where_integral_by_kernel(level, Lattice(ann.rows, ann).basis.inverse() @ ann)
     generated = Lattice(
         n_amb, Mat.hstack(Fraction(1, level * l) * sv.embedding, Mat.identity(n_amb))
     ).intersect(window)
