@@ -25,7 +25,7 @@ from fractions import Fraction
 from .lattices import Lattice
 from .matrices import Mat
 from .product_audit import ProductNSClass
-from .varieties import FiniteSubgroup, TorusVariety, _excerpt, product
+from .varieties import FiniteSubgroup, TorusVariety, _excerpt, product, torsion_subgroup
 
 _SAFE_INT = 2**53
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -149,7 +149,7 @@ def subgroup_from_json(d: dict, a: TorusVariety) -> FiniteSubgroup:
         raise CorpusFormatError("not a subgroup file (format key missing or wrong)")
     basis = matrix_from_json(_require(d, "overlattice"))
     try:
-        sub = FiniteSubgroup(a, Lattice(a.dim, basis))
+        sub = FiniteSubgroup(a, Lattice(basis))
         sub.structure  # full rank and containing the periods: the structure checks both
     except ValueError as exc:
         raise CorpusFormatError(str(exc)) from exc
@@ -224,10 +224,7 @@ def poincare_class(name: str = "poincare") -> ProductNSClass:
 
 
 def two_torsion_subgroup_file() -> dict:
-    a = square_lattice_curve()
-    half = Mat(((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))))
-    sub = FiniteSubgroup(a, Lattice(2, half))
-    return subgroup_to_json(sub, name="two_torsion")
+    return subgroup_to_json(torsion_subgroup(square_lattice_curve(), 2), name="two_torsion")
 
 
 _SHIPPED = {

@@ -39,31 +39,27 @@ class FiniteGroupStructure(Record):
 class Lattice:
     """A finitely generated subgroup of Q^n of full column rank basis.
 
-    ``Lattice(n, columns)`` is the canonicalizing boundary: it reduces any
-    generating set to the canonical basis.  ``Lattice._make`` wraps a basis
-    that is already canonical.
+    A lattice is its canonical basis: ``Lattice(columns)`` is the
+    canonicalizing boundary, which reduces any generating set, and the
+    ambient dimension n is the number of rows.  ``Lattice._make`` wraps a
+    basis that is already canonical.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("basis",)
 
-    def __init__(self, ambient_dim: int, columns: Mat):
-        if columns.rows != ambient_dim:
-            raise ValueError("basis rows must match ambient dimension")
+    def __init__(self, columns: Mat):
         # the nonzero Hermite columns of the integer rows over the denominator,
         # which Mat._make reduces against their content
         b, d = columns.cleared()
         h = hnf_columns(b)
         keep = [j for j, col in enumerate(zip(*h.num)) if any(col)]
         num = tuple(tuple(row[j] for j in keep) for row in h.num)
-        basis = Mat._make(num, h.rows, len(keep), d)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", Mat._make(num, h.rows, len(keep), d))
 
     @staticmethod
-    def _make(ambient_dim: int, basis: Mat) -> "Lattice":
+    def _make(basis: Mat) -> "Lattice":
         """A Lattice on a basis that is already in canonical form."""
         lat = object.__new__(Lattice)
-        object.__setattr__(lat, "ambient_dim", ambient_dim)
         object.__setattr__(lat, "basis", basis)
         return lat
 
@@ -73,7 +69,11 @@ class Lattice:
     @staticmethod
     def standard(n: int) -> "Lattice":
         # the identity is its own column Hermite form
-        return Lattice._make(n, Mat.identity(n))
+        return Lattice._make(Mat.identity(n))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.rows
 
     @property
     def rank(self) -> int:
@@ -84,17 +84,14 @@ class Lattice:
         return self.rank == self.ambient_dim
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Lattice)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
+        # Mat equality compares shapes, so equal bases share an ambient dimension
+        return isinstance(other, Lattice) and self.basis == other.basis
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash(self.basis)
 
     def __repr__(self) -> str:
-        return f"Lattice({self.ambient_dim}, {self.basis!r})"
+        return f"Lattice({self.basis!r})"
 
     def scaled(self, c: Scalar) -> "Lattice":
         if c == 0:
@@ -102,12 +99,12 @@ class Lattice:
         # the Hermite form of k*H is k times that of H for k > 0, and c and
         # -c span the same lattice, so |c| times the canonical basis is the
         # canonical basis of the scaled lattice
-        return Lattice._make(self.ambient_dim, abs(c) * self.basis)
+        return Lattice._make(abs(c) * self.basis)
 
     def sum(self, other: "Lattice") -> "Lattice":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Lattice(self.ambient_dim, Mat.hstack(self.basis, other.basis))
+        return Lattice(Mat.hstack(self.basis, other.basis))
 
     def intersect(self, other: "Lattice") -> "Lattice":
         """Intersection of two lattices in the same ambient space."""
@@ -117,7 +114,7 @@ class Lattice:
         # integer_kernel reads the integer rows over their denominator
         k = integer_kernel(Mat.hstack(self.basis, -1 * other.basis))
         alpha = k.submatrix(range(self.rank), range(k.cols))
-        return Lattice(self.ambient_dim, self.basis @ alpha)
+        return Lattice(self.basis @ alpha)
 
     def spans_subspace_of(self, other: "Lattice") -> bool:
         if self.rank == 0:
@@ -147,7 +144,7 @@ def sublattice_where_integral(level: int, conditions: Mat) -> Lattice:
     a += [[d * int(i == j) for j in range(k)] + [0] * n for i in range(k)]
     _row_echelon(a, k, reduce=False)
     h = _row_hnf([row[k:] for row in a[k:]])
-    return Lattice._make(n, Mat._make(tuple(zip(*h)), n, n, level))
+    return Lattice._make(Mat._make(tuple(zip(*h)), n, n, level))
 
 
 def quotient_structure(sub: Lattice, sup: Lattice) -> FiniteGroupStructure:
@@ -177,5 +174,5 @@ def saturate(l: Lattice, ambient: Lattice) -> Lattice:
     else:
         c = ambient.basis
         sol = integer_kernel(y.T @ c)
-        span_part = Lattice(l.ambient_dim, c @ sol)
+        span_part = Lattice(c @ sol)
     return l.sum(span_part)

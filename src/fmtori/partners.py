@@ -67,19 +67,19 @@ class Fingerprint(Record):
 def fingerprint(a: TorusVariety, profile_bound: int | None = None) -> Fingerprint:
     """The fingerprint of a, over coefficients bounded by profile_bound.
 
-    Each basis class is validated once, as an ``NSClass``: integer
-    combinations of valid classes are integral, alternating and
-    J-compatible by linearity, so the combinations are built as plain
-    integer matrices.  e and -e have the same Smith form, so one Smith form
-    serves each pair +-e of combinations and gives both answers: a zero
-    among its invariant factors means degenerate, and otherwise the factors
-    above 1 are the elementary divisors of the class kernel.
+    The variety is trusted: ``dual`` outputs and the varieties the CLI
+    loads are already checked, and a hand-built variety goes through
+    ``validate`` first.  Integer combinations of valid classes are integral,
+    alternating and J-compatible by linearity, so the combinations are
+    built as plain integer matrices.  e and -e have the same Smith form, so
+    one Smith form serves each pair +-e of combinations and gives both
+    answers: a zero among its invariant factors means degenerate, and
+    otherwise the factors above 1 are the elementary divisors of the class
+    kernel.
     """
     r = len(a.ns_basis)
     if profile_bound is None:
         profile_bound = 2 if r <= 2 else 1
-    for e in a.ns_basis:
-        NSClass(a, e)
     profiles = []
     for coeffs in _normalized_coefficient_vectors(r, profile_bound):
         diag = snf(a.class_matrix(coeffs))

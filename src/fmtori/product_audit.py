@@ -157,11 +157,12 @@ def _item(name: str, expected, actual) -> AuditItem:
     return AuditItem(name, expected == actual, str(expected), str(actual))
 
 
-def _kernel_inside(over: Lattice, cls: Mat, l: int) -> bool:
+def _kernel_inside(over: Mat, cls: Mat, l: int) -> bool:
     # kernel of an isogeny lies in ker(class hom) iff the class is integral
     # on the kernel's overlattice, and in the l-torsion iff l times the
-    # overlattice is integral
-    return (l * over.basis).is_integral() and (cls @ over.basis).is_integral()
+    # overlattice is integral; ``over`` is any generating set of it, since
+    # integrality on generators does not depend on the basis
+    return (l * over).is_integral() and (cls @ over).is_integral()
 
 
 class GraphComparison(Record):
@@ -189,11 +190,11 @@ def graph_subgroup_comparison(pc: ProductNSClass, l: int) -> GraphComparison:
 
 
 def _slope_of(pc: ProductNSClass, l: int) -> Slope:
+    if l < 1:
+        raise PreconditionError("slope denominator must be positive")
     cls = pc.as_class()
     if gcd(cls.e.content(), l) != 1:
         raise PreconditionError("slope of the product class is not reduced")
-    if l < 1:
-        raise PreconditionError("slope denominator must be positive")
     return Slope._make(cls, l)
 
 
@@ -233,17 +234,16 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     if det != 0:
         items.append(_item("correspondence_degree", l ** (2 * g - 2), abs(det)))
         inv = corr.inverse()
-        ker_pi = Lattice(pc.a.dim, inv.T)
         items.append(
             AuditItem(
                 "correspondence_kernel_inclusions",
-                _kernel_inside(ker_pi, pc.block_a.e, l)
-                and _kernel_inside(Lattice(pc.b.dim, inv), pc.block_b.e, l),
+                _kernel_inside(inv.T, pc.block_a.e, l) and _kernel_inside(inv, pc.block_b.e, l),
                 "both inclusions",
                 "checked",
             )
         )
-        pi_divisors = FiniteSubgroup(pc.a, ker_pi).divisors
+        # ker(pi) = corr^-T Z^n, and its quotient by Z^n is Z^n / corr^T Z^n
+        pi_divisors = tuple(d for d in snf(corr) if d > 1)
     else:
         items.append(_item("correspondence_degree", l ** (2 * g - 2), "not an isogeny"))
         items.append(
@@ -262,12 +262,13 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     level = l * max((1,) + kern.divisors + pi_divisors)
     n_amb = 2 * mu.variety.dim
     window = Lattice.standard(n_amb).scaled(Fraction(1, level))
-    # integer rows cutting out the embedded image, and the lattice they span
+    # integer rows cutting out the embedded image: a saturated basis of the
+    # annihilator, so they span Z^k and a point lies on the subtorus exactly
+    # when they are integral on it
     ann = integer_kernel(sv.embedding.T).T
-    on_subtorus = sublattice_where_integral(level, Lattice(ann.rows, ann).basis.inverse() @ ann)
+    on_subtorus = sublattice_where_integral(level, ann)
     generated = Lattice(
-        n_amb,
-        Mat.hstack(Fraction(1, level * l) * sv.embedding, Mat.identity(n_amb)),
+        Mat.hstack(Fraction(1, level * l) * sv.embedding, Mat.identity(n_amb))
     ).intersect(window)
     items.append(
         AuditItem(

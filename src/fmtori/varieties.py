@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from .lattices import FiniteGroupStructure, Lattice, quotient_structure
+from .lattices import FiniteGroupStructure, Lattice, quotient_structure, sublattice_where_integral
 from .matrices import Mat, _row_hnf, combination_map, integer_kernel, snf, solve_exact, vec_is_integral
 from .records import Record
 
@@ -424,11 +424,11 @@ class Homomorphism(Record):
         return abs(int(det))
 
     def kernel(self) -> "FiniteSubgroup":
-        try:
-            inv = self.m.inverse()
-        except ValueError:
-            raise NotAnIsogenyError("kernel of a non-isogeny is not finite") from None
-        return FiniteSubgroup(self.source, Lattice(self.source.dim, inv))
+        # m^-1 Z^n = {v : m v integral} lies in (1/|det m|) Z^n: |det m| m^-1 is the adjugate
+        det = self.m.det() if self.m.is_square else 0
+        if det == 0:
+            raise NotAnIsogenyError("kernel of a non-isogeny is not finite")
+        return FiniteSubgroup(self.source, sublattice_where_integral(abs(int(det)), self.m))
 
     def dual_hom(self) -> "Homomorphism":
         # m J = J' m transposes to m^T (-J'^T) = (-J^T) m^T
@@ -460,23 +460,24 @@ def is_isomorphism_certificate(f: Homomorphism) -> bool:
 def class_kernel(c: NSClass) -> "FiniteSubgroup":
     """K(L): the finite kernel of the class homomorphism, for nondegenerate c.
 
-    The kernel lattice is e^-T Z^n, the dual of Z^n under e, and it is
-    spanned by the columns of e^-1, because e^T = -e; a singular e has no
-    inverse and no finite kernel.  Its structure is filled at construction,
-    from the Smith form of e alone: e^-T Z^n / Z^n is isomorphic to
-    Z^n / e^T Z^n (Mumford, *Abelian Varieties*, section 23).  That skips
-    the inverse and product of the lattice quotient, and no identity is
-    lost: the gate still enumerates the kernel lattice against this
-    structure, pointwise, in the degree law.  The paired-divisor criterion
-    and the ``kl`` command need only the structure, so they read the Smith
-    form of e directly and build no kernel.
+    The kernel lattice is e^-T Z^n, the dual of Z^n under e, which is
+    e^-1 Z^n = {v : e v integral}, because e^T = -e.  One Smith form of e
+    decides everything: a zero invariant factor means e is singular and the
+    kernel is not finite; otherwise the largest factor is the exponent of
+    Z^n / e Z^n, so the kernel lies in (1/exponent) Z^n and
+    ``sublattice_where_integral`` reads it off one congruence echelon.  The
+    structure is filled from the same Smith form: e^-T Z^n / Z^n is
+    isomorphic to Z^n / e^T Z^n (Mumford, *Abelian Varieties*, section 23).
+    No identity is lost: the gate still enumerates the kernel lattice
+    against this structure, pointwise, in the degree law.  The
+    paired-divisor criterion and the ``kl`` command need only the structure,
+    so they read the Smith form of e directly and build no kernel.
     """
-    try:
-        inverse = c.e.inverse()
-    except ValueError:
-        raise NotAnIsogenyError("kernel of a degenerate class is not finite") from None
+    diag = snf(c.e)
+    if 0 in diag:
+        raise NotAnIsogenyError("kernel of a degenerate class is not finite")
     return FiniteSubgroup._with_structure(
-        c.variety, Lattice(c.variety.dim, inverse), FiniteGroupStructure.from_diagonal(snf(c.e))
+        c.variety, sublattice_where_integral(diag[-1], c.e), FiniteGroupStructure.from_diagonal(diag)
     )
 
 
@@ -494,9 +495,11 @@ class FiniteSubgroup(Record):
     Z^n / eZ^n, so the Smith form of the class is its structure, and the
     gate's point enumeration still checks that structure against the kernel
     lattice), ``torsion_subgroup(a, n)``, which is (Z/n)^2g, and
-    ``trivial_subgroup``.  ``Homomorphism.kernel`` stays lazy, because the
-    identities that compare a kernel's order with a determinant of the same
-    matrix need the lattice route to mean anything.
+    ``trivial_subgroup``.  ``Homomorphism.kernel`` stays lazy: the
+    identities that compare a kernel's order with a determinant of the
+    same matrix need its structure read off the lattice.  The dimension
+    check in ``__post_init__`` is what rejects a subgroup file with the
+    wrong row count.
     """
 
     variety: TorusVariety
@@ -547,7 +550,7 @@ def torsion_subgroup(a: TorusVariety, n: int) -> FiniteSubgroup:
 def image_under(f: Homomorphism, s: FiniteSubgroup) -> FiniteSubgroup:
     if s.variety != f.source:
         raise VarietyMismatchError("subgroup does not live on the source")
-    pushed = Lattice(f.target.dim, f.m @ s.overlattice.basis)
+    pushed = Lattice(f.m @ s.overlattice.basis)
     return FiniteSubgroup(f.target, pushed.sum(Lattice.standard(f.target.dim)))
 
 

@@ -36,9 +36,17 @@ def where_integral_by_kernel(level: int, conditions: Mat) -> Lattice:
     c = Fraction(1, level) * Mat.identity(n)
     ri, d = (conditions @ c).cleared()
     if d == 1:
-        return Lattice(n, c)
+        return Lattice(c)
     ker = integer_kernel(Mat.hstack(ri, -d * Mat.identity(ri.rows)))
-    return Lattice(n, c @ ker.submatrix(range(n), range(ker.cols)))
+    return Lattice(c @ ker.submatrix(range(n), range(ker.cols)))
+
+
+def kernel_by_inverse(m: Mat) -> Lattice:
+    """m^-1 Z^n = {v : m v integral} for a nonsingular square m, by an
+    independent route: the columns of m^-1 canonicalized by the ``Lattice``
+    constructor.  It never calls ``sublattice_where_integral``, so it can
+    check the kernels read off that function."""
+    return Lattice(m.inverse())
 
 
 def unimodular(n: int):

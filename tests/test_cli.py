@@ -344,6 +344,31 @@ def test_out_of_range_numbers_exit_two(capsys, corpus_dir, argv):
     assert_input_error(code, err)
 
 
+def test_audit_names_a_bad_denominator_before_reducing(capsys, corpus_dir, tmp_path):
+    doc = json.loads(corpus.corpus_text("poincare_class.json"))
+    doc["matrix"] = [[2 * int(x) for x in row] for row in doc["matrix"]]
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(corpus.render_json(doc), "utf-8")
+    e_i = corpus_dir / "e_i.json"
+    code, lines, err = run(capsys, "audit", e_i, e_i, "--class", doubled, "--l", "0")
+    assert_input_error(code, err)
+    assert err == "error: slope denominator must be positive\n"
+    assert lines == []
+
+
+def test_subgroup_file_with_the_wrong_row_count_exits_two(capsys, corpus_dir, tmp_path):
+    doc = json.loads(corpus.corpus_text("two_torsion.json"))
+    doc["overlattice"] = [["1/2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "1/2"]]
+    bad = tmp_path / "three_rows.json"
+    bad.write_text(corpus.render_json(doc), "utf-8")
+    code, lines, err = run(
+        capsys, "search-n", corpus_dir / "e_i.json", "--l", "2", "--target", bad, "--bound", "3"
+    )
+    assert_input_error(code, err)
+    assert err == f"error: {bad}: overlattice has the wrong ambient dimension\n"
+    assert lines == []
+
+
 THREADED_COMMANDS = [
     ["partners", "e_i.json", "--coeff-bound", "1", "--denom-bound", "1"],
     ["search-n", "e_i.json", "--l", "2", "--target", "two_torsion.json", "--bound", "3"],

@@ -30,7 +30,7 @@ def full_rank_lattices(n=2, scale_denominators=(1, 2, 3)):
         )
         .map(lambda t: build(t[0], t[1]))
         .filter(lambda m: m.det() != 0)
-        .map(lambda m: Lattice(n, m))
+        .map(Lattice)
     )
 
 
@@ -61,7 +61,7 @@ def lattices_of_any_rank(draw):
     k = draw(st.integers(0, n + 1))
     den = draw(st.sampled_from((1, 2, 3, 6)))
     cols = [[Fraction(draw(small), den) for _ in range(n)] for _ in range(k)]
-    return Lattice(n, Mat.from_cols(cols) if cols else Mat.zeros(n, 0))
+    return Lattice(Mat.from_cols(cols) if cols else Mat.zeros(n, 0))
 
 
 scalings = st.one_of(
@@ -73,7 +73,7 @@ scalings = st.one_of(
 @given(lattices_of_any_rank(), scalings)
 def test_scaled_equals_canonicalized_scaling(lam, c):
     scaled = lam.scaled(c)
-    canonical = Lattice(lam.ambient_dim, c * lam.basis)
+    canonical = Lattice(c * lam.basis)
     assert scaled == canonical
     assert scaled.basis.data == canonical.basis.data
     assert (scaled.basis.rows, scaled.basis.cols) == (canonical.basis.rows, canonical.basis.cols)
@@ -81,14 +81,14 @@ def test_scaled_equals_canonicalized_scaling(lam, c):
 
 def test_standard_is_canonical():
     for n in range(5):
-        canonical = Lattice(n, Mat.identity(n))
+        canonical = Lattice(Mat.identity(n))
         assert Lattice.standard(n) == canonical
         assert Lattice.standard(n).basis.data == canonical.basis.data
 
 
 def test_canonical_basis_is_presentation_independent():
-    a = Lattice(2, Mat(((1, 0), (0, 1))))
-    b = Lattice(2, Mat(((1, 3), (0, 1))))  # same lattice, shear basis
+    a = Lattice(Mat(((1, 0), (0, 1))))
+    b = Lattice(Mat(((1, 3), (0, 1))))  # same lattice, shear basis
     assert a == b
     assert a.basis == b.basis
 
@@ -102,15 +102,15 @@ def test_quotient_structure_counts_index():
 
 
 def test_quotient_requires_containment():
-    shifted = Lattice(2, Mat(((Fraction(1, 2), 0), (0, 1))))
-    shrunk = Lattice(2, Mat(((Fraction(1, 3), 0), (0, 1))))
+    shifted = Lattice(Mat(((Fraction(1, 2), 0), (0, 1))))
+    shrunk = Lattice(Mat(((Fraction(1, 3), 0), (0, 1))))
     with pytest.raises(LatticeContainmentError):
         quotient_structure(shifted, shrunk)
 
 
 def test_sum_and_intersection_against_definitions():
-    a = Lattice(2, Mat(((Fraction(1, 2), 0), (0, 1))))
-    b = Lattice(2, Mat(((1, 0), (0, Fraction(1, 3)))))
+    a = Lattice(Mat(((Fraction(1, 2), 0), (0, 1))))
+    b = Lattice(Mat(((1, 0), (0, Fraction(1, 3)))))
     s = a.sum(b)
     i = a.intersect(b)
     assert _contains(s, a) and _contains(s, b)
@@ -191,12 +191,12 @@ def test_sublattice_where_integral_matches_the_kernel_route(case):
 def test_dual_lattice_of_form_degree():
     # the dual of Z^2 under e is e^-T Z^2, spanned by e^-1 since e^T = -e
     e = Mat(((0, 3), (-3, 0)))
-    dual = Lattice(2, e.inverse())
+    dual = Lattice(e.inverse())
     assert quotient_structure(Lattice.standard(2), dual).order == 9
 
 
 def test_saturate_divides_out_content():
-    thin = Lattice(2, Mat(((2, 0), (0, 2))))
+    thin = Lattice(Mat(((2, 0), (0, 2))))
     assert saturate(thin, Lattice.standard(2)) == Lattice.standard(2)
 
 
@@ -232,6 +232,6 @@ def full_column_rank_integer_matrices(draw):
 def test_unit_invariant_factors_mean_primitive(m):
     # Z^n / image is torsion-free exactly when every invariant factor is 1,
     # which is the primitivity test slope_subvariety makes
-    lat = Lattice(m.rows, m)
+    lat = Lattice(m)
     primitive = saturate(lat, Lattice.standard(m.rows)) == lat
     assert (snf(m) == (1,) * m.cols) == primitive

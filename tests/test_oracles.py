@@ -144,7 +144,7 @@ def test_kernel_points_match_the_fraction_route(e, l):
 def test_subgroup_points_match_the_fraction_route(e_i, e_i_squared, m, l):
     # the overlattice Z^n + (1/l) m Z^n holds the periods, so it is a subgroup
     v = e_i if m.rows == 2 else e_i_squared
-    lat = Lattice(m.rows, Mat.hstack(Mat.identity(m.rows), Fraction(1, l) * m))
+    lat = Lattice(Mat.hstack(Mat.identity(m.rows), Fraction(1, l) * m))
     sub = FiniteSubgroup(v, lat)
     assert oracles.subgroup_points(sub) == _ref_subgroup_points(sub)
 

@@ -11,6 +11,7 @@ compared here.
 """
 
 import itertools
+import json
 from functools import cache
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmtori import corpus
+from fmtori.cli import main
 from fmtori.lattices import Lattice
 from fmtori.matrices import Mat, snf
 from fmtori.partners import enumerate_partners
@@ -32,6 +34,7 @@ from fmtori.product_audit import (
 )
 from fmtori.slopes import projection_invariants, reduce_slope, slope_kernel
 from fmtori.varieties import (
+    class_kernel,
     coefficients_in_basis,
     is_isomorphism_certificate,
     torsion_subgroup,
@@ -77,7 +80,7 @@ def test_slope_kernel_and_projection_invariants_are_invariant(name, data):
         kern, kern_t = slope_kernel(mu), slope_kernel(mu_t)
         assert (kern_t.order, kern_t.divisors) == (kern.order, kern.divisors)
         # v lies in the member lattice of T_U(A) exactly when U v lies in A's
-        assert Lattice(a.dim, u @ kern_t.overlattice.basis) == kern.overlattice
+        assert Lattice(u @ kern_t.overlattice.basis) == kern.overlattice
 
 
 @cache
@@ -112,6 +115,14 @@ def _box_kernels(l: int):
     return [(c, kernel_torsion_subgroup(a, a.ns_class(c), l)) for c in box if any(c)]
 
 
+@cache
+def _box_class_kernels():
+    """(coefficients, K(e)) for every nondegenerate class of the bound-2 box."""
+    a = VARIETIES["e_i_squared"]
+    classes = [(c, a.ns_class(c)) for c, _ in _box_kernels(2)]
+    return [(c, class_kernel(cls)) for c, cls in classes if cls.e.det() != 0]
+
+
 @given(data=st.data())
 @settings(max_examples=3)
 def test_torsion_kernels_of_the_bound_2_box_move_by_u(data):
@@ -125,7 +136,11 @@ def test_torsion_kernels_of_the_bound_2_box_move_by_u(data):
             assert cls_t.e == u.T @ a.ns_class(c).e @ u
             kern_t = kernel_torsion_subgroup(t, cls_t, l)
             # v is in K(U^T e U) exactly when U v is in K(e)
-            assert kern_t.overlattice == Lattice(a.dim, u_inv @ kern.overlattice.basis)
+            assert kern_t.overlattice == Lattice(u_inv @ kern.overlattice.basis)
+    # and so does the whole class kernel of each nondegenerate class
+    for c, kern in _box_class_kernels():
+        kern_t = class_kernel(t.ns_class(c))
+        assert kern_t.overlattice == Lattice(u_inv @ kern.overlattice.basis)
 
 
 @cache
@@ -186,3 +201,46 @@ def test_audit_outcomes_are_invariant_and_eta_stays_anti_isometric(u_a, u_b):
             iso = projection_iso(report_t)
             assert is_isomorphism_certificate(iso.eta)
             assert is_isomorphism_certificate(iso.dual_certificate)
+
+
+# kl and amu reports on E_i x E_i: kl classes with kernels (2,2,2,2), (3,3),
+# (2,2) and none, and the slope of E0 over 2
+CLI_CASES = (
+    ("kl", "--class", "2*E0+2*E1"),
+    ("kl", "--class", "E0+3*E1"),
+    ("kl", "--class", "E0+3*E1+E2"),
+    ("kl", "--class", "2*E0+E1+E3"),
+    ("amu", "--slope", "E0/2"),
+)
+
+
+def _cli_reports(path, directory):
+    reports = []
+    for k, (command, option, literal) in enumerate(CLI_CASES):
+        out = directory / f"report{k}.json"
+        assert main([command, str(path), option, literal, "--json", str(out)]) == 0
+        reports.append(json.loads(out.read_text("utf-8")))
+    return reports
+
+
+def _invariant_part(report):
+    """The report without its presentation-level parts: the slope numerator
+    moves by U, and of the subtorus only g and the NS rank are compared."""
+    if report["command"] == "kl":
+        return report
+    kept = {k: v for k, v in report.items() if k not in ("slope", "subtorus")}
+    sub = report["subtorus"]
+    return kept | {"subtorus": (sub["g"], len(sub["ns_basis"]))}
+
+
+@given(u=unimodular(4))
+@settings(max_examples=4)
+def test_kl_and_amu_reports_are_invariant(tmp_path_factory, u):
+    a = VARIETIES["e_i_squared"]
+    d = tmp_path_factory.mktemp("transported")
+    for name, v in (("a.json", a), ("t.json", transported(a, u))):
+        (d / name).write_text(corpus.render_json(corpus.variety_to_json(v)), "utf-8")
+    reports = _cli_reports(d / "a.json", d)
+    reports_t = _cli_reports(d / "t.json", d)
+    assert [r["divisors"] for r in reports[:4]] == [[2, 2, 2, 2], [3, 3], [2, 2], []]
+    assert [_invariant_part(r) for r in reports_t] == [_invariant_part(r) for r in reports]

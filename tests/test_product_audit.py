@@ -170,6 +170,18 @@ def test_audit_rejects_non_ample_b_block_for_l_two(e_i):
         audit_equivalence(pc, 2)
 
 
+@pytest.mark.parametrize("l", (0, -2))
+def test_audit_names_a_bad_denominator_before_reducing(l):
+    # the content-2 class shares a factor with l = 0 and l = -2, so a
+    # reducedness test run first would name the wrong fault
+    p = poincare_class()
+    doubled = ProductNSClass(p.a, p.b, 2 * p.m)
+    with pytest.raises(PreconditionError, match="slope denominator must be positive"):
+        audit_equivalence(doubled, l)
+    with pytest.raises(PreconditionError, match="slope of the product class is not reduced"):
+        audit_equivalence(doubled, 2)
+
+
 def test_dimension_mismatch_is_a_failing_report(e_i, e_i_squared):
     n = e_i.dim + e_i_squared.dim
     pc = ProductNSClass(e_i, e_i_squared, Mat.zeros(n, n))
@@ -305,7 +317,7 @@ def test_search_kernel_class_not_found_is_none(e_i):
     from fractions import Fraction
 
     quarter = FiniteSubgroup(
-        e_i, Lattice(2, M(((Fraction(1, 4), 0), (0, 1))))
+        e_i, Lattice(M(((Fraction(1, 4), 0), (0, 1))))
     )
     assert search_kernel_class(e_i, 4, quarter, 3) is None
 
@@ -462,7 +474,7 @@ def _cyclic_subgroup(v, l):
     # cyclic of order l > 1, so no class has it as kernel
     n = v.dim
     diag = [[Fraction(1, l) if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
-    return FiniteSubgroup(v, Lattice(n, Mat(diag)))
+    return FiniteSubgroup(v, Lattice(Mat(diag)))
 
 
 _KERNEL_VARIETIES = {
@@ -612,7 +624,7 @@ def test_kernel_search_matches_the_reference_at_composite_l(e_i_squared, l, dist
 
 
 def test_kernel_search_matches_the_reference_when_nothing_is_found(e_i, e_i_squared):
-    quarter = FiniteSubgroup(e_i, Lattice(2, Mat(((Fraction(1, 4), 0), (0, 1)))))
+    quarter = FiniteSubgroup(e_i, Lattice(Mat(((Fraction(1, 4), 0), (0, 1)))))
     full = torsion_subgroup(e_i_squared, 3)
     for v, l, target, bound in ((e_i, 4, quarter, 3), (e_i_squared, 3, full, 2)):
         assert _reference_kernel_search(v, l, target, bound) is None
@@ -815,9 +827,9 @@ def _ref_audit(pc, l):
     # the annihilator vanishes on the embedded image
     ann_on_image = ann @ sv.to_ambient.m
     assert ann_on_image == Mat.zeros(ann_on_image.rows, ann_on_image.cols)
-    on_subtorus = where_integral_by_kernel(level, Lattice(ann.rows, ann).basis.inverse() @ ann)
+    on_subtorus = where_integral_by_kernel(level, Lattice(ann).basis.inverse() @ ann)
     generated = Lattice(
-        n_amb, Mat.hstack(Fraction(1, level * l) * sv.embedding, Mat.identity(n_amb))
+        Mat.hstack(Fraction(1, level * l) * sv.embedding, Mat.identity(n_amb))
     ).intersect(window)
     items.append(
         product_audit.AuditItem(

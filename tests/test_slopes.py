@@ -191,7 +191,7 @@ def _ref_slope_subvariety(a, mu):
     emb = Mat.vstack(mu.l * Mat.identity(n), mu.numerator.e)
     emb_h = emb @ h
     assert emb_h.is_integral()
-    image = Lattice(2 * n, emb_h)
+    image = Lattice(emb_h)
     assert saturate(image, Lattice.standard(2 * n)) == image
     j_mu = h.inverse() @ a.j @ h
     ns_mu = _ref_generated_span_basis([emb_h.T @ e @ emb_h for e in amb.ns_basis])

@@ -287,7 +287,7 @@ def test_hnf_columns_spans_the_sympy_hermite_lattice(rows):
 def test_lattice_basis_spans_the_sympy_hermite_lattice(rows):
     # rational generators: sympy's Hermite form of d * m, over d
     m = Mat(rows)
-    basis = Lattice(m.rows, m).basis
+    basis = Lattice(m).basis
     d = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
     cleared = [[int(x * d) for x in row] for row in rows]
     theirs = hermite_normal_form(sympy.Matrix(cleared)) / d

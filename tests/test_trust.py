@@ -107,8 +107,9 @@ def test_every_twist_step_is_a_valid_class(e_i_squared, monkeypatch):
     assert twist_to_ample(pc, 2, ample) == trusted
 
 
-# validated constructions in each workload's timed call, (NSClass, Homomorphism)
-VALIDATIONS = {"partners": (16, 80), "search_l2": (0, 0), "kernel_search": (0, 0)}
+# validated constructions in each workload's timed call, (NSClass, Homomorphism);
+# fingerprint trusts its variety, so the partner search validates no class
+VALIDATIONS = {"partners": (0, 80), "search_l2": (0, 0), "kernel_search": (0, 0)}
 
 
 @pytest.mark.parametrize("name", sorted(VALIDATIONS))
@@ -191,7 +192,9 @@ def test_the_gate_builds_each_lattice_quotient_it_reads(count_calls):
     # degree law's 6 class kernels and the paired-divisor criterion's 50
     # draws; and each of the three audited classes is audited once, not
     # twice (68); and the kernel-class search's trivial and full-torsion
-    # targets, for l = 1, 2, 3, carry their known structures (59)
+    # targets, for l = 1, 2, 3, carry their known structures (59); and the
+    # three audits read the divisors of pi's kernel off the Smith form of
+    # the correspondence instead of a lattice quotient (53)
     quotients = count_calls(lattices, "quotient_structure")
     assert acceptance.run_all()["ok"]
-    assert len(quotients) == 53
+    assert len(quotients) == 50

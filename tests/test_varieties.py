@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import kernel_by_inverse
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from fmtori.corpus import (
     square_curve_product_principal,
     square_lattice_curve,
 )
-from fmtori.lattices import Lattice
+from fmtori.lattices import Lattice, quotient_structure
 from fmtori.matrices import Mat, integer_kernel, solve_exact, vec_is_integral
 from fmtori.varieties import (
     FiniteSubgroup,
@@ -138,8 +139,70 @@ def test_degree_and_kernel_of_non_isogenies(e_i, e_i_squared):
     embed = Homomorphism(e_i, e_i_squared, Mat.vstack(Mat.identity(2), Mat.zeros(2, 2)))
     with pytest.raises(NotAnIsogenyError, match="degree of a non-isogeny"):
         embed.degree()
-    with pytest.raises(NotAnIsogenyError, match="kernel of a degenerate class is not finite"):
-        class_kernel(e_i_squared.ns_class((0,) * len(e_i_squared.ns_basis)))
+    for f in (zero, embed):
+        with pytest.raises(NotAnIsogenyError, match="kernel of a non-isogeny is not finite"):
+            f.kernel()
+    for coeffs in ((0, 0, 0, 0), (1, 0, 0, 0)):
+        with pytest.raises(NotAnIsogenyError, match="kernel of a degenerate class is not finite"):
+            class_kernel(e_i_squared.ns_class(coeffs))
+
+
+KERNEL_VARIETIES = (square_lattice_curve(), doubled_square_lattice_curve(), square_curve_product())
+
+
+@given(data=st.data())
+def test_class_kernel_matches_the_inverse_route(data):
+    a = data.draw(st.sampled_from(KERNEL_VARIETIES))
+    coeffs = data.draw(st.tuples(*[st.integers(-4, 4)] * len(a.ns_basis)))
+    c = a.ns_class(coeffs)
+    if c.e.det() == 0:
+        with pytest.raises(NotAnIsogenyError, match="kernel of a degenerate class is not finite"):
+            class_kernel(c)
+        return
+    kern = class_kernel(c)
+    assert kern.overlattice == kernel_by_inverse(c.e)
+    assert kern.structure == quotient_structure(Lattice.standard(a.dim), kern.overlattice)
+
+
+@given(st.tuples(*[st.integers(-2, 2)] * 8))
+def test_isogeny_kernel_matches_the_inverse_route(coeffs):
+    p = square_curve_product()
+    basis = intertwiner_basis(p.j, p.j)
+    assert len(basis) == len(coeffs)
+    m = Mat.zeros(4, 4)
+    for k, b in zip(coeffs, basis):
+        m = m + k * b
+    f = Homomorphism(p, p, m)
+    if m.det() == 0:
+        with pytest.raises(NotAnIsogenyError, match="kernel of a non-isogeny is not finite"):
+            f.kernel()
+        return
+    kern = f.kernel()
+    assert "structure" not in vars(kern)
+    assert kern.overlattice == kernel_by_inverse(m)
+    assert kern.order == f.degree()
+
+
+@pytest.mark.parametrize("which", ("class_kernel", "Homomorphism.kernel"))
+def test_kernels_take_no_inverse_and_no_hermite_pass(
+    e_i_squared, cold_caches, count_calls, monkeypatch, which
+):
+    c = e_i_squared.ns_class((2, 4, 1, 0))
+    f = Homomorphism(e_i_squared, e_i_squared, e_i_squared.j + Mat.identity(4))
+    assert c.e.det() != 0 and f.m.det() != 0
+    counts = {"inverse": 0, "lattice": 0}
+    for cls, name, key in ((Mat, "inverse", "inverse"), (Lattice, "__init__", "lattice")):
+
+        def counted(*args, original=getattr(cls, name), key=key):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    hermite = count_calls(matrices, "hnf_columns")
+    kern = class_kernel(c) if which == "class_kernel" else f.kernel()
+    assert counts == {"inverse": 0, "lattice": 0} and hermite == []
+    # the isogeny kernel's structure is the lattice quotient, read here
+    assert kern.order > 1
 
 
 def test_dual_hom_preserves_degree(e_i):
@@ -417,7 +480,7 @@ def _ref_generated_span_basis(mats):
     if not nz:
         return ()
     n = nz[0].rows
-    lat = Lattice(n * n, Mat.from_cols([_flat(m) for m in nz]))
+    lat = Lattice(Mat.from_cols([_flat(m) for m in nz]))
     return tuple(_unflat(col, n) for col in lat.basis.T.data)
 
 
