@@ -21,7 +21,6 @@ from .partners import (
     enumerate_partners,
     find_isomorphism_certificate,
     fingerprint,
-    partner_from_slope,
     ppav_rigidity_check,
 )
 from .product_audit import (
@@ -29,14 +28,12 @@ from .product_audit import (
     AuditReport,
     ProductNSClass,
     ProjectionIso,
-    assemble,
     audit_equivalence,
     decompose,
     is_ample,
     projection_iso,
     search_kernel_class,
     search_product_classes,
-    twist_to_ample,
 )
 from .slopes import (
     ProjectionInvariants,
@@ -97,7 +94,6 @@ __all__ = [
     "TorusVariety",
     "ValidationReport",
     "VarietyMismatchError",
-    "assemble",
     "audit_equivalence",
     "class_kernel",
     "decompose",
@@ -111,7 +107,6 @@ __all__ = [
     "member_lattice",
     "ns_pullback",
     "parse_slope_literal",
-    "partner_from_slope",
     "ppav_rigidity_check",
     "product",
     "projection_invariants",
@@ -123,6 +118,5 @@ __all__ = [
     "slope_subvariety",
     "torsion_subgroup",
     "trivial_subgroup",
-    "twist_to_ample",
     "validate",
 ]

@@ -250,12 +250,6 @@ def shipped_document(filename: str) -> dict:
     return _SHIPPED[filename]()
 
 
-def corpus_text(filename: str) -> str:
-    from importlib import resources
-
-    return (resources.files("fmtori") / "corpus" / filename).read_text("utf-8")
-
-
 def write_corpus(directory) -> list[str]:
     import pathlib
 

@@ -3,8 +3,9 @@
 A ``Lattice`` is stored by a canonical basis: the column Hermite form of a
 minimal integer rescaling.  Two lattices are equal iff their canonical bases
 are equal, so equality, containment and intersection are all decidable
-exactly.  ``quotient_structure`` returns the elementary divisors of a finite
-quotient; this is where kernel groups K(L) and slope kernels come from.
+exactly.  ``quotient_structure`` returns the elementary divisors of an
+overlattice of Z^n modulo Z^n, read off one Smith form of its basis; this is
+where kernel groups K(L) and slope kernels come from.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .records import Record
 
 
 class LatticeContainmentError(ValueError):
-    """Raised when a quotient of non-nested lattices is requested."""
+    """Raised when the quotient by Z^n of a lattice not containing it is requested."""
 
 
 class FiniteGroupStructure(Record):
@@ -78,10 +79,6 @@ class Lattice:
     @property
     def rank(self) -> int:
         return self.basis.cols
-
-    @property
-    def is_full_rank(self) -> bool:
-        return self.rank == self.ambient_dim
 
     def __eq__(self, other: object) -> bool:
         # Mat equality compares shapes, so equal bases share an ambient dimension
@@ -147,16 +144,23 @@ def sublattice_where_integral(level: int, conditions: Mat) -> Lattice:
     return Lattice._make(Mat._make(tuple(zip(*h)), n, n, level))
 
 
-def quotient_structure(sub: Lattice, sup: Lattice) -> FiniteGroupStructure:
-    """Elementary divisors of sup/sub for nested full rank lattices."""
-    if sub.ambient_dim != sup.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if not (sub.is_full_rank and sup.is_full_rank):
+def quotient_structure(overlattice: Lattice) -> FiniteGroupStructure:
+    """Elementary divisors of L/Z^n for a full rank overlattice L of Z^n.
+
+    With the canonical basis written as N/d, N = U diag(s_i) V for unimodular
+    U and V, so L/Z^n = N Z^n / d Z^n is the sum of the Z/(d/s_i), and Z^n
+    lies in L exactly when every invariant factor s_i of N divides d
+    (Newman, *Integral Matrices*; Cohen, GTM 138, section 2.4).
+    """
+    basis = overlattice.basis
+    if not basis.is_square:
         raise ValueError("quotient needs full rank lattices")
-    x = sup.basis.inverse() @ sub.basis
-    if not x.is_integral():
-        raise LatticeContainmentError("sub is not contained in sup")
-    return FiniteGroupStructure.from_diagonal(snf(x))
+    num, d = basis.cleared()
+    diag = snf(num)
+    if any(d % s for s in diag):
+        raise LatticeContainmentError("Z^n is not contained in the lattice")
+    # s_1 | s_2 | ... makes d/s_n | ... | d/s_1
+    return FiniteGroupStructure.from_diagonal(tuple(d // s for s in reversed(diag)))
 
 
 def saturate(l: Lattice, ambient: Lattice) -> Lattice:

@@ -177,13 +177,6 @@ class Mat:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        (a, b), d = _common_denominator((self, other))
-        num = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
-        return Mat._make(num, self.rows, self.cols, d)
-
     def __neg__(self) -> "Mat":
         return Mat._make(
             tuple(tuple(-x for x in row) for row in self.num), self.rows, self.cols, self.den

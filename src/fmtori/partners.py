@@ -48,6 +48,12 @@ def require_within_cap(candidates: int, search: str) -> None:
         )
 
 
+# the most Smith forms one fingerprint may take: at about 0.14 ms per Smith
+# form of a g = 4 class, the largest box under it (9 841, at NS rank 9)
+# takes about 1.3 s, and the next (29 524, at NS rank 10) about 4 s
+FINGERPRINT_CAP = 10_000
+
+
 class Fingerprint(Record):
     """Cheap presentation-level invariants used to compare varieties.
 
@@ -75,11 +81,18 @@ def fingerprint(a: TorusVariety, profile_bound: int | None = None) -> Fingerprin
     one Smith form serves each pair +-e of combinations and gives both
     answers: a zero among its invariant factors means degenerate, and
     otherwise the factors above 1 are the elementary divisors of the class
-    kernel.
+    kernel.  A box of more than FINGERPRINT_CAP Smith forms raises
+    PreconditionError before any is taken.
     """
     r = len(a.ns_basis)
     if profile_bound is None:
         profile_bound = 2 if r <= 2 else 1
+    box = ((2 * profile_bound + 1) ** r - 1) // 2
+    if box > FINGERPRINT_CAP:
+        raise PreconditionError(
+            f"fingerprint of {box} Smith forms at NS rank {r} exceeds the fingerprint cap"
+            f" of {FINGERPRINT_CAP}"
+        )
     profiles = []
     for coeffs in _normalized_coefficient_vectors(r, profile_bound):
         diag = snf(a.class_matrix(coeffs))
@@ -98,12 +111,6 @@ class PartnerRecord(Record):
     subvariety: SlopeSubvariety
     partner: TorusVariety
     dual_certificate: Homomorphism
-
-
-def partner_from_slope(mu: Slope) -> PartnerRecord:
-    """The partner dual(A_mu) with its identity certificate."""
-    sv = slope_subvariety(mu)
-    return _partner_record(sv, dual(sv.variety, name=f"{mu.variety.name}_partner"))
 
 
 def _partner_record(sv: SlopeSubvariety, b: TorusVariety) -> PartnerRecord:

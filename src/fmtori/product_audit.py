@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import floor, gcd
+from math import gcd
 
 from .lattices import Lattice, sublattice_where_integral
 from .matrices import Mat, combination_map, integer_kernel, snf
@@ -47,7 +47,6 @@ from .varieties import (
     dual,
     image_under,
     is_isomorphism_certificate,
-    lift_second,
     product,
     torsion_subgroup,
 )
@@ -114,11 +113,6 @@ class ProductNSClass(Record):
 
     def as_class(self) -> NSClass:
         return self._class
-
-
-def assemble(a: TorusVariety, b: TorusVariety, block_a: Mat, corr: Mat, block_b: Mat) -> ProductNSClass:
-    m = Mat.block([[block_a, corr], [-1 * corr.T, block_b]])
-    return ProductNSClass(a, b, m)
 
 
 def decompose(pc: ProductNSClass) -> tuple[NSClass, Homomorphism, NSClass]:
@@ -201,9 +195,11 @@ def _slope_of(pc: ProductNSClass, l: int) -> Slope:
 def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     """Run every exact equivalence identity for the class over denominator l.
 
-    Precondition: the slope is reduced, and for l > 1 the B-block is ample
-    (twist_to_ample offers the standard normalization).  Dimension mismatch
-    between the factors is reported as a failing audit, not an exception.
+    Precondition: the slope is reduced, and for l > 1 the B-block is ample;
+    adding multiples of l times an ample class on B to the B-block makes it
+    ample and changes the slope by an integral class, which the subtorus
+    construction cannot see.  Dimension mismatch between the factors is
+    reported as a failing audit, not an exception.
 
     The correspondence isogeny pi: A -> dual(B) of ``decompose`` has degree
     |det corr|, and the kernels of pi and its dual are spanned by corr^-T and
@@ -220,7 +216,7 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     if l > 1 and not is_ample(pc.block_b):
         raise PreconditionError(
             "the B-block of the class must be ample for l > 1; "
-            "twist_to_ample provides the normalization"
+            "add multiples of l times an ample class on B to the B-block"
         )
     g = pc.a.g
     items: list[AuditItem] = []
@@ -539,43 +535,3 @@ def _search_product_classes(
         return report if report.all_pass else None
 
     return _scan(len(prod.ns_basis), coeff_bound, coeff_bound, evaluate, threads, limit)
-
-
-def _twist_bound(s: Mat, t: Mat) -> int:
-    """An integer v_max with s + v*t positive definite for every v >= v_max,
-    for a symmetric s and a positive definite t of size n.
-
-    x^T (s + v t) x >= (v * lambda_min(t) - |s|) |x|^2, where the spectral
-    norm |s| is at most the sum of the |s_ij|, and lambda_min(t) is at
-    least det(t) / tr(t)^(n-1) because the other n-1 eigenvalues are
-    positive and at most tr(t).
-    """
-    n = s.rows
-    size = sum(abs(x) for row in s.data for x in row)
-    trace = sum(t[i, i] for i in range(n))
-    return floor(Fraction(size) * trace ** (n - 1) / t.det()) + 1
-
-
-def twist_to_ample(pc: ProductNSClass, l: int, ample_class: NSClass) -> tuple[ProductNSClass, int]:
-    """Add multiples of l times an ample class on B to the B-block until it
-    turns ample; the slope changes by an integral class, which the subtorus
-    construction cannot see.
-
-    The symmetric form of the B-block after v steps is s + v*t, with s that
-    of the B-block and t that of the step, which is positive definite, so
-    the loop ends by the bound of ``_twist_bound``.
-    """
-    if ample_class.variety != pc.b or not is_ample(ample_class):
-        raise PreconditionError("twisting requires an ample class on the B factor")
-    if l < 1:
-        raise PreconditionError("twisting requires l >= 1")
-    step = l * lift_second(ample_class.e, pc.a.dim)
-    v_max = _twist_bound(pc.block_b.e @ pc.b.j, l * ample_class.e @ pc.b.j)
-    m = pc.m
-    for v in range(v_max + 1):
-        # a valid class plus multiples of a lifted valid class
-        candidate = ProductNSClass._make(pc.a, pc.b, m, pc.name)
-        if is_ample(candidate.block_b):
-            return candidate, v
-        m = m + step
-    raise InternalInvariantViolation(f"the B-block is not ample after {v_max} twists")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .lattices import Lattice, sublattice_where_integral
 from .matrices import Mat, snf
@@ -214,7 +214,9 @@ def projection_invariants(mu: Slope) -> ProjectionInvariants:
     a = mu.variety
     lam_mu, _, j_mu = _member(mu)
     pi = mu.l * lam_mu.basis
-    deg = abs(int(pi.det()))
+    # a full rank Hermite basis is triangular with a positive diagonal, so
+    # the determinant of pi is the product of that diagonal
+    deg = prod(pi[i, i] for i in range(a.dim))
     r = isqrt(deg)
     if r * r != deg:
         raise InternalInvariantViolation(

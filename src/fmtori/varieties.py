@@ -489,12 +489,14 @@ class FiniteSubgroup(Record):
 
     The overlattice must contain the periods, so it has full rank: every
     construction here meets that, and ``corpus.subgroup_from_json`` checks
-    it at the file boundary.  ``structure`` is the lattice quotient, computed
-    on first use, except where ``_with_structure`` fills it at construction
-    because it is known outright: ``class_kernel`` (K(e) is isomorphic to
-    Z^n / eZ^n, so the Smith form of the class is its structure, and the
-    gate's point enumeration still checks that structure against the kernel
-    lattice), ``torsion_subgroup(a, n)``, which is (Z/n)^2g, and
+    it at the file boundary.  ``structure`` is the quotient by the periods,
+    read on first use off one Smith form of the overlattice basis by
+    ``quotient_structure``, except where ``_with_structure`` fills it at
+    construction because it is known outright: ``class_kernel`` (K(e) is
+    isomorphic to Z^n / eZ^n, so the Smith form of the class is its
+    structure, and the gate's point enumeration still checks that structure
+    against the kernel lattice), ``torsion_subgroup(a, n)``, which is
+    (Z/n)^2g, and
     ``trivial_subgroup``.  ``Homomorphism.kernel`` stays lazy: the
     identities that compare a kernel's order with a determinant of the
     same matrix need its structure read off the lattice.  The dimension
@@ -521,7 +523,7 @@ class FiniteSubgroup(Record):
 
     @cached_property
     def structure(self) -> FiniteGroupStructure:
-        return quotient_structure(Lattice.standard(self.variety.dim), self.overlattice)
+        return quotient_structure(self.overlattice)
 
     @property
     def order(self) -> int:

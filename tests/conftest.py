@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,8 @@ from fmtori.corpus import (  # noqa: E402
     square_lattice_curve,
     write_corpus,
 )
-from fmtori.lattices import Lattice  # noqa: E402
-from fmtori.matrices import Mat, integer_kernel  # noqa: E402
+from fmtori.lattices import FiniteGroupStructure, Lattice, LatticeContainmentError  # noqa: E402
+from fmtori.matrices import Mat, integer_kernel, snf  # noqa: E402
 from fmtori.varieties import TorusVariety  # noqa: E402
 
 
@@ -47,6 +48,28 @@ def kernel_by_inverse(m: Mat) -> Lattice:
     constructor.  It never calls ``sublattice_where_integral``, so it can
     check the kernels read off that function."""
     return Lattice(m.inverse())
+
+
+def quotient_by_inverse(sub: Lattice, sup: Lattice) -> FiniteGroupStructure:
+    """Elementary divisors of sup/sub for nested full rank lattices, by the
+    general route: sup^-1 sub must be integral, and its Smith form gives
+    the quotient.  It never calls ``quotient_structure``, which is the case
+    sub = Z^n read off one Smith form of sup, so it can check it."""
+    x = sup.basis.inverse() @ sub.basis
+    if not x.is_integral():
+        raise LatticeContainmentError("sub is not contained in sup")
+    return FiniteGroupStructure.from_diagonal(snf(x))
+
+
+def mat_sum(a: Mat, b: Mat) -> Mat:
+    """a + b for two matrices of one shape: [a b] times two stacked identities."""
+    i = Mat.identity(a.cols)
+    return Mat.hstack(a, b) @ Mat.vstack(i, i)
+
+
+def corpus_text(filename: str) -> str:
+    """The text of a shipped corpus file, as installed with the package."""
+    return (resources.files("fmtori") / "corpus" / filename).read_text("utf-8")
 
 
 def unimodular(n: int):

@@ -2,6 +2,7 @@ import json
 import re
 
 import pytest
+from conftest import corpus_text
 
 from fmtori import acceptance, cli, corpus, partners, slopes
 from fmtori.cli import main
@@ -20,7 +21,7 @@ def test_validate_golden(capsys, corpus_dir):
 
 
 def test_validate_failure_exits_one(capsys, tmp_path, corpus_dir):
-    doc = json.loads(corpus.corpus_text("e_i.json"))
+    doc = json.loads(corpus_text("e_i.json"))
     doc["j"] = [["0", "1"], ["1", "0"]]
     bad = tmp_path / "bad.json"
     bad.write_text(corpus.render_json(doc), "utf-8")
@@ -39,7 +40,7 @@ def test_validate_malformed_exits_two(capsys, tmp_path):
 
 def test_validate_exponent_entry_exits_two_and_names_the_file(capsys, tmp_path):
     # Fraction("1e10000000") would build a ten-million-digit integer first
-    doc = json.loads(corpus.corpus_text("e_i.json"))
+    doc = json.loads(corpus_text("e_i.json"))
     doc["j"][0][1] = "1e10000000"
     bad = tmp_path / "exponent.json"
     bad.write_text(json.dumps(doc), "utf-8")
@@ -51,7 +52,7 @@ def test_validate_exponent_entry_exits_two_and_names_the_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("entry", ("1" * 5000, [0] * 5000), ids=("digits", "list"))
 def test_validate_long_entry_prints_one_short_error_line(capsys, tmp_path, entry):
-    doc = json.loads(corpus.corpus_text("e_i.json"))
+    doc = json.loads(corpus_text("e_i.json"))
     doc["j"][0][1] = entry
     bad = tmp_path / "long.json"
     bad.write_text(json.dumps(doc), "utf-8")
@@ -62,7 +63,7 @@ def test_validate_long_entry_prints_one_short_error_line(capsys, tmp_path, entry
 
 
 def test_validate_integer_literal_past_the_digit_limit_names_the_limit(capsys, tmp_path):
-    text = corpus.corpus_text("e_i.json")
+    text = corpus_text("e_i.json")
     assert '"g": 1,' in text
     bad = tmp_path / "digits.json"
     bad.write_text(text.replace('"g": 1,', '"g": ' + "7" * 5000 + ",", 1), "utf-8")
@@ -345,7 +346,7 @@ def test_out_of_range_numbers_exit_two(capsys, corpus_dir, argv):
 
 
 def test_audit_names_a_bad_denominator_before_reducing(capsys, corpus_dir, tmp_path):
-    doc = json.loads(corpus.corpus_text("poincare_class.json"))
+    doc = json.loads(corpus_text("poincare_class.json"))
     doc["matrix"] = [[2 * int(x) for x in row] for row in doc["matrix"]]
     doubled = tmp_path / "doubled.json"
     doubled.write_text(corpus.render_json(doc), "utf-8")
@@ -357,7 +358,7 @@ def test_audit_names_a_bad_denominator_before_reducing(capsys, corpus_dir, tmp_p
 
 
 def test_subgroup_file_with_the_wrong_row_count_exits_two(capsys, corpus_dir, tmp_path):
-    doc = json.loads(corpus.corpus_text("two_torsion.json"))
+    doc = json.loads(corpus_text("two_torsion.json"))
     doc["overlattice"] = [["1/2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "1/2"]]
     bad = tmp_path / "three_rows.json"
     bad.write_text(corpus.render_json(doc), "utf-8")
@@ -438,7 +439,7 @@ def test_partners_search_bound_zero_skips_the_search(capsys, corpus_dir):
 @pytest.fixture
 def negative(tmp_path):
     """The square lattice curve with its polarization negated."""
-    doc = json.loads(corpus.corpus_text("e_i.json"))
+    doc = json.loads(corpus_text("e_i.json"))
     doc["polarization"] = [-1]
     path = tmp_path / "neg.json"
     path.write_text(corpus.render_json(doc), "utf-8")
@@ -470,7 +471,7 @@ MIXED_ORDERS = {"3x3 first": 0, "2x2 first": 1}
 def mixed(request, tmp_path):
     """(path, index of the 3x3 class): a curve whose NS basis holds a 3x3
     class beside its 2x2 one, in either order."""
-    doc = json.loads(corpus.corpus_text("e_i.json"))
+    doc = json.loads(corpus_text("e_i.json"))
     wide = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
     k = MIXED_ORDERS[request.param]
     doc["ns_basis"].insert(k, wide)
@@ -519,6 +520,47 @@ def test_partners_over_the_candidate_cap_exit_two_at_once(capsys, corpus_dir, mo
     assert_input_error(code, err)
     assert err.count("\n") == 1 and "candidate cap" in err
     assert lines == [] and calls == []
+
+
+def _e_i_power(directory, g):
+    """A file for E_i^g with one NS class, the product polarization; its
+    partners carry the whole NS lattice of E_i^g, of rank g^2."""
+    n = 2 * g
+
+    def blocks(x):
+        return [[x * (j - i) if i // 2 == j // 2 else 0 for j in range(n)] for i in range(n)]
+
+    path = directory / f"e_i_{g}.json"
+    doc = {"format": "fmtori/variety", "g": g, "j": blocks(-1), "name": f"E_i^{g}",
+           "ns_basis": [blocks(1)], "polarization": [1]}
+    path.write_text(corpus.render_json(doc), "utf-8")
+    return path
+
+
+def test_partners_over_the_fingerprint_cap_exit_two_at_once(capsys, tmp_path, monkeypatch):
+    # the partners of E_i^4 have NS rank 16, a box of (3^16 - 1) / 2 Smith forms
+    monkeypatch.setattr(partners, "snf", lambda m: pytest.fail("a fingerprint Smith form ran"))
+    code, lines, err = run(
+        capsys,
+        "partners", _e_i_power(tmp_path, 4),
+        "--coeff-bound", "1", "--denom-bound", "2", "--search-bound", "0",
+    )
+    assert_input_error(code, err)
+    assert err.count("\n") == 1 and "21523360 Smith forms" in err and "fingerprint cap" in err
+    assert lines == []
+
+
+def test_partners_under_the_fingerprint_cap_take_the_whole_box(capsys, tmp_path):
+    # the partners of E_i^3 have NS rank 9, a box of (3^9 - 1) / 2 = 9841
+    out = tmp_path / "partners.json"
+    code, lines, _ = run(
+        capsys,
+        "partners", _e_i_power(tmp_path, 3),
+        "--coeff-bound", "1", "--denom-bound", "2", "--search-bound", "0", "--json", out,
+    )
+    assert code == 0 and lines[-1] == "2 partner presentations"
+    prints = [row["fingerprint"] for row in json.loads(out.read_text("utf-8"))["entries"]]
+    assert [(p["ns_rank"], len(p["profiles"])) for p in prints] == [(9, 3**9 - 1)] * 2
 
 
 def test_unreadable_files_exit_two_and_name_the_file(capsys, corpus_dir, tmp_path):

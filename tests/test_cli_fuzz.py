@@ -13,8 +13,10 @@ import contextlib
 import io
 import json
 import re
+from functools import reduce
 
 import pytest
+from conftest import corpus_text, mat_sum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,10 +100,10 @@ def test_search_n_on_fuzzed_subgroup_files(corpus_dir, curve, doc, l, bound):
 def _product_classes(curve_file):
     # integer combinations of the product's NS basis, which are valid classes,
     # alongside arbitrary integer matrices
-    a = corpus.variety_from_json(json.loads(corpus.corpus_text(curve_file)))
+    a = corpus.variety_from_json(json.loads(corpus_text(curve_file)))
     basis = product(a, a).variety.ns_basis
     combos = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)).map(
-        lambda cs: corpus.matrix_to_json(sum((c * e for c, e in zip(cs, basis)), 0 * basis[0]))
+        lambda cs: corpus.matrix_to_json(reduce(mat_sum, (c * e for c, e in zip(cs, basis))))
     )
     square = st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=4, max_size=4)
     return st.one_of(combos, square, matrices)
@@ -144,7 +146,7 @@ def test_literal_commands_on_fuzzed_literals(corpus_dir, command, curve, literal
 
 # -- raw text ---------------------------------------------------------------------
 
-SHIPPED_TEXTS = [corpus.corpus_text(name) for name in corpus.shipped_names()]
+SHIPPED_TEXTS = [corpus_text(name) for name in corpus.shipped_names()]
 _NUMBER = re.compile(r"[0-9]+")
 
 
@@ -197,7 +199,7 @@ def test_loading_commands_on_raw_text(corpus_dir, text, command):
 
 @pytest.mark.parametrize(
     "text",
-    (_nested(100_000, "["), _replace_number(corpus.corpus_text("e_i.json"), 0, "7" * 5_000)),
+    (_nested(100_000, "["), _replace_number(corpus_text("e_i.json"), 0, "7" * 5_000)),
     ids=("nested", "digits"),
 )
 def test_reproduced_files_exit_two_with_one_error_line(corpus_dir, tmp_path, text):

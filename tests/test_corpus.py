@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import corpus_text
 
 from fmtori import corpus
 from fmtori.varieties import validate
@@ -10,12 +11,12 @@ def test_shipped_files_match_builders():
     # the checked-in JSON must be exactly what the builders produce
     for fname in corpus.shipped_names():
         expected = corpus.render_json(corpus.shipped_document(fname))
-        assert corpus.corpus_text(fname) == expected, fname
+        assert corpus_text(fname) == expected, fname
 
 
 def test_all_shipped_varieties_validate():
     for fname in corpus.shipped_names():
-        doc = json.loads(corpus.corpus_text(fname))
+        doc = json.loads(corpus_text(fname))
         if doc["format"] != "fmtori/variety":
             continue
         assert validate(corpus.variety_from_json(doc)).ok, fname
@@ -110,4 +111,4 @@ def test_write_corpus_round_trips(tmp_path):
     written = corpus.write_corpus(tmp_path)
     assert written == corpus.shipped_names()
     for fname in written:
-        assert (tmp_path / fname).read_text("utf-8") == corpus.corpus_text(fname)
+        assert (tmp_path / fname).read_text("utf-8") == corpus_text(fname)

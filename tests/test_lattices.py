@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import where_integral_by_kernel
+from conftest import quotient_by_inverse, where_integral_by_kernel
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -95,7 +95,7 @@ def test_canonical_basis_is_presentation_independent():
 
 def test_quotient_structure_counts_index():
     sup = Lattice.standard(2).scaled(Fraction(1, 6))
-    q = quotient_structure(Lattice.standard(2), sup)
+    q = quotient_structure(sup)
     assert q.order == 36
     assert q.divisors == (6, 6)
     assert q.exponent == 6
@@ -105,7 +105,10 @@ def test_quotient_requires_containment():
     shifted = Lattice(Mat(((Fraction(1, 2), 0), (0, 1))))
     shrunk = Lattice(Mat(((Fraction(1, 3), 0), (0, 1))))
     with pytest.raises(LatticeContainmentError):
-        quotient_structure(shifted, shrunk)
+        quotient_by_inverse(shifted, shrunk)
+    # the general index [sup : sub] is the quotient of sub^-1 sup by Z^n
+    with pytest.raises(LatticeContainmentError, match="not contained"):
+        quotient_structure(Lattice(shifted.basis.inverse() @ shrunk.basis))
 
 
 def test_sum_and_intersection_against_definitions():
@@ -116,7 +119,7 @@ def test_sum_and_intersection_against_definitions():
     assert _contains(s, a) and _contains(s, b)
     assert _contains(a, i) and _contains(b, i)
     # index multiplicativity pins both down for these diagonal lattices
-    assert quotient_structure(i, s).order == 6
+    assert quotient_by_inverse(i, s).order == 6
 
 
 @given(full_rank_lattices(), full_rank_lattices())
@@ -126,9 +129,11 @@ def test_sum_is_smallest_and_intersection_largest(a, b):
     assert _contains(s, a) and _contains(s, b)
     assert _contains(a, i) and _contains(b, i)
     # modularity of indices: [S : A][A : I] = [S : B][B : I]
-    left = quotient_structure(a, s).order * quotient_structure(i, a).order
-    right = quotient_structure(b, s).order * quotient_structure(i, b).order
+    left = quotient_by_inverse(a, s).order * quotient_by_inverse(i, a).order
+    right = quotient_by_inverse(b, s).order * quotient_by_inverse(i, b).order
     assert left == right
+    # the one-argument route on sub^-1 sup gives the same quotient
+    assert quotient_structure(Lattice(a.basis.inverse() @ s.basis)) == quotient_by_inverse(a, s)
 
 
 def test_sublattice_where_integral():
@@ -183,7 +188,7 @@ def test_sublattice_where_integral_matches_the_kernel_route(case):
     assert lam == where_integral_by_kernel(level, conditions)
     # by definition: a full rank lattice of points of (1/level) Z^n on which
     # the conditions are integral
-    assert lam.is_full_rank
+    assert lam.rank == lam.ambient_dim
     assert (level * lam.basis).is_integral()
     assert (conditions @ lam.basis).is_integral()
 
@@ -192,7 +197,7 @@ def test_dual_lattice_of_form_degree():
     # the dual of Z^2 under e is e^-T Z^2, spanned by e^-1 since e^T = -e
     e = Mat(((0, 3), (-3, 0)))
     dual = Lattice(e.inverse())
-    assert quotient_structure(Lattice.standard(2), dual).order == 9
+    assert quotient_structure(dual).order == 9
 
 
 def test_saturate_divides_out_content():

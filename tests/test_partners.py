@@ -5,7 +5,7 @@ import sys
 from math import prod
 
 import pytest
-from conftest import where_integral_by_kernel
+from conftest import corpus_text, mat_sum, where_integral_by_kernel
 
 from fmtori import corpus, matrices, partners, slopes
 from fmtori.matrices import Mat, snf
@@ -15,7 +15,6 @@ from fmtori.partners import (
     enumerate_partners,
     find_isomorphism_certificate,
     fingerprint,
-    partner_from_slope,
     ppav_rigidity_check,
 )
 from fmtori.slopes import Slope, reduce_slope
@@ -71,7 +70,7 @@ def _reference_fingerprint(a, profile_bound=None):
 
 def _corpus_varieties():
     for fname in corpus.shipped_names():
-        doc = json.loads(corpus.corpus_text(fname))
+        doc = json.loads(corpus_text(fname))
         if doc["format"] == "fmtori/variety":
             yield corpus.variety_from_json(doc)
 
@@ -130,7 +129,8 @@ def test_validate_rejects_the_basis_class_that_fingerprint_trusts(e_i_squared):
 
 
 def test_partner_record_certificate(e_i):
-    rec = partner_from_slope(Slope(e_i.ns_class((1,)), 2))
+    mu = Slope(e_i.ns_class((1,)), 2)
+    rec = next(entry.record for entry in enumerate_partners(e_i, 1, 2) if entry.slope == mu)
     assert validate(rec.partner).ok
     assert is_isomorphism_certificate(rec.dual_certificate)
     assert fingerprint(rec.partner) == fingerprint(e_i)
@@ -437,7 +437,7 @@ def _ref_find_isomorphism_certificate(src, dst, bound):
         m = Mat.zeros(dst.dim, src.dim)
         for c, base in zip(x, basis):
             if c:
-                m = m + c * base
+                m = mat_sum(m, c * base)
         if any(abs(v) > bound for row in m.data for v in row):
             continue
         if abs(m.det()) != 1:

@@ -2,11 +2,11 @@ import itertools
 import json
 import sys
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 from pathlib import Path
 
 import pytest
-from conftest import where_integral_by_kernel
+from conftest import mat_sum, where_integral_by_kernel
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,7 +23,6 @@ from fmtori.matrices import Mat, integer_kernel
 from fmtori.partners import SEARCH_CANDIDATE_CAP, find_isomorphism_certificate
 from fmtori.product_audit import (
     ProductNSClass,
-    assemble,
     audit_equivalence,
     decompose,
     graph_subgroup_comparison,
@@ -32,7 +31,6 @@ from fmtori.product_audit import (
     projection_iso,
     search_kernel_class,
     search_product_classes,
-    twist_to_ample,
 )
 from fmtori.slopes import Slope, projection_invariants, reduce_slope, slope_kernel, slope_subvariety
 from fmtori.varieties import (
@@ -125,8 +123,17 @@ def test_projection_iso_raises_on_a_failed_isometry(monkeypatch):
         projection_iso(report)
 
 
+def _from_blocks(a, b, block_a, corr, block_b):
+    return ProductNSClass(a, b, Mat.block([[block_a, corr], [-1 * corr.T, block_b]]))
+
+
+def _block_diagonal(e_i):
+    # E0 on each factor, with no correspondence
+    return _from_blocks(e_i, e_i, e_i.ns_basis[0], Mat.zeros(2, 2), e_i.ns_basis[0])
+
+
 def test_block_diagonal_class_fails(e_i):
-    pc = assemble(e_i, e_i, e_i.ns_basis[0], Mat.zeros(2, 2), e_i.ns_basis[0])
+    pc = _block_diagonal(e_i)
     report = audit_equivalence(pc, 1)
     assert not report.all_pass
     failed = {item.name for item in report.items if not item.passed}
@@ -136,7 +143,7 @@ def test_block_diagonal_class_fails(e_i):
 def test_decompose_assemble_round_trip(e_i):
     pc = poincare_class()
     m_a, pi, m_b = decompose(pc)
-    again = assemble(pc.a, pc.b, m_a.e, pi.m.T, m_b.e)
+    again = _from_blocks(pc.a, pc.b, m_a.e, pi.m.T, m_b.e)
     assert again == pc
     assert pi.degree() == 1
 
@@ -153,7 +160,7 @@ def test_projection_iso_reuses_the_audit_subtorus(count_calls):
 
 
 def test_projection_iso_requires_all_pass(e_i, e_i_squared):
-    pc = assemble(e_i, e_i, e_i.ns_basis[0], Mat.zeros(2, 2), e_i.ns_basis[0])
+    pc = _block_diagonal(e_i)
     with pytest.raises(PreconditionError):
         projection_iso(audit_equivalence(pc, 1))
     # a dimension mismatch fails before any subtorus is built
@@ -219,19 +226,58 @@ def test_graph_equalities_standalone(e_i):
     assert good.equal and good.order == 1
     # with no correspondence the two graphs live on different factors; at
     # l = 2 they are both of order four but disjoint
-    bad = assemble(e_i, e_i, e_i.ns_basis[0], Mat.zeros(2, 2), e_i.ns_basis[0])
+    bad = _block_diagonal(e_i)
     cmp = graph_subgroup_comparison(bad, 2)
     assert cmp.order == 4 and not cmp.equal
+
+
+def _twist_bound(s: Mat, t: Mat) -> int:
+    """An integer v_max with s + v*t positive definite for every v >= v_max,
+    for a symmetric s and a positive definite t of size n.
+
+    x^T (s + v t) x >= (v * lambda_min(t) - |s|) |x|^2, where the spectral
+    norm |s| is at most the sum of the |s_ij|, and lambda_min(t) is at
+    least det(t) / tr(t)^(n-1) because the other n-1 eigenvalues are
+    positive and at most tr(t).
+    """
+    n = s.rows
+    size = sum(abs(x) for row in s.data for x in row)
+    trace = sum(t[i, i] for i in range(n))
+    return floor(Fraction(size) * trace ** (n - 1) / t.det()) + 1
+
+
+def _twist_to_ample(pc, l, ample_class):
+    """The normalization the audit's non-ample error line states: add
+    multiples of l times an ample class on B to the B-block until it turns
+    ample, as (class, steps).  Each step is a validated class, and the
+    loop ends by the bound of ``_twist_bound``."""
+    if ample_class.variety != pc.b or not is_ample(ample_class):
+        raise PreconditionError("twisting requires an ample class on the B factor")
+    if l < 1:
+        raise PreconditionError("twisting requires l >= 1")
+    step = l * lift_second(ample_class.e, pc.a.dim)
+    v_max = _twist_bound(pc.block_b.e @ pc.b.j, l * ample_class.e @ pc.b.j)
+    m = pc.m
+    for v in range(v_max + 1):
+        candidate = ProductNSClass(pc.a, pc.b, m, pc.name)
+        if is_ample(candidate.block_b):
+            return candidate, v
+        m = mat_sum(m, step)
+    raise AssertionError(f"the B-block is not ample after {v_max} twists")
 
 
 def test_twist_restores_ampleness(e_i):
     pc = poincare_class()  # B-block is zero, not ample
     assert not is_ample(pc.block_b)
-    twisted, steps = twist_to_ample(pc, 2, e_i.ns_class((1,)))
+    with pytest.raises(PreconditionError, match="add multiples of l times an ample class"):
+        audit_equivalence(pc, 2)
+    twisted, steps = _twist_to_ample(pc, 2, e_i.ns_class((1,)))
     assert steps >= 1
     assert is_ample(twisted.block_b)
     assert twisted.correspondence == pc.correspondence
     assert twisted.block_a == pc.block_a
+    # the normalized class meets the audit's precondition
+    assert audit_equivalence(twisted, 2).items
 
 
 def _ref_twist(pc, l, ample_class):
@@ -241,7 +287,7 @@ def _ref_twist(pc, l, ample_class):
     for v in range(10_000):
         if is_ample(ProductNSClass(pc.a, pc.b, m).block_b):
             return m, v
-        m = m + step
+        m = mat_sum(m, step)
     raise AssertionError("no ample twist within 10 000 steps")
 
 
@@ -250,8 +296,8 @@ def _ref_twist(pc, l, ample_class):
 def test_twist_step_count_matches_the_unbounded_loop(e_i, k, l):
     # a B-block of -k E0 turns ample after k // l + 1 steps of l E0
     e0 = e_i.ns_basis[0]
-    pc = assemble(e_i, e_i, e0, Mat.identity(2), -k * e0)
-    twisted, steps = twist_to_ample(pc, l, e_i.ns_class((1,)))
+    pc = _from_blocks(e_i, e_i, e0, Mat.identity(2), -k * e0)
+    twisted, steps = _twist_to_ample(pc, l, e_i.ns_class((1,)))
     assert (twisted.m, steps) == _ref_twist(pc, l, e_i.ns_class((1,)))
     assert steps == k // l + 1
 
@@ -261,24 +307,24 @@ def test_twist_step_count_matches_the_unbounded_loop(e_i, k, l):
 def test_twist_on_the_surface_matches_the_unbounded_loop(e_i_squared, coeffs, l):
     # B-blocks whose form is not a multiple of the twisting class's
     v = e_i_squared
-    pc = assemble(v, v, v.polarization_class(), Mat.zeros(4, 4), v.ns_class(coeffs).e)
+    pc = _from_blocks(v, v, v.polarization_class(), Mat.zeros(4, 4), v.ns_class(coeffs).e)
     ample = v.ns_class(v.polarization)
-    twisted, steps = twist_to_ample(pc, l, ample)
+    twisted, steps = _twist_to_ample(pc, l, ample)
     assert (twisted.m, steps) == _ref_twist(pc, l, ample)
     assert is_ample(twisted.block_b)
 
 
 def test_twist_needs_several_steps(e_i_squared):
     v = e_i_squared
-    pc = assemble(v, v, v.polarization_class(), Mat.zeros(4, 4), v.ns_class((-4, -4, 1, 1)).e)
-    assert twist_to_ample(pc, 1, v.ns_class(v.polarization))[1] >= 2
+    pc = _from_blocks(v, v, v.polarization_class(), Mat.zeros(4, 4), v.ns_class((-4, -4, 1, 1)).e)
+    assert _twist_to_ample(pc, 1, v.ns_class(v.polarization))[1] >= 2
 
 
 def test_twist_rejects_a_nonpositive_l(e_i):
     pc = poincare_class()
     for l in (0, -1):
         with pytest.raises(PreconditionError):
-            twist_to_ample(pc, l, e_i.ns_class((1,)))
+            _twist_to_ample(pc, l, e_i.ns_class((1,)))
 
 
 @st.composite
@@ -288,17 +334,17 @@ def symmetric_and_positive_forms(draw):
     upper = [[draw(entries) for _ in range(n)] for _ in range(n)]
     s = Mat([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
     a = Mat([[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)])
-    t = a.T @ a + Mat.identity(n)
+    t = mat_sum(a.T @ a, Mat.identity(n))
     return s, t
 
 
 @given(symmetric_and_positive_forms())
 def test_twist_bound_makes_the_form_positive(forms):
     s, t = forms
-    v_max = product_audit._twist_bound(s, t)
+    v_max = _twist_bound(s, t)
     assert v_max >= 1
     for v in (v_max, v_max + 1, 2 * v_max):
-        assert _is_positive_definite(s + v * t)
+        assert _is_positive_definite(mat_sum(s, v * t))
 
 
 def test_search_kernel_class_trivial_and_full(e_i):

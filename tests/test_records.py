@@ -15,7 +15,7 @@ import fmtori
 from fmtori import corpus
 from fmtori.lattices import FiniteGroupStructure
 from fmtori.matrices import Mat
-from fmtori.partners import fingerprint, partner_from_slope, ppav_rigidity_check
+from fmtori.partners import fingerprint, ppav_rigidity_check
 from fmtori.product_audit import (
     AuditItem,
     ProductNSClass,
@@ -93,7 +93,7 @@ def instances(e_i, partner_entries):
         slope_subvariety(mu),
         projection_invariants(mu),
         fingerprint(e_i),
-        partner_from_slope(mu),
+        partner_entries[0].record,
         partner_entries[0],
         ppav_rigidity_check(e_i, 1, 2),
         pc,

@@ -2,6 +2,7 @@ import json
 from math import gcd
 
 import pytest
+from conftest import corpus_text, mat_sum
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -116,9 +117,8 @@ def test_literal_parsing(e_i, e_i_squared):
     assert l == 1 and cls.e == e_i.ns_basis[0]
     cls, l = parse_slope_literal(e_i_squared, "2*E0-E2+1*E3/3")
     assert l == 3
-    expected = (
-        2 * e_i_squared.ns_basis[0] + (-1) * e_i_squared.ns_basis[2] + e_i_squared.ns_basis[3]
-    )
+    basis = e_i_squared.ns_basis
+    expected = mat_sum(mat_sum(2 * basis[0], (-1) * basis[2]), basis[3])
     assert cls.e == expected
 
 
@@ -142,11 +142,11 @@ def test_slope_results_live_on_the_slopes_variety(e_i, e_2i, e_i_squared):
         stabilizer = projection_invariants(mu).stabilizer
         assert stabilizer.variety.name == f"{a.name}_mu"
         assert stabilizer.variety.j == sv.variety.j
-        rec = partners.partner_from_slope(mu)
+        rec = next(e.record for e in partners.enumerate_partners(a, 1, 2) if e.slope == mu)
         assert rec.source is a and (rec.slope, rec.partner.name) == (mu, f"{a.name}_partner")
 
 
-_DOCS = [json.loads(corpus.corpus_text(f)) for f in corpus.shipped_names()]
+_DOCS = [json.loads(corpus_text(f)) for f in corpus.shipped_names()]
 SHIPPED = [corpus.variety_from_json(d) for d in _DOCS if d["format"] == "fmtori/variety"]
 
 

@@ -10,12 +10,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from conftest import corpus_text, mat_sum
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fmtori import acceptance, corpus, product_audit
 from fmtori.corpus import poincare_class, square_curve_product, square_lattice_curve
-from fmtori.lattices import Lattice
+from fmtori.lattices import (
+    FiniteGroupStructure,
+    Lattice,
+    LatticeContainmentError,
+    quotient_structure,
+)
 from fmtori.matrices import Mat, hnf_columns, integer_kernel, snf, solve_exact
 from fmtori.slopes import reduce_slope, slope_subvariety
 from fmtori.varieties import _is_positive_definite, dual
@@ -161,12 +167,42 @@ def test_smith_invariant_factors_match_sympy(rows):
     assert ours == theirs
 
 
+@st.composite
+def overlattices(draw):
+    """(scale, n, d, G): the lattice scale * (Z^n + (1/d) G Z^n) for n <= 6,
+    d <= 12 and up to n + 1 integer columns G; a scale above 1 drops a
+    period unless the lattice holds (1/scale) Z^n."""
+    n, d = draw(dims), draw(st.integers(1, 12))
+    cols = draw(st.lists(st.lists(st.integers(-d, d), min_size=n, max_size=n), max_size=n + 1))
+    return draw(st.sampled_from((1, 1, 2, 3))), n, d, cols
+
+
+@given(overlattices())
+@example((1, 2, 6, [[1, 0], [0, 2]]))
+@example((2, 2, 1, []))
+def test_quotient_structure_matches_the_sympy_smith_form(case):
+    # with the canonical basis N/d, Z^n lies in L iff d N^-1 is integral,
+    # and then L/Z^n is Z^n / d N^-1 Z^n, whose divisors sympy reads off
+    scale, n, d, cols = case
+    gens = Mat.hstack(Mat.identity(n), *([Fraction(1, d) * Mat.from_cols(cols)] if cols else []))
+    lattice = Lattice(gens).scaled(scale)
+    num, den = lattice.basis.cleared()
+    periods = sympy.Matrix(num.data).inv() * den
+    if not all(x.is_integer for x in periods):
+        with pytest.raises(LatticeContainmentError, match="not contained"):
+            quotient_structure(lattice)
+        return
+    theirs = smith_normal_form(periods, domain=sympy.ZZ)
+    diag = sorted(abs(int(theirs[i, i])) for i in range(n))
+    assert quotient_structure(lattice) == FiniteGroupStructure.from_diagonal(tuple(diag))
+
+
 @given(exact_matrices(square=True), st.integers(-2, 2))
 def test_one_pass_sylvester_matches_sympy_on_symmetric_matrices(rows, shift):
     # symmetric draws: m + m^T (mostly indefinite) and shifted Gram matrices
     # m^T m + shift*I (semidefinite, definite, or just off either)
     m = Mat(rows)
-    for s in (m + m.T, m.T @ m + shift * Mat.identity(m.rows)):
+    for s in (mat_sum(m, m.T), mat_sum(m.T @ m, shift * Mat.identity(m.rows))):
         assert _is_positive_definite(s) == sympy.Matrix(s.data).is_positive_definite
 
 
@@ -175,7 +211,7 @@ def test_one_pass_sylvester_matches_sympy_on_the_dual_polarizations():
     # on the dual of every shipped variety, with both signs of hd
     seen = 0
     for fname in corpus.shipped_names():
-        doc = json.loads(corpus.corpus_text(fname))
+        doc = json.loads(corpus_text(fname))
         if doc["format"] != "fmtori/variety":
             continue
         d = dual(corpus.variety_from_json(doc))

@@ -20,8 +20,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import corpus_text
 
-from fmtori.corpus import corpus_text, variety_from_json
+from fmtori.corpus import variety_from_json
 from fmtori.matrices import Mat
 from fmtori.varieties import TorusVariety, dual, intertwiner_basis, validate
 

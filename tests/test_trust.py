@@ -21,7 +21,7 @@ from fmtori import acceptance, corpus, lattices, slopes, varieties
 from fmtori.cli import main
 from fmtori.lattices import FiniteGroupStructure, Lattice, quotient_structure
 from fmtori.matrices import Mat, snf
-from fmtori.product_audit import ProductNSClass, assemble, twist_to_ample
+from fmtori.product_audit import ProductNSClass
 from fmtori.records import Record
 from fmtori.slopes import parse_slope_literal
 from fmtori.varieties import Homomorphism, NSClass
@@ -94,17 +94,6 @@ def test_cli_reports_are_unchanged_with_every_record_validated(
     capsys.readouterr()
     assert trusted[0] == 0
     assert validated == trusted
-
-
-def test_every_twist_step_is_a_valid_class(e_i_squared, monkeypatch):
-    # twist_to_ample is the one trusted site the gate and the CLI do not reach
-    v = e_i_squared
-    pc = assemble(v, v, v.polarization_class(), Mat.zeros(4, 4), v.ns_class((-4, -4, 1, 1)).e)
-    ample = v.ns_class(v.polarization)
-    trusted = twist_to_ample(pc, 2, ample)
-    assert trusted[1] >= 2
-    monkeypatch.setattr(Record, "_make", VALIDATING_MAKE)
-    assert twist_to_ample(pc, 2, ample) == trusted
 
 
 # validated constructions in each workload's timed call, (NSClass, Homomorphism);
@@ -183,8 +172,7 @@ def test_class_kernel_structures_are_their_lattice_quotients(corpus_dir, tmp_pat
     smith += [(c, FiniteGroupStructure.from_diagonal(diag)) for _, c, diag in sample]
     assert len(smith) == 58
     for c, structure in smith:
-        std = Lattice.standard(c.variety.dim)
-        assert structure == quotient_structure(std, class_kernel(c).overlattice)
+        assert structure == quotient_structure(class_kernel(c).overlattice)
 
 
 def test_the_gate_builds_each_lattice_quotient_it_reads(count_calls):

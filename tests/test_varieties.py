@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import kernel_by_inverse
+from conftest import corpus_text, kernel_by_inverse, mat_sum, quotient_by_inverse
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -161,7 +161,7 @@ def test_class_kernel_matches_the_inverse_route(data):
         return
     kern = class_kernel(c)
     assert kern.overlattice == kernel_by_inverse(c.e)
-    assert kern.structure == quotient_structure(Lattice.standard(a.dim), kern.overlattice)
+    assert kern.structure == quotient_structure(kern.overlattice)
 
 
 @given(st.tuples(*[st.integers(-2, 2)] * 8))
@@ -171,7 +171,7 @@ def test_isogeny_kernel_matches_the_inverse_route(coeffs):
     assert len(basis) == len(coeffs)
     m = Mat.zeros(4, 4)
     for k, b in zip(coeffs, basis):
-        m = m + k * b
+        m = mat_sum(m, k * b)
     f = Homomorphism(p, p, m)
     if m.det() == 0:
         with pytest.raises(NotAnIsogenyError, match="kernel of a non-isogeny is not finite"):
@@ -188,7 +188,7 @@ def test_kernels_take_no_inverse_and_no_hermite_pass(
     e_i_squared, cold_caches, count_calls, monkeypatch, which
 ):
     c = e_i_squared.ns_class((2, 4, 1, 0))
-    f = Homomorphism(e_i_squared, e_i_squared, e_i_squared.j + Mat.identity(4))
+    f = Homomorphism(e_i_squared, e_i_squared, mat_sum(e_i_squared.j, Mat.identity(4)))
     assert c.e.det() != 0 and f.m.det() != 0
     counts = {"inverse": 0, "lattice": 0}
     for cls, name, key in ((Mat, "inverse", "inverse"), (Lattice, "__init__", "lattice")):
@@ -276,7 +276,7 @@ def _fixed_by_conjugation(a, b):
     for p in range(na):
         for q in range(nb):
             e = Mat([[int((i, j) == (p, q)) for j in range(nb)] for i in range(na)])
-            units.append(tuple(x for row in (a.j.T @ e @ b.j + (-1) * e).data for x in row))
+            units.append(tuple(x for row in mat_sum(a.j.T @ e @ b.j, (-1) * e).data for x in row))
     ker = integer_kernel(Mat.from_cols(units))
     return tuple(
         Mat([list(ker.T.data[k][i * nb : (i + 1) * nb]) for i in range(na)])
@@ -292,7 +292,8 @@ def _ref_intertwiner_basis(j_src, j_dst):
     for p in range(rows):
         for q in range(cols):
             e_pq = Mat([[int((i, j) == (p, q)) for j in range(cols)] for i in range(rows)])
-            units.append(tuple(x for row in (e_pq @ j_src + (-1) * j_dst @ e_pq).data for x in row))
+            unit = mat_sum(e_pq @ j_src, (-1) * j_dst @ e_pq)
+            units.append(tuple(x for row in unit.data for x in row))
     ker = integer_kernel(Mat.from_cols(units))
     return tuple(
         Mat([list(ker.T.data[k][i : i + cols]) for i in range(0, rows * cols, cols)])
@@ -379,7 +380,7 @@ def _ref_dual(a, name=None):
 
 def _dual_inputs(entries):
     for fname in corpus.shipped_names():
-        doc = json.loads(corpus.corpus_text(fname))
+        doc = json.loads(corpus_text(fname))
         if doc["format"] == "fmtori/variety":
             a = corpus.variety_from_json(doc)
             yield a
@@ -582,14 +583,14 @@ def _alternating_families(draw):
         elif kind == "duplicate":
             family.append(draw(st.sampled_from(family)))
         elif kind == "sum":
-            family.append(draw(st.sampled_from(family)) + draw(st.sampled_from(family)))
+            family.append(mat_sum(draw(st.sampled_from(family)), draw(st.sampled_from(family))))
         else:
             family.append(draw(st.integers(2, 5)) * draw(st.sampled_from(family)))
     targets = [_alternating(n, draw(fresh))]
     if family:
         acc = Mat.zeros(n, n)
         for e in family:
-            acc = acc + draw(st.integers(-3, 3)) * e
+            acc = mat_sum(acc, draw(st.integers(-3, 3)) * e)
         targets += [acc, Fraction(1, draw(st.integers(2, 4))) * acc]
     return family, targets
 
@@ -621,10 +622,10 @@ def _families_with_repeats(draw):
     family = draw(st.permutations(family))
     acc = Mat.zeros(n, n)
     for e in base:
-        acc = acc + draw(st.integers(-3, 3)) * e
+        acc = mat_sum(acc, draw(st.integers(-3, 3)) * e)
     k = draw(st.integers(2, 4))
     part = Fraction(1, k)
-    targets = [acc, part * acc, part * (acc + base[0]), _alternating(n, draw(fresh))]
+    targets = [acc, part * acc, part * mat_sum(acc, base[0]), _alternating(n, draw(fresh))]
     return base, family, targets
 
 
@@ -651,15 +652,16 @@ def _square_rationals(draw):
     if kind == "plain":
         return m
     if kind == "symmetric":
-        return m + m.T
+        return mat_sum(m, m.T)
     if kind == "gram":
-        return m.T @ m + draw(st.integers(-2, 3)) * Mat.identity(n)
+        return mat_sum(m.T @ m, draw(st.integers(-2, 3)) * Mat.identity(n))
     k = draw(st.integers(1, n))
     p = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
         p[i][k - 1] = int(k > 1 and i == 0)
     t = m @ Mat(p)
-    return t.T @ t + draw(st.sampled_from((0, 1))) * _with_entry(Mat.zeros(n, n), n - 1, n - 1, 1)
+    corner = _with_entry(Mat.zeros(n, n), n - 1, n - 1, 1)
+    return mat_sum(t.T @ t, draw(st.sampled_from((0, 1))) * corner)
 
 
 def _leading_minors_positive(s):
@@ -704,7 +706,7 @@ def _with_entry(m, i, j, x):
 
 def test_coefficients_reject_non_alternating_matrices(e_i_squared):
     basis = e_i_squared.ns_basis
-    good = basis[0] + basis[2]
+    good = mat_sum(basis[0], basis[2])
     assert coefficients_in_basis(good, basis) == (1, 0, 1, 0)
     # the same entries above the diagonal as good, mirrored without the sign
     symmetric = Mat([[good[min(i, j), max(i, j)] for j in range(4)] for i in range(4)])
@@ -723,7 +725,7 @@ def test_coefficients_reject_non_alternating_matrices(e_i_squared):
 
 def _shipped_varieties_and_duals():
     for fname in corpus.shipped_names():
-        doc = json.loads(corpus.corpus_text(fname))
+        doc = json.loads(corpus_text(fname))
         if doc["format"] == "fmtori/variety":
             a = corpus.variety_from_json(doc)
             yield from (a, dual(a))
@@ -736,12 +738,11 @@ def test_ns_class_is_the_mat_sum_of_the_basis():
             acc = Mat.zeros(v.dim, v.dim)
             for c, e in zip(coeffs, v.ns_basis):
                 if c:
-                    acc = acc + c * e
+                    acc = mat_sum(acc, c * e)
             assert v.ns_class(coeffs).e == acc, (v.name, coeffs)
 
 
 def test_subgroup_structure_is_computed_on_first_use(e_i, e_i_squared):
-    from fmtori.lattices import quotient_structure
     from fmtori.product_audit import kernel_torsion_subgroup
     from fmtori.slopes import reduce_slope, slope_kernel
 
@@ -762,7 +763,7 @@ def test_subgroup_structure_is_computed_on_first_use(e_i, e_i_squared):
     for sub in subgroups:
         assert "structure" not in vars(sub)
         std = Lattice.standard(sub.variety.dim)
-        assert sub.structure == quotient_structure(std, sub.overlattice)
+        assert sub.structure == quotient_by_inverse(std, sub.overlattice)
         assert sub.structure is sub.structure
     # a class kernel reads its structure off the Smith form of the class,
     # and the torsion and trivial subgroups are (Z/n)^2g and 0 outright: each
@@ -777,7 +778,7 @@ def test_subgroup_structure_is_computed_on_first_use(e_i, e_i_squared):
     for kern in known:
         assert "structure" in vars(kern)
         std = Lattice.standard(kern.variety.dim)
-        assert kern.structure == quotient_structure(std, kern.overlattice)
+        assert kern.structure == quotient_by_inverse(std, kern.overlattice)
         assert kern.structure is kern.structure
     assert torsion_subgroup(e_i_squared, 4).divisors == (4, 4, 4, 4)
     assert trivial_subgroup(e_i_squared).order == 1
