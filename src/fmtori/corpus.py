@@ -1,4 +1,9 @@
-"""Bundled example varieties and the JSON interchange format.
+"""The JSON interchange format and the varieties the gate builds in code.
+
+The corpus is the six JSON files installed with the package in
+``corpus/``; they are read with ``load_json_file`` and the ``*_from_json``
+parsers.  Three of them, E_i, E_i x E_i and the Poincare class, are also
+built here, because the release gate and the benchmark start from them.
 
 Three file kinds, each tagged with a ``format`` key:
 
@@ -25,7 +30,7 @@ from fractions import Fraction
 from .lattices import Lattice
 from .matrices import Mat
 from .product_audit import ProductNSClass
-from .varieties import FiniteSubgroup, TorusVariety, _excerpt, product, torsion_subgroup
+from .varieties import FiniteSubgroup, TorusVariety, _excerpt, product
 
 _SAFE_INT = 2**53
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -117,14 +122,6 @@ def variety_from_json(d: dict) -> TorusVariety:
         raise CorpusFormatError(str(exc)) from exc
 
 
-def product_class_to_json(pc: ProductNSClass) -> dict:
-    return {
-        "format": "fmtori/product-class",
-        "name": pc.name,
-        "matrix": matrix_to_json(pc.m),
-    }
-
-
 def product_class_from_json(d: dict, a: TorusVariety, b: TorusVariety) -> ProductNSClass:
     if not isinstance(d, dict) or d.get("format") != "fmtori/product-class":
         raise CorpusFormatError("not a product-class file (format key missing or wrong)")
@@ -134,14 +131,6 @@ def product_class_from_json(d: dict, a: TorusVariety, b: TorusVariety) -> Produc
         return ProductNSClass(a, b, m, name=name)
     except ValueError as exc:
         raise CorpusFormatError(str(exc)) from exc
-
-
-def subgroup_to_json(sub: FiniteSubgroup, name: str = "target") -> dict:
-    return {
-        "format": "fmtori/subgroup",
-        "name": name,
-        "overlattice": matrix_to_json(sub.overlattice.basis),
-    }
 
 
 def subgroup_from_json(d: dict, a: TorusVariety) -> FiniteSubgroup:
@@ -177,41 +166,23 @@ def load_json_file(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# bundled examples
+# the varieties the gate and the benchmark build; their files ship in corpus/
 
 
-def square_lattice_curve(name: str = "E_i") -> TorusVariety:
+def square_lattice_curve() -> TorusVariety:
     """The elliptic curve with period lattice Z + Zi."""
     j = Mat(((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0))))
     e0 = Mat(((0, 1), (-1, 0)))
-    return TorusVariety(1, j, (e0,), (1,), name=name)
+    return TorusVariety(1, j, (e0,), (1,), name="E_i")
 
 
-def doubled_square_lattice_curve(name: str = "E_2i") -> TorusVariety:
-    """The elliptic curve with period lattice Z + 2iZ.
-
-    Its complex structure is rational but not integral, so it exercises the
-    denominator handling that the square lattice curve cannot.
-    """
-    j = Mat(((Fraction(0), Fraction(-2)), (Fraction(1, 2), Fraction(0))))
-    e0 = Mat(((0, 1), (-1, 0)))
-    return TorusVariety(1, j, (e0,), (1,), name=name)
-
-
-def square_curve_product(name: str = "E_i x E_i") -> TorusVariety:
+def square_curve_product() -> TorusVariety:
     """E_i x E_i with its full rank four NS basis."""
     a = square_lattice_curve()
-    return product(a, a, name=name).variety
+    return product(a, a, name="E_i x E_i").variety
 
 
-def square_curve_product_principal(name: str = "E_i x E_i ppav") -> TorusVariety:
-    """The same torus with NS cut down to the product principal polarization."""
-    full = square_curve_product(name=name)
-    diag = full.ns_class((1, 1, 0, 0)).e
-    return TorusVariety(full.g, full.j, (diag,), (1,), name=name)
-
-
-def poincare_class(name: str = "poincare") -> ProductNSClass:
+def poincare_class() -> ProductNSClass:
     """The correspondence class of the identity on E_i x dual(E_i).
 
     dual(E_i) has the same presentation as E_i, so this class lives on the
@@ -220,43 +191,9 @@ def poincare_class(name: str = "poincare") -> ProductNSClass:
     a = square_lattice_curve()
     zero = Mat.zeros(2, 2)
     m = Mat.block(((zero, Mat.identity(2)), (-Mat.identity(2), zero)))
-    return ProductNSClass(a, a, m, name=name)
-
-
-def two_torsion_subgroup_file() -> dict:
-    return subgroup_to_json(torsion_subgroup(square_lattice_curve(), 2), name="two_torsion")
-
-
-_SHIPPED = {
-    "e_i.json": lambda: variety_to_json(square_lattice_curve()),
-    "e_2i.json": lambda: variety_to_json(doubled_square_lattice_curve()),
-    "e_i_x_e_i.json": lambda: variety_to_json(square_curve_product()),
-    "e_i_x_e_i_ppav.json": lambda: variety_to_json(square_curve_product_principal()),
-    "poincare_class.json": lambda: product_class_to_json(poincare_class()),
-    "two_torsion.json": two_torsion_subgroup_file,
-}
+    return ProductNSClass(a, a, m, name="poincare")
 
 
 def render_json(obj) -> str:
     """The one serialization used everywhere byte-stability matters."""
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
-
-
-def shipped_names() -> list[str]:
-    return sorted(_SHIPPED)
-
-
-def shipped_document(filename: str) -> dict:
-    return _SHIPPED[filename]()
-
-
-def write_corpus(directory) -> list[str]:
-    import pathlib
-
-    out = pathlib.Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for fname in shipped_names():
-        (out / fname).write_text(render_json(shipped_document(fname)), "utf-8")
-        written.append(fname)
-    return written

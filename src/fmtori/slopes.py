@@ -225,8 +225,9 @@ def projection_invariants(mu: Slope) -> ProjectionInvariants:
     # a bare torus presentation suffices to carry the kernel; the subtorus NS
     # data plays no role in the projection invariants
     abstract = TorusVariety(a.g, j_mu, (), (), name=f"{a.name}_mu")
-    # l * h intertwines j_mu = h^-1 J h with J
-    sigma = Homomorphism._make(abstract, a, pi).kernel()
+    # the stabilizer is the kernel pi^-1 Z^n of the projection; deg * pi^-1 is
+    # the adjugate of pi, so that kernel lies in (1/deg) Z^n
+    sigma = FiniteSubgroup(abstract, sublattice_where_integral(deg, pi))
     if sigma.order != deg:
         raise InternalInvariantViolation("stabilizer order differs from projection degree")
     return ProjectionInvariants(degree=deg, stabilizer=sigma, rank=r)

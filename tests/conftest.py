@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -17,10 +18,9 @@ settings.register_profile(
 settings.load_profile("ci")
 
 from fmtori.corpus import (  # noqa: E402
-    doubled_square_lattice_curve,
     square_curve_product,
     square_lattice_curve,
-    write_corpus,
+    variety_from_json,
 )
 from fmtori.lattices import FiniteGroupStructure, Lattice, LatticeContainmentError  # noqa: E402
 from fmtori.matrices import Mat, integer_kernel, snf  # noqa: E402
@@ -67,9 +67,29 @@ def mat_sum(a: Mat, b: Mat) -> Mat:
     return Mat.hstack(a, b) @ Mat.vstack(i, i)
 
 
+CORPUS = resources.files("fmtori") / "corpus"
+# the names of the corpus files installed with the package, sorted
+SHIPPED_NAMES = sorted(f.name for f in CORPUS.iterdir())
+
+
 def corpus_text(filename: str) -> str:
     """The text of a shipped corpus file, as installed with the package."""
-    return (resources.files("fmtori") / "corpus" / filename).read_text("utf-8")
+    return (CORPUS / filename).read_text("utf-8")
+
+
+def copy_corpus(directory: Path) -> Path:
+    """directory, holding a byte-for-byte copy of every installed corpus file."""
+    for name in SHIPPED_NAMES:
+        (directory / name).write_bytes((CORPUS / name).read_bytes())
+    return directory
+
+
+# the variety of every installed variety file, by file name
+SHIPPED_VARIETIES = {
+    name: variety_from_json(doc)
+    for name in SHIPPED_NAMES
+    if (doc := json.loads(corpus_text(name)))["format"] == "fmtori/variety"
+}
 
 
 def unimodular(n: int):
@@ -107,7 +127,7 @@ def e_i():
 
 @pytest.fixture(scope="session")
 def e_2i():
-    return doubled_square_lattice_curve()
+    return SHIPPED_VARIETIES["e_2i.json"]
 
 
 @pytest.fixture(scope="session")
@@ -117,10 +137,8 @@ def e_i_squared():
 
 @pytest.fixture(scope="session")
 def corpus_dir(tmp_path_factory):
-    """The shipped corpus, written to a temporary directory."""
-    d = tmp_path_factory.mktemp("corpus")
-    write_corpus(d)
-    return d
+    """The installed corpus, copied to a temporary directory."""
+    return copy_corpus(tmp_path_factory.mktemp("corpus"))
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import re
 from functools import reduce
 
 import pytest
-from conftest import corpus_text, mat_sum
+from conftest import SHIPPED_NAMES, SHIPPED_VARIETIES, copy_corpus, corpus_text, mat_sum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,9 +30,7 @@ FUZZ = settings(max_examples=60, deadline=None)
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("fuzz_corpus")
-    corpus.write_corpus(d)
-    return d
+    return copy_corpus(tmp_path_factory.mktemp("fuzz_corpus"))
 
 
 def _run(argv) -> tuple[int, str]:
@@ -100,7 +98,7 @@ def test_search_n_on_fuzzed_subgroup_files(corpus_dir, curve, doc, l, bound):
 def _product_classes(curve_file):
     # integer combinations of the product's NS basis, which are valid classes,
     # alongside arbitrary integer matrices
-    a = corpus.variety_from_json(json.loads(corpus_text(curve_file)))
+    a = SHIPPED_VARIETIES[curve_file]
     basis = product(a, a).variety.ns_basis
     combos = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)).map(
         lambda cs: corpus.matrix_to_json(reduce(mat_sum, (c * e for c, e in zip(cs, basis))))
@@ -146,7 +144,7 @@ def test_literal_commands_on_fuzzed_literals(corpus_dir, command, curve, literal
 
 # -- raw text ---------------------------------------------------------------------
 
-SHIPPED_TEXTS = [corpus_text(name) for name in corpus.shipped_names()]
+SHIPPED_TEXTS = [corpus_text(name) for name in SHIPPED_NAMES]
 _NUMBER = re.compile(r"[0-9]+")
 
 

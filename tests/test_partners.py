@@ -1,11 +1,10 @@
 import functools
 import itertools
-import json
 import sys
 from math import prod
 
 import pytest
-from conftest import corpus_text, mat_sum, where_integral_by_kernel
+from conftest import SHIPPED_VARIETIES, mat_sum, where_integral_by_kernel
 
 from fmtori import corpus, matrices, partners, slopes
 from fmtori.matrices import Mat, snf
@@ -68,15 +67,8 @@ def _reference_fingerprint(a, profile_bound=None):
     return Fingerprint(a.g, r, profile_bound, tuple(sorted(profiles)))
 
 
-def _corpus_varieties():
-    for fname in corpus.shipped_names():
-        doc = json.loads(corpus_text(fname))
-        if doc["format"] == "fmtori/variety":
-            yield corpus.variety_from_json(doc)
-
-
 def test_fingerprint_matches_reference_on_corpus_and_duals():
-    varieties = list(_corpus_varieties())
+    varieties = list(SHIPPED_VARIETIES.values())
     assert len(varieties) >= 4
     for a in varieties:
         for v in (a, dual(a)):
@@ -200,6 +192,20 @@ def test_rigidity_over_small_coprime_pairs(e_i):
             assert is_isomorphism_certificate(check.certificate)
 
 
+def test_rigidity_check_takes_one_determinant_per_unimodularity_test(
+    e_i, e_i_squared, cold_caches, monkeypatch
+):
+    # the principal precondition on h and the unimodular quotient, each once
+    dets = []
+    det = Mat.det
+    monkeypatch.setattr(Mat, "det", lambda m: dets.append(m) or det(m))
+    for a in (e_i, e_i_squared):
+        dets.clear()
+        check = ppav_rigidity_check(a, 3, 2)
+        assert check.ok
+        assert dets == [a.polarization_class(), check.certificate.m]
+
+
 def test_rigidity_preconditions(e_i, e_i_squared):
     with pytest.raises(PreconditionError):
         ppav_rigidity_check(e_i, 2, 2)
@@ -267,8 +273,8 @@ def test_enumeration_reads_spans_and_signs_off_integer_rows(
 ):
     # the coordinates in every span basis come by substitution on its Hermite
     # rows and every Sylvester test is one Bareiss pass, so no exact solve
-    # runs, and the only determinants are the unimodularity checks of the
-    # entries' identity certificates, one per entry
+    # runs; each entry's certificate is the identity, which needs no
+    # determinant to be unimodular, so no determinant runs either
     solves = count_calls(matrices, "solve_exact")
     dets = []
     det = Mat.det
@@ -281,9 +287,8 @@ def test_enumeration_reads_spans_and_signs_off_integer_rows(
     entries = enumerate_partners(e_i_squared, 1, 2)
     assert len(entries) == 80
     assert solves == []
-    assert len(dets) == len(entries)
-    assert dets == [e.record.dual_certificate.m for e in entries]
-    assert all(m == Mat.identity(m.rows) for m in dets)
+    assert dets == []
+    assert all(e.record.dual_certificate.m == Mat.identity(4) for e in entries)
 
 
 def _member_data_by_definition(a, mu):
@@ -455,7 +460,7 @@ def _outcome(search, src, dst, bound):
 
 @pytest.mark.parametrize("bound", (1, 2, 3))
 def test_certificate_search_matches_the_mat_sum_reference(partner_entries, bound):
-    pairs = [(a, w) for a in _corpus_varieties() for w in (a, dual(a))]
+    pairs = [(a, w) for a in SHIPPED_VARIETIES.values() for w in (a, dual(a))]
     p = corpus.square_curve_product()
     pairs += [(p, entry.record.partner) for entry in partner_entries[:10]]
     for src, dst in pairs:

@@ -15,7 +15,7 @@ import json
 from functools import cache
 
 import pytest
-from conftest import transported, unimodular
+from conftest import SHIPPED_VARIETIES, transported, unimodular
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,7 +43,7 @@ from fmtori.varieties import (
 
 VARIETIES = {
     "e_i": corpus.square_lattice_curve(),
-    "e_2i": corpus.doubled_square_lattice_curve(),
+    "e_2i": SHIPPED_VARIETIES["e_2i.json"],
     "e_i_squared": corpus.square_curve_product(),
 }
 NAMES = pytest.mark.parametrize("name", VARIETIES)

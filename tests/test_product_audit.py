@@ -6,18 +6,12 @@ from math import floor, gcd
 from pathlib import Path
 
 import pytest
-from conftest import mat_sum, where_integral_by_kernel
+from conftest import SHIPPED_VARIETIES, mat_sum, where_integral_by_kernel
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fmtori import lattices, matrices, oracles, product_audit, slopes, varieties
-from fmtori.corpus import (
-    doubled_square_lattice_curve,
-    poincare_class,
-    square_curve_product,
-    square_curve_product_principal,
-    square_lattice_curve,
-)
+from fmtori.corpus import poincare_class, square_curve_product, square_lattice_curve
 from fmtori.lattices import Lattice
 from fmtori.matrices import Mat, integer_kernel
 from fmtori.partners import SEARCH_CANDIDATE_CAP, find_isomorphism_certificate
@@ -36,6 +30,7 @@ from fmtori.slopes import Slope, projection_invariants, reduce_slope, slope_kern
 from fmtori.varieties import (
     FiniteSubgroup,
     PreconditionError,
+    TorusVariety,
     VarietyMismatchError,
     _is_positive_definite,
     dual,
@@ -81,7 +76,7 @@ def _q(n):
 def _all_pass_audits():
     # every all-pass audit the search finds at bound 1, l = 1 and 2, over the
     # ordered pairs of the curves and their duals
-    curves = (square_lattice_curve(), doubled_square_lattice_curve())
+    curves = (square_lattice_curve(), SHIPPED_VARIETIES["e_2i.json"])
     factors = curves + tuple(dual(c) for c in curves)
     for a, b in itertools.product(factors, repeat=2):
         for l in (1, 2):
@@ -418,8 +413,9 @@ def test_searches_over_the_cap_raise_before_any_candidate(e_i, e_i_squared, monk
 def test_cached_products_keep_each_variety_name():
     # equal presentations share cache entries, since TorusVariety equality
     # ignores names; every product must still be named after its factors
+    e_i = square_lattice_curve()
     for n in ("A", "B"):
-        a = square_lattice_curve(n)
+        a = TorusVariety(e_i.g, e_i.j, e_i.ns_basis, e_i.polarization, name=n)
         sv = slope_subvariety(reduce_slope(a.ns_class((1,)), 2))
         assert sv.ambient.name == f"{n}x{n}^"
         pc = ProductNSClass(a, a, poincare_class().m)
@@ -461,7 +457,7 @@ def _ref_search_product_classes(a, b, l, coeff_bound, limit):
     return hits
 
 
-_E_I, _E_2I = square_lattice_curve(), doubled_square_lattice_curve()
+_E_I, _E_2I = square_lattice_curve(), SHIPPED_VARIETIES["e_2i.json"]
 
 
 # mixed factors have different correspondence blocks from either square; they
@@ -525,7 +521,7 @@ def _cyclic_subgroup(v, l):
 
 _KERNEL_VARIETIES = {
     "E_i": square_lattice_curve(),
-    "E_2i": doubled_square_lattice_curve(),
+    "E_2i": SHIPPED_VARIETIES["e_2i.json"],
     "dual(E_i)": dual(square_lattice_curve()),
     "E_i x E_i": square_curve_product(),
 }
@@ -576,9 +572,9 @@ def test_kernel_search_matches_brute_force_scan(name, l, kernel_table):
 
 _RESIDUE_VARIETIES = [
     square_lattice_curve(),
-    doubled_square_lattice_curve(),
+    SHIPPED_VARIETIES["e_2i.json"],
     square_curve_product(),
-    square_curve_product_principal(),
+    SHIPPED_VARIETIES["e_i_x_e_i_ppav.json"],
 ]
 
 
@@ -897,7 +893,7 @@ def test_poincare_audit_matches_the_reference():
 
 
 @pytest.mark.parametrize(
-    "curve", (square_lattice_curve(), doubled_square_lattice_curve()), ids=("E_i", "E_2i")
+    "curve", (square_lattice_curve(), SHIPPED_VARIETIES["e_2i.json"]), ids=("E_i", "E_2i")
 )
 @pytest.mark.parametrize("l", (1, 2, 3))
 @pytest.mark.parametrize("bound", (1, 2))
@@ -909,7 +905,7 @@ def test_audits_of_every_search_hit_match_the_reference(curve, l, bound):
 
 
 @pytest.mark.parametrize(
-    "curve", (square_lattice_curve(), doubled_square_lattice_curve()), ids=("E_i", "E_2i")
+    "curve", (square_lattice_curve(), SHIPPED_VARIETIES["e_2i.json"]), ids=("E_i", "E_2i")
 )
 @pytest.mark.parametrize("l", (1, 2, 3))
 def test_failing_correspondences_audit_as_the_reference(curve, l):

@@ -2,7 +2,7 @@
 
 The entry points are the release gate (``acceptance.run_all``), the build,
 run and check of the four benchmark workloads, and the CLI commands of
-``test_trust.COMMANDS`` on the shipped corpus.  They run in-process under
+``test_trust.COMMANDS`` on a copy of the installed corpus files.  They run in-process under
 ``sys.setprofile``, and every function, method, property and cached body
 defined in ``src/fmtori`` must be entered, or be named in ``EXEMPT`` with the
 reason it stays.  A function the entry points enter has a caller, so this
@@ -17,10 +17,11 @@ from inspect import CO_OPTIMIZED
 from pathlib import Path
 from types import CodeType
 
+from conftest import copy_corpus
+
 import fmtori
 from fmtori.acceptance import run_all
 from fmtori.cli import main
-from fmtori.corpus import write_corpus
 from test_trust import COMMANDS
 
 SRC = Path(fmtori.__file__).resolve().parent
@@ -103,6 +104,7 @@ def _entered(run) -> set[str]:
 def test_every_src_function_is_entered_or_exempt(bench_modules, cold_caches, tmp_path, capsys):
     # cold caches, so that a cached body is entered whatever ran before
     layers, workloads = bench_modules
+    copy_corpus(tmp_path)
 
     def run():
         assert run_all()["ok"]
@@ -110,7 +112,6 @@ def test_every_src_function_is_entered_or_exempt(bench_modules, cold_caches, tmp
             inputs = workloads.BUILD[name](0)
             ok, _ = workloads.CHECK[name](inputs, workloads.RUN[name](inputs), workloads.expected())
             assert ok, name
-        write_corpus(tmp_path)
         for command in COMMANDS:
             argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
             assert main([*argv, "--json", str(tmp_path / "report.json")]) == 0, command

@@ -1,8 +1,7 @@
-import json
 from math import gcd
 
 import pytest
-from conftest import corpus_text, mat_sum
+from conftest import SHIPPED_VARIETIES, kernel_by_inverse, mat_sum
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -101,6 +100,27 @@ def test_translation_invariance_of_invariants(e_i):
     assert slope_kernel(mu).order == slope_kernel(shifted).order
 
 
+def test_projection_invariants_read_the_stabilizer_without_a_determinant(
+    e_i, e_2i, e_i_squared, cold_caches, monkeypatch
+):
+    # the degree is the product of the Hermite diagonal of pi, and it bounds
+    # the denominators of the kernel pi^-1 Z^n, so no determinant is taken
+    dets = []
+    det = Mat.det
+    monkeypatch.setattr(Mat, "det", lambda m: dets.append(m) or det(m))
+    classes = [(e_i, (1,)), (e_i, (3,)), (e_2i, (1,)), (e_2i, (2,))]
+    classes += [(e_i_squared, c) for c in ((1, 1, 0, 0), (1, 0, 0, 0), (1, 2, 1, -1))]
+    for a, coeffs in classes:
+        for l in (1, 2, 3):
+            mu = reduce_slope(a.ns_class(coeffs), l)
+            dets.clear()
+            inv = projection_invariants(mu)
+            assert dets == [], (a.name, coeffs, l)
+            pi = slope_subvariety(mu).projection.m
+            assert inv.stabilizer.overlattice == kernel_by_inverse(pi)
+            assert inv.stabilizer.order == inv.degree == abs(det(pi))
+
+
 def test_degenerate_numerator_on_product(e_i_squared):
     # lift of a curve class is degenerate on the surface but still slopes
     mu = reduce_slope(e_i_squared.ns_class((1, 0, 0, 0)), 2)
@@ -146,8 +166,7 @@ def test_slope_results_live_on_the_slopes_variety(e_i, e_2i, e_i_squared):
         assert rec.source is a and (rec.slope, rec.partner.name) == (mu, f"{a.name}_partner")
 
 
-_DOCS = [json.loads(corpus_text(f)) for f in corpus.shipped_names()]
-SHIPPED = [corpus.variety_from_json(d) for d in _DOCS if d["format"] == "fmtori/variety"]
+SHIPPED = list(SHIPPED_VARIETIES.values())
 
 
 @given(st.data(), st.integers(min_value=1, max_value=6))

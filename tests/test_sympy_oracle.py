@@ -4,17 +4,16 @@ The package itself never imports sympy; these tests skip where it is not
 installed.
 """
 
-import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import corpus_text, mat_sum
+from conftest import SHIPPED_VARIETIES, mat_sum
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fmtori import acceptance, corpus, product_audit
+from fmtori import acceptance, product_audit
 from fmtori.corpus import poincare_class, square_curve_product, square_lattice_curve
 from fmtori.lattices import (
     FiniteGroupStructure,
@@ -210,11 +209,8 @@ def test_one_pass_sylvester_matches_sympy_on_the_dual_polarizations():
     # the pairing hd @ jd that dual reads the sign of its polarization off,
     # on the dual of every shipped variety, with both signs of hd
     seen = 0
-    for fname in corpus.shipped_names():
-        doc = json.loads(corpus_text(fname))
-        if doc["format"] != "fmtori/variety":
-            continue
-        d = dual(corpus.variety_from_json(doc))
+    for a in SHIPPED_VARIETIES.values():
+        d = dual(a)
         hd = d.polarization_class()
         for sign in (1, -1):
             s = sign * hd @ d.j

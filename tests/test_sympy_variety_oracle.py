@@ -15,14 +15,12 @@ P^-T e P^-1.  The package itself never imports sympy; these tests skip
 where it is not installed.
 """
 
-import json
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import corpus_text
+from conftest import SHIPPED_VARIETIES
 
-from fmtori.corpus import variety_from_json
 from fmtori.matrices import Mat
 from fmtori.varieties import TorusVariety, dual, intertwiner_basis, validate
 
@@ -66,7 +64,7 @@ def _same_lattice(ours: list, theirs) -> bool:
 
 
 def _shipped() -> list[TorusVariety]:
-    return [variety_from_json(json.loads(corpus_text(name))) for name in SHIPPED]
+    return [SHIPPED_VARIETIES[name] for name in SHIPPED]
 
 
 def _conjugate(v: TorusVariety, rng: random.Random) -> TorusVariety:

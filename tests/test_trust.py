@@ -186,3 +186,14 @@ def test_the_gate_builds_each_lattice_quotient_it_reads(count_calls):
     quotients = count_calls(lattices, "quotient_structure")
     assert acceptance.run_all()["ok"]
     assert len(quotients) == 50
+
+
+def test_the_gate_determinant_count_from_cold_caches(cold_caches, monkeypatch):
+    # 258 before: each of the 19 stabilizers took the determinant of its
+    # projection, whose Hermite diagonal already gives it, and each of the
+    # 19 rigidity checks tested its quotient's unimodularity twice
+    dets = []
+    det = Mat.det
+    monkeypatch.setattr(Mat, "det", lambda m: dets.append(m) or det(m))
+    assert acceptance.run_all()["ok"]
+    assert len(dets) == 220

@@ -1,20 +1,14 @@
 import itertools
-import json
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import corpus_text, kernel_by_inverse, mat_sum, quotient_by_inverse
+from conftest import SHIPPED_VARIETIES, kernel_by_inverse, mat_sum, quotient_by_inverse
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmtori import corpus, matrices, oracles
-from fmtori.corpus import (
-    doubled_square_lattice_curve,
-    square_curve_product,
-    square_curve_product_principal,
-    square_lattice_curve,
-)
+from fmtori import matrices, oracles
+from fmtori.corpus import square_curve_product, square_lattice_curve
 from fmtori.lattices import Lattice, quotient_structure
 from fmtori.matrices import Mat, integer_kernel, solve_exact, vec_is_integral
 from fmtori.varieties import (
@@ -147,7 +141,7 @@ def test_degree_and_kernel_of_non_isogenies(e_i, e_i_squared):
             class_kernel(e_i_squared.ns_class(coeffs))
 
 
-KERNEL_VARIETIES = (square_lattice_curve(), doubled_square_lattice_curve(), square_curve_product())
+KERNEL_VARIETIES = (square_lattice_curve(), SHIPPED_VARIETIES["e_2i.json"], square_curve_product())
 
 
 @given(data=st.data())
@@ -304,9 +298,9 @@ def _ref_intertwiner_basis(j_src, j_dst):
 def _shipped_and_duals():
     shipped = [
         square_lattice_curve(),
-        doubled_square_lattice_curve(),
+        SHIPPED_VARIETIES["e_2i.json"],
         square_curve_product(),
-        square_curve_product_principal(),
+        SHIPPED_VARIETIES["e_i_x_e_i_ppav.json"],
     ]
     return shipped + [dual(v) for v in shipped]
 
@@ -332,8 +326,8 @@ def test_intertwiner_basis_on_rational_conjugates_matches_the_reference():
     # P J P^-1 squares to -I for any invertible rational P, so the conjugates
     # are complex structures with denominators the shipped ones lack
     draw = random.Random(1729)
-    base = {2: [square_lattice_curve().j, doubled_square_lattice_curve().j],
-            4: [square_curve_product().j, square_curve_product_principal().j]}
+    base = {2: [square_lattice_curve().j, SHIPPED_VARIETIES["e_2i.json"].j],
+            4: [square_curve_product().j, SHIPPED_VARIETIES["e_i_x_e_i_ppav.json"].j]}
     for _ in range(12):
         js = []
         for n, choices in base.items():
@@ -379,12 +373,9 @@ def _ref_dual(a, name=None):
 
 
 def _dual_inputs(entries):
-    for fname in corpus.shipped_names():
-        doc = json.loads(corpus_text(fname))
-        if doc["format"] == "fmtori/variety":
-            a = corpus.variety_from_json(doc)
-            yield a
-            yield dual(a)
+    for a in SHIPPED_VARIETIES.values():
+        yield a
+        yield dual(a)
     for entry in entries:
         yield entry.record.partner
         yield entry.record.subvariety.variety
@@ -724,11 +715,8 @@ def test_coefficients_reject_non_alternating_matrices(e_i_squared):
 
 
 def _shipped_varieties_and_duals():
-    for fname in corpus.shipped_names():
-        doc = json.loads(corpus_text(fname))
-        if doc["format"] == "fmtori/variety":
-            a = corpus.variety_from_json(doc)
-            yield from (a, dual(a))
+    for a in SHIPPED_VARIETIES.values():
+        yield from (a, dual(a))
 
 
 def test_ns_class_is_the_mat_sum_of_the_basis():
