@@ -197,16 +197,17 @@ def _criterion_poincare() -> tuple[dict, list]:
     _, pi, _ = decompose(pc)
     kern = slope_kernel(reduce_slope(pc.as_class(), 1))
     iso = projection_iso(report)
+    degree = pi.degree()
     good = (
         summary["all_pass"]
         and kern.order == 1
-        and pi.degree() == 1
+        and degree == 1
         and is_isomorphism_certificate(iso.to_a_side)
         and is_isomorphism_certificate(iso.to_b_side)
         and is_isomorphism_certificate(iso.eta)
     )
     detail = _result("poincare_audit", good, audit=summary,
-                     kernel_order=kern.order, projection_degree=pi.degree(),
+                     kernel_order=kern.order, projection_degree=degree,
                      eta=_intlist(iso.eta.m))
     return detail, ([(pc, 1, iso)] if good else [])
 
@@ -268,10 +269,11 @@ def _criterion_l2_search(threads: int) -> tuple[dict, list]:
         summary = _audit_summary(report)
         m_a, pi, m_b = decompose(pc)
         oracle = _oracle_subgroup_checks(pc, 2, m_a, pi, m_b)
+        degree = pi.degree()
         good = (
             summary["all_pass"]
             and oracle["kernel_points"] == 4
-            and pi.degree() == 1
+            and degree == 1
             and oracle["kernel_two_routes_agree"]
             and oracle["pi_kernel_inside_class_kernel"]
             and oracle["dual_pi_kernel_inside_class_kernel"]
@@ -279,7 +281,7 @@ def _criterion_l2_search(threads: int) -> tuple[dict, list]:
             and oracle["graph_order"] == 4
         )
         ok = ok and good
-        rows.append({"audit": summary, "projection_degree": pi.degree(),
+        rows.append({"audit": summary, "projection_degree": degree,
                      "oracle": oracle, "ok": good})
         if good:
             instances.append((pc, 2, projection_iso(report)))

@@ -115,11 +115,7 @@ def variety_from_json(d: dict) -> TorusVariety:
     name = d.get("name", "A")
     if not isinstance(name, str):
         raise CorpusFormatError("name must be a string")
-    # shape errors surface here as ValueError; semantic checks stay in validate()
-    try:
-        return TorusVariety(g, j, ns, tuple(pol), name=name)
-    except ValueError as exc:
-        raise CorpusFormatError(str(exc)) from exc
+    return TorusVariety(g, j, ns, tuple(pol), name=name)
 
 
 def product_class_from_json(d: dict, a: TorusVariety, b: TorusVariety) -> ProductNSClass:

@@ -20,7 +20,7 @@ from math import gcd, prod
 from .matrices import Mat, combination_map, snf
 from .parallel import pmap
 from .records import Record
-from .slopes import Slope, SlopeSubvariety, reduce_slope, slope_kernel, slope_subvariety
+from .slopes import Slope, reduce_slope, slope_kernel, slope_subvariety
 from .varieties import (
     FiniteSubgroup,
     Homomorphism,
@@ -102,19 +102,16 @@ def fingerprint(a: TorusVariety, profile_bound: int | None = None) -> Fingerprin
 
 
 class PartnerRecord(Record):
-    """A partner with its provenance: the slope, the subtorus, and the
-    identity certificate from the complex torus of dual(partner), which
-    reads J only, to the subtorus."""
+    """A partner, and the identity certificate from the complex torus of
+    dual(partner), which reads J only, to the slope subtorus it is the dual
+    of; the entry's coefficients and denominator give the slope."""
 
-    source: TorusVariety
-    slope: Slope
-    subvariety: SlopeSubvariety
     partner: TorusVariety
     dual_certificate: Homomorphism
 
 
-def _partner_record(sv: SlopeSubvariety, b: TorusVariety) -> PartnerRecord:
-    """The record of the partner b = dual(sv.variety), with its certificate.
+def _partner_record(subtorus: TorusVariety, b: TorusVariety) -> PartnerRecord:
+    """The record of the partner b = dual(subtorus), with its certificate.
 
     Dualizing twice returns the complex structure on the nose, so the
     certificate starts at the bare complex torus of dual(partner), with J
@@ -123,14 +120,13 @@ def _partner_record(sv: SlopeSubvariety, b: TorusVariety) -> PartnerRecord:
     transported a second time.
     """
     torus = TorusVariety(b.g, -1 * b.j.T, (), (), name=b.name + "^")
-    cert = Homomorphism(torus, sv.variety, Mat.identity(b.dim))
-    return PartnerRecord(sv.slope.variety, sv.slope, sv, b, cert)
+    cert = Homomorphism(torus, subtorus, Mat.identity(b.dim))
+    return PartnerRecord(b, cert)
 
 
 class PartnerEntry(Record):
     coefficients: tuple[int, ...]
     denominator: int
-    slope: Slope
     record: PartnerRecord
     partner_fingerprint: Fingerprint
 
@@ -152,9 +148,10 @@ def enumerate_partners(
 ) -> list[PartnerEntry]:
     """All partners from reduced slopes with bounded coefficients and denominator.
 
-    Deduplication is by reduced-slope equality (never by isomorphism).  The
-    result is ordered by (denominator, coefficient vector) of the first
-    generating candidate, so output is deterministic for any thread count.
+    Deduplication is by reduced-slope equality (never by isomorphism).  An
+    entry keeps the coefficients and denominator of the first candidate with
+    its slope, which order the result; the slope's subtorus is the target of
+    the record's dual certificate, and the partner is the subtorus's dual.
 
     Three results are shared, each exactly:
 
@@ -205,11 +202,11 @@ def enumerate_partners(
         sv = built[i]
         if sv.variety not in duals:
             duals[sv.variety] = dual(sv.variety, name=f"{a.name}_partner")
-        rec = _partner_record(sv, duals[sv.variety])
+        rec = _partner_record(sv.variety, duals[sv.variety])
         key = (rec.partner.j, rec.partner.ns_basis)
         if key not in prints:
             prints[key] = fingerprint(rec.partner)
-        entries.append(PartnerEntry(coeffs, l, mu, rec, prints[key]))
+        entries.append(PartnerEntry(coeffs, l, rec, prints[key]))
     return entries
 
 
@@ -257,8 +254,10 @@ def find_isomorphism_certificate(
 
 
 class RigidityCheck(Record):
+    """The kernel of A -> A_mu for mu = n * polarization / l, and the
+    quotient map, an isomorphism certificate exactly when ok."""
+
     ok: bool
-    slope: Slope
     kernel: FiniteSubgroup
     certificate: Homomorphism
 
@@ -289,4 +288,4 @@ def ppav_rigidity_check(a: TorusVariety, n: int, l: int) -> RigidityCheck:
         raise InternalInvariantViolation(
             "trivial kernel and unimodular quotient must coincide"
         )
-    return RigidityCheck(ok, mu, kern, cert)
+    return RigidityCheck(ok, kern, cert)

@@ -160,8 +160,8 @@ def _kernel_inside(over: Mat, cls: Mat, l: int) -> bool:
 
 
 class GraphComparison(Record):
-    first: FiniteSubgroup
-    second: FiniteSubgroup
+    """Whether the two graph subgroups are equal, and the first one's order."""
+
     equal: bool
     order: int
 
@@ -180,7 +180,7 @@ def graph_subgroup_comparison(pc: ProductNSClass, l: int) -> GraphComparison:
     gb = Homomorphism._make(pc.b, dp, m.submatrix(range(m.rows), range(na, m.cols)))
     g1 = image_under(ga, torsion_subgroup(pc.a, l))
     g2 = image_under(gb, torsion_subgroup(pc.b, l))
-    return GraphComparison(g1, g2, g1 == g2, g1.order)
+    return GraphComparison(g1 == g2, g1.order)
 
 
 def _slope_of(pc: ProductNSClass, l: int) -> Slope:
@@ -506,6 +506,8 @@ def _search_product_classes(
     """The audit reports of the hits of search_product_classes, which the
     gate reads.  The public function stays only because the benchmark
     trace binds its name (bench/layers.py, ROADMAP item 3(a))."""
+    if l < 1:
+        raise PreconditionError("slope denominator must be positive")
     prod = _product_variety(a, b, a.name, b.name)
     na, nb = a.dim, b.dim
     degree = l ** (2 * a.g - 2)

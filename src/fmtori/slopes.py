@@ -86,17 +86,14 @@ def slope_kernel(mu: Slope) -> FiniteSubgroup:
 
 
 class SlopeSubvariety(Record):
-    """The subtorus of A x dual(A) cut out by a slope, with its structure maps.
+    """The subtorus of A x dual(A) cut out by a slope mu, with its maps.
 
-    embedding is the rational matrix of v -> (l*v, e*v) in ambient
-    coordinates; the abstract variety presents the subtorus on its own
-    member lattice, with NS data pulled back from the ambient product.
+    embedding is the rational matrix of v -> (l*v, e*v) into the ambient
+    product to_ambient.target; the abstract variety presents the subtorus on
+    ``member_lattice(mu)``, with NS data pulled back from the ambient product.
     quotient: A -> abstract is v -> v; projection: abstract -> A is v -> l*v.
     """
 
-    slope: Slope
-    ambient: TorusVariety
-    member: Lattice
     embedding: Mat
     variety: TorusVariety
     to_ambient: Homomorphism
@@ -186,9 +183,6 @@ def slope_subvariety(mu: Slope) -> SlopeSubvariety:
     # j_mu = h^-1 J h makes h^-1 and l*h intertwine, and emb_h does because
     # e is J-compatible; h^-1 is integral because the member lattice holds Z^n
     return SlopeSubvariety(
-        slope=mu,
-        ambient=amb,
-        member=lam_mu,
         embedding=emb,
         variety=abstract,
         to_ambient=Homomorphism._make(abstract, amb, emb_h),

@@ -1,5 +1,6 @@
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -24,6 +25,7 @@ from fmtori.corpus import (  # noqa: E402
 )
 from fmtori.lattices import FiniteGroupStructure, Lattice, LatticeContainmentError  # noqa: E402
 from fmtori.matrices import Mat, integer_kernel, snf  # noqa: E402
+from fmtori.slopes import Slope, reduce_slope  # noqa: E402
 from fmtori.varieties import TorusVariety  # noqa: E402
 
 
@@ -59,6 +61,12 @@ def quotient_by_inverse(sub: Lattice, sup: Lattice) -> FiniteGroupStructure:
     if not x.is_integral():
         raise LatticeContainmentError("sub is not contained in sup")
     return FiniteGroupStructure.from_diagonal(snf(x))
+
+
+def entry_slope(a: TorusVariety, entry) -> Slope:
+    """The reduced slope of a partner entry of ``enumerate_partners(a, ...)``,
+    rebuilt from its coefficients and denominator."""
+    return reduce_slope(a.ns_class(entry.coefficients), entry.denominator)
 
 
 def mat_sum(a: Mat, b: Mat) -> Mat:
@@ -173,8 +181,7 @@ def count_calls(monkeypatch):
     return count
 
 
-@pytest.fixture
-def cold_caches():
+def clear_caches():
     """Empty every ``functools`` cache on the fmtori modules, as in a fresh
     process, so that a count pin reads no entry an earlier test filled.
     Every cache must be bounded (``maxsize`` set), so none grows without
@@ -195,11 +202,17 @@ def cold_caches():
         cache.cache_clear()
 
 
+@pytest.fixture
+def cold_caches():
+    """Every fmtori cache emptied before the test (``clear_caches``)."""
+    clear_caches()
+
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture
-def bench_modules():
+@contextmanager
+def bench_imported():
     """The benchmark's ``layers`` and ``workloads`` modules, imported from
     ``bench/`` without writing there and removed again afterwards."""
     names = ("layers", "tracer", "workloads")
@@ -220,3 +233,10 @@ def bench_modules():
                 sys.modules.pop(name, None)
             else:
                 sys.modules[name] = module
+
+
+@pytest.fixture
+def bench_modules():
+    """The benchmark's ``layers`` and ``workloads`` modules (``bench_imported``)."""
+    with bench_imported() as modules:
+        yield modules

@@ -295,7 +295,7 @@ def test_amu_builds_one_member_lattice(capsys, corpus_dir, tmp_path, cold_caches
     mu = slopes.reduce_slope(*slopes.parse_slope_literal(a, "E0+E1+E2/2"))
     sv = slopes.slope_subvariety(mu)
     inv = slopes.projection_invariants(mu)
-    kern = FiniteSubgroup(a, sv.member)
+    kern = FiniteSubgroup(a, slopes.member_lattice(mu))
     assert payload["kernel"] == {"order": kern.order, "divisors": list(kern.divisors)}
     assert (payload["projection_degree"], payload["rank"]) == (inv.degree, inv.rank)
     assert payload["stabilizer_divisors"] == list(inv.stabilizer.divisors)
@@ -506,6 +506,19 @@ def test_ns_classes_of_mixed_shape_exit_two(capsys, corpus_dir, mixed, argv):
     assert_input_error(code, err)
     assert err.count("\n") == 1
     assert f"ns_basis[{k}] has the wrong shape" in err
+    assert lines == []
+
+
+def test_a_complex_structure_of_the_wrong_shape_is_reported(capsys, tmp_path):
+    # the loader builds the variety unchecked; validate finds the shape
+    doc = json.loads(corpus_text("e_i.json"))
+    doc["j"] = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+    path = tmp_path / "wide_j.json"
+    path.write_text(corpus.render_json(doc), "utf-8")
+    assert run(capsys, "validate", path) == (1, ["invalid: J has the wrong shape"], "")
+    code, lines, err = run(capsys, "dual", path)
+    assert_input_error(code, err)
+    assert err.count("\n") == 1 and "invalid variety: J has the wrong shape" in err
     assert lines == []
 
 

@@ -4,7 +4,7 @@ import sys
 from math import prod
 
 import pytest
-from conftest import SHIPPED_VARIETIES, mat_sum, where_integral_by_kernel
+from conftest import SHIPPED_VARIETIES, entry_slope, mat_sum, where_integral_by_kernel
 
 from fmtori import corpus, matrices, partners, slopes
 from fmtori.matrices import Mat, snf
@@ -16,7 +16,7 @@ from fmtori.partners import (
     fingerprint,
     ppav_rigidity_check,
 )
-from fmtori.slopes import Slope, reduce_slope
+from fmtori.slopes import Slope, reduce_slope, slope_subvariety
 from fmtori.varieties import (
     Homomorphism,
     NSClass,
@@ -122,7 +122,7 @@ def test_validate_rejects_the_basis_class_that_fingerprint_trusts(e_i_squared):
 
 def test_partner_record_certificate(e_i):
     mu = Slope(e_i.ns_class((1,)), 2)
-    rec = next(entry.record for entry in enumerate_partners(e_i, 1, 2) if entry.slope == mu)
+    rec = next(e.record for e in enumerate_partners(e_i, 1, 2) if entry_slope(e_i, e) == mu)
     assert validate(rec.partner).ok
     assert is_isomorphism_certificate(rec.dual_certificate)
     assert fingerprint(rec.partner) == fingerprint(e_i)
@@ -235,15 +235,34 @@ def test_partner_certificates_start_at_the_double_dual(partner_entries):
     # basis; the polarization coefficients may differ, so only J and the NS
     # basis are compared
     assert len(partner_entries) == 80
+    a = corpus.square_curve_product()
     for entry in partner_entries:
         rec = entry.record
+        subtorus = slope_subvariety(entry_slope(a, entry)).variety
         again = dual(rec.partner)
-        assert again.j == rec.subvariety.variety.j
-        assert again.ns_basis == rec.subvariety.variety.ns_basis
+        assert again.j == subtorus.j
+        assert again.ns_basis == subtorus.ns_basis
         assert rec.dual_certificate.source.j == again.j
-        assert rec.dual_certificate.target == rec.subvariety.variety
+        assert rec.dual_certificate.target == subtorus
         assert rec.dual_certificate.m == Mat.identity(rec.partner.dim)
         assert is_isomorphism_certificate(rec.dual_certificate)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_VARIETIES))
+def test_each_partner_is_the_dual_of_its_entrys_slope_subtorus(name):
+    # the provenance of a partner is the slope of its entry's coefficients
+    # and denominator: its subtorus is the certificate's target, and the
+    # dual of that subtorus is the partner
+    a = SHIPPED_VARIETIES[name]
+    entries = enumerate_partners(a, 1, 2)
+    assert entries
+    for entry in entries:
+        rec = entry.record
+        subtorus = slope_subvariety(entry_slope(a, entry)).variety
+        assert subtorus == rec.dual_certificate.target
+        again = dual(subtorus, name=f"{a.name}_partner")
+        assert (again.j, again.ns_basis) == (rec.partner.j, rec.partner.ns_basis)
+        assert again == rec.partner
 
 
 def test_enumeration_dualizes_each_partner_once(e_i_squared, monkeypatch):
@@ -259,11 +278,11 @@ def test_enumeration_dualizes_each_partner_once(e_i_squared, monkeypatch):
     monkeypatch.setattr(partners, "dual", counted)
     entries = enumerate_partners(e_i_squared, 1, 2)
     assert len(entries) == 80
-    subtori = list(dict.fromkeys(e.record.subvariety.variety for e in entries))
+    subtori = list(dict.fromkeys(e.record.dual_certificate.target for e in entries))
     assert len(subtori) == 60
     assert calls == subtori
     for entry in entries:
-        fresh = original(entry.record.subvariety.variety, name=f"{e_i_squared.name}_partner")
+        fresh = original(entry.record.dual_certificate.target, name=f"{e_i_squared.name}_partner")
         assert entry.record.partner == fresh
         assert entry.record.partner.name == fresh.name
 
@@ -312,7 +331,7 @@ def _shared_member_data(a, monkeypatch, *bounds):
     entries = enumerate_partners(a, *bounds)
     # candidates are built grouped by residue, not in entry order
     assert len(seen) == len(entries)
-    assert {mu for mu, _ in seen} == {e.slope for e in entries}
+    assert {mu for mu, _ in seen} == {entry_slope(a, e) for e in entries}
     return seen
 
 
@@ -332,8 +351,8 @@ def test_shared_member_data_is_each_candidates_own(name, bounds, request, monkey
 def test_enumeration_computes_each_member_lattice_once_per_residue(e_i_squared, cold_caches):
     entries = enumerate_partners(e_i_squared, 1, 2)
     assert len(entries) == 80
-    residues = {(tuple(tuple(x % e.slope.l for x in row) for row in e.slope.numerator.e.data),
-                 e.slope.l) for e in entries}
+    residues = {(tuple(tuple(x % mu.l for x in row) for row in mu.numerator.e.data), mu.l)
+                for mu in (entry_slope(e_i_squared, e) for e in entries)}
     assert len(residues) == 16
     assert slopes._member_data.cache_info().misses == 16
 
@@ -349,8 +368,8 @@ def test_enumeration_builds_each_residue_once_through_a_one_entry_cache(
     one = functools.lru_cache(maxsize=1)(slopes._member_data.__wrapped__)
     monkeypatch.setattr(slopes, "_member_data", one)
     entries = enumerate_partners(e_i_squared, *bounds)
-    keys = {(tuple(tuple(x % e.slope.l for x in row) for row in e.slope.numerator.e.data),
-             e.slope.l) for e in entries}
+    keys = {(tuple(tuple(x % mu.l for x in row) for row in mu.numerator.e.data), mu.l)
+            for mu in (entry_slope(e_i_squared, e) for e in entries)}
     assert len(keys) == residues
     assert one.cache_info().misses == residues
 

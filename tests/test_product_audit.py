@@ -395,6 +395,19 @@ def test_searches_reject_bounds_below_one(e_i, bound):
         search_product_classes(e_i, e_i, 2, bound)
 
 
+def test_product_class_search_checks_its_level_before_any_work(e_i, e_2i, count_calls):
+    # checked inside the audit only, a bad level surfaces on E_i x E_i after
+    # 25 Smith forms, and on E_i x E_2i, where no candidate reaches an
+    # audit, not at all
+    smiths = count_calls(matrices, "snf")
+    audits = count_calls(product_audit, "audit_equivalence")
+    for b, bound, levels in ((e_i, 2, (0, -2)), (e_2i, 1, (0, -3))):
+        for l in levels:
+            with pytest.raises(PreconditionError, match="slope denominator must be positive"):
+                search_product_classes(e_i, b, l, bound)
+    assert smiths == [] and audits == []
+
+
 def test_searches_over_the_cap_raise_before_any_candidate(e_i, e_i_squared, monkeypatch):
     def no_candidate(*args):
         raise AssertionError("a candidate was evaluated past the cap")
@@ -417,10 +430,11 @@ def test_cached_products_keep_each_variety_name():
     for n in ("A", "B"):
         a = TorusVariety(e_i.g, e_i.j, e_i.ns_basis, e_i.polarization, name=n)
         sv = slope_subvariety(reduce_slope(a.ns_class((1,)), 2))
-        assert sv.ambient.name == f"{n}x{n}^"
+        assert sv.to_ambient.target.name == f"{n}x{n}^"
         pc = ProductNSClass(a, a, poincare_class().m)
         assert pc.as_class().variety.name == f"{n}x{n}"
-        assert graph_subgroup_comparison(pc, 1).first.variety.name == f"{n}^x{n}^"
+        graph_subgroup_comparison(pc, 1)
+        assert product_audit._dual_product_variety(a, a, n, n).name == f"{n}^x{n}^"
 
 
 # -- reference funnels: the searches without pre-filters, memo or exact stop ------

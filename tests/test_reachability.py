@@ -1,27 +1,43 @@
-"""Every function in src is entered by an entry point, or exempt with a reason.
+"""Every function in src is entered by an entry point, and every record
+field is read by one, or it is exempt with a reason.
 
 The entry points are the release gate (``acceptance.run_all``), the build,
 run and check of the four benchmark workloads, and the CLI commands of
-``test_trust.COMMANDS`` on a copy of the installed corpus files.  They run in-process under
-``sys.setprofile``, and every function, method, property and cached body
-defined in ``src/fmtori`` must be entered, or be named in ``EXEMPT`` with the
-reason it stays.  A function the entry points enter has a caller, so this
-covers the static caller test it replaced, and it sees methods as well.
+``test_trust.COMMANDS`` on a copy of the installed corpus files.  They run
+in-process, once, under two probes:
 
-An exemption goes stale when its function is deleted or starts being
-entered; either fails the guard, so the list cannot outlive its reasons.
+* ``sys.setprofile`` sees every function, method, property and cached body
+  defined in ``src/fmtori`` that is entered, and each must be, or be named
+  in ``EXEMPT`` with the reason it stays.  A function the entry points
+  enter has a caller, so this covers the static caller test it replaced,
+  and it sees methods as well.
+* ``Record.__getattribute__``, replaced for the run, sees every read of a
+  field of a ``Record`` subclass from code outside ``records.py`` (whose
+  equality, hash and repr read every field, so they do not count).  Each
+  field defined in ``src/fmtori`` must be read, or be named in
+  ``EXEMPT_FIELDS``.  A field nothing reads only stores a copy of data
+  kept elsewhere, or data nobody wants.
+
+An exemption goes stale when its function or field is deleted or starts
+being entered or read; either fails the guard, so the lists cannot outlive
+their reasons.
 """
 
+import importlib
+import io
 import sys
+from contextlib import redirect_stdout
 from inspect import CO_OPTIMIZED
 from pathlib import Path
 from types import CodeType
 
-from conftest import copy_corpus
+import pytest
+from conftest import bench_imported, clear_caches, copy_corpus
 
 import fmtori
 from fmtori.acceptance import run_all
 from fmtori.cli import main
+from fmtori.records import Record
 from test_trust import COMMANDS
 
 SRC = Path(fmtori.__file__).resolve().parent
@@ -46,6 +62,9 @@ EXEMPT = {
     "lattices.Lattice.spans_subspace_of": "the precondition check of saturate",
 }
 
+# module.class.field -> the reason no entry point has to read it
+EXEMPT_FIELDS: dict[str, str] = {}
+
 # the kinds of reason an exemption may give: public API that no entry point
 # enters is deleted, moved into tests or given an entry point, not exempted
 ALLOWED_REASONS = (
@@ -63,7 +82,8 @@ WHILE_SATURATE_IS_TRACED = ("lattices.saturate", "lattices.Lattice.spans_subspac
 
 
 def test_every_exemption_gives_an_allowed_kind_of_reason():
-    odd = {name: why for name, why in EXEMPT.items() if not why.startswith(ALLOWED_REASONS)}
+    exemptions = {**EXEMPT, **EXEMPT_FIELDS}
+    odd = {name: why for name, why in exemptions.items() if not why.startswith(ALLOWED_REASONS)}
     assert not odd, f"exempt for a reason of no allowed kind: {odd}"
 
 
@@ -82,29 +102,58 @@ def _src_functions() -> set[str]:
     return names
 
 
-def _entered(run) -> set[str]:
-    """module.qualname of every src function that run() enters."""
-    codes = set()
+def _record_fields() -> set[str]:
+    """module.class.field of every field of a Record subclass in src/fmtori."""
+    for path in SRC.glob("*.py"):
+        if path.stem not in ("__init__", "__main__"):
+            importlib.import_module(f"fmtori.{path.stem}")
+    names, stack = set(), [Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            module, _, stem = cls.__module__.partition(".")
+            if module == "fmtori":
+                names.update(f"{stem}.{cls.__qualname__}.{f}" for f in cls._fields)
+    return names
 
-    def probe(frame, event, arg):
+
+def _probe(run) -> tuple[set[str], set[str]]:
+    """(module.qualname of every src function that run() enters,
+    module.class.field of every record field it reads outside records.py)."""
+    codes, reads = set(), set()
+    records = Record.__init__.__code__.co_filename
+    get = object.__getattribute__
+
+    def profile(frame, event, arg):
         codes.add(frame.f_code)
 
-    sys.setprofile(probe)
+    def read(self, name):
+        cls = type(self)
+        if name in cls._fields and sys._getframe(1).f_code.co_filename != records:
+            reads.add((cls, name))
+        return get(self, name)
+
+    Record.__getattribute__ = read
+    sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return {
+        del Record.__getattribute__
+    entered = {
         f"{Path(c.co_filename).stem}.{c.co_qualname}"
         for c in codes
         if Path(c.co_filename).parent == SRC
     }
+    return entered, {f"{c.__module__.partition('.')[2]}.{c.__qualname__}.{f}" for c, f in reads}
 
 
-def test_every_src_function_is_entered_or_exempt(bench_modules, cold_caches, tmp_path, capsys):
-    # cold caches, so that a cached body is entered whatever ran before
-    layers, workloads = bench_modules
-    copy_corpus(tmp_path)
+@pytest.fixture(scope="module")
+def probed(tmp_path_factory):
+    """(entered, read) of one run of every entry point, which both guards
+    share.  The caches start cold, so that a cached body is entered
+    whatever ran before."""
+    corpus_dir = copy_corpus(tmp_path_factory.mktemp("corpus"))
 
     def run():
         assert run_all()["ok"]
@@ -113,11 +162,17 @@ def test_every_src_function_is_entered_or_exempt(bench_modules, cold_caches, tmp
             ok, _ = workloads.CHECK[name](inputs, workloads.RUN[name](inputs), workloads.expected())
             assert ok, name
         for command in COMMANDS:
-            argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
-            assert main([*argv, "--json", str(tmp_path / "report.json")]) == 0, command
+            argv = [str(corpus_dir / a) if a.endswith(".json") else a for a in command]
+            assert main([*argv, "--json", str(corpus_dir / "report.json")]) == 0, command
 
-    entered = _entered(run)
-    capsys.readouterr()
+    clear_caches()
+    with bench_imported() as (_, workloads), redirect_stdout(io.StringIO()):
+        return _probe(run)
+
+
+def test_every_src_function_is_entered_or_exempt(bench_modules, probed):
+    layers, _ = bench_modules
+    entered, _ = probed
     exempt = set(EXEMPT)
     if "saturate" not in {attr for _, _, attr, _ in layers.TRACED}:
         exempt -= set(WHILE_SATURATE_IS_TRACED)
@@ -128,3 +183,14 @@ def test_every_src_function_is_entered_or_exempt(bench_modules, cold_caches, tmp
     assert not gone, f"exempt but no longer defined: {gone}"
     live = sorted(set(EXEMPT) & entered)
     assert not live, f"exempt but entered: {live}"
+
+
+def test_every_record_field_is_read_or_exempt(probed):
+    _, read = probed
+    fields = _record_fields()
+    never = sorted(fields - read - set(EXEMPT_FIELDS))
+    assert not never, f"never read, so delete or exempt: {never}"
+    gone = sorted(set(EXEMPT_FIELDS) - fields)
+    assert not gone, f"exempt but no longer a field: {gone}"
+    live = sorted(set(EXEMPT_FIELDS) & read)
+    assert not live, f"exempt but read: {live}"

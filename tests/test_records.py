@@ -1,7 +1,8 @@
 """The ``Record`` contract, on every value and result type of the package.
 
 The field tuples are written out: they are the field orders of the frozen
-dataclasses these classes replaced, so positional construction, equality,
+dataclasses these classes replaced, less the fields deleted since (those
+that only copied or derived data the record keeps), so positional construction, equality,
 hashing and repr keep their meaning.
 """
 
@@ -38,20 +39,18 @@ FIELDS = {
     "fmtori.lattices.FiniteGroupStructure": ("divisors", "order"),
     "fmtori.partners.Fingerprint": ("g", "ns_rank", "profile_bound", "profiles"),
     "fmtori.partners.PartnerEntry": (
-        "coefficients", "denominator", "slope", "record", "partner_fingerprint"),
-    "fmtori.partners.PartnerRecord": (
-        "source", "slope", "subvariety", "partner", "dual_certificate"),
-    "fmtori.partners.RigidityCheck": ("ok", "slope", "kernel", "certificate"),
+        "coefficients", "denominator", "record", "partner_fingerprint"),
+    "fmtori.partners.PartnerRecord": ("partner", "dual_certificate"),
+    "fmtori.partners.RigidityCheck": ("ok", "kernel", "certificate"),
     "fmtori.product_audit.AuditItem": ("name", "passed", "expected", "actual"),
     "fmtori.product_audit.AuditReport": ("pc", "l", "items", "all_pass", "subtorus"),
-    "fmtori.product_audit.GraphComparison": ("first", "second", "equal", "order"),
+    "fmtori.product_audit.GraphComparison": ("equal", "order"),
     "fmtori.product_audit.ProductNSClass": ("a", "b", "m", "name"),
     "fmtori.product_audit.ProjectionIso": ("to_b_side", "to_a_side", "eta", "dual_certificate"),
     "fmtori.slopes.ProjectionInvariants": ("degree", "stabilizer", "rank"),
     "fmtori.slopes.Slope": ("numerator", "l"),
     "fmtori.slopes.SlopeSubvariety": (
-        "slope", "ambient", "member", "embedding", "variety", "to_ambient", "quotient",
-        "projection"),
+        "embedding", "variety", "to_ambient", "quotient", "projection"),
     "fmtori.varieties.FiniteSubgroup": ("variety", "overlattice"),
     "fmtori.varieties.Homomorphism": ("source", "target", "m"),
     "fmtori.varieties.NSClass": ("variety", "e"),

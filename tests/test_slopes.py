@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from conftest import SHIPPED_VARIETIES, kernel_by_inverse, mat_sum
+from conftest import SHIPPED_VARIETIES, entry_slope, kernel_by_inverse, mat_sum
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -157,13 +157,16 @@ def test_slope_results_live_on_the_slopes_variety(e_i, e_2i, e_i_squared):
         assert mu.variety is a
         assert slope_kernel(mu).variety is a
         sv = slope_subvariety(mu)
-        assert (sv.variety.name, sv.ambient.name) == (f"{a.name}_mu", f"{a.name}x{a.name}^")
+        assert (sv.variety.name, sv.to_ambient.target.name) == (
+            f"{a.name}_mu", f"{a.name}x{a.name}^")
         assert sv.quotient.source is a and sv.projection.target is a
         stabilizer = projection_invariants(mu).stabilizer
         assert stabilizer.variety.name == f"{a.name}_mu"
         assert stabilizer.variety.j == sv.variety.j
-        rec = next(e.record for e in partners.enumerate_partners(a, 1, 2) if e.slope == mu)
-        assert rec.source is a and (rec.slope, rec.partner.name) == (mu, f"{a.name}_partner")
+        rec = next(e.record for e in partners.enumerate_partners(a, 1, 2) if entry_slope(a, e) == mu)
+        assert rec.dual_certificate.target == sv.variety
+        assert (rec.dual_certificate.target.name, rec.partner.name) == (
+            f"{a.name}_mu", f"{a.name}_partner")
 
 
 SHIPPED = list(SHIPPED_VARIETIES.values())
@@ -218,9 +221,6 @@ def _ref_slope_subvariety(a, mu):
     pol = _ref_coefficients_in_basis(pol_r, ns_mu)
     abstract = TorusVariety(a.g, j_mu, ns_mu, pol, name=f"{a.name}_mu")
     return {
-        "slope": mu,
-        "ambient": amb,
-        "member": lam_mu,
         "embedding": emb,
         "variety": abstract,
         "to_ambient": Homomorphism(abstract, amb, emb_h),
@@ -234,7 +234,7 @@ def _assert_matches_reference(sv, a, mu):
     for name, want in ref.items():
         assert getattr(sv, name) == want, name
     assert sv.variety.name == ref["variety"].name
-    assert sv.ambient.name == ref["ambient"].name
+    assert sv.to_ambient.target.name == ref["to_ambient"].target.name
     assert all(e.is_integral() for e in sv.variety.ns_basis)
     assert all(type(c) is int for c in sv.variety.polarization)
 
@@ -250,7 +250,10 @@ def test_subvariety_matches_reference_on_the_enumeration_slopes(partner_entries)
     assert len(partner_entries) == 80
     source = corpus.square_curve_product()
     for entry in partner_entries:
-        _assert_matches_reference(entry.record.subvariety, source, entry.slope)
+        mu = entry_slope(source, entry)
+        sv = slope_subvariety(mu)
+        assert sv.variety == entry.record.dual_certificate.target
+        _assert_matches_reference(sv, source, mu)
 
 
 def test_subvariety_matches_reference_on_corpus_slopes():

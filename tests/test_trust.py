@@ -191,9 +191,11 @@ def test_the_gate_builds_each_lattice_quotient_it_reads(count_calls):
 def test_the_gate_determinant_count_from_cold_caches(cold_caches, monkeypatch):
     # 258 before: each of the 19 stabilizers took the determinant of its
     # projection, whose Hermite diagonal already gives it, and each of the
-    # 19 rigidity checks tested its quotient's unimodularity twice
+    # 19 rigidity checks tested its quotient's unimodularity twice; and 220
+    # before the Poincare and l = 2 criteria read the degree of each of
+    # their three projections once, not twice
     dets = []
     det = Mat.det
     monkeypatch.setattr(Mat, "det", lambda m: dets.append(m) or det(m))
     assert acceptance.run_all()["ok"]
-    assert len(dets) == 220
+    assert len(dets) == 217

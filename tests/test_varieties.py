@@ -3,7 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import SHIPPED_VARIETIES, kernel_by_inverse, mat_sum, quotient_by_inverse
+from conftest import (
+    SHIPPED_VARIETIES,
+    entry_slope,
+    kernel_by_inverse,
+    mat_sum,
+    quotient_by_inverse,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,6 +17,7 @@ from fmtori import matrices, oracles
 from fmtori.corpus import square_curve_product, square_lattice_curve
 from fmtori.lattices import Lattice, quotient_structure
 from fmtori.matrices import Mat, integer_kernel, solve_exact, vec_is_integral
+from fmtori.slopes import slope_subvariety
 from fmtori.varieties import (
     FiniteSubgroup,
     Homomorphism,
@@ -378,7 +385,7 @@ def _dual_inputs(entries):
         yield dual(a)
     for entry in entries:
         yield entry.record.partner
-        yield entry.record.subvariety.variety
+        yield entry.record.dual_certificate.target
 
 
 def test_dual_matches_rational_transport(partner_entries):
@@ -548,11 +555,12 @@ def test_span_layer_matches_on_the_dual_inputs(partner_entries):
 
 def test_span_layer_matches_on_the_enumeration_restrictions(partner_entries):
     assert len(partner_entries) == 80
+    a = square_curve_product()
     for entry in partner_entries:
-        sv = entry.record.subvariety
-        t = sv.to_ambient.m
-        restricted = [t.T @ e @ t for e in sv.ambient.ns_basis]
-        pol_r = t.T @ sv.ambient.polarization_class() @ t
+        embedding = slope_subvariety(entry_slope(a, entry)).to_ambient
+        t, ambient = embedding.m, embedding.target
+        restricted = [t.T @ e @ t for e in ambient.ns_basis]
+        pol_r = t.T @ ambient.polarization_class() @ t
         _assert_span_layer_matches(restricted, [pol_r])
 
 
