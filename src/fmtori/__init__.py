@@ -29,7 +29,6 @@ from .product_audit import (
     ProductNSClass,
     ProjectionIso,
     audit_equivalence,
-    decompose,
     is_ample,
     projection_iso,
     search_kernel_class,
@@ -96,7 +95,6 @@ __all__ = [
     "VarietyMismatchError",
     "audit_equivalence",
     "class_kernel",
-    "decompose",
     "dual",
     "enumerate_partners",
     "find_isomorphism_certificate",

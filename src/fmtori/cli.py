@@ -43,9 +43,6 @@ from .varieties import (
 )
 
 _ORACLE_POINT_CAP = 200_000
-# searches take 8 candidates per thread at a time, so with a huge count the
-# pool would start one operating-system thread per candidate in the box
-MAX_THREADS = 64
 
 
 class InputError(Exception):
@@ -168,8 +165,10 @@ def _cmd_partners(args):
     if args.search_bound < 0:
         raise InputError("search bound must be nonnegative (0 skips the search)")
     a = _load_variety(args.variety)
-    entries = enumerate_partners(a, args.coeff_bound, args.denom_bound, threads=args.threads)
-    source_print = None
+    entries = enumerate_partners(a, args.coeff_bound, args.denom_bound)
+    # a partner of another NS rank has another profile bound, and its
+    # fingerprint differs from this one in ns_rank already
+    source_print = fingerprint(a)
     # a certificate search reads only the two complex structures, so it runs
     # once per partner J: J -> (state, certificate matrix or None)
     searches = {}
@@ -178,8 +177,6 @@ def _cmd_partners(args):
     for entry in entries:
         rec = entry.record
         fp = entry.partner_fingerprint
-        if source_print is None:
-            source_print = fingerprint(a, profile_bound=fp.profile_bound)
         cert_state, cert = "skipped", None
         if args.search_bound > 0:
             j = rec.partner.j
@@ -248,7 +245,7 @@ def _cmd_audit(args):
 def _cmd_search_n(args):
     v = _load_variety(args.variety)
     target = _parse_file(args.target, subgroup_from_json, v)
-    found = search_kernel_class(v, args.l, target, args.bound, threads=args.threads)
+    found = search_kernel_class(v, args.l, target, args.bound)
     if found is None:
         payload = {"command": "search-n", "name": v.name, "l": args.l,
                    "bound": args.bound, "found": None}
@@ -262,7 +259,7 @@ def _cmd_search_n(args):
 
 
 def _cmd_regress(args):
-    report = acceptance.run_all(threads=args.threads)
+    report = acceptance.run_all()
     lines = []
     for crit in report["criteria"]:
         lines.append(f"{crit['name']}: {'pass' if crit['ok'] else 'FAIL'}")
@@ -303,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denom-bound", type=int, required=True)
     p.add_argument("--search-bound", type=int, default=3,
                    help="bound for source-vs-partner certificates; 0 skips")
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("ppav-check", _cmd_ppav_check, "rigidity of principal slopes")
     p.add_argument("variety")
@@ -321,10 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--target", required=True, metavar="FILE")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
 
-    p = add("regress", _cmd_regress, "run the acceptance gate on the shipped corpus")
-    p.add_argument("--threads", type=int, default=1)
+    add("regress", _cmd_regress, "run the acceptance gate on the shipped corpus")
 
     return parser
 
@@ -334,9 +328,6 @@ def main(argv=None) -> int:
     # the one place where invalid input becomes exit code 2; an OSError
     # names its file, and a malformed input file is named by _parse_file
     try:
-        threads = getattr(args, "threads", 1)
-        if not 1 <= threads <= MAX_THREADS:
-            raise InputError(f"--threads must be between 1 and {MAX_THREADS}")
         code, lines, payload = args.fn(args)
         for line in lines:
             print(line)

@@ -1,9 +1,10 @@
 """Order-preserving parallel map.
 
-Searches and enumerations fan out over candidate lists; results must not
-depend on scheduling, so everything funnels through this one helper, which
-preserves input order for any thread count.  The thread pool is imported on
-first use, so a single-threaded run never loads ``concurrent.futures``.
+No module of the package calls it: it stays because the benchmark trace
+binds ``parallel.pmap`` (bench/layers.py) until that trace drops it (ROADMAP
+item 3(a)).  It preserves input order for any thread count, and the thread
+pool is imported on first use, so a single-threaded run never loads
+``concurrent.futures``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .matrices import Mat, combination_map, snf
-from .parallel import pmap
 from .records import Record
 from .slopes import Slope, reduce_slope, slope_kernel, slope_subvariety
 from .varieties import (
@@ -70,8 +69,9 @@ class Fingerprint(Record):
     profiles: tuple[tuple[int, ...], ...]
 
 
-def fingerprint(a: TorusVariety, profile_bound: int | None = None) -> Fingerprint:
-    """The fingerprint of a, over coefficients bounded by profile_bound.
+def fingerprint(a: TorusVariety) -> Fingerprint:
+    """The fingerprint of a, over coefficients bounded by 2 at NS rank up
+    to 2 and by 1 above.
 
     The variety is trusted: ``dual`` outputs and the varieties the CLI
     loads are already checked, and a hand-built variety goes through
@@ -85,8 +85,7 @@ def fingerprint(a: TorusVariety, profile_bound: int | None = None) -> Fingerprin
     PreconditionError before any is taken.
     """
     r = len(a.ns_basis)
-    if profile_bound is None:
-        profile_bound = 2 if r <= 2 else 1
+    profile_bound = 2 if r <= 2 else 1
     box = ((2 * profile_bound + 1) ** r - 1) // 2
     if box > FINGERPRINT_CAP:
         raise PreconditionError(
@@ -143,9 +142,7 @@ def _normalized_coefficient_vectors(rank: int, bound: int):
                 yield zeros + (first,) + rest
 
 
-def enumerate_partners(
-    a: TorusVariety, coeff_bound: int, denom_bound: int, threads: int = 1
-) -> list[PartnerEntry]:
+def enumerate_partners(a: TorusVariety, coeff_bound: int, denom_bound: int) -> list[PartnerEntry]:
     """All partners from reduced slopes with bounded coefficients and denominator.
 
     Deduplication is by reduced-slope equality (never by isomorphism).  An
@@ -158,10 +155,9 @@ def enumerate_partners(
     * the member lattice, the inverse of its basis and the complex
       structure it carries come from the one member-data cache of
       ``slopes.slope_subvariety``, keyed by (J, e mod l, l); slopes are
-      built grouped by coefficients mod l, so a single thread builds each
-      key once however many keys the box has (pool threads that miss the
-      same key at once may each build it); the embedding, its checks and
-      the NS transport run for every slope;
+      built grouped by coefficients mod l, so each key is built once
+      however many keys the box has; the embedding, its checks and the NS
+      transport run for every slope;
     * a partner is a function of its subtorus, and the names are the same
       for every candidate, so ``dual`` runs once per distinct subtorus; the
       identity certificate is built and checked for every candidate;
@@ -169,9 +165,8 @@ def enumerate_partners(
       it is computed once per distinct presentation (J, NS basis) among the
       partners and shared by every entry with that presentation.
 
-    The duals and fingerprints are kept in dicts local to the call and filled
-    outside ``pmap``, so the entries do not depend on the thread count.
-    The cap counts the whole coefficient box once per denominator.
+    The duals and fingerprints are kept in dicts local to the call.  The cap
+    counts the whole coefficient box once per denominator.
     """
     if coeff_bound < 1 or denom_bound < 1:
         raise PreconditionError("enumeration bounds must be at least 1")
@@ -194,7 +189,7 @@ def enumerate_partners(
         range(len(candidates)),
         key=lambda i: (candidates[i][1], [x % candidates[i][1] for x in candidates[i][0]]),
     )
-    built = dict(zip(order, pmap(lambda i: slope_subvariety(candidates[i][2]), order, threads)))
+    built = {i: slope_subvariety(candidates[i][2]) for i in order}
     duals: dict[TorusVariety, TorusVariety] = {}
     prints: dict[tuple, Fingerprint] = {}
     entries = []

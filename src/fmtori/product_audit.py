@@ -23,7 +23,6 @@ from math import gcd
 
 from .lattices import Lattice, sublattice_where_integral
 from .matrices import Mat, combination_map, integer_kernel, snf
-from .parallel import pmap
 from .partners import require_within_cap
 from .records import Record
 from .slopes import (
@@ -115,18 +114,6 @@ class ProductNSClass(Record):
         return self._class
 
 
-def decompose(pc: ProductNSClass) -> tuple[NSClass, Homomorphism, NSClass]:
-    """Diagonal blocks plus the correspondence homomorphism A -> dual(B).
-
-    The homomorphism matrix is the transpose of the correspondence block:
-    the block pairs A-coordinates against B-coordinates, and reading it on
-    the dual basis of B transposes it.
-    """
-    # pi intertwines: see audit_equivalence
-    pi = Homomorphism._make(pc.a, dual(pc.b), pc.correspondence.T)
-    return pc.block_a, pi, pc.block_b
-
-
 class AuditItem(Record):
     name: str
     passed: bool
@@ -201,10 +188,11 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     construction cannot see.  Dimension mismatch between the factors is
     reported as a failing audit, not an exception.
 
-    The correspondence isogeny pi: A -> dual(B) of ``decompose`` has degree
-    |det corr|, and the kernels of pi and its dual are spanned by corr^-T and
-    corr^-1.  No dual is built: pi intertwines because the class is
-    J-compatible, so J_A^T C J_B = C, which gives C^T J_A = -J_B^T C^T.
+    The correspondence isogeny pi: A -> dual(B) has matrix corr^T (reading
+    the block on the dual basis of B transposes it) and degree |det corr|,
+    and the kernels of pi and its dual are spanned by corr^-T and corr^-1.
+    No dual is built: pi intertwines because the class is J-compatible, so
+    J_A^T C J_B = C, which gives C^T J_A = -J_B^T C^T.
 
     The report keeps the class and the slope subtorus the audit built, so
     ``projection_iso`` reads them instead of auditing again.
@@ -375,7 +363,7 @@ def _torsion_kernel_order(e: Mat, l: int) -> int:
 
 
 def search_kernel_class(
-    v: TorusVariety, l: int, target: FiniteSubgroup, coeff_bound: int, threads: int = 1
+    v: TorusVariety, l: int, target: FiniteSubgroup, coeff_bound: int
 ) -> NSClass | None:
     """First NS class (lexicographic coefficients) whose kernel meets the
     l-torsion in exactly the target subgroup; None if no bounded class works.
@@ -431,39 +419,22 @@ def search_kernel_class(
         return cls
 
     top = min(coeff_bound, l - 1 - coeff_bound)
-    found = _scan(len(v.ns_basis), coeff_bound, top, hit, threads, limit=1)
+    found = _scan(len(v.ns_basis), coeff_bound, top, hit, limit=1)
     return found[0] if found else None
 
 
-def _scan(rank: int, coeff_bound: int, top: int, evaluate, threads: int, limit: int) -> list:
+def _scan(rank: int, coeff_bound: int, top: int, evaluate, limit: int) -> list:
     """The first `limit` results of evaluate that are not None, over the
     nonzero vectors of the sub-box [-coeff_bound, top]^rank of the box
     [-coeff_bound, coeff_bound]^rank in lexicographic order.  The size cap
-    is checked on the whole box.
-
-    Every candidate reaches evaluate through pmap.  With one thread the
-    candidates go one at a time, so the scan stops at the `limit`-th hit;
-    with more, in chunks of 8 per thread, and the chunk that completes the
-    hits is evaluated to its end.  Either way the hits are the first ones in
-    lexicographic order, so the answer does not depend on the thread count.
+    is checked on the whole box, and the scan stops at the `limit`-th hit.
     """
     if coeff_bound < 1:
         raise PreconditionError("search bound must be at least 1")
     require_within_cap((2 * coeff_bound + 1) ** rank, "class search")
-
-    def nonzero(coeffs):
-        return evaluate(coeffs) if any(coeffs) else None
-
     box = itertools.product(range(-coeff_bound, top + 1), repeat=rank)
-    chunk = 8 * threads if threads > 1 else 1
-    hits: list = []
-    while len(hits) < limit:
-        block = list(itertools.islice(box, chunk))
-        if not block:
-            break
-        found = [r for r in pmap(nonzero, block, threads) if r is not None]
-        hits += found[: limit - len(hits)]
-    return hits
+    results = (r for r in map(evaluate, filter(any, box)) if r is not None)
+    return list(itertools.islice(results, limit))
 
 
 def search_product_classes(
@@ -471,7 +442,6 @@ def search_product_classes(
     b: TorusVariety,
     l: int,
     coeff_bound: int,
-    threads: int = 1,
     limit: int = 1,
 ) -> list[ProductNSClass]:
     """Lexicographic scan for product classes passing the full audit.
@@ -492,16 +462,14 @@ def search_product_classes(
     basis classes' own blocks, and only the classes with a nonzero block
     count (for ``product(a, b)``, the ``intertwiner_basis`` classes).  So
     the degree is decided once per distinct block, on the coefficients of
-    those classes, and kept in a dict local to the call.  Its entries are
-    exact booleans that depend only on their key, so a race between threads
-    can only compute the same entry twice.  With one thread the scan stops
-    at the `limit`-th hit; the result is the same for any thread count.
+    those classes, and kept in a dict local to the call.  The scan stops at
+    the `limit`-th hit.
     """
-    return [r.pc for r in _search_product_classes(a, b, l, coeff_bound, threads, limit)]
+    return [r.pc for r in _search_product_classes(a, b, l, coeff_bound, limit)]
 
 
 def _search_product_classes(
-    a: TorusVariety, b: TorusVariety, l: int, coeff_bound: int, threads: int, limit: int
+    a: TorusVariety, b: TorusVariety, l: int, coeff_bound: int, limit: int
 ) -> list[AuditReport]:
     """The audit reports of the hits of search_product_classes, which the
     gate reads.  The public function stays only because the benchmark
@@ -536,4 +504,4 @@ def _search_product_classes(
         report = audit_equivalence(pc, l)
         return report if report.all_pass else None
 
-    return _scan(len(prod.ns_basis), coeff_bound, coeff_bound, evaluate, threads, limit)
+    return _scan(len(prod.ns_basis), coeff_bound, coeff_bound, evaluate, limit)

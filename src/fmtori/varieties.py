@@ -32,7 +32,7 @@ from .records import Record
 
 
 class NotAnIsogenyError(ValueError):
-    """Raised when a finite kernel or degree of a non-isogeny is requested."""
+    """Raised when a finite kernel of a non-isogeny is requested."""
 
 
 class VarietyMismatchError(ValueError):
@@ -416,12 +416,6 @@ class Homomorphism(Record):
             raise ValueError("homomorphism matrix must be integral")
         if self.m @ self.source.j != self.target.j @ self.m:
             raise ValueError("matrix does not intertwine the complex structures")
-
-    def degree(self) -> int:
-        det = self.m.det() if self.m.is_square else 0
-        if det == 0:
-            raise NotAnIsogenyError("degree of a non-isogeny")
-        return abs(int(det))
 
     def kernel(self) -> "FiniteSubgroup":
         # m^-1 Z^n = {v : m v integral} lies in (1/|det m|) Z^n: |det m| m^-1 is the adjugate

@@ -378,8 +378,8 @@ THREADED_COMMANDS = [
 
 
 def assert_threads_rejected(capsys, corpus_dir, monkeypatch, argv, threads):
-    # every threaded entry point is replaced by a recorder, so a missing
-    # check shows as a recorded call and never starts a thread
+    # no subcommand takes --threads: the parser rejects it before any entry
+    # point, each replaced by a recorder here, is called
     calls = []
 
     def record(*a, **k):
@@ -388,11 +388,18 @@ def assert_threads_rejected(capsys, corpus_dir, monkeypatch, argv, threads):
     monkeypatch.setattr(acceptance, "run_all", record)
     monkeypatch.setattr(cli, "enumerate_partners", record)
     monkeypatch.setattr(cli, "search_kernel_class", record)
-    argv = [corpus_dir / a if a.endswith(".json") else a for a in argv]
-    code, lines, err = run(capsys, *argv, "--threads", threads)
-    assert_input_error(code, err)
-    assert "--threads" in err
-    assert lines == [] and calls == []
+    argv = [str(corpus_dir / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", threads])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: --threads {threads}" in out.err
+    assert out.out == "" and calls == []
+
+
+@pytest.mark.parametrize("argv", THREADED_COMMANDS)
+def test_threads_is_an_unknown_option(capsys, corpus_dir, monkeypatch, argv):
+    assert_threads_rejected(capsys, corpus_dir, monkeypatch, argv, "2")
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -401,7 +408,7 @@ def test_threads_below_one_exit_two(capsys, corpus_dir, monkeypatch, argv, threa
     assert_threads_rejected(capsys, corpus_dir, monkeypatch, argv, threads)
 
 
-@pytest.mark.parametrize("threads", [str(cli.MAX_THREADS + 1), "100000"])
+@pytest.mark.parametrize("threads", ["65", "100000"])
 @pytest.mark.parametrize("argv", THREADED_COMMANDS)
 def test_threads_above_the_bound_exit_two(capsys, corpus_dir, monkeypatch, argv, threads):
     assert_threads_rejected(capsys, corpus_dir, monkeypatch, argv, threads)

@@ -47,3 +47,15 @@ def test_the_thread_pool_is_imported_on_first_threaded_use():
         "print(json.dumps([before, single, between, out, 'concurrent.futures' in sys.modules]))"
     )
     assert _fresh(code) == [False, [3, 1, 2], False, [3, 1, 2], True]
+
+
+def test_no_search_imports_the_thread_pool_module():
+    code = (
+        "import fmtori.cli\n"
+        "from fmtori import corpus, partners, product_audit, varieties\n"
+        "a = corpus.square_lattice_curve()\n"
+        "product_audit.search_kernel_class(a, 2, varieties.torsion_subgroup(a, 2), 3)\n"
+        "partners.enumerate_partners(a, 1, 2)\n"
+        "print(json.dumps('fmtori.parallel' in sys.modules))"
+    )
+    assert _fresh(code) is False

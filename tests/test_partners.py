@@ -1,6 +1,5 @@
 import functools
 import itertools
-import sys
 from math import prod
 
 import pytest
@@ -48,12 +47,11 @@ def test_fingerprint_sees_rank(e_i, e_i_squared):
     assert fingerprint(e_i).ns_rank != fingerprint(e_i_squared).ns_rank
 
 
-def _reference_fingerprint(a, profile_bound=None):
+def _reference_fingerprint(a):
     """The fingerprint by its definition: every class validated as an
     ``NSClass``, degeneracy from the determinant, divisors from Smith."""
     r = len(a.ns_basis)
-    if profile_bound is None:
-        profile_bound = 2 if r <= 2 else 1
+    profile_bound = 2 if r <= 2 else 1
     profiles = []
     for coeffs in itertools.product(range(-profile_bound, profile_bound + 1), repeat=r):
         if not any(coeffs):
@@ -73,7 +71,6 @@ def test_fingerprint_matches_reference_on_corpus_and_duals():
     for a in varieties:
         for v in (a, dual(a)):
             assert fingerprint(v) == _reference_fingerprint(v), v.name
-            assert fingerprint(v, 1) == _reference_fingerprint(v, 1), v.name
 
 
 def test_fingerprint_matches_reference_on_partners(e_i_squared):
@@ -137,10 +134,11 @@ def test_enumerate_partners_dedups_signs(e_i):
 
 
 def test_enumerate_partners_ordering_and_threads(e_i):
+    # two calls, the second reading the caches the first filled
     one = enumerate_partners(e_i, 2, 3)
-    four = enumerate_partners(e_i, 2, 3, threads=4)
+    again = enumerate_partners(e_i, 2, 3)
     assert [(e.coefficients, e.denominator) for e in one] == [
-        (e.coefficients, e.denominator) for e in four
+        (e.coefficients, e.denominator) for e in again
     ]
     denominators = [e.denominator for e in one]
     assert denominators == sorted(denominators)
@@ -375,15 +373,10 @@ def test_enumeration_builds_each_residue_once_through_a_one_entry_cache(
 
 
 def test_enumeration_entries_do_not_depend_on_threads(e_i_squared, partner_entries, cold_caches):
-    # from cold caches, the pool threads race to fill the member-data cache
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        four = enumerate_partners(e_i_squared, 1, 2, threads=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert four == partner_entries
-    assert [e.record.partner.name for e in four] == [
+    # a call from cold caches gives the entries of the session's earlier call
+    cold = enumerate_partners(e_i_squared, 1, 2)
+    assert cold == partner_entries
+    assert [e.record.partner.name for e in cold] == [
         e.record.partner.name for e in partner_entries
     ]
 

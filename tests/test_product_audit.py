@@ -1,6 +1,5 @@
 import itertools
 import json
-import sys
 from fractions import Fraction
 from math import floor, gcd
 from pathlib import Path
@@ -18,7 +17,6 @@ from fmtori.partners import SEARCH_CANDIDATE_CAP, find_isomorphism_certificate
 from fmtori.product_audit import (
     ProductNSClass,
     audit_equivalence,
-    decompose,
     graph_subgroup_comparison,
     is_ample,
     kernel_torsion_subgroup,
@@ -29,6 +27,7 @@ from fmtori.product_audit import (
 from fmtori.slopes import Slope, projection_invariants, reduce_slope, slope_kernel, slope_subvariety
 from fmtori.varieties import (
     FiniteSubgroup,
+    Homomorphism,
     PreconditionError,
     TorusVariety,
     VarietyMismatchError,
@@ -80,7 +79,7 @@ def _all_pass_audits():
     factors = curves + tuple(dual(c) for c in curves)
     for a, b in itertools.product(factors, repeat=2):
         for l in (1, 2):
-            yield from product_audit._search_product_classes(a, b, l, 1, 1, SEARCH_CANDIDATE_CAP)
+            yield from product_audit._search_product_classes(a, b, l, 1, SEARCH_CANDIDATE_CAP)
 
 
 def test_eta_is_an_anti_isometry_carrying_the_dual_factor_onto_b_delta():
@@ -136,11 +135,13 @@ def test_block_diagonal_class_fails(e_i):
 
 
 def test_decompose_assemble_round_trip(e_i):
+    # the blocks and the correspondence homomorphism A -> dual(B), whose
+    # matrix is the transposed correspondence block
     pc = poincare_class()
-    m_a, pi, m_b = decompose(pc)
-    again = _from_blocks(pc.a, pc.b, m_a.e, pi.m.T, m_b.e)
+    pi = Homomorphism(pc.a, dual(pc.b), pc.correspondence.T)
+    again = _from_blocks(pc.a, pc.b, pc.block_a.e, pi.m.T, pc.block_b.e)
     assert again == pc
-    assert pi.degree() == 1
+    assert abs(pi.m.det()) == 1
 
 
 def test_projection_iso_reuses_the_audit_subtorus(count_calls):
@@ -211,9 +212,10 @@ def test_search_finds_passing_classes_and_counting_invariant(e_i):
 
 
 def test_search_is_deterministic_across_threads(e_i):
-    one = search_product_classes(e_i, e_i, 2, 2, threads=1, limit=2)
-    four = search_product_classes(e_i, e_i, 2, 2, threads=4, limit=2)
-    assert [pc.m for pc in one] == [pc.m for pc in four]
+    # two calls, the second reading the caches the first filled
+    one = search_product_classes(e_i, e_i, 2, 2, limit=2)
+    again = search_product_classes(e_i, e_i, 2, 2, limit=2)
+    assert [pc.m for pc in one] == [pc.m for pc in again]
 
 
 def test_graph_equalities_standalone(e_i):
@@ -414,8 +416,10 @@ def test_searches_over_the_cap_raise_before_any_candidate(e_i, e_i_squared, monk
 
     # 201**4 (about 1.6e9) candidates at bound 100 on E_i x E_i
     assert 201 ** len(e_i_squared.ns_basis) > SEARCH_CANDIDATE_CAP
-    # every candidate of both searches reaches its evaluator through pmap
-    monkeypatch.setattr(product_audit, "pmap", no_candidate)
+    # every candidate of both searches reaches the evaluator _scan receives
+    scan = product_audit._scan
+    monkeypatch.setattr(product_audit, "_scan", lambda rank, bound, top, evaluate, limit:
+                        scan(rank, bound, top, no_candidate, limit))
     target = torsion_subgroup(e_i_squared, 2)
     with pytest.raises(PreconditionError, match="candidate cap"):
         search_kernel_class(e_i_squared, 2, target, coeff_bound=100)
@@ -728,16 +732,31 @@ def _count_calls(monkeypatch, name, module=product_audit):
     return calls
 
 
+def _evaluated(monkeypatch):
+    """The candidates the searches hand the evaluator _scan receives, in order."""
+    seen = []
+    scan = product_audit._scan
+
+    def observed(rank, coeff_bound, top, evaluate, limit):
+        def evaluate_seen(coeffs):
+            seen.append(coeffs)
+            return evaluate(coeffs)
+
+        return scan(rank, coeff_bound, top, evaluate_seen, limit)
+
+    monkeypatch.setattr(product_audit, "_scan", observed)
+    return seen
+
+
 def test_product_search_audits_only_its_hits(e_i, monkeypatch):
     audits = _count_calls(monkeypatch, "audit_equivalence")
-    batches = _count_calls(monkeypatch, "pmap")
+    evaluated = _evaluated(monkeypatch)
     hits = search_product_classes(e_i, e_i, 2, 2, limit=2)
     assert len(hits) == 2
     assert len(audits) == 2
     # the last candidate evaluated is the second hit
-    last = batches[-1][1]
     prod = hits[-1].as_class().variety
-    assert len(last) == 1 and prod.ns_class(last[0]).e == hits[-1].m
+    assert prod.ns_class(evaluated[-1]).e == hits[-1].m
 
 
 def test_product_search_builds_each_slope_kernel_once(e_i, cold_caches, count_calls):
@@ -762,11 +781,11 @@ def test_kernel_search_builds_one_kernel_per_hit(e_i_squared, monkeypatch):
         )
         kernels = _count_calls(monkeypatch, "kernel_torsion_subgroup")
         sublattices = _count_calls(monkeypatch, "sublattice_where_integral")
-        batches = _count_calls(monkeypatch, "pmap")
+        evaluated = _evaluated(monkeypatch)
         found = search_kernel_class(v, l, target, 2)
         monkeypatch.undo()
-        evaluated = [c for _, block, *_ in batches for c in block]
-        sub = _sub_box(r, 2, l)
+        # the zero vector never reaches the evaluator
+        sub = [c for c in _sub_box(r, 2, l) if any(c)]
         assert evaluated == sub[: len(evaluated)]
         assert len({tuple(x % l for x in c) for c in evaluated}) == len(evaluated)
         if coeffs is None:
@@ -806,20 +825,14 @@ def test_kernel_search_builds_no_generic_lattice(e_i_squared, cold_caches, count
 
 
 def test_kernel_search_answer_does_not_depend_on_threads(e_i_squared):
-    # with frequent thread switches and more threads than cores, every
-    # answer must equal the one-thread answer
+    # two calls per target, the second reading the caches the first filled
     v = e_i_squared
     targets = [(l, kernel_torsion_subgroup(v, v.ns_class(c), l))
                for l, c in ((2, (1, 0, 1, 1)), (3, (2, -1, 0, 1)), (3, (1, 1, 1, 1)))]
     targets.append((3, torsion_subgroup(v, 3)))
     one = [search_kernel_class(v, l, t, 2) for l, t in targets]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        four = [search_kernel_class(v, l, t, 2, threads=4) for l, t in targets]
-    finally:
-        sys.setswitchinterval(interval)
-    assert four == one
+    again = [search_kernel_class(v, l, t, 2) for l, t in targets]
+    assert again == one
 
 
 # -- the audit against its former construction ------------------------------------
@@ -833,7 +846,7 @@ def _ref_kernel_inside(kernel, cls, l):
 
 def _ref_audit(pc, l):
     # audit_equivalence as it was before it read the kernels from corr^-1:
-    # the correspondence homomorphism from decompose, which builds dual(B),
+    # the correspondence homomorphism A -> dual(B), which builds dual(B),
     # and the kernels of it and of its dual homomorphism; the report carries
     # the slope subtorus built here, so the equality covers it too
     mu = product_audit._slope_of(pc, l)
@@ -846,9 +859,9 @@ def _ref_audit(pc, l):
     items = []
     kern = slope_kernel(mu)
     items.append(item("subtorus_kernel_order", l * l, kern.order))
-    _, pi, _ = decompose(pc)
+    pi = Homomorphism(pc.a, dual(pc.b), pc.correspondence.T)
     if pi.m.is_square and pi.m.det() != 0:
-        items.append(item("correspondence_degree", l ** (2 * g - 2), pi.degree()))
+        items.append(item("correspondence_degree", l ** (2 * g - 2), abs(pi.m.det())))
         ker_pi = pi.kernel()
         ker_pi_hat = pi.dual_hom().kernel()
         inside = _ref_kernel_inside(ker_pi, pc.block_a.e, l) and _ref_kernel_inside(

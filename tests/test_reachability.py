@@ -59,6 +59,7 @@ EXEMPT = {
     "varieties._excerpt": "failure path: shortens a bad input in an error line",
     "acceptance._killed_combinations": "failure path: lists the killed classes of a failing case",
     "lattices.saturate": "traced by the benchmark (bench/layers.py)",
+    "parallel.pmap": "traced by the benchmark (bench/layers.py)",
     "lattices.Lattice.spans_subspace_of": "the precondition check of saturate",
 }
 

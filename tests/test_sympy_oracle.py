@@ -259,7 +259,7 @@ def test_eta_isometry_and_dual_certificate_match_sympy():
     # dual-factor columns solved in the embedded lattice of B_delta
     a = square_lattice_curve()
     reports = [product_audit.audit_equivalence(poincare_class(), 1)]
-    reports += product_audit._search_product_classes(a, a, 2, 2, 1, 2)
+    reports += product_audit._search_product_classes(a, a, 2, 2, 2)
     assert len(reports) == 3
     for report in reports:
         pc, l = report.pc, report.l
