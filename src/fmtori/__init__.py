@@ -57,7 +57,6 @@ from .varieties import (
     VarietyMismatchError,
     class_kernel,
     dual,
-    image_under,
     is_isomorphism_certificate,
     ns_pullback,
     product,
@@ -99,7 +98,6 @@ __all__ = [
     "enumerate_partners",
     "find_isomorphism_certificate",
     "fingerprint",
-    "image_under",
     "is_ample",
     "is_isomorphism_certificate",
     "member_lattice",

@@ -10,8 +10,11 @@ and exact linear solvers.  No floating point appears anywhere in the package.
 A ``Mat`` holds integer rows ``num`` over one positive denominator ``den``,
 kept reduced, the form FLINT's ``fmpq_mat_get_fmpz_mat_matwise`` and PARI's
 ``Q_remove_denom`` convert to.  Products, scalings and eliminations run on
-Python ints alone (Bareiss 1968; Nakos, Turner and Williams 1997 for the
-Gauss-Jordan form).  ``Fraction`` objects are made only where an entry is
+Python ints alone, each elimination in one place: the Euclidean row echelon
+``_row_echelon`` (Hermite and Smith forms, kernels), one Bareiss pass
+``_bareiss`` (det, Sylvester's test; Bareiss 1968) and fraction-free
+Gauss-Jordan ``_gauss_jordan`` (rank, inverse and solving; Nakos, Turner
+and Williams 1997).  ``Fraction`` objects are made only where an entry is
 read: the ``data`` view and the scalars that ``det`` and ``solve_exact``
 return, each one exact division by ``_scalar``.
 """
@@ -243,34 +246,16 @@ class Mat:
         return gcd(*chain.from_iterable(self.num))
 
     def det(self) -> Scalar:
-        """Determinant by Bareiss elimination on the integer rows.
-
-        Fraction-free Bareiss elimination (Sylvester's identity, every
-        division exact) gives det(num) in integers alone, and
-        det(self) = det(num) / den**n.
-        """
+        """det(num) / den**n, by one Bareiss pass on the integer rows: 0
+        when a column has no pivot."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        a = list(map(list, self.num))
-        sign, prev = 1, 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if piv is None:
-                    return 0
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            rk = a[k]
-            p = rk[k]
-            for i in range(k + 1, n):
-                ri = a[i]
-                f = ri[k]
-                for j in range(k + 1, n):
-                    ri[j] = (ri[j] * p - f * rk[j]) // prev
-            prev = p
-        bareiss = sign * a[n - 1][n - 1] if n else 1
-        return _scalar(bareiss, self.den**n)
+        pivots, swaps = _bareiss(list(map(list, self.num)))
+        if len(pivots) < n:
+            return 0
+        last = pivots[-1] if n else 1
+        return _scalar(-last if swaps % 2 else last, self.den**n)
 
     def inverse(self) -> "Mat":
         """(a / d)^-1 = d * a^-1: fraction-free Gauss-Jordan on [a | I]
@@ -287,6 +272,36 @@ class Mat:
 
     def rank(self) -> int:
         return len(_gauss_jordan(list(map(list, self.num)), self.cols)[0])
+
+
+def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Bareiss elimination of the square integer rows of a, in
+    place: (pivots, row swaps).  A zero pivot is swapped with the first row
+    below that is nonzero in its column, and the pass stops at a column with
+    none.  Every division is exact by Sylvester's identity (Bareiss 1968),
+    and the k-th pivot is the k-th leading principal minor of the rows as
+    swapped, so the last of n pivots is det(a) times (-1)**swaps.
+    """
+    n = len(a)
+    pivots: list[int] = []
+    swaps, prev = 0, 1
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                break
+            a[k], a[piv] = a[piv], a[k]
+            swaps += 1
+        rk = a[k]
+        p = rk[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * p - f * rk[j]) // prev
+        prev = p
+        pivots.append(p)
+    return pivots, swaps
 
 
 def _gauss_jordan(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
@@ -361,43 +376,48 @@ def _row_echelon(a: list[list[int]], ncols: int, reduce: bool) -> int:
     """Bring the integer rows of a, in place, to row echelon form in their
     first ncols columns; returns the number of pivot rows.
 
-    Pivots are made positive.  With reduce, the entries above each pivot
-    are reduced into [0, pivot) as well, which over all columns gives the
-    canonical row Hermite form: pivot columns strictly increasing, zero
-    rows last.
+    Each column is cleared by Euclidean division: the pivot is the entry of
+    least absolute value (the first row among equals), and the least
+    remainder it leaves below becomes the next pivot.  Pivots are made
+    positive.  With reduce, the entries above each pivot are reduced into
+    [0, pivot) as well, which over all columns gives the canonical row
+    Hermite form: pivot columns strictly increasing, zero rows last.
     """
     m = len(a)
     pr = 0
     for col in range(ncols):
         if pr == m:
             break
-        while True:
-            nz = [i for i in range(pr, m) if a[i][col] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(a[i][col]), i))
-            if i0 != pr:
-                a[pr], a[i0] = a[i0], a[pr]
-            p = a[pr][col]
-            done = True
+        piv, best = -1, 0
+        for i in range(pr, m):
+            x = a[i][col]
+            if x and (piv < 0 or abs(x) < best):
+                piv, best = i, abs(x)
+        if piv < 0:
+            continue
+        while piv >= 0:
+            if piv != pr:
+                a[pr], a[piv] = a[piv], a[pr]
+            rp = a[pr]
+            p = rp[col]
+            piv, best = -1, 0
             for i in range(pr + 1, m):
-                if a[i][col] != 0:
-                    q = a[i][col] // p
-                    a[i] = [x - q * y for x, y in zip(a[i], a[pr])]
-                    if a[i][col] != 0:
-                        done = False  # remainder left, need a smaller pivot
-            if done:
-                break
-        if a[pr][col] != 0:
-            if a[pr][col] < 0:
-                a[pr] = [-x for x in a[pr]]
-            if reduce:
-                p = a[pr][col]
-                for i in range(pr):
-                    q = a[i][col] // p
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[pr])]
-            pr += 1
+                f = a[i][col]
+                if f:
+                    q = f // p
+                    ri = a[i] = [x - q * y for x, y in zip(a[i], rp)]
+                    f = ri[col]
+                    if f and (piv < 0 or abs(f) < best):
+                        piv, best = i, abs(f)
+        if p < 0:
+            rp = a[pr] = [-x for x in rp]
+            p = -p
+        if reduce:
+            for i in range(pr):
+                q = a[i][col] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], rp)]
+        pr += 1
     return pr
 
 
@@ -419,69 +439,35 @@ def hnf_columns(m: Mat) -> Mat:
 def snf(m: Mat) -> tuple[int, ...]:
     """Invariant factors of an integral matrix: the min(rows, cols) diagonal
     entries of its Smith normal form, nonnegative and forming a
-    divisibility chain d1 | d2 | ... (zeros last).  Pivots are chosen by
-    minimal absolute value.
+    divisibility chain d1 | d2 | ... (zeros last).
+
+    Row echelon forms of the nonzero rows and of their transpose, each a
+    unimodular change of basis, alternate until every row holds one entry,
+    its pivot.  The first pivot of a pass divides the one before, and a
+    pass that keeps it clears its row and column for good, so the passes
+    end.  Replacing each pair (x, y) of pivots by (gcd, lcm) sorts the
+    exponent of every prime into the chain (Cohen, GTM 138, section 2.4).
     """
     if m.den != 1:
         raise ValueError("smith form needs an integral matrix")
-    rows, cols = m.rows, m.cols
     a = [list(r) for r in m.num]
-    t = 0
-    while t < min(rows, cols):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+    ncols = m.cols
+    while True:
+        r = _row_echelon(a, ncols, reduce=False)
+        del a[r:]
+        if all(row.count(0) == ncols - 1 for row in a):
             break
-        _, i0, j0 = best
-        if i0 != t:
-            a[t], a[i0] = a[i0], a[t]
-        if j0 != t:
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-        while True:
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // p
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t] != 0:
-                        # remainder is a strictly smaller pivot; promote it
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // p
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j] != 0:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # row and column are clear; enforce divisibility of the rest
-            culprit = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % p != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[culprit])]
-        t += 1
-    return tuple(abs(a[i][i]) for i in range(min(rows, cols)))
+        a = [list(c) for c in zip(*a)]
+        ncols = r
+    # each row holds its positive pivot alone, in distinct columns
+    diag = [max(row) for row in a]
+    for i in range(r):
+        for j in range(i + 1, r):
+            x, y = diag[i], diag[j]
+            if y % x:
+                g = gcd(x, y)
+                diag[i], diag[j] = g, x // g * y
+    return tuple(diag) + (0,) * (min(m.rows, m.cols) - r)
 
 
 def integer_kernel(m: Mat) -> Mat:

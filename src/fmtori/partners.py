@@ -47,9 +47,9 @@ def require_within_cap(candidates: int, search: str) -> None:
         )
 
 
-# the most Smith forms one fingerprint may take: at about 0.14 ms per Smith
-# form of a g = 4 class, the largest box under it (9 841, at NS rank 9)
-# takes about 1.3 s, and the next (29 524, at NS rank 10) about 4 s
+# the most Smith forms one fingerprint may take: at about 0.095 ms per g = 4
+# class, combination included (2 cores, Python 3.11), the largest box under
+# it (9 841, at NS rank 9) takes about 0.95 s, the next (29 524) about 2.8 s
 FINGERPRINT_CAP = 10_000
 
 

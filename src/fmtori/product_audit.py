@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .lattices import Lattice, sublattice_where_integral
+from .lattices import Lattice, quotient_structure, sublattice_where_integral
 from .matrices import Mat, combination_map, integer_kernel, snf
 from .partners import require_within_cap
 from .records import Record
@@ -44,10 +44,8 @@ from .varieties import (
     VarietyMismatchError,
     _is_positive_definite,
     dual,
-    image_under,
     is_isomorphism_certificate,
     product,
-    torsion_subgroup,
 )
 
 
@@ -62,6 +60,7 @@ def _product_variety(a: TorusVariety, b: TorusVariety, a_name: str, b_name: str)
     return product(a, b, name=f"{a_name}x{b_name}").variety
 
 
+# no caller in the package: it stays while bench/layers.py reads its cache_info()
 @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
 def _dual_product_variety(a: TorusVariety, b: TorusVariety, a_name: str, b_name: str) -> TorusVariety:
     return product(dual(a), dual(b), name=f"{a_name}^x{b_name}^").variety
@@ -158,16 +157,16 @@ def graph_subgroup_comparison(pc: ProductNSClass, l: int) -> GraphComparison:
     under the two partial-graph maps into dual(A) x dual(B).
 
     Composing the class homomorphism of the product class with the two
-    factor inclusions splits the class matrix into its column halves.
+    factor inclusions splits the class matrix into its column halves, so
+    each image is the overlattice (1/l) half Z^n + Z^m on dual(A) x dual(B).
     """
-    dp = _dual_product_variety(pc.a, pc.b, pc.a.name, pc.b.name)
     na, m = pc.a.dim, pc.m
-    # m J = -J^T m for the J-compatible class m, read on the column halves
-    ga = Homomorphism._make(pc.a, dp, m.submatrix(range(m.rows), range(na)))
-    gb = Homomorphism._make(pc.b, dp, m.submatrix(range(m.rows), range(na, m.cols)))
-    g1 = image_under(ga, torsion_subgroup(pc.a, l))
-    g2 = image_under(gb, torsion_subgroup(pc.b, l))
-    return GraphComparison(g1 == g2, g1.order)
+    periods = Lattice.standard(m.rows)
+    g1, g2 = (
+        Lattice(Fraction(1, l) * m.submatrix(range(m.rows), cols)).sum(periods)
+        for cols in (range(na), range(na, m.cols))
+    )
+    return GraphComparison(g1 == g2, quotient_structure(g1).order)
 
 
 def _slope_of(pc: ProductNSClass, l: int) -> Slope:

@@ -27,7 +27,7 @@ from itertools import combinations
 from math import lcm
 
 from .lattices import FiniteGroupStructure, Lattice, quotient_structure, sublattice_where_integral
-from .matrices import Mat, _row_hnf, combination_map, integer_kernel, snf, solve_exact, vec_is_integral
+from .matrices import Mat, _bareiss, _row_hnf, combination_map, integer_kernel, snf, solve_exact, vec_is_integral
 from .records import Record
 
 
@@ -152,25 +152,12 @@ def _is_positive_definite(s: Mat) -> bool:
     positive, read in one Bareiss pass on the integer rows of s.
 
     Without row swaps, the k-th Bareiss pivot is exactly the k-th leading
-    principal minor of ``num`` (Bareiss 1968), so the pass stops at the
-    first pivot <= 0 and never divides by zero.  The minors of s are those
-    of ``num`` over a positive power of ``den``, so their signs agree.
+    principal minor of ``num`` (Bareiss 1968), and a swap means a zero
+    leading minor.  The minors of s are those of ``num`` over a positive
+    power of ``den``, so their signs agree.
     """
-    a = list(map(list, s.num))
-    n = s.rows
-    prev = 1
-    for k in range(n):
-        rk = a[k]
-        p = rk[k]
-        if p <= 0:
-            return False
-        for i in range(k + 1, n):
-            ri = a[i]
-            f = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * p - f * rk[j]) // prev
-        prev = p
-    return True
+    pivots, swaps = _bareiss(list(map(list, s.num)))
+    return swaps == 0 and len(pivots) == s.rows and all(p > 0 for p in pivots)
 
 
 def validate(a: TorusVariety) -> ValidationReport:
@@ -541,13 +528,6 @@ def torsion_subgroup(a: TorusVariety, n: int) -> FiniteSubgroup:
         Lattice.standard(a.dim).scaled(Fraction(1, n)),
         FiniteGroupStructure.from_diagonal((n,) * a.dim),
     )
-
-
-def image_under(f: Homomorphism, s: FiniteSubgroup) -> FiniteSubgroup:
-    if s.variety != f.source:
-        raise VarietyMismatchError("subgroup does not live on the source")
-    pushed = Lattice(f.m @ s.overlattice.basis)
-    return FiniteSubgroup(f.target, pushed.sum(Lattice.standard(f.target.dim)))
 
 
 # -- products -------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import mat_sum
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fmtori.lattices import Lattice
@@ -440,8 +440,11 @@ def _ref_hnf_columns(m):
 
 
 def _ref_snf(m):
-    """(d, u, v) with d == u @ m @ v the Smith form and u, v unimodular: the
-    same minimal-absolute-value pivot rule as matrices.snf."""
+    """(d, u, v) with d == u @ m @ v the Smith form and u, v unimodular, by
+    an independent route: row and column pivoting on the least absolute
+    entry of the whole block, with the divisibility repair done in place,
+    where matrices.snf alternates row echelon forms and sorts the diagonal
+    by gcd and lcm."""
     rows, cols = m.rows, m.cols
     a = [list(r) for r in m.data]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
@@ -568,6 +571,9 @@ def _pivot_row(col):
 
 
 @given(st.one_of(int_matrices(3, 3), normal_form_inputs))
+@example(Mat([[2, 0], [0, 3]]))
+@example(Mat([[4, 0], [0, 6]]))
+@example(Mat([[1, 0, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [1, 0, 1, 2], [1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 0, 0], [-1, -1, 0, 0]]))
 def test_snf_divisibility_chain(m):
     d, u, v = _ref_snf(m)
     assert u @ m @ v == d

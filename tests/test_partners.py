@@ -133,7 +133,7 @@ def test_enumerate_partners_dedups_signs(e_i):
     assert entries[0].denominator == 1
 
 
-def test_enumerate_partners_ordering_and_threads(e_i):
+def test_enumerate_partners_order_is_stable_on_warm_caches(e_i):
     # two calls, the second reading the caches the first filled
     one = enumerate_partners(e_i, 2, 3)
     again = enumerate_partners(e_i, 2, 3)
@@ -372,7 +372,7 @@ def test_enumeration_builds_each_residue_once_through_a_one_entry_cache(
     assert one.cache_info().misses == residues
 
 
-def test_enumeration_entries_do_not_depend_on_threads(e_i_squared, partner_entries, cold_caches):
+def test_enumeration_entries_from_cold_caches_match_the_session_call(e_i_squared, partner_entries, cold_caches):
     # a call from cold caches gives the entries of the session's earlier call
     cold = enumerate_partners(e_i_squared, 1, 2)
     assert cold == partner_entries

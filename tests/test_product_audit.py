@@ -211,7 +211,7 @@ def test_search_finds_passing_classes_and_counting_invariant(e_i):
         assert cert is not None and is_isomorphism_certificate(cert)
 
 
-def test_search_is_deterministic_across_threads(e_i):
+def test_search_is_deterministic_on_warm_caches(e_i):
     # two calls, the second reading the caches the first filled
     one = search_product_classes(e_i, e_i, 2, 2, limit=2)
     again = search_product_classes(e_i, e_i, 2, 2, limit=2)
@@ -824,7 +824,7 @@ def test_kernel_search_builds_no_generic_lattice(e_i_squared, cold_caches, count
         assert len(sublattices) == (0 if found is None else 1)
 
 
-def test_kernel_search_answer_does_not_depend_on_threads(e_i_squared):
+def test_kernel_search_answer_does_not_depend_on_warm_caches(e_i_squared):
     # two calls per target, the second reading the caches the first filled
     v = e_i_squared
     targets = [(l, kernel_torsion_subgroup(v, v.ns_class(c), l))

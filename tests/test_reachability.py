@@ -60,6 +60,7 @@ EXEMPT = {
     "acceptance._killed_combinations": "failure path: lists the killed classes of a failing case",
     "lattices.saturate": "traced by the benchmark (bench/layers.py)",
     "parallel.pmap": "traced by the benchmark (bench/layers.py)",
+    "product_audit._dual_product_variety": "traced by the benchmark (bench/layers.py CACHES)",
     "lattices.Lattice.spans_subspace_of": "the precondition check of saturate",
 }
 

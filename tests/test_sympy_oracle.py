@@ -159,7 +159,12 @@ def test_products_match_sympy(data):
     assert _exact_form(prod) and _exact_form(scaled)
 
 
+# two diagonals whose entries fail the divisibility chain, and a primitive
+# 8 x 4 slope-subtorus embedding whose rows need a second, transposed pass
 @given(int_matrices())
+@example([[2, 0], [0, 3]])
+@example([[4, 0], [0, 6]])
+@example([[1, 0, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [1, 0, 1, 2], [1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 0, 0], [-1, -1, 0, 0]])
 def test_smith_invariant_factors_match_sympy(rows):
     ours = list(snf(Mat(rows)))
     theirs = [int(x) for x in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
@@ -196,7 +201,9 @@ def test_quotient_structure_matches_the_sympy_smith_form(case):
     assert quotient_structure(lattice) == FiniteGroupStructure.from_diagonal(tuple(diag))
 
 
+# a swap makes the pivots of [[0, 2], [2, 0]] positive: it is indefinite
 @given(exact_matrices(square=True), st.integers(-2, 2))
+@example([[0, 1], [1, 0]], 0)
 def test_one_pass_sylvester_matches_sympy_on_symmetric_matrices(rows, shift):
     # symmetric draws: m + m^T (mostly indefinite) and shifted Gram matrices
     # m^T m + shift*I (semidefinite, definite, or just off either)

@@ -195,9 +195,10 @@ def test_the_gate_determinant_count_from_cold_caches(cold_caches, monkeypatch):
     # before the Poincare and l = 2 criteria read the degree of each of
     # their three projections once, not twice; and 217 before the ppav
     # criterion stopped re-testing the 19 certificates ppav_rigidity_check
-    # has just tested
+    # has just tested; and 198 before the dual-partner criterion ran its
+    # box search once per pair of complex structures, not once per instance
     dets = []
     det = Mat.det
     monkeypatch.setattr(Mat, "det", lambda m: dets.append(m) or det(m))
     assert acceptance.run_all()["ok"]
-    assert len(dets) == 198
+    assert len(dets) == 162

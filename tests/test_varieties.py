@@ -10,7 +10,7 @@ from conftest import (
     mat_sum,
     quotient_by_inverse,
 )
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fmtori import matrices, oracles
@@ -34,7 +34,6 @@ from fmtori.varieties import (
     TorusVariety,
     class_kernel,
     dual,
-    image_under,
     is_isomorphism_certificate,
     ns_pullback,
     product,
@@ -230,9 +229,14 @@ def test_subgroup_operations(e_i):
     assert trivial_subgroup(e_i).order == 1
 
 
+def _image_under(f, s):
+    # the README recipe for the removed image_under
+    return FiniteSubgroup(f.target, Lattice(f.m @ s.overlattice.basis).sum(Lattice.standard(f.target.dim)))
+
+
 def test_image_under_a_doubling(e_i):
     double = Homomorphism(e_i, e_i, Mat(((2, 0), (0, 2))))
-    img = image_under(double, torsion_subgroup(e_i, 4))
+    img = _image_under(double, torsion_subgroup(e_i, 4))
     assert img == torsion_subgroup(e_i, 2)
 
 
@@ -403,8 +407,10 @@ def test_polarization_class_is_the_validated_combination(partner_entries):
 
 # combination maps built in each workload's timed call, with every cache
 # empty as in a fresh process: one per variety whose classes are
-# combined, plus the correspondence and certificate combinations
-COMBINATION_MAPS = {"regress": 19, "partners": 66, "search_l2": 4, "kernel_search": 0}
+# combined, plus the correspondence and certificate combinations (regress
+# took 19 and search_l2 4 while the gate ran its dual-partner search once
+# per instance and the graph comparison built the dual product)
+COMBINATION_MAPS = {"regress": 17, "partners": 66, "search_l2": 3, "kernel_search": 0}
 
 
 @pytest.mark.parametrize("name", sorted(COMBINATION_MAPS))
@@ -665,6 +671,7 @@ def _leading_minors_positive(s):
 
 
 @given(_square_rationals())
+@example(Mat([[0, 1], [1, 0]]))  # indefinite, with positive pivots after a swap
 def test_one_pass_sylvester_is_the_leading_minor_test(s):
     assert _is_positive_definite(s) == _leading_minors_positive(s)
 
@@ -745,7 +752,7 @@ def test_subgroup_structure_is_computed_on_first_use(e_i, e_i_squared):
     doubled = class_kernel(NSClass(e_i_squared, 2 * c.e)).overlattice
     subgroups = [
         FiniteSubgroup(e_i, a6),
-        image_under(double, torsion_subgroup(e_i, 4)),
+        _image_under(double, torsion_subgroup(e_i, 4)),
         FiniteSubgroup(e_i, a4.intersect(a6)),
         FiniteSubgroup(e_i, a2.sum(a3)),
         double.kernel(),
