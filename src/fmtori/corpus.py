@@ -49,15 +49,20 @@ def rational_to_json(x):
     return x if abs(x) < _SAFE_INT else str(x)
 
 
-def rational_from_json(v) -> Fraction:
+def rational_from_json(v) -> int | Fraction:
+    """A JSON integer as itself, and a rational string as an int, or as a
+    Fraction when it is "p/q", so that ``Mat`` takes its plain path on
+    integer entries."""
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise CorpusFormatError(f"expected an integer or 'p/q' string, got {_excerpt(v)}")
+    if isinstance(v, int):
+        return v
     # Fraction alone would also take decimals, underscores and exponents,
     # and "1e10000000" would build a ten-million-digit integer
-    if isinstance(v, str) and not _RATIONAL.fullmatch(v):
+    if not _RATIONAL.fullmatch(v):
         raise CorpusFormatError(f"bad rational {_excerpt(v)}")
     try:
-        return Fraction(v)
+        return Fraction(v) if "/" in v else int(v)
     except (ValueError, ZeroDivisionError) as exc:
         raise CorpusFormatError(f"bad rational {_excerpt(v)}") from exc
 

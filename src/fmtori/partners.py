@@ -150,17 +150,22 @@ def enumerate_partners(a: TorusVariety, coeff_bound: int, denom_bound: int) -> l
     its slope, which order the result; the slope's subtorus is the target of
     the record's dual certificate, and the partner is the subtorus's dual.
 
-    Three results are shared, each exactly:
+    These results are shared, each exactly:
 
     * the member lattice, the inverse of its basis and the complex
       structure it carries come from the one member-data cache of
       ``slopes.slope_subvariety``, keyed by (J, e mod l, l); slopes are
       built grouped by coefficients mod l, so each key is built once
-      however many keys the box has; the embedding, its checks and the NS
-      transport run for every slope;
+      however many keys the box has; the embedding, its checks and the
+      transport of the polarization run for every slope;
+    * when a's presented NS lattice is full, the subtorus NS basis is
+      shared by each such key too, and every ambient class is restricted
+      once per key; otherwise for every slope;
     * a partner is a function of its subtorus, and the names are the same
       for every candidate, so ``dual`` runs once per distinct subtorus; the
-      identity certificate is built and checked for every candidate;
+      identity certificate is built and checked for every candidate; a
+      subtorus of NS rank g^2 reads its dual NS basis off the full lattice
+      of its partner's complex structure, one kernel per such structure;
     * a fingerprint reads only the complex structure and the NS basis, so
       it is computed once per distinct presentation (J, NS basis) among the
       partners and shared by every entry with that presentation.

@@ -23,6 +23,7 @@ from .lattices import Lattice, sublattice_where_integral
 from .matrices import Mat, snf
 from .records import Record
 from .varieties import (
+    PRODUCT_CACHE_SIZE,
     FiniteSubgroup,
     Homomorphism,
     InternalInvariantViolation,
@@ -101,15 +102,6 @@ class SlopeSubvariety(Record):
     projection: Homomorphism
 
 
-# entries kept by each lru_cache helper here and in product_audit (product
-# varieties, slope member data).  A run touches a few varieties; the gate
-# builds 13 member-data keys and the partners workload 16.  Larger partner
-# boxes have more keys than this (804 on E_i x E_i at coefficient bound 3,
-# denominator bound 5), and enumerate_partners builds their slopes grouped
-# by key, so each key is still built once and the bound only caps memory
-PRODUCT_CACHE_SIZE = 64
-
-
 @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
 def _ambient_product(a: TorusVariety, name: str) -> TorusVariety:
     # name is part of the cache key because TorusVariety equality ignores it
@@ -142,10 +134,33 @@ def _member_data(j: Mat, residue: Mat, l: int) -> tuple[Lattice, Mat, Mat]:
 def _member(mu: Slope) -> tuple[Lattice, Mat, Mat]:
     """The member data of mu, shared by every slope with the same
     (J, e mod l, l)."""
-    a, l, n = mu.variety, mu.l, mu.variety.dim
-    # the entries of an integral class reduced mod l: still integral
-    residue = Mat._make(tuple(tuple(x % l for x in row) for row in mu.numerator.e.num), n, n)
-    return _member_data(a.j, residue, l)
+    return _member_data(mu.variety.j, _residue(mu), mu.l)
+
+
+def _residue(mu: Slope) -> Mat:
+    """The entries of mu's integral numerator reduced mod l: still integral."""
+    e = mu.numerator.e
+    return Mat._make(tuple(tuple(x % mu.l for x in row) for row in e.num), e.rows, e.cols)
+
+
+@lru_cache(maxsize=PRODUCT_CACHE_SIZE)
+def _is_full(a: TorusVariety) -> bool:
+    """Whether a's presented NS lattice is full, every integral alternating
+    J-compatible form: g^2 classes, which span every rational one
+    (``dual``), whose upper-coordinate rows have unit invariant factors,
+    so that the lattice they generate is saturated."""
+    rows = tuple(_upper(e) for e in a.ns_basis)
+    r = len(rows)
+    return r == a.g**2 and snf(Mat._make(rows, r, len(rows[0]))) == (1,) * r
+
+
+@lru_cache(maxsize=PRODUCT_CACHE_SIZE)
+def _shared_ns(a: TorusVariety, residue: Mat, l: int) -> list:
+    """The one-entry slot for the subtorus NS basis, in upper coordinates,
+    of every slope of the full variety a with numerator e = residue mod l
+    over l; the first such slope fills it (``slope_subvariety`` says why
+    every slope would fill it with the same basis)."""
+    return []
 
 
 def slope_subvariety(mu: Slope) -> SlopeSubvariety:
@@ -155,8 +170,30 @@ def slope_subvariety(mu: Slope) -> SlopeSubvariety:
     the complex structure h^-1 J h it carries depend on mu only through
     (J, e mod l, l), so they are built once per such key, in the one bounded
     cache that ``projection_invariants`` and ``slope_kernel`` read too.  The
-    embedding, its integrality and primitivity checks, the NS transport and
-    the three maps depend on e itself and are built for every slope.
+    embedding, its integrality and primitivity checks, the transport of the
+    polarization and the three maps depend on e itself and are built for
+    every slope.
+
+    The NS lattice of the subtorus is generated by the restrictions of the
+    ambient classes.  When A's presented NS lattice is full, every
+    integral J-compatible form (``_is_full``: g^2 classes, which span
+    every rational one, as ``dual`` says, generating a saturated lattice),
+    the first slope with a key restricts every ambient class, and the
+    others read its basis from ``_shared_ns``.  Two facts make this exact:
+
+    * NS(A x dual(A)) = NS(A) + NS(dual(A)) + Hom(A, dual(A))
+      (Birkenhake-Lange, *Complex Abelian Varieties*, on the Neron-Severi
+      group of a product), which ``product`` builds; ``dual`` saturates,
+      so with a full NS(A) the ambient lattice is full too;
+    * if e' = e mod l with both in NS(A), then e' = e + l k with k in
+      NS(A), and the shear (x, y) -> (x, y + k x) is an automorphism of
+      A x dual(A) that carries the embedding of e to that of e' and maps
+      the full ambient lattice onto itself, so both restrictions generate
+      one lattice.
+
+    Any other presentation restricts every ambient class for every slope:
+    on E_i x E_i with its second class doubled, a valid presentation of
+    index 2, one key holds up to 3 distinct NS lattices.
     """
     a, n = mu.variety, mu.variety.dim
     amb = _ambient_product(a, a.name)
@@ -172,11 +209,19 @@ def slope_subvariety(mu: Slope) -> SlopeSubvariety:
     # image is primitive exactly when every invariant factor is 1
     if snf(emb_h) != (1,) * n:
         raise InternalInvariantViolation("embedded member lattice is not primitive")
-    # NS data: restrict every ambient class, and the polarization, along the
+    # NS data: restrict the ambient classes, and the polarization, along the
     # embedding on upper coordinates, then present the lattice the classes
     # generate (no saturation: only classes from the ambient product count)
-    *restricted, pol_r = _transport(_ambient_forms(a, a.name), emb_h)
-    basis = _span(restricted, saturated=False)
+    forms = _ambient_forms(a, a.name)
+    # the key's slot on a full variety, and a list nothing keeps otherwise
+    shared = _shared_ns(a, _residue(mu), mu.l) if _is_full(a) else []
+    if shared:
+        basis = shared[0]
+        (pol_r,) = _transport(forms[-1:], emb_h)
+    else:
+        *restricted, pol_r = _transport(forms, emb_h)
+        basis = _span(restricted, saturated=False)
+        shared.append(basis)
     ns_mu = tuple(_from_upper(v, n) for v in basis)
     pol = _hermite_coordinates(pol_r, basis)
     abstract = TorusVariety(a.g, j_mu, ns_mu, pol, name=f"{a.name}_mu")

@@ -22,12 +22,12 @@ Conventions fixed here (the literature leaves the signs open):
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import chain, combinations
 from math import lcm
 
 from .lattices import FiniteGroupStructure, Lattice, quotient_structure, sublattice_where_integral
-from .matrices import Mat, _bareiss, _row_hnf, combination_map, integer_kernel, snf, solve_exact, vec_is_integral
+from .matrices import Mat, _bareiss, _row_echelon, _row_hnf, combination_map, integer_kernel, snf, solve_exact, vec_is_integral
 from .records import Record
 
 
@@ -177,8 +177,12 @@ def validate(a: TorusVariety) -> ValidationReport:
     if not a.ns_basis:
         fails.append("ns_basis is empty")
     elif all((e.rows, e.cols) == (n, n) for e in a.ns_basis):
-        vecs = Mat.from_cols([_vec(e) for e in a.ns_basis])
-        if vecs.rank() < len(a.ns_basis):
+        # the classes are independent when their flattened integer rows
+        # are: scaling a class by its denominator keeps the rank, and the
+        # echelon of these sparse rows is cheap where Gauss-Jordan on the
+        # n^2 x r matrix of columns rebuilds all n^2 rows per pivot
+        rows = [list(chain.from_iterable(e.num)) for e in a.ns_basis]
+        if _row_echelon(rows, n * n, reduce=False) < len(rows):
             fails.append("ns_basis is not Z-linearly independent")
     if len(a.polarization) != len(a.ns_basis):
         fails.append("polarization coefficient vector length mismatch")
@@ -200,20 +204,16 @@ def validate(a: TorusVariety) -> ValidationReport:
 
 # -- matrix <-> vector plumbing for spaces of forms ---------------------------
 #
-# General matrices are flattened to all n^2 entries (_vec); alternating forms
-# to their n(n-1)/2 upper coordinates, the entries i < j in row-major order
-# (_upper), on which the span layer runs.  The bases are the n^2 ones: the
-# first nonzero entry of an alternating matrix in row-major order is above
-# the diagonal, so every Hermite pivot, and every coordinate the reduction
+# Alternating forms are flattened to their n(n-1)/2 upper coordinates, the
+# entries i < j in row-major order (_upper), on which the span layer runs.
+# The bases are those of the forms flattened to all n^2 entries: the first
+# nonzero entry of an alternating matrix in row-major order is above the
+# diagonal, so every Hermite pivot, and every coordinate the reduction
 # conditions read, is an upper one; the projection is injective and keeps
 # integrality both ways; and the Hermite form is unique (Cohen, GTM 138, 2.4).
 # Every span basis is read as integer Hermite rows: the generated span is
 # the nonzero rows of the row Hermite form of the forms, and the coordinates
 # of a target in either span come by forward substitution on those rows.
-
-
-def _vec(m: Mat) -> tuple:
-    return tuple(x for row in m.data for x in row)
 
 
 def _upper(m: Mat) -> tuple:
@@ -350,6 +350,44 @@ def coefficients_in_basis(target: Mat, basis: tuple[Mat, ...]) -> tuple[int, ...
 
 # -- duality ------------------------------------------------------------------
 
+# entries kept by each lru_cache helper here, in slopes and in product_audit
+# (product varieties, slope member data, subtorus NS lattices, full form
+# lattices).  A run touches a few varieties: the gate builds 13 member-data
+# keys, 13 subtorus NS keys and the full form lattices of 2 complex
+# structures, and the partners workload 16, 16 and 4.  Larger partner boxes
+# have more keys than this (804 on E_i x E_i at coefficient bound 3,
+# denominator bound 5), and enumerate_partners builds their slopes grouped
+# by key, so each key is still built once and the bound only caps memory
+PRODUCT_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PRODUCT_CACHE_SIZE)
+def _compatible_forms(j: Mat) -> tuple[tuple[int, ...], ...]:
+    """Canonical basis, as the Hermite rows ``_span`` gives, of the upper
+    coordinates of every integral alternating form e with j^T e j = e.
+
+    It is one saturated ``integer_kernel`` of that system on the
+    n(n-1)/2 upper coordinates, over den^2 for j = num / den: entry (i, k)
+    of num^T e_pq num, for the alternating form e_pq with 1 at (p, q), is
+    num_pi num_qk - num_qi num_pk.  The transform of an alternating form
+    is alternating, so only the entries i < k are equations.  A saturated
+    lattice has one Hermite basis, so this is the basis ``_span(...,
+    saturated=True)`` gives for any set of forms that spans the same
+    rational space.
+    """
+    n, d = j.rows, j.num
+    pairs = tuple(combinations(range(n), 2))
+    den2 = j.den * j.den
+    system = tuple(
+        tuple(
+            d[p][i] * d[q][k] - d[q][i] * d[p][k] - (den2 if (p, q) == (i, k) else 0)
+            for p, q in pairs
+        )
+        for i, k in pairs
+    )
+    ker = integer_kernel(Mat._make(system, len(pairs), len(pairs)))
+    return tuple(zip(*ker.num))
+
 
 def dual(a: TorusVariety, name: str | None = None) -> TorusVariety:
     """The dual torus: dual basis lattice, complex structure -J^T.
@@ -368,6 +406,17 @@ def dual(a: TorusVariety, name: str | None = None) -> TorusVariety:
     The sign of the dual polarization is Sylvester's test in one Bareiss
     pass, and its coordinates are read off the Hermite rows of the
     re-saturated span by forward substitution.
+
+    When the presented classes number g^2, no form is transported.  The
+    alternating forms compatible with a rational J (J^2 = -I) are the
+    imaginary parts of the Hermitian forms on (Q^2g, J), a Q(i)-space of
+    dimension g, so they form a space of dimension g^2 (Birkenhake-Lange,
+    *Complex Abelian Varieties*, on Hermitian forms and the Neron-Severi
+    group), and transport is a linear isomorphism onto the forms
+    compatible with -J^T.  So the g^2 classes of a valid variety, being
+    independent, carry over to a spanning set, and their saturation is the
+    lattice of all integral -J^T-compatible forms: ``_compatible_forms``,
+    one kernel per complex structure.
     """
     jd = -1 * a.j.T
     h = a.polarization_class()
@@ -375,7 +424,10 @@ def dual(a: TorusVariety, name: str | None = None) -> TorusVariety:
         hi, _ = h.inverse().cleared()
     except ValueError:
         raise ValueError("variety has a degenerate designated polarization") from None
-    ns_up = _span(_transport([_upper(e) for e in a.ns_basis], hi), saturated=True)
+    if len(a.ns_basis) == a.g**2:
+        ns_up = _compatible_forms(jd)
+    else:
+        ns_up = _span(_transport([_upper(e) for e in a.ns_basis], hi), saturated=True)
     # hi is primitive: a prime dividing its entries would divide d, because
     # h @ hi = d * I, and then d / p would already clear h^-1
     hd = -hi

@@ -81,6 +81,16 @@ def test_rational_strings():
     assert corpus.rational_from_json(str(big)) == big
 
 
+def test_integers_are_read_as_ints():
+    # Mat takes its plain path only when every entry is an int
+    from fractions import Fraction
+
+    for text, value in ((3, 3), (-7, -7), ("12", 12), (str(2**72), 2**72)):
+        read = corpus.rational_from_json(text)
+        assert type(read) is int and read == value
+    assert type(corpus.rational_from_json("6/3")) is Fraction
+
+
 def test_rational_rejections():
     for bad in (1.5, True, None, "3/0", "x", "1.5", "1e5", "1e10000000", "1_000"):
         with pytest.raises(corpus.CorpusFormatError):

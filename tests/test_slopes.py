@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from conftest import SHIPPED_VARIETIES, entry_slope, kernel_by_inverse, mat_sum
+from conftest import SHIPPED_VARIETIES, clear_caches, entry_slope, kernel_by_inverse, mat_sum
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,6 +10,8 @@ from fmtori.lattices import Lattice, saturate
 from fmtori.matrices import Mat
 from fmtori.slopes import (
     Slope,
+    _is_full,
+    _shared_ns,
     member_lattice,
     parse_slope_literal,
     projection_invariants,
@@ -23,6 +25,11 @@ from fmtori.varieties import (
     NSClass,
     PreconditionError,
     TorusVariety,
+    _compatible_forms,
+    _from_upper,
+    _span,
+    _transport,
+    _upper,
     class_kernel,
     dual,
     product,
@@ -261,3 +268,112 @@ def test_subvariety_matches_reference_on_corpus_slopes():
     assert len(cases) >= 120
     for a, mu in cases:
         _assert_matches_reference(slope_subvariety(mu), a, mu)
+
+
+# -- the shared subtorus and dual NS lattices against per-slope construction -------
+
+
+def _index_two(p):
+    """E_i x E_i with its second class doubled: valid, and its NS lattice has
+    index 2 in the full one, so its slopes restrict every class."""
+    e0, e1, *rest = p.ns_basis
+    return TorusVariety(p.g, p.j, (e0, mat_sum(e1, e1), *rest), (1, 1, 0, 0), name="index2")
+
+
+def _rank_two(p):
+    """E_i x E_i with its two factor classes only: valid, of NS rank 2 < g^2."""
+    return TorusVariety(p.g, p.j, p.ns_basis[:2], (1, 1), name="rank2")
+
+
+def _distinct_slopes(a, coeff_bound, denom_bound):
+    """Every distinct reduced slope of a over the bounded box."""
+    slopes = {}
+    for l in range(1, denom_bound + 1):
+        for coeffs in partners._normalized_coefficient_vectors(len(a.ns_basis), coeff_bound):
+            mu = reduce_slope(a.ns_class(coeffs), l)
+            slopes.setdefault((mu.numerator.e, mu.l), mu)
+    return list(slopes.values())
+
+
+def _per_slope_ns_basis(a, mu):
+    """mu's subtorus NS basis restricted for mu alone: every class of a
+    freshly built ambient product along mu's own embedding, and the lattice
+    they generate."""
+    amb = product(a, dual(a)).variety
+    emb_h = Mat.vstack(mu.l * Mat.identity(a.dim), mu.numerator.e) @ member_lattice(mu).basis
+    basis = _span(_transport([_upper(e) for e in amb.ns_basis], emb_h), saturated=False)
+    return tuple(_from_upper(v, a.dim) for v in basis)
+
+
+def _saturated_dual_ns_basis(b):
+    """The dual NS basis by transport and saturation, for any presentation."""
+    hi, _ = b.polarization_class().inverse().cleared()
+    basis = _span(_transport([_upper(e) for e in b.ns_basis], hi), saturated=True)
+    return tuple(_from_upper(v, b.dim) for v in basis)
+
+
+def _subtori_and_duals(slopes):
+    """(subtorus, dual) of every slope, in the order given."""
+    out = []
+    for mu in slopes:
+        sub = slope_subvariety(mu).variety
+        out.append((sub, dual(sub)))
+    return out
+
+
+def _assert_shared_ns_is_per_slope(a, coeff_bound, denom_bound):
+    """Every slope's subtorus NS basis is its own per-slope restriction,
+    every dual's is the saturated transport; returns the distinct per-slope
+    bases of each member-data key (J, e mod l, l)."""
+    assert dual(a).ns_basis == _saturated_dual_ns_basis(a)
+    bases = {}
+    slopes = _distinct_slopes(a, coeff_bound, denom_bound)
+    for mu, (sub, d) in zip(slopes, _subtori_and_duals(slopes)):
+        want = _per_slope_ns_basis(a, mu)
+        assert sub.ns_basis == want
+        assert d.ns_basis == _saturated_dual_ns_basis(sub)
+        key = (tuple(tuple(x % mu.l for x in row) for row in mu.numerator.e.num), mu.l)
+        bases.setdefault(key, set()).add(want)
+    return bases
+
+
+@pytest.mark.parametrize("name, bounds", (
+    ("e_i_squared", (2, 3)), ("e_i", (4, 6)), ("e_2i", (4, 6)),
+))
+def test_full_ns_lattices_share_the_per_slope_bases(name, bounds, request):
+    a = request.getfixturevalue(name)
+    assert _is_full(a)
+    _assert_shared_ns_is_per_slope(a, *bounds)
+
+
+@pytest.mark.parametrize(
+    "build, bounds", ((_index_two, (1, 3)), (_rank_two, (2, 4))), ids=("index2", "rank2")
+)
+def test_partial_ns_lattices_restrict_per_slope(build, bounds, e_i_squared):
+    # a key holds slopes with distinct per-slope NS bases on these
+    # presentations (up to 3 on index2, 2 on rank2), so a sharing that
+    # ignored the full-lattice condition would give one slope another's
+    a = build(e_i_squared)
+    assert validate(a).ok and not _is_full(a)
+    bases = _assert_shared_ns_is_per_slope(a, *bounds)
+    assert max(len(b) for b in bases.values()) > 1
+
+
+def test_shared_ns_lattices_do_not_depend_on_the_caches(e_i_squared):
+    # the first slope of each key fills its shared lattice; from cold caches
+    # in reverse order another slope comes first, and every answer, names
+    # included, is still the warm one
+    cases = [(a, _distinct_slopes(a, 1, 3)) for a in (e_i_squared, _index_two(e_i_squared))]
+    shared = (_is_full, _shared_ns, _compatible_forms)
+    clear_caches()
+    assert all(f.cache_info().currsize == 0 for f in shared)
+    cold = [_subtori_and_duals(slopes) for _, slopes in cases]
+    assert all(f.cache_info().currsize > 0 for f in shared)
+    warm = [_subtori_and_duals(slopes) for _, slopes in cases]
+    clear_caches()
+    backwards = [_subtori_and_duals(slopes[::-1])[::-1] for _, slopes in cases]
+    for got in (warm, backwards):
+        assert got == cold
+        assert [[(s.name, d.name) for s, d in run] for run in got] == [
+            [(s.name, d.name) for s, d in run] for run in cold
+        ]

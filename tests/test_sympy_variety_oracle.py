@@ -1,13 +1,19 @@
 """sympy as a third, independent oracle for the variety layer.
 
-``intertwiner_basis`` solves one integer system and ``dual`` transports the
-NS data by 2x2 minors; here sympy recomputes both from their definitions,
-with its own nullspace, inverse and Smith decomposition:
+``intertwiner_basis`` and ``_compatible_forms`` each solve one integer
+system, ``dual`` transports the NS data by 2x2 minors or reads the full
+lattice, and ``validate`` decides NS independence on one echelon; here
+sympy recomputes them from their definitions, with its own nullspace,
+inverse, rank and Smith decomposition:
 
 * the integral intertwiners m with m J_src = J_dst m are the saturated
   nullspace of (I (x) J_src^T - J_dst (x) I) vec(m), vec row-major;
+* the integral alternating J-compatible forms are the saturated nullspace
+  of the map from upper coordinates u to J^T e(u) J - e(u);
 * the NS lattice of the dual is the saturated span of h^-T e h^-1 over the
-  NS basis classes e, for the designated class h.
+  NS basis classes e, for the designated class h;
+* NS classes are independent when the matrix of their flattened entries has
+  full rank.
 
 The inputs are the shipped varieties, their duals, and seeded rational
 conjugates: for an integer P, the complex structure P J P^-1 with the forms
@@ -17,12 +23,16 @@ where it is not installed.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from conftest import SHIPPED_VARIETIES
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fmtori.corpus import square_curve_product
 from fmtori.matrices import Mat
-from fmtori.varieties import TorusVariety, dual, intertwiner_basis, validate
+from fmtori.varieties import TorusVariety, _compatible_forms, dual, intertwiner_basis, validate
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp  # noqa: E402
@@ -140,3 +150,68 @@ def test_dual_ns_lattice_is_the_saturated_transport(v):
     scalar = (p * h)[0, 0]
     assert scalar != 0 and p * h == scalar * sympy.eye(v.dim)
     assert validate(d).ok
+
+
+def _compatible_kernel(j: Mat):
+    """The integral alternating forms e with j^T e j = e, as the saturated
+    nullspace of the map from upper coordinates to j^T e j - e."""
+    n, s = j.rows, _sym(j)
+    columns = []
+    for p, q in combinations(range(n), 2):
+        e = sympy.zeros(n, n)
+        e[p, q], e[q, p] = 1, -1
+        columns.append(_flat(s.T * e * s - e))
+    return _saturated(sympy.Matrix.hstack(*columns).nullspace())
+
+
+def _is_row_hermite(rows) -> bool:
+    """Pivots positive at strictly increasing columns, and the entries
+    above each pivot reduced into [0, pivot)."""
+    pivots = [next(k for k, x in enumerate(r) if x) for r in rows]
+    return (
+        pivots == sorted(set(pivots))
+        and all(r[c] > 0 for r, c in zip(rows, pivots))
+        and all(0 <= rows[i][c] < rows[k][c] for k, c in enumerate(pivots) for i in range(k))
+    )
+
+
+@pytest.mark.parametrize("v", VARIETIES, ids=lambda v: v.name)
+def test_compatible_forms_are_the_saturated_sympy_nullspace(v):
+    for j in (v.j, -1 * v.j.T):
+        ours = _compatible_forms(j)
+        assert len(ours) == v.g**2 and _is_row_hermite(ours)
+        assert _same_lattice([sympy.Matrix(r) for r in ours], _compatible_kernel(j))
+
+
+_INDEPENDENCE = "ns_basis is not Z-linearly independent"
+
+
+@st.composite
+def _class_sets(draw):
+    """1 to 5 square classes on E_i x E_i: combinations of its NS basis,
+    sums of two classes drawn before (dependent by construction), and
+    arbitrary rational matrices, which need not be alternating."""
+    p = square_curve_product()
+    classes = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("combination", "sum", "matrix")))
+        if kind == "sum" and classes:
+            a, b = draw(st.sampled_from(classes)), draw(st.sampled_from(classes))
+            classes.append(Mat([[x + y for x, y in zip(r, t)] for r, t in zip(a.data, b.data)]))
+        elif kind == "matrix":
+            entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+            classes.append(Mat(draw(st.lists(st.lists(entry, min_size=4, max_size=4),
+                                             min_size=4, max_size=4))))
+        else:
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+            classes.append(p.class_matrix(coeffs))
+    return p, tuple(classes)
+
+
+@given(_class_sets())
+def test_validate_independence_matches_the_sympy_rank(case):
+    p, classes = case
+    v = TorusVariety(p.g, p.j, classes, (1,) * len(classes))
+    flat = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for row in e.data for x in row]
+                         for e in classes])
+    assert (_INDEPENDENCE not in validate(v).failures) == (flat.rank() == len(classes))
