@@ -103,7 +103,7 @@ def variety_from_json(d: dict) -> TorusVariety:
     if not isinstance(d, dict) or d.get("format") != "fmtori/variety":
         raise CorpusFormatError("not a variety file (format key missing or wrong)")
     g = _require(d, "g")
-    if not isinstance(g, int) or g < 1:
+    if not isinstance(g, int) or isinstance(g, bool) or g < 1:
         raise CorpusFormatError("g must be a positive integer")
     j = matrix_from_json(_require(d, "j"))
     basis = _require(d, "ns_basis")
@@ -128,6 +128,8 @@ def product_class_from_json(d: dict, a: TorusVariety, b: TorusVariety) -> Produc
         raise CorpusFormatError("not a product-class file (format key missing or wrong)")
     m = matrix_from_json(_require(d, "matrix"))
     name = d.get("name", "M")
+    if not isinstance(name, str):
+        raise CorpusFormatError("name must be a string")
     try:
         return ProductNSClass(a, b, m, name=name)
     except ValueError as exc:

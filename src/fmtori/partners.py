@@ -161,11 +161,11 @@ def enumerate_partners(a: TorusVariety, coeff_bound: int, denom_bound: int) -> l
     * when a's presented NS lattice is full, the subtorus NS basis is
       shared by each such key too, and every ambient class is restricted
       once per key; otherwise for every slope;
-    * a partner is a function of its subtorus, and the names are the same
-      for every candidate, so ``dual`` runs once per distinct subtorus; the
-      identity certificate is built and checked for every candidate; a
-      subtorus of NS rank g^2 reads its dual NS basis off the full lattice
-      of its partner's complex structure, one kernel per such structure;
+    * a partner is a function of its subtorus, so ``dual`` runs once per
+      distinct subtorus; the identity certificate is built and checked for
+      every candidate; a subtorus of NS rank g^2 reads its dual NS basis
+      off the full lattice of its partner's complex structure, one kernel
+      per such structure;
     * a fingerprint reads only the complex structure and the NS basis, so
       it is computed once per distinct presentation (J, NS basis) among the
       partners and shared by every entry with that presentation.

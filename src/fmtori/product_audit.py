@@ -54,16 +54,15 @@ def is_ample(c: NSClass) -> bool:
     return _is_positive_definite(c.e @ c.variety.j)
 
 
-# the names are part of each cache key because TorusVariety equality ignores them
 @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
-def _product_variety(a: TorusVariety, b: TorusVariety, a_name: str, b_name: str) -> TorusVariety:
-    return product(a, b, name=f"{a_name}x{b_name}").variety
+def _product_variety(a: TorusVariety, b: TorusVariety) -> TorusVariety:
+    return product(a, b).variety
 
 
 # no caller in the package: it stays while bench/layers.py reads its cache_info()
 @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
-def _dual_product_variety(a: TorusVariety, b: TorusVariety, a_name: str, b_name: str) -> TorusVariety:
-    return product(dual(a), dual(b), name=f"{a_name}^x{b_name}^").variety
+def _dual_product_variety(a: TorusVariety, b: TorusVariety) -> TorusVariety:
+    return product(dual(a), dual(b)).variety
 
 
 class ProductNSClass(Record):
@@ -80,18 +79,7 @@ class ProductNSClass(Record):
     # the class on the product is derived, not a field: out of repr and equality
     @cached_property
     def _class(self) -> NSClass:
-        return NSClass._make(_product_variety(self.a, self.b, self.a.name, self.b.name), self.m)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ProductNSClass)
-            and self.a == other.a
-            and self.b == other.b
-            and self.m == other.m
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.m))
+        return NSClass._make(_product_variety(self.a, self.b), self.m)
 
     # the diagonal blocks of a valid class under a block-diagonal J are valid
     @cached_property
@@ -323,8 +311,8 @@ def projection_iso(report: AuditReport) -> ProjectionIso:
     rows_q = list(range(na)) + list(range(half, half + na))
     rows_p = list(range(na, half)) + list(range(half + na, 2 * half))
     all_cols = range(emb.cols)
-    q = Homomorphism(sv.variety, _ambient_product(pc.a, pc.a.name), emb.submatrix(rows_q, all_cols))
-    p = Homomorphism(sv.variety, _ambient_product(pc.b, pc.b.name), emb.submatrix(rows_p, all_cols))
+    q = Homomorphism(sv.variety, _ambient_product(pc.a), emb.submatrix(rows_q, all_cols))
+    p = Homomorphism(sv.variety, _ambient_product(pc.b), emb.submatrix(rows_p, all_cols))
     if not (is_isomorphism_certificate(q) and is_isomorphism_certificate(p)):
         raise InternalInvariantViolation(
             "coordinate projections must be unimodular on an all-pass instance"
@@ -475,7 +463,7 @@ def _search_product_classes(
     trace binds its name (bench/layers.py, ROADMAP item 3(a))."""
     if l < 1:
         raise PreconditionError("slope denominator must be positive")
-    prod = _product_variety(a, b, a.name, b.name)
+    prod = _product_variety(a, b)
     na, nb = a.dim, b.dim
     degree = l ** (2 * a.g - 2)
     blocks = [e.submatrix(range(na), range(na, na + nb)) for e in prod.ns_basis]

@@ -19,7 +19,7 @@ most of the cost of ``import fmtori``.  The contract:
   a field, with ``object.__setattr__``.
 * ``__eq__`` compares the fields with those of an instance of the same
   class and returns ``NotImplemented`` for any other class; ``__hash__``
-  hashes the field tuple.  A subclass may define its own pair.
+  hashes the field tuple.  Every field counts, a name too.
 * ``__repr__`` is ``Qualname(field=value, ...)``, over the fields only.
 """
 

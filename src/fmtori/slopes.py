@@ -103,16 +103,15 @@ class SlopeSubvariety(Record):
 
 
 @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
-def _ambient_product(a: TorusVariety, name: str) -> TorusVariety:
-    # name is part of the cache key because TorusVariety equality ignores it
-    return product(a, dual(a), name=f"{name}x{name}^").variety
+def _ambient_product(a: TorusVariety) -> TorusVariety:
+    return product(a, dual(a)).variety
 
 
 @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
-def _ambient_forms(a: TorusVariety, name: str) -> tuple[tuple, ...]:
+def _ambient_forms(a: TorusVariety) -> tuple[tuple, ...]:
     """Upper coordinates of every ambient NS class and, last, of the
     ambient polarization class."""
-    amb = _ambient_product(a, name)
+    amb = _ambient_product(a)
     return tuple(_upper(e) for e in (*amb.ns_basis, amb.polarization_class()))
 
 
@@ -196,7 +195,7 @@ def slope_subvariety(mu: Slope) -> SlopeSubvariety:
     index 2, one key holds up to 3 distinct NS lattices.
     """
     a, n = mu.variety, mu.variety.dim
-    amb = _ambient_product(a, a.name)
+    amb = _ambient_product(a)
     lam_mu, h_inv, j_mu = _member(mu)
     h = lam_mu.basis
     # the rows of l*I over those of e, which is integral
@@ -212,7 +211,7 @@ def slope_subvariety(mu: Slope) -> SlopeSubvariety:
     # NS data: restrict the ambient classes, and the polarization, along the
     # embedding on upper coordinates, then present the lattice the classes
     # generate (no saturation: only classes from the ambient product count)
-    forms = _ambient_forms(a, a.name)
+    forms = _ambient_forms(a)
     # the key's slot on a full variety, and a list nothing keeps otherwise
     shared = _shared_ns(a, _residue(mu), mu.l) if _is_full(a) else []
     if shared:

@@ -68,19 +68,6 @@ class TorusVariety(Record):
     polarization: tuple[int, ...]
     name: str = "A"
 
-    # name is a label only; two presentations are equal iff the data agree
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TorusVariety)
-            and self.g == other.g
-            and self.j == other.j
-            and self.ns_basis == other.ns_basis
-            and self.polarization == other.polarization
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.j, self.ns_basis, self.polarization))
-
     @property
     def dim(self) -> int:
         return 2 * self.g

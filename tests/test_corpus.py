@@ -115,16 +115,18 @@ def test_matrix_shape_rejections():
 
 def test_variety_format_rejections(e_i):
     good = corpus.variety_to_json(e_i)
-    for mutate in (
-        lambda d: d.pop("format"),
-        lambda d: d.update(g=0),
-        lambda d: d.update(polarization=[1, 2]),
-        lambda d: d.update(ns_basis=[]),
-        lambda d: d.update(name=3),
+    for mutate, message in (
+        (lambda d: d.pop("format"), "not a variety file"),
+        (lambda d: d.update(g=0), "g must be a positive integer"),
+        # a JSON true is a Python int equal to 1
+        (lambda d: d.update(g=True), "g must be a positive integer"),
+        (lambda d: d.update(polarization=[1, 2]), "polarization length must match"),
+        (lambda d: d.update(ns_basis=[]), "ns_basis must be a non-empty list"),
+        (lambda d: d.update(name=3), "name must be a string"),
     ):
         doc = json.loads(json.dumps(good))
         mutate(doc)
-        with pytest.raises(corpus.CorpusFormatError):
+        with pytest.raises(corpus.CorpusFormatError, match=message):
             corpus.variety_from_json(doc)
 
 
@@ -146,4 +148,8 @@ def test_product_class_file_needs_integrality(e_i):
     doc_bad = json.loads(json.dumps(doc))
     doc_bad["matrix"][0][2] = "1/2"
     with pytest.raises(corpus.CorpusFormatError, match="class is not integral"):
+        corpus.product_class_from_json(doc_bad, e_i, e_i)
+    # a name is part of a class's identity, so it must be a hashable string
+    doc_bad = dict(doc, name=["poincare"])
+    with pytest.raises(corpus.CorpusFormatError, match="name must be a string"):
         corpus.product_class_from_json(doc_bad, e_i, e_i)

@@ -33,7 +33,9 @@ def test_import_fmtori_loads_none_of_the_heavy_modules():
 
 
 def test_import_cli_loads_argparse_and_no_resource_machinery():
-    watched = HEAVY + ("importlib.resources", "pathlib")
+    watched = HEAVY + (
+        "importlib.resources", "pathlib", "fmtori.acceptance", "fmtori.oracles", "random"
+    )
     assert _fresh(f"import fmtori.cli\nprint(json.dumps({_loaded(watched)}))") == ["argparse"]
 
 

@@ -179,7 +179,7 @@ AUDIT_CASES = (
 @cache
 def _audits():
     e_i = VARIETIES["e_i"]
-    prod = _product_variety(e_i, e_i, e_i.name, e_i.name)
+    prod = _product_variety(e_i, e_i)
     cases = [(corpus.poincare_class().m, 1)]
     cases += [(prod.class_matrix(c), l) for c, l in AUDIT_CASES]
     return [(m, l, audit_equivalence(ProductNSClass(e_i, e_i, m), l)) for m, l in cases]

@@ -5,7 +5,7 @@ from math import floor, gcd
 from pathlib import Path
 
 import pytest
-from conftest import SHIPPED_VARIETIES, mat_sum, where_integral_by_kernel
+from conftest import SHIPPED_VARIETIES, clear_caches, mat_sum, where_integral_by_kernel
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,7 +13,7 @@ from fmtori import lattices, matrices, oracles, product_audit, slopes, varieties
 from fmtori.corpus import poincare_class, square_curve_product, square_lattice_curve
 from fmtori.lattices import Lattice
 from fmtori.matrices import Mat, integer_kernel
-from fmtori.partners import SEARCH_CANDIDATE_CAP, find_isomorphism_certificate
+from fmtori.partners import SEARCH_CANDIDATE_CAP, enumerate_partners, find_isomorphism_certificate
 from fmtori.product_audit import (
     ProductNSClass,
     audit_equivalence,
@@ -140,7 +140,10 @@ def test_decompose_assemble_round_trip(e_i):
     pc = poincare_class()
     pi = Homomorphism(pc.a, dual(pc.b), pc.correspondence.T)
     again = _from_blocks(pc.a, pc.b, pc.block_a.e, pi.m.T, pc.block_b.e)
-    assert again == pc
+    # the data round-trip; the name is part of a class's identity, and the
+    # reassembled class has the default "M", not "poincare"
+    assert (again.a, again.b, again.m) == (pc.a, pc.b, pc.m)
+    assert again != pc and again.name == "M"
     assert abs(pi.m.det()) == 1
 
 
@@ -427,18 +430,64 @@ def test_searches_over_the_cap_raise_before_any_candidate(e_i, e_i_squared, monk
         search_product_classes(e_i, e_i, 2, 100)
 
 
+def _names(a, m):
+    """The names that dual, slope_subvariety, ProductNSClass.as_class,
+    projection_iso, the dual product and enumerate_partners give on a."""
+    sv = slope_subvariety(reduce_slope(a.ns_class((1,)), 2))
+    pc = ProductNSClass(a, a, m)
+    iso = projection_iso(audit_equivalence(pc, 1))
+    maps = (sv.to_ambient, iso.to_a_side, iso.to_b_side, iso.eta, iso.dual_certificate)
+    records = [entry.record for entry in enumerate_partners(a, 1, 2)]
+    return (
+        dual(a).name,
+        pc.as_class().variety.name,
+        product_audit._dual_product_variety(a, a).name,
+        *((f.source.name, f.target.name) for f in maps),
+        *((r.partner.name, r.dual_certificate.source.name, r.dual_certificate.target.name)
+          for r in records),
+    )
+
+
 def test_cached_products_keep_each_variety_name():
-    # equal presentations share cache entries, since TorusVariety equality
-    # ignores names; every product must still be named after its factors
+    # a name is part of a variety's identity: two copies of E_i with equal
+    # data are two entries in each product cache, and every product, dual,
+    # subtorus and partner is named after its own copy, whether the copies
+    # run warm in either order or cold
     e_i = square_lattice_curve()
-    for n in ("A", "B"):
-        a = TorusVariety(e_i.g, e_i.j, e_i.ns_basis, e_i.polarization, name=n)
-        sv = slope_subvariety(reduce_slope(a.ns_class((1,)), 2))
-        assert sv.to_ambient.target.name == f"{n}x{n}^"
-        pc = ProductNSClass(a, a, poincare_class().m)
-        assert pc.as_class().variety.name == f"{n}x{n}"
-        graph_subgroup_comparison(pc, 1)
-        assert product_audit._dual_product_variety(a, a, n, n).name == f"{n}^x{n}^"
+    copies = {n: TorusVariety(e_i.g, e_i.j, e_i.ns_basis, e_i.polarization, n) for n in "AB"}
+    m = poincare_class().m  # built before the caches are cleared: it fills one on E_i
+    caches = (
+        slopes._ambient_product,
+        slopes._ambient_forms,
+        product_audit._product_variety,
+        product_audit._dual_product_variety,
+    )
+
+    def expected(n):
+        partner = (f"{n}_partner", f"{n}_partner^", f"{n}_mu")
+        return (
+            f"{n}^", f"{n}x{n}", f"{n}^x{n}^",
+            (f"{n}_mu", f"{n}x{n}^"),
+            (f"{n}x{n}_mu", f"{n}x{n}^"),
+            (f"{n}x{n}_mu", f"{n}x{n}^"),
+            (f"{n}x{n}^", f"{n}x{n}^"),
+            (f"{n}^", f"{n}_mu"),
+            partner, partner,
+        )
+
+    clear_caches()
+    first = _names(copies["A"], m)
+    sizes = [f.cache_info().currsize for f in caches]
+    assert all(sizes)
+    second = _names(copies["B"], m)
+    assert [f.cache_info().currsize for f in caches] == [2 * k for k in sizes]
+    warm = {n: _names(copies[n], m) for n in "BA"}
+    assert [f.cache_info().currsize for f in caches] == [2 * k for k in sizes]
+    assert (first, second) == (expected("A"), expected("B"))
+    for n in "AB":
+        assert warm[n] == expected(n)
+        clear_caches()
+        assert _names(copies[n], m) == expected(n)
 
 
 # -- reference funnels: the searches without pre-filters, memo or exact stop ------
@@ -447,7 +496,7 @@ def test_cached_products_keep_each_variety_name():
 def _ref_search_product_classes(a, b, l, coeff_bound, limit):
     # the funnel before the degree pre-filter: any correspondence isogeny
     # goes on to the kernel-order filter and the audit, 16 candidates a time
-    prod = product_audit._product_variety(a, b, a.name, b.name)
+    prod = product_audit._product_variety(a, b)
 
     def evaluate(coeffs):
         if not any(coeffs):
@@ -938,7 +987,7 @@ def test_audits_of_every_search_hit_match_the_reference(curve, l, bound):
 def test_failing_correspondences_audit_as_the_reference(curve, l):
     # every class of the bound-1 box that meets the audit's preconditions and
     # whose correspondence is not an isogeny or has the wrong degree
-    prod = product_audit._product_variety(curve, curve, curve.name, curve.name)
+    prod = product_audit._product_variety(curve, curve)
     kinds = set()
     for coeffs in itertools.product(range(-1, 2), repeat=len(prod.ns_basis)):
         m = prod.ns_class(coeffs).e

@@ -53,9 +53,6 @@ EXEMPT = {
     "matrices.Mat.__repr__": "protocol dunder, for debugging",
     "records.Record.__repr__": "protocol dunder, for debugging",
     "lattices.Lattice.__hash__": "protocol dunder, pairs with __eq__",
-    "records.Record.__hash__": "protocol dunder, pairs with __eq__",
-    "product_audit.ProductNSClass.__eq__": "protocol dunder, equality of product classes",
-    "product_audit.ProductNSClass.__hash__": "protocol dunder, pairs with __eq__",
     "varieties._excerpt": "failure path: shortens a bad input in an error line",
     "acceptance._killed_combinations": "failure path: lists the killed classes of a failing case",
     "lattices.saturate": "traced by the benchmark (bench/layers.py)",

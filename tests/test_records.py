@@ -109,6 +109,8 @@ def test_every_record_class_is_pinned_with_its_fields(instances):
     assert set(classes) == set(FIELDS) == set(instances)
     for name, cls in classes.items():
         assert cls._fields == FIELDS[name], name
+        # Record's equality and hash, over every field, names included
+        assert not {"__eq__", "__hash__"} & set(vars(cls)), name
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -165,16 +167,19 @@ def test_repr_examples(e_i):
     assert repr(validate(e_i)) == "ValidationReport(failures=())"
     pc = corpus.poincare_class()
     assert "_class" not in repr(pc) and repr(pc).endswith(", name='poincare')")
-    # the derived class stays out of equality too
+    # the derived class stays out of equality; the name is part of it
     assert pc.as_class().e == pc.m
-    assert pc == ProductNSClass(pc.a, pc.b, pc.m, "another name")
+    assert pc == ProductNSClass(pc.a, pc.b, pc.m, pc.name)
+    assert pc != ProductNSClass(pc.a, pc.b, pc.m, "another name")
 
 
 def test_defaults_and_keyword_construction(e_i):
     args = (e_i.g, e_i.j, e_i.ns_basis, e_i.polarization)
     assert TorusVariety(*args).name == "A"
     assert TorusVariety(*args, name="B").name == "B"
-    assert TorusVariety(*args, "B") == TorusVariety(*args)  # the name is a label only
+    # the name is part of a variety's identity: equal data, different names
+    assert TorusVariety(*args, "B") != TorusVariety(*args)
+    assert TorusVariety(*args, "B") == TorusVariety(*args, name="B")
     assert TorusVariety(polarization=args[3], g=args[0], ns_basis=args[2], j=args[1]).name == "A"
     pc = corpus.poincare_class()
     assert ProductNSClass(pc.a, pc.b, pc.m).name == "M"
