@@ -88,6 +88,19 @@ def _require(d: dict, key: str):
     return d[key]
 
 
+def _name_from_json(d: dict, default: str) -> str:
+    """The file's name, which is part of the record's identity and printed
+    in every report: a string with no line break, escape or other
+    unprintable character, so that it cannot forge a report line or drive
+    the terminal."""
+    name = d.get("name", default)
+    if not isinstance(name, str):
+        raise CorpusFormatError("name must be a string")
+    if not name.isprintable():
+        raise CorpusFormatError(f"name must be printable, got {_excerpt(name)}")
+    return name
+
+
 def variety_to_json(a: TorusVariety) -> dict:
     return {
         "format": "fmtori/variety",
@@ -117,19 +130,14 @@ def variety_from_json(d: dict) -> TorusVariety:
         raise CorpusFormatError("polarization must be a list of integers")
     if len(pol) != len(ns):
         raise CorpusFormatError("polarization length must match ns_basis length")
-    name = d.get("name", "A")
-    if not isinstance(name, str):
-        raise CorpusFormatError("name must be a string")
-    return TorusVariety(g, j, ns, tuple(pol), name=name)
+    return TorusVariety(g, j, ns, tuple(pol), name=_name_from_json(d, "A"))
 
 
 def product_class_from_json(d: dict, a: TorusVariety, b: TorusVariety) -> ProductNSClass:
     if not isinstance(d, dict) or d.get("format") != "fmtori/product-class":
         raise CorpusFormatError("not a product-class file (format key missing or wrong)")
     m = matrix_from_json(_require(d, "matrix"))
-    name = d.get("name", "M")
-    if not isinstance(name, str):
-        raise CorpusFormatError("name must be a string")
+    name = _name_from_json(d, "M")
     try:
         return ProductNSClass(a, b, m, name=name)
     except ValueError as exc:

@@ -152,15 +152,15 @@ def enumerate_partners(a: TorusVariety, coeff_bound: int, denom_bound: int) -> l
 
     These results are shared, each exactly:
 
-    * the member lattice, the inverse of its basis and the complex
-      structure it carries come from the one member-data cache of
-      ``slopes.slope_subvariety``, keyed by (J, e mod l, l); slopes are
+    * the member lattice, the inverse of its basis, the complex structure
+      it carries and, when a's presented NS lattice is full, the subtorus
+      NS basis come from the one member-data cache of
+      ``slopes.slope_subvariety``, keyed by (a, e mod l, l); slopes are
       built grouped by coefficients mod l, so each key is built once
-      however many keys the box has; the embedding, its checks and the
-      transport of the polarization run for every slope;
-    * when a's presented NS lattice is full, the subtorus NS basis is
-      shared by each such key too, and every ambient class is restricted
-      once per key; otherwise for every slope;
+      however many keys the box has, and every ambient class is restricted
+      once per key on a full lattice and for every slope otherwise; the
+      embedding, its checks and the transport of the polarization run for
+      every slope;
     * a partner is a function of its subtorus, so ``dual`` runs once per
       distinct subtorus; the identity certificate is built and checked for
       every candidate; a subtorus of NS rank g^2 reads its dual NS basis

@@ -108,77 +108,64 @@ def _ambient_product(a: TorusVariety) -> TorusVariety:
 
 
 @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
-def _ambient_forms(a: TorusVariety) -> tuple[tuple, ...]:
-    """Upper coordinates of every ambient NS class and, last, of the
-    ambient polarization class."""
+def _restriction(a: TorusVariety) -> tuple[tuple[tuple, ...], bool]:
+    """(forms, full): the upper coordinates of every ambient NS class and,
+    last, of the ambient polarization class; and whether a's presented NS
+    lattice is full, every integral alternating J-compatible form: g^2
+    classes, which span every rational one (``dual``), whose
+    upper-coordinate rows have unit invariant factors, so that the lattice
+    they generate is saturated."""
     amb = _ambient_product(a)
-    return tuple(_upper(e) for e in (*amb.ns_basis, amb.polarization_class()))
+    forms = tuple(_upper(e) for e in (*amb.ns_basis, amb.polarization_class()))
+    rows = tuple(_upper(e) for e in a.ns_basis)
+    r = len(rows)
+    return forms, r == a.g**2 and snf(Mat._make(rows, r, len(rows[0]))) == (1,) * r
 
 
 @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
-def _member_data(j: Mat, residue: Mat, l: int) -> tuple[Lattice, Mat, Mat]:
-    """(member lattice, h^-1, h^-1 J h) for the canonical basis h of the
-    member lattice {w/l : residue w = 0 mod l} on the complex structure j.
+def _member_data(a: TorusVariety, residue: Mat, l: int) -> tuple[Lattice, Mat, Mat, list]:
+    """(member lattice, h^-1, h^-1 J h, slot) for the canonical basis h of
+    the member lattice {w/l : residue w = 0 mod l} on a's complex structure J.
 
     e w / l is integral exactly when e w = 0 mod l, so these are the same for
-    every slope on J with numerator e = residue mod l, and the lattice is
+    every slope on a with numerator e = residue mod l, and the lattice is
     read off one congruence echelon by ``sublattice_where_integral``.  The
-    key holds no name, and none of the three results carries one.
+    slot starts empty; ``slope_subvariety`` keeps the subtorus NS basis, in
+    upper coordinates, there when a's NS lattice is full.  None of the four
+    results carries a name.
     """
     lam_mu = sublattice_where_integral(l, residue)
     h_inv = lam_mu.basis.inverse()
-    return lam_mu, h_inv, h_inv @ j @ lam_mu.basis
+    return lam_mu, h_inv, h_inv @ a.j @ lam_mu.basis, []
 
 
-def _member(mu: Slope) -> tuple[Lattice, Mat, Mat]:
+def _member(mu: Slope) -> tuple[Lattice, Mat, Mat, list]:
     """The member data of mu, shared by every slope with the same
-    (J, e mod l, l)."""
-    return _member_data(mu.variety.j, _residue(mu), mu.l)
-
-
-def _residue(mu: Slope) -> Mat:
-    """The entries of mu's integral numerator reduced mod l: still integral."""
-    e = mu.numerator.e
-    return Mat._make(tuple(tuple(x % mu.l for x in row) for row in e.num), e.rows, e.cols)
-
-
-@lru_cache(maxsize=PRODUCT_CACHE_SIZE)
-def _is_full(a: TorusVariety) -> bool:
-    """Whether a's presented NS lattice is full, every integral alternating
-    J-compatible form: g^2 classes, which span every rational one
-    (``dual``), whose upper-coordinate rows have unit invariant factors,
-    so that the lattice they generate is saturated."""
-    rows = tuple(_upper(e) for e in a.ns_basis)
-    r = len(rows)
-    return r == a.g**2 and snf(Mat._make(rows, r, len(rows[0]))) == (1,) * r
-
-
-@lru_cache(maxsize=PRODUCT_CACHE_SIZE)
-def _shared_ns(a: TorusVariety, residue: Mat, l: int) -> list:
-    """The one-entry slot for the subtorus NS basis, in upper coordinates,
-    of every slope of the full variety a with numerator e = residue mod l
-    over l; the first such slope fills it (``slope_subvariety`` says why
-    every slope would fill it with the same basis)."""
-    return []
+    (variety, e mod l, l)."""
+    e, l = mu.numerator.e, mu.l
+    residue = Mat._make(tuple(tuple(x % l for x in row) for row in e.num), e.rows, e.cols)
+    return _member_data(mu.variety, residue, l)
 
 
 def slope_subvariety(mu: Slope) -> SlopeSubvariety:
     """The subtorus of A x dual(A) that mu cuts out, with its structure maps.
 
-    The member lattice {w/l : e w = 0 mod l}, the inverse of its basis h and
-    the complex structure h^-1 J h it carries depend on mu only through
-    (J, e mod l, l), so they are built once per such key, in the one bounded
-    cache that ``projection_invariants`` and ``slope_kernel`` read too.  The
-    embedding, its integrality and primitivity checks, the transport of the
-    polarization and the three maps depend on e itself and are built for
-    every slope.
+    The member lattice {w/l : e w = 0 mod l}, the inverse of its basis h,
+    the complex structure h^-1 J h it carries and, when A's presented NS
+    lattice is full, the subtorus NS basis depend on mu only through
+    (A, e mod l, l).  They are built once per such key, in the one bounded
+    member-data cache that ``projection_invariants`` and ``slope_kernel``
+    read too: the first slope of a key on a full lattice restricts every
+    ambient class and keeps the basis in the key's slot, and the others
+    read it there.  The embedding, its integrality and primitivity checks,
+    the transport of the polarization and the three maps depend on e itself
+    and are built for every slope.
 
     The NS lattice of the subtorus is generated by the restrictions of the
-    ambient classes.  When A's presented NS lattice is full, every
-    integral J-compatible form (``_is_full``: g^2 classes, which span
-    every rational one, as ``dual`` says, generating a saturated lattice),
-    the first slope with a key restricts every ambient class, and the
-    others read its basis from ``_shared_ns``.  Two facts make this exact:
+    ambient classes.  A's is full when it holds every integral J-compatible
+    form (``_restriction``: g^2 classes, which span every rational one, as
+    ``dual`` says, generating a saturated lattice), and two facts make the
+    sharing exact there:
 
     * NS(A x dual(A)) = NS(A) + NS(dual(A)) + Hom(A, dual(A))
       (Birkenhake-Lange, *Complex Abelian Varieties*, on the Neron-Severi
@@ -196,7 +183,7 @@ def slope_subvariety(mu: Slope) -> SlopeSubvariety:
     """
     a, n = mu.variety, mu.variety.dim
     amb = _ambient_product(a)
-    lam_mu, h_inv, j_mu = _member(mu)
+    lam_mu, h_inv, j_mu, slot = _member(mu)
     h = lam_mu.basis
     # the rows of l*I over those of e, which is integral
     scaled = tuple(tuple(mu.l if i == k else 0 for k in range(n)) for i in range(n))
@@ -211,16 +198,15 @@ def slope_subvariety(mu: Slope) -> SlopeSubvariety:
     # NS data: restrict the ambient classes, and the polarization, along the
     # embedding on upper coordinates, then present the lattice the classes
     # generate (no saturation: only classes from the ambient product count)
-    forms = _ambient_forms(a)
-    # the key's slot on a full variety, and a list nothing keeps otherwise
-    shared = _shared_ns(a, _residue(mu), mu.l) if _is_full(a) else []
-    if shared:
-        basis = shared[0]
+    forms, full = _restriction(a)
+    if slot:
+        basis = slot[0]
         (pol_r,) = _transport(forms[-1:], emb_h)
     else:
         *restricted, pol_r = _transport(forms, emb_h)
         basis = _span(restricted, saturated=False)
-        shared.append(basis)
+        if full:
+            slot.append(basis)
     ns_mu = tuple(_from_upper(v, n) for v in basis)
     pol = _hermite_coordinates(pol_r, basis)
     abstract = TorusVariety(a.g, j_mu, ns_mu, pol, name=f"{a.name}_mu")
@@ -250,7 +236,7 @@ class ProjectionInvariants(Record):
 
 def projection_invariants(mu: Slope) -> ProjectionInvariants:
     a = mu.variety
-    lam_mu, _, j_mu = _member(mu)
+    lam_mu, _, j_mu, _ = _member(mu)
     pi = mu.l * lam_mu.basis
     # a full rank Hermite basis is triangular with a positive diagonal, so
     # the determinant of pi is the product of that diagonal

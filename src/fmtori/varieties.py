@@ -178,14 +178,12 @@ def validate(a: TorusVariety) -> ValidationReport:
         fails.append("polarization coefficients must be integers")
     if not fails:
         h = a.polarization_class()
+        # h J is symmetric: h is alternating, J^T h J = h and J^-1 = -J give
+        # (h J)^T = -J^T h = h J, so only its sign is left to test
         if h.det() == 0:
             fails.append("designated polarization is degenerate")
-        else:
-            s = h @ a.j
-            if s.T != s:
-                fails.append("polarization pairing is not symmetric")
-            elif not _is_positive_definite(s):
-                fails.append("designated polarization is not positive")
+        elif not _is_positive_definite(h @ a.j):
+            fails.append("designated polarization is not positive")
     return ValidationReport(tuple(fails))
 
 
@@ -338,13 +336,13 @@ def coefficients_in_basis(target: Mat, basis: tuple[Mat, ...]) -> tuple[int, ...
 # -- duality ------------------------------------------------------------------
 
 # entries kept by each lru_cache helper here, in slopes and in product_audit
-# (product varieties, slope member data, subtorus NS lattices, full form
-# lattices).  A run touches a few varieties: the gate builds 13 member-data
-# keys, 13 subtorus NS keys and the full form lattices of 2 complex
-# structures, and the partners workload 16, 16 and 4.  Larger partner boxes
-# have more keys than this (804 on E_i x E_i at coefficient bound 3,
-# denominator bound 5), and enumerate_partners builds their slopes grouped
-# by key, so each key is still built once and the bound only caps memory
+# (product varieties, slope member data, full form lattices).  A run touches
+# a few varieties: the gate builds 13 member-data keys and the full form
+# lattices of 2 complex structures, and the partners workload 16 and 4.
+# Larger partner boxes have more keys than this (804 on E_i x E_i at
+# coefficient bound 3, denominator bound 5), and enumerate_partners builds
+# their slopes grouped by key, so each key is still built once and the
+# bound only caps memory
 PRODUCT_CACHE_SIZE = 64
 
 

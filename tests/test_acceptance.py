@@ -235,7 +235,7 @@ def test_the_gate_reads_each_dual_certificate_off_eta(cold_caches, count_calls):
 
 def test_the_gate_builds_member_data_once_per_key(cold_caches):
     # subtori, projection invariants and slope kernels read one member-data
-    # cache on (J, e mod l, l): 13 keys, where each call built its own (51)
+    # cache on (variety, e mod l, l): 13 keys, where each call built its own (51)
     assert acceptance.run_all()["ok"]
     info = slopes._member_data.cache_info()
     assert (info.misses, info.currsize) == (13, 13)

@@ -615,3 +615,23 @@ def test_format_errors_name_the_file(capsys, corpus_dir, tmp_path, argv, doc, ke
     assert_input_error(code, err)
     assert err == f"error: {bad}: missing key {key!r}\n"
     assert lines == []
+
+
+@pytest.mark.parametrize("name", ["E\nall checks passed", "E\x1b[2J"], ids=("newline", "escape"))
+@pytest.mark.parametrize("fname, argv", [
+    ("e_i.json", ["dual", "bad.json"]),
+    ("poincare_class.json",
+     ["audit", "e_i.json", "e_i.json", "--class", "bad.json", "--l", "1"]),
+], ids=("variety", "product-class"))
+def test_unprintable_names_exit_two_with_one_error_line(
+    capsys, corpus_dir, tmp_path, name, fname, argv
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(json.loads((corpus_dir / fname).read_text("utf-8")),
+                                   name=name)), "utf-8")
+    argv = [bad if a == "bad.json" else corpus_dir / a if a.endswith(".json") else a
+            for a in argv]
+    code, lines, err = run(capsys, *argv)
+    assert_input_error(code, err)
+    assert err == f"error: {bad}: name must be printable, got {name!r}\n"
+    assert lines == []

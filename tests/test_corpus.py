@@ -123,6 +123,9 @@ def test_variety_format_rejections(e_i):
         (lambda d: d.update(polarization=[1, 2]), "polarization length must match"),
         (lambda d: d.update(ns_basis=[]), "ns_basis must be a non-empty list"),
         (lambda d: d.update(name=3), "name must be a string"),
+        # a name is printed in reports: it cannot forge a line or drive the terminal
+        (lambda d: d.update(name="E\nall checks passed"), "name must be printable"),
+        (lambda d: d.update(name="E\x1b[2J"), "name must be printable"),
     ):
         doc = json.loads(json.dumps(good))
         mutate(doc)
@@ -153,3 +156,6 @@ def test_product_class_file_needs_integrality(e_i):
     doc_bad = dict(doc, name=["poincare"])
     with pytest.raises(corpus.CorpusFormatError, match="name must be a string"):
         corpus.product_class_from_json(doc_bad, e_i, e_i)
+    for name in ("poincare\nall checks passed", "poincare\x1b[2J"):
+        with pytest.raises(corpus.CorpusFormatError, match="name must be printable"):
+            corpus.product_class_from_json(dict(doc, name=name), e_i, e_i)

@@ -343,7 +343,8 @@ def test_shared_member_data_is_each_candidates_own(name, bounds, request, monkey
     seen = _shared_member_data(a, monkeypatch, *bounds)
     assert len({id(member) for _, member in seen}) < len(seen)
     for mu, member in seen:
-        assert member == _member_data_by_definition(a, mu)
+        # the fourth entry is the slot for the subtorus NS basis
+        assert member[:3] == _member_data_by_definition(a, mu)
 
 
 def test_enumeration_computes_each_member_lattice_once_per_residue(e_i_squared, cold_caches):

@@ -450,7 +450,8 @@ def _names(a, m):
 
 def test_cached_products_keep_each_variety_name():
     # a name is part of a variety's identity: two copies of E_i with equal
-    # data are two entries in each product cache, and every product, dual,
+    # data are two entries in each cache keyed by varieties (the product
+    # caches and the slope member data), and every product, dual,
     # subtorus and partner is named after its own copy, whether the copies
     # run warm in either order or cold
     e_i = square_lattice_curve()
@@ -458,7 +459,8 @@ def test_cached_products_keep_each_variety_name():
     m = poincare_class().m  # built before the caches are cleared: it fills one on E_i
     caches = (
         slopes._ambient_product,
-        slopes._ambient_forms,
+        slopes._restriction,
+        slopes._member_data,
         product_audit._product_variety,
         product_audit._dual_product_variety,
     )

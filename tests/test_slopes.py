@@ -10,8 +10,8 @@ from fmtori.lattices import Lattice, saturate
 from fmtori.matrices import Mat
 from fmtori.slopes import (
     Slope,
-    _is_full,
-    _shared_ns,
+    _member_data,
+    _restriction,
     member_lattice,
     parse_slope_literal,
     projection_invariants,
@@ -324,7 +324,7 @@ def _subtori_and_duals(slopes):
 def _assert_shared_ns_is_per_slope(a, coeff_bound, denom_bound):
     """Every slope's subtorus NS basis is its own per-slope restriction,
     every dual's is the saturated transport; returns the distinct per-slope
-    bases of each member-data key (J, e mod l, l)."""
+    bases of each member-data key (a, e mod l, l)."""
     assert dual(a).ns_basis == _saturated_dual_ns_basis(a)
     bases = {}
     slopes = _distinct_slopes(a, coeff_bound, denom_bound)
@@ -342,7 +342,7 @@ def _assert_shared_ns_is_per_slope(a, coeff_bound, denom_bound):
 ))
 def test_full_ns_lattices_share_the_per_slope_bases(name, bounds, request):
     a = request.getfixturevalue(name)
-    assert _is_full(a)
+    assert _restriction(a)[1]
     _assert_shared_ns_is_per_slope(a, *bounds)
 
 
@@ -354,17 +354,17 @@ def test_partial_ns_lattices_restrict_per_slope(build, bounds, e_i_squared):
     # presentations (up to 3 on index2, 2 on rank2), so a sharing that
     # ignored the full-lattice condition would give one slope another's
     a = build(e_i_squared)
-    assert validate(a).ok and not _is_full(a)
+    assert validate(a).ok and not _restriction(a)[1]
     bases = _assert_shared_ns_is_per_slope(a, *bounds)
     assert max(len(b) for b in bases.values()) > 1
 
 
 def test_shared_ns_lattices_do_not_depend_on_the_caches(e_i_squared):
-    # the first slope of each key fills its shared lattice; from cold caches
-    # in reverse order another slope comes first, and every answer, names
+    # the first slope of each key fills its slot; from cold caches in
+    # reverse order another slope comes first, and every answer, names
     # included, is still the warm one
     cases = [(a, _distinct_slopes(a, 1, 3)) for a in (e_i_squared, _index_two(e_i_squared))]
-    shared = (_is_full, _shared_ns, _compatible_forms)
+    shared = (_restriction, _member_data, _compatible_forms)
     clear_caches()
     assert all(f.cache_info().currsize == 0 for f in shared)
     cold = [_subtori_and_duals(slopes) for _, slopes in cases]

@@ -150,6 +150,9 @@ def test_dual_ns_lattice_is_the_saturated_transport(v):
     scalar = (p * h)[0, 0]
     assert scalar != 0 and p * h == scalar * sympy.eye(v.dim)
     assert validate(d).ok
+    # validate tests only the sign of the pairing h J, which is symmetric
+    # whenever the classes are J-compatible and J^2 = -I
+    assert all(s.T == s for s in (x.polarization_class() @ x.j for x in (v, d)))
 
 
 def _compatible_kernel(j: Mat):

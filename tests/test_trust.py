@@ -53,7 +53,11 @@ VALIDATING_MAKE = classmethod(lambda cls, *values: cls(*values))
 
 
 def _trust_nothing(monkeypatch):
-    """Validate every record and recompute the member data of every slope."""
+    """Validate every record and recompute the member data of every slope.
+
+    The uncached member data hand each slope an empty slot, so every
+    subtorus restricts every ambient class itself: the reports compare the
+    shared NS bases of full lattices with the per-slope ones."""
     monkeypatch.setattr(Record, "_make", VALIDATING_MAKE)
     monkeypatch.setattr(slopes, "_member_data", slopes._member_data.__wrapped__)
 
