@@ -10,6 +10,8 @@ where kernel groups K(L) and slope kernels come from.
 
 from __future__ import annotations
 
+from math import prod
+
 from .matrices import Mat, Scalar, _row_echelon, _row_hnf, hnf_columns, integer_kernel, snf
 from .records import Record
 
@@ -22,15 +24,14 @@ class FiniteGroupStructure(Record):
     """Isomorphism type of a finite abelian group: divisors d1 | d2 | ..., each > 1."""
 
     divisors: tuple[int, ...]
-    order: int
 
     @staticmethod
     def from_diagonal(diag: tuple[int, ...]) -> "FiniteGroupStructure":
-        ds = tuple(d for d in diag if d > 1)
-        order = 1
-        for d in ds:
-            order *= d
-        return FiniteGroupStructure(ds, order)
+        return FiniteGroupStructure(tuple(d for d in diag if d > 1))
+
+    @property
+    def order(self) -> int:
+        return prod(self.divisors)
 
     @property
     def exponent(self) -> int:

@@ -11,10 +11,10 @@ A ``Mat`` holds integer rows ``num`` over one positive denominator ``den``,
 kept reduced, the form FLINT's ``fmpq_mat_get_fmpz_mat_matwise`` and PARI's
 ``Q_remove_denom`` convert to.  Products, scalings and eliminations run on
 Python ints alone, each elimination in one place: the Euclidean row echelon
-``_row_echelon`` (Hermite and Smith forms, kernels), one Bareiss pass
+``_row_echelon`` (rank, Hermite and Smith forms, kernels), one Bareiss pass
 ``_bareiss`` (det, Sylvester's test; Bareiss 1968) and fraction-free
-Gauss-Jordan ``_gauss_jordan`` (rank, inverse and solving; Nakos, Turner
-and Williams 1997).  ``Fraction`` objects are made only where an entry is
+Gauss-Jordan ``_gauss_jordan`` (inverse and solving; Nakos, Turner and
+Williams 1997).  ``Fraction`` objects are made only where an entry is
 read: the ``data`` view and the scalars that ``det`` and ``solve_exact``
 return, each one exact division by ``_scalar``.
 """
@@ -271,7 +271,9 @@ class Mat:
         return Mat._make(tuple(tuple(d * x for x in row[n:]) for row in a), n, n, abs(p))
 
     def rank(self) -> int:
-        return len(_gauss_jordan(list(map(list, self.num)), self.cols)[0])
+        # the pivot rows of an integer row echelon form, which spans the
+        # same rational row space
+        return _row_echelon(list(map(list, self.num)), self.cols, reduce=False)
 
 
 def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:

@@ -14,7 +14,6 @@ exactly that and is reported as such.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd, prod
 
 from .matrices import Mat, combination_map, snf
@@ -231,10 +230,9 @@ def find_isomorphism_certificate(
     # exact coefficient box: x = P @ vec(M) with P a left inverse of the
     # saturated basis, so |x_i| <= bound * (row sum of |P|)
     p = (b.T @ b).inverse() @ b.T
-    boxes = []
-    for i in range(p.rows):
-        s = sum(abs(Fraction(p[i, j])) for j in range(p.cols))
-        boxes.append(int(bound * s))
+    # every term is non-negative, so the floor of the scaled row sum is
+    # the floor of its integer numerator over the denominator
+    boxes = [bound * sum(map(abs, row)) // p.den for row in p.num]
     require_within_cap(prod(2 * c + 1 for c in boxes), "certificate search")
     combine = combination_map(basis, dst.dim, src.dim)
     for x in itertools.product(*(range(-c, c + 1) for c in boxes)):
@@ -257,9 +255,13 @@ class RigidityCheck(Record):
     """The kernel of A -> A_mu for mu = n * polarization / l, and the
     quotient map, an isomorphism certificate exactly when ok."""
 
-    ok: bool
     kernel: FiniteSubgroup
     certificate: Homomorphism
+
+    @property
+    def ok(self) -> bool:
+        """Whether the kernel is trivial."""
+        return self.kernel.order == 1
 
 
 def ppav_rigidity_check(a: TorusVariety, n: int, l: int) -> RigidityCheck:
@@ -281,11 +283,9 @@ def ppav_rigidity_check(a: TorusVariety, n: int, l: int) -> RigidityCheck:
     # n times the validated polarization
     mu = reduce_slope(NSClass._make(a, n * h), l)
     sv = slope_subvariety(mu)
-    kern = slope_kernel(mu)
-    cert = sv.quotient
-    ok = kern.order == 1
-    if ok != is_isomorphism_certificate(cert):
+    check = RigidityCheck(slope_kernel(mu), sv.quotient)
+    if check.ok != is_isomorphism_certificate(check.certificate):
         raise InternalInvariantViolation(
             "trivial kernel and unimodular quotient must coincide"
         )
-    return RigidityCheck(ok, kern, cert)
+    return check

@@ -117,8 +117,11 @@ class AuditReport(Record):
     pc: ProductNSClass
     l: int
     items: tuple[AuditItem, ...]
-    all_pass: bool
     subtorus: SlopeSubvariety | None
+
+    @property
+    def all_pass(self) -> bool:
+        return all(item.passed for item in self.items)
 
 
 def _item(name: str, expected, actual) -> AuditItem:
@@ -187,7 +190,7 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     mu = _slope_of(pc, l)
     if pc.a.g != pc.b.g:
         item = _item("equal_dimensions", pc.a.g, pc.b.g)
-        return AuditReport(pc, l, (item,), False, None)
+        return AuditReport(pc, l, (item,), None)
     if l > 1 and not is_ample(pc.block_b):
         raise PreconditionError(
             "the B-block of the class must be ample for l > 1; "
@@ -250,7 +253,7 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
         )
     )
 
-    return AuditReport(pc, l, tuple(items), all(i.passed for i in items), sv)
+    return AuditReport(pc, l, tuple(items), sv)
 
 
 class ProjectionIso(Record):

@@ -224,14 +224,21 @@ def slope_subvariety(mu: Slope) -> SlopeSubvariety:
 class ProjectionInvariants(Record):
     """Numerical invariants of the projection from the subtorus back to A.
 
-    degree is the isogeny degree of multiplication-by-l off the member
-    lattice; rank is its integer square root (the bundle rank); stabilizer
-    is the projection kernel, a subgroup of the abstract subtorus.
+    stabilizer is the projection kernel, a subgroup of the abstract
+    subtorus; degree is its order, the isogeny degree of multiplication-by-l
+    off the member lattice, and rank is the integer square root of the
+    degree (the bundle rank).
     """
 
-    degree: int
     stabilizer: FiniteSubgroup
-    rank: int
+
+    @property
+    def degree(self) -> int:
+        return self.stabilizer.order
+
+    @property
+    def rank(self) -> int:
+        return isqrt(self.degree)
 
 
 def projection_invariants(mu: Slope) -> ProjectionInvariants:
@@ -241,8 +248,7 @@ def projection_invariants(mu: Slope) -> ProjectionInvariants:
     # a full rank Hermite basis is triangular with a positive diagonal, so
     # the determinant of pi is the product of that diagonal
     deg = prod(pi[i, i] for i in range(a.dim))
-    r = isqrt(deg)
-    if r * r != deg:
+    if isqrt(deg) ** 2 != deg:
         raise InternalInvariantViolation(
             f"projection degree {deg} is not a perfect square"
         )
@@ -254,7 +260,7 @@ def projection_invariants(mu: Slope) -> ProjectionInvariants:
     sigma = FiniteSubgroup(abstract, sublattice_where_integral(deg, pi))
     if sigma.order != deg:
         raise InternalInvariantViolation("stabilizer order differs from projection degree")
-    return ProjectionInvariants(degree=deg, stabilizer=sigma, rank=r)
+    return ProjectionInvariants(sigma)
 
 
 # -- slope literals -------------------------------------------------------------

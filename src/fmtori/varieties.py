@@ -27,7 +27,7 @@ from itertools import chain, combinations
 from math import lcm
 
 from .lattices import FiniteGroupStructure, Lattice, quotient_structure, sublattice_where_integral
-from .matrices import Mat, _bareiss, _row_echelon, _row_hnf, combination_map, integer_kernel, snf, solve_exact, vec_is_integral
+from .matrices import Mat, _bareiss, _row_hnf, combination_map, integer_kernel, snf, solve_exact, vec_is_integral
 from .records import Record
 
 
@@ -165,11 +165,9 @@ def validate(a: TorusVariety) -> ValidationReport:
         fails.append("ns_basis is empty")
     elif all((e.rows, e.cols) == (n, n) for e in a.ns_basis):
         # the classes are independent when their flattened integer rows
-        # are: scaling a class by its denominator keeps the rank, and the
-        # echelon of these sparse rows is cheap where Gauss-Jordan on the
-        # n^2 x r matrix of columns rebuilds all n^2 rows per pivot
-        rows = [list(chain.from_iterable(e.num)) for e in a.ns_basis]
-        if _row_echelon(rows, n * n, reduce=False) < len(rows):
+        # are: scaling a class by its denominator keeps the rank
+        rows = tuple(tuple(chain.from_iterable(e.num)) for e in a.ns_basis)
+        if Mat._make(rows, len(rows), n * n).rank() < len(rows):
             fails.append("ns_basis is not Z-linearly independent")
     if len(a.polarization) != len(a.ns_basis):
         fails.append("polarization coefficient vector length mismatch")
@@ -581,27 +579,16 @@ class Product(Record):
     variety: TorusVariety
 
 
-def lift_first(e: Mat, nb: int) -> Mat:
-    return Mat.block([[e, Mat.zeros(e.rows, nb)], [Mat.zeros(nb, e.cols), Mat.zeros(nb, nb)]])
-
-
-def lift_second(e: Mat, na: int) -> Mat:
-    return Mat.block([[Mat.zeros(na, na), Mat.zeros(na, e.cols)], [Mat.zeros(e.rows, na), e]])
-
-
-def correspondence_class(c: Mat, na: int, nb: int) -> Mat:
-    return Mat.block([[Mat.zeros(na, na), c], [-1 * c.T, Mat.zeros(nb, nb)]])
-
-
 def product(a: TorusVariety, b: TorusVariety, name: str | None = None) -> Product:
     """Product torus with block complex structure and the full block NS data."""
     na, nb = a.dim, b.dim
-    j = Mat.block([[a.j, Mat.zeros(na, nb)], [Mat.zeros(nb, na), b.j]])
+    za, zab, zba, zb = Mat.zeros(na, na), Mat.zeros(na, nb), Mat.zeros(nb, na), Mat.zeros(nb, nb)
+    j = Mat.block([[a.j, zab], [zba, b.j]])
     ns = (
-        tuple(lift_first(e, nb) for e in a.ns_basis)
-        + tuple(lift_second(e, na) for e in b.ns_basis)
+        tuple(Mat.block([[e, zab], [zba, zb]]) for e in a.ns_basis)
+        + tuple(Mat.block([[za, zab], [zba, e]]) for e in b.ns_basis)
         # the correspondence blocks are the homomorphisms B -> dual(A)
-        + tuple(correspondence_class(c, na, nb) for c in intertwiner_basis(b.j, -1 * a.j.T))
+        + tuple(Mat.block([[za, c], [-1 * c.T, zb]]) for c in intertwiner_basis(b.j, -1 * a.j.T))
     )
     pol = a.polarization + b.polarization + (0,) * (len(ns) - len(a.ns_basis) - len(b.ns_basis))
     v = TorusVariety(a.g + b.g, j, ns, pol, name if name is not None else f"{a.name}x{b.name}")

@@ -13,13 +13,18 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fmtori
 from fmtori import acceptance, corpus, matrices, partners, product_audit, slopes, varieties
+from fmtori.lattices import Lattice
 from fmtori.matrices import Mat
+from fmtori.partners import RigidityCheck
+from fmtori.slopes import ProjectionInvariants
+from fmtori.varieties import FiniteSubgroup, NSClass, torsion_subgroup, trivial_subgroup
 
 # the directory holding the package under test, so the subprocess imports
 # the same sources whether or not the package is installed
@@ -148,6 +153,74 @@ def test_the_gate_decides_pullback_injectivity_by_rank(monkeypatch):
     crit = acceptance.criterion_pullback_injectivity()
     assert crit["ok"] and crit["isogenies"] == 20
     assert calls == []
+
+
+def _nth_call(real, n, corrupt):
+    """real, with the result of its n-th call (counted from 0) passed
+    through corrupt."""
+    calls = itertools.count()
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return corrupt(out) if next(calls) == n else out
+
+    return patched
+
+
+# per criterion with cases: a dependency, as the gate module binds it, and
+# which of its results to corrupt so that exactly one case fails
+ONE_FAILING_CASE = {
+    # n = 2 gets the trivial kernel
+    "degree_law": ("class_kernel", 1, lambda kern: trivial_subgroup(kern.variety)),
+    "ppav_rigidity": (
+        "ppav_rigidity_check", 0,
+        lambda check: RigidityCheck(torsion_subgroup(check.kernel.variety, 2), check.certificate),
+    ),
+    # a stabilizer of order 2, which is not a square
+    "projection_counts": (
+        "projection_invariants", 0,
+        lambda inv: ProjectionInvariants(FiniteSubgroup(
+            inv.stabilizer.variety, Lattice(Mat([[Fraction(1, 2), 0], [0, 1]])))),
+    ),
+    "l2_search_audit": (
+        "_oracle_subgroup_checks", 0, lambda oracle: {**oracle, "graph_sets_equal": False}
+    ),
+    # the Poincare criterion checks its three certificates first, and the
+    # three dual-partner cases check one each
+    "dual_partner_certificates": ("is_isomorphism_certificate", 4, lambda ok: False),
+    "kernel_class_search": ("search_kernel_class", 0, lambda found: None),
+    # one zero pullback leaves the first isogeny's four classes rank 3
+    "pullback_injectivity": ("ns_pullback", 0, lambda cls: NSClass(cls.variety, 0 * cls.e)),
+}
+
+
+def _verdicts(criteria, but):
+    return {c["name"]: c["ok"] for c in criteria if c["name"] != but}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_FAILING_CASE))
+def test_one_failing_case_fails_its_criterion_and_the_gate(gate, monkeypatch, name):
+    attr, n, corrupt = ONE_FAILING_CASE[name]
+    monkeypatch.setattr(acceptance, attr, _nth_call(getattr(acceptance, attr), n, corrupt))
+    report = acceptance.run_all()
+    crit = next(c for c in report["criteria"] if c["name"] == name)
+    assert [case["ok"] for case in crit["cases"]].count(False) == 1
+    assert not crit["ok"]
+    assert not report["ok"]
+    assert _verdicts(report["criteria"], name) == _verdicts(gate.values(), name)
+
+
+def test_a_criterion_without_cases_fails(gate, monkeypatch):
+    # with no l=2 hit the search criterion has no case, and the dual-partner
+    # criterion still has the Poincare instance
+    monkeypatch.setattr(acceptance, "_search_product_classes", lambda *args, **kwargs: [])
+    report = acceptance.run_all()
+    crit = next(c for c in report["criteria"] if c["name"] == "l2_search_audit")
+    assert crit == {"name": "l2_search_audit", "ok": False, "hits": 0, "cases": []}
+    assert not report["ok"]
+    assert _verdicts(report["criteria"], crit["name"]) == _verdicts(gate.values(), crit["name"])
+    assert acceptance._criterion_dual_partner([]) == {
+        "name": "dual_partner_certificates", "ok": False, "instances": 0, "cases": []}
 
 
 def test_c10_regress_json_is_byte_identical(tmp_path):
