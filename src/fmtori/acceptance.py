@@ -158,9 +158,10 @@ def criterion_ppav_rigidity() -> dict:
 
 
 def criterion_projection_counts() -> dict:
-    """Reduced slopes nE0/l, |n| <= 3, l <= 4: the projection degree is a
-    perfect square, the rank is l for unimodular numerators, and the
-    stabilizer has exactly that many points."""
+    """Reduced slopes nE0/l, |n| <= 3, l <= 4: A -> A_mu -> A is
+    multiplication by l, so the projection degree (the stabilizer's order)
+    times the slope kernel's order (the member lattice's) is l^2g; and the
+    rank is l for unimodular numerators."""
     a = square_lattice_curve()
     h = a.polarization_class()
     rows = []
@@ -171,7 +172,7 @@ def criterion_projection_counts() -> dict:
                 continue
             mu = Slope(num, l)
             inv = projection_invariants(mu)
-            good = inv.rank * inv.rank == inv.degree and inv.stabilizer.order == inv.degree
+            good = inv.degree * slope_kernel(mu).order == l ** (2 * a.g)
             if abs(int(num.e.det())) == 1:
                 good = good and inv.rank == l
             rows.append({"n": n, "l": l, "degree": inv.degree, "rank": inv.rank,

@@ -1,18 +1,17 @@
 """Brute-force oracles for the normal-form machinery.
 
 Everything here works by enumerating torsion points and doing modular
-arithmetic, with a self-contained rational solver for coset membership.
-Deliberately no Hermite or Smith forms: these functions are the second
-route that the canonical-form pipeline is tested against, so they must not
-share its failure modes.
+arithmetic.  Deliberately no elimination, and no Hermite or Smith forms:
+these functions are the second route that the canonical-form pipeline is
+tested against, so they must not share its failure modes.
 
 A point of order dividing n is k / n for an integer numerator k in
 [0, n)^dim, and the enumerations run on those numerators: m @ (k / n) is
 integral for m = num / den exactly when num @ k = 0 mod n * den.
 ``Fraction`` points are built only for the points a function returns.
-Subgroup membership inverts the overlattice basis once per subgroup, by
-the plain elimination of ``_solve_columns``, and then tests each numerator
-the same way.
+A subgroup's points are generated rather than tested: over the denominator
+d of its overlattice basis they are k / d for the numerators k that the
+integer columns of the basis generate mod d, with no elimination at all.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .matrices import Mat
@@ -83,53 +82,23 @@ def predicted_order_counts(divisors, upto: int) -> dict[int, int]:
     return out
 
 
-def _solve_columns(basis: Mat, rhs) -> list[list[Fraction]] | None:
-    """Plain Gaussian elimination on [basis | rhs...], free of normal forms:
-    one solution per right-hand side column in rhs, or None when any of
-    them is inconsistent."""
-    rows = [[Fraction(basis[i, j]) for j in range(basis.cols)] + [Fraction(b[i]) for b in rhs]
-            for i in range(basis.rows)]
-    ncols = basis.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if any(x != 0 for row in rows[r:] for x in row[ncols:]):
-        return None
-    sols = [[Fraction(0)] * ncols for _ in rhs]
-    for i, c in enumerate(pivots):
-        for sol, x in zip(sols, rows[i][ncols:]):
-            sol[c] = x
-    return sols
-
-
 def subgroup_points(sub: FiniteSubgroup) -> list[tuple[Fraction, ...]]:
-    """All points of the subgroup, enumerated through its exponent torsion.
+    """All points of the subgroup, generated from its overlattice basis.
 
-    A point p lies in the subgroup when basis^-1 p is integral, for the
-    basis of the overlattice.  The inverse is one elimination against the
-    unit vectors; over its common denominator d it is num / d for an
-    integer matrix num, so the point k / e is in the subgroup exactly when
-    num @ k = 0 mod d * e.
+    Over its denominator d the basis is b / d for an integer matrix b, and
+    its columns generate the subgroup, so the points are k / d for the
+    numerators k in the closure of the columns of b mod d under addition.
+    Each column joins the cosets of the group built so far, until its next
+    multiple falls back into that group.  The points are returned sorted.
     """
     basis = sub.overlattice.basis
-    dim = basis.rows
-    unit = [[int(i == j) for i in range(dim)] for j in range(dim)]
-    cols = _solve_columns(basis, unit)  # the columns of basis^-1
-    d = lcm(*(x.denominator for col in cols for x in col))
-    num = [[col[i].numerator * (d // col[i].denominator) for col in cols] for i in range(dim)]
-    e = sub.structure.exponent
-    pts = [_point(k, e) for k in filter(_kills(num, d * e), torsion_numerators(dim, e))]
+    d = basis.den
+    found = {(0,) * basis.rows}
+    for col in zip(*basis.num):
+        coset = found
+        while coset := {tuple((x + y) % d for x, y in zip(k, col)) for k in coset} - found:
+            found |= coset
+    pts = [_point(k, d) for k in sorted(found)]
     if len(pts) != sub.order:
         raise AssertionError(
             f"enumeration found {len(pts)} points, structure claims {sub.order}"

@@ -97,7 +97,12 @@ class TorusVariety(Record):
 
 def _class_failure(e: Mat, j: Mat) -> str | None:
     """How e fails to be an integral alternating J-compatible form for the
-    complex structure j, as the first failing check's phrase, or None."""
+    complex structure j, as the first failing check's phrase, or None.
+
+    For alternating e and j^2 = -I, (e j)^T = -j^T e, so j^T e j = e holds
+    exactly when e j is symmetric: one product, and the form whose sign
+    positivity reads.
+    """
     n = j.rows
     if (e.rows, e.cols) != (n, n):
         return "has the wrong shape"
@@ -105,7 +110,8 @@ def _class_failure(e: Mat, j: Mat) -> str | None:
         return "is not integral"
     if not e.is_alternating():
         return "is not alternating"
-    if j.T @ e @ j != e:
+    s = e @ j
+    if s.T != s:
         return "is not J-compatible"
     return None
 
@@ -155,8 +161,9 @@ def validate(a: TorusVariety) -> ValidationReport:
         return ValidationReport(("g must be at least 1",))
     if (a.j.rows, a.j.cols) != (n, n):
         return ValidationReport(("J has the wrong shape",))
+    # compatibility and positivity are defined for a complex structure only
     if a.j @ a.j != -1 * Mat.identity(n):
-        fails.append("J^2 differs from -I")
+        return ValidationReport(("J^2 differs from -I",))
     for idx, e in enumerate(a.ns_basis):
         failure = _class_failure(e, a.j)
         if failure:

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from conftest import bench_imported
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmtori import acceptance, oracles
+from fmtori import acceptance, lattices, matrices, oracles, varieties
 from fmtori.lattices import Lattice
 from fmtori.matrices import Mat
 from fmtori.varieties import FiniteSubgroup, class_kernel, torsion_subgroup, trivial_subgroup
@@ -52,15 +53,6 @@ def test_point_in_subgroup(e_i):
     assert (0, 0) in set(oracles.subgroup_points(trivial_subgroup(e_i)))
 
 
-def test_solver_handles_rectangular_inconsistency():
-    basis = Mat(((1,), (1,)))
-    assert oracles._solve_columns(basis, [(1, 0)]) is None
-    assert oracles._solve_columns(basis, [(2, 2)]) == [[Fraction(2)]]
-    # one inconsistent column makes the whole system inconsistent
-    assert oracles._solve_columns(basis, [(2, 2), (1, 0)]) is None
-    assert oracles._solve_columns(basis, [(2, 2), (-1, -1)]) == [[Fraction(2)], [Fraction(-1)]]
-
-
 # -- the integer routes against the Fraction routes they replaced ---------------
 
 
@@ -76,12 +68,51 @@ def _ref_kernel_points(e: Mat, l: int) -> list:
     ]
 
 
+def _solve_columns(basis: Mat, rhs) -> list[list[Fraction]] | None:
+    """Plain Gaussian elimination on [basis | rhs...], free of normal forms:
+    one solution per right-hand side column in rhs, or None when any of
+    them is inconsistent."""
+    rows = [[Fraction(basis[i, j]) for j in range(basis.cols)] + [Fraction(b[i]) for b in rhs]
+            for i in range(basis.rows)]
+    ncols = basis.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(x != 0 for row in rows[r:] for x in row[ncols:]):
+        return None
+    sols = [[Fraction(0)] * ncols for _ in rhs]
+    for i, c in enumerate(pivots):
+        for sol, x in zip(sols, rows[i][ncols:]):
+            sol[c] = x
+    return sols
+
+
+def test_solver_handles_rectangular_inconsistency():
+    basis = Mat(((1,), (1,)))
+    assert _solve_columns(basis, [(1, 0)]) is None
+    assert _solve_columns(basis, [(2, 2)]) == [[Fraction(2)]]
+    # one inconsistent column makes the whole system inconsistent
+    assert _solve_columns(basis, [(2, 2), (1, 0)]) is None
+    assert _solve_columns(basis, [(2, 2), (-1, -1)]) == [[Fraction(2)], [Fraction(-1)]]
+
+
 def _ref_subgroup_points(sub) -> list:
     """torsion_points filtered by one elimination per point."""
     basis = sub.overlattice.basis
     out = []
     for p in oracles.torsion_points(sub.variety.dim, sub.structure.exponent):
-        sol = oracles._solve_columns(basis, [p])
+        sol = _solve_columns(basis, [p])
         if sol is not None and all(x.denominator == 1 for x in sol[0]):
             out.append(p)
     return out
@@ -149,7 +180,45 @@ def test_subgroup_points_match_the_fraction_route(e_i, e_i_squared, m, l):
     assert oracles.subgroup_points(sub) == _ref_subgroup_points(sub)
 
 
-def test_subgroup_membership_eliminates_once_per_subgroup(count_calls):
-    eliminations = count_calls(oracles, "_solve_columns")
-    assert acceptance.run_all()["ok"]
-    assert len(eliminations) == 15  # one per point before: 122
+def test_kernel_search_targets_match_the_fraction_route():
+    with bench_imported() as (_, workloads):
+        _, targets = workloads.build_kernel_search(1)
+    assert len(targets) == 20
+    for _, sub in targets:
+        assert sub.variety.dim == 4
+        assert oracles.subgroup_points(sub) == _ref_subgroup_points(sub)
+
+
+# every elimination of the normal-form pipeline, as the modules bind them
+ELIMINATIONS = ("_bareiss", "_gauss_jordan", "_row_echelon", "_row_hnf", "hnf_columns",
+                "integer_kernel", "snf", "solve_exact")
+
+
+def test_subgroup_points_take_no_normal_form(gate_oracle_calls):
+    subs = [sub for (sub,) in gate_oracle_calls["subgroup_points"]]
+    assert len(subs) == 15
+    # the final count check reads the order off the Smith route, so take it first
+    assert all(sub.order >= 1 for sub in subs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the point oracle took a normal form")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (matrices, lattices, varieties):
+            for name in ELIMINATIONS:
+                if hasattr(module, name):
+                    mp.setattr(module, name, refuse)
+        for name in ("det", "inverse", "rank"):
+            mp.setattr(Mat, name, refuse)
+        for sub in subs:
+            oracles.subgroup_points(sub)
+
+
+def _bound_from(module) -> list[str]:
+    return sorted(name for name, value in vars(oracles).items()
+                  if value is module or getattr(value, "__module__", None) == module.__name__)
+
+
+def test_the_oracles_bind_nothing_of_the_normal_form_modules():
+    assert _bound_from(lattices) == []
+    assert _bound_from(matrices) == ["Mat"]

@@ -186,10 +186,12 @@ def test_the_gate_builds_each_lattice_quotient_it_reads(count_calls):
     # twice (68); and the kernel-class search's trivial and full-torsion
     # targets, for l = 1, 2, 3, carry their known structures (59); and the
     # three audits read the divisors of pi's kernel off the Smith form of
-    # the correspondence instead of a lattice quotient (53)
+    # the correspondence instead of a lattice quotient (53); and the
+    # projection-count criterion reads the order of one slope kernel per
+    # row, 19 of them, for its degree identity (50 before)
     quotients = count_calls(lattices, "quotient_structure")
     assert acceptance.run_all()["ok"]
-    assert len(quotients) == 50
+    assert len(quotients) == 69
 
 
 def test_the_gate_determinant_count_from_cold_caches(cold_caches, monkeypatch):
