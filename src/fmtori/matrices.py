@@ -11,12 +11,12 @@ A ``Mat`` holds integer rows ``num`` over one positive denominator ``den``,
 kept reduced, the form FLINT's ``fmpq_mat_get_fmpz_mat_matwise`` and PARI's
 ``Q_remove_denom`` convert to.  Products, scalings and eliminations run on
 Python ints alone, each elimination in one place: the Euclidean row echelon
-``_row_echelon`` (rank, Hermite and Smith forms, kernels), one Bareiss pass
-``_bareiss`` (det, Sylvester's test; Bareiss 1968) and fraction-free
-Gauss-Jordan ``_gauss_jordan`` (inverse and solving; Nakos, Turner and
-Williams 1997).  ``Fraction`` objects are made only where an entry is
-read: the ``data`` view and the scalars that ``det`` and ``solve_exact``
-return, each one exact division by ``_scalar``.
+``_row_echelon`` (rank, Hermite and Smith forms, the unit invariant factor
+test, kernels), one Bareiss pass ``_bareiss`` (det, Sylvester's test;
+Bareiss 1968) and fraction-free Gauss-Jordan ``_gauss_jordan`` (inverse
+and solving; Nakos, Turner and Williams 1997).  ``Fraction`` objects are
+made only where an entry is read: the ``data`` view and the scalars that
+``det`` and ``solve_exact`` return, each one exact division by ``_scalar``.
 """
 
 from __future__ import annotations
@@ -470,6 +470,25 @@ def snf(m: Mat) -> tuple[int, ...]:
                 g = gcd(x, y)
                 diag[i], diag[j] = g, x // g * y
     return tuple(diag) + (0,) * (min(m.rows, m.cols) - r)
+
+
+def has_unit_invariant_factors(m: Mat) -> bool:
+    """Whether every invariant factor of an integral matrix is 1, that is
+    ``snf(m) == (1,) * min(m.rows, m.cols)``, from one row echelon pass.
+
+    The rows of the taller of m and m^T, k = min(rows, cols) columns wide,
+    are brought to echelon form T.  Their lattice has index |det T| =
+    d1 ... dk in Z^k when T has k pivot rows, and infinite index otherwise,
+    so every factor is 1 exactly when there are k pivots, each 1 (Cohen,
+    GTM 138, section 2.4).
+    """
+    if m.den != 1:
+        raise ValueError("smith form needs an integral matrix")
+    t = m if m.rows >= m.cols else m.T
+    a = [list(r) for r in t.num]
+    k = _row_echelon(a, t.cols, reduce=False)
+    # the first nonzero entry of each pivot row is its positive pivot
+    return k == t.cols and all(next(filter(None, row)) == 1 for row in a[:k])
 
 
 def integer_kernel(m: Mat) -> Mat:

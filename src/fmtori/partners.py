@@ -160,16 +160,17 @@ def enumerate_partners(a: TorusVariety, coeff_bound: int, denom_bound: int) -> l
       once per key on a full lattice and for every slope otherwise; the
       embedding, its checks and the transport of the polarization run for
       every slope;
-    * a partner is a function of its subtorus, so ``dual`` runs once per
-      distinct subtorus; the identity certificate is built and checked for
-      every candidate; a subtorus of NS rank g^2 reads its dual NS basis
-      off the full lattice of its partner's complex structure, one kernel
-      per such structure;
+    * a partner and its identity certificate are functions of the
+      subtorus, so ``dual`` runs, and the certificate is built and checked,
+      once per distinct subtorus, and entries with equal subtori share one
+      ``PartnerRecord``; a subtorus of NS rank g^2 reads its dual NS basis,
+      Hermite rows and class matrices, off the full lattice of its
+      partner's complex structure, one kernel per such structure;
     * a fingerprint reads only the complex structure and the NS basis, so
       it is computed once per distinct presentation (J, NS basis) among the
       partners and shared by every entry with that presentation.
 
-    The duals and fingerprints are kept in dicts local to the call.  The cap
+    The records and fingerprints are kept in dicts local to the call.  The cap
     counts the whole coefficient box once per denominator.
     """
     if coeff_bound < 1 or denom_bound < 1:
@@ -194,14 +195,14 @@ def enumerate_partners(a: TorusVariety, coeff_bound: int, denom_bound: int) -> l
         key=lambda i: (candidates[i][1], [x % candidates[i][1] for x in candidates[i][0]]),
     )
     built = {i: slope_subvariety(candidates[i][2]) for i in order}
-    duals: dict[TorusVariety, TorusVariety] = {}
+    records: dict[TorusVariety, PartnerRecord] = {}
     prints: dict[tuple, Fingerprint] = {}
     entries = []
     for i, (coeffs, l, mu) in enumerate(candidates):
-        sv = built[i]
-        if sv.variety not in duals:
-            duals[sv.variety] = dual(sv.variety, name=f"{a.name}_partner")
-        rec = _partner_record(sv.variety, duals[sv.variety])
+        sub = built[i].variety
+        rec = records.get(sub)
+        if rec is None:
+            rec = records[sub] = _partner_record(sub, dual(sub, name=f"{a.name}_partner"))
         key = (rec.partner.j, rec.partner.ns_basis)
         if key not in prints:
             prints[key] = fingerprint(rec.partner)

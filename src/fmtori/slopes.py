@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 
 from .lattices import Lattice, sublattice_where_integral
-from .matrices import Mat, snf
+from .matrices import Mat, has_unit_invariant_factors
 from .records import Record
 from .varieties import (
     PRODUCT_CACHE_SIZE,
@@ -114,12 +114,14 @@ def _restriction(a: TorusVariety) -> tuple[tuple[tuple, ...], bool]:
     lattice is full, every integral alternating J-compatible form: g^2
     classes, which span every rational one (``dual``), whose
     upper-coordinate rows have unit invariant factors, so that the lattice
-    they generate is saturated."""
+    they generate is saturated.  Each of the g^2 rows has g(2g - 1) >= g^2
+    coordinates, so there are g^2 factors, and one echelon pass of
+    ``has_unit_invariant_factors`` reads whether each is 1."""
     amb = _ambient_product(a)
     forms = tuple(_upper(e) for e in (*amb.ns_basis, amb.polarization_class()))
     rows = tuple(_upper(e) for e in a.ns_basis)
     r = len(rows)
-    return forms, r == a.g**2 and snf(Mat._make(rows, r, len(rows[0]))) == (1,) * r
+    return forms, r == a.g**2 and has_unit_invariant_factors(Mat._make(rows, r, len(rows[0])))
 
 
 @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
@@ -130,8 +132,10 @@ def _member_data(a: TorusVariety, residue: Mat, l: int) -> tuple[Lattice, Mat, M
     e w / l is integral exactly when e w = 0 mod l, so these are the same for
     every slope on a with numerator e = residue mod l, and the lattice is
     read off one congruence echelon by ``sublattice_where_integral``.  The
-    slot starts empty; ``slope_subvariety`` keeps the subtorus NS basis, in
-    upper coordinates, there when a's NS lattice is full.  None of the four
+    slot starts empty; when a's NS lattice is full, ``slope_subvariety``
+    keeps there the subtorus NS basis as (Hermite rows in upper
+    coordinates, their class matrices), so every later slope of the key
+    reuses both, the one tuple of matrices included.  None of the four
     results carries a name.
     """
     lam_mu = sublattice_where_integral(l, residue)
@@ -156,10 +160,13 @@ def slope_subvariety(mu: Slope) -> SlopeSubvariety:
     (A, e mod l, l).  They are built once per such key, in the one bounded
     member-data cache that ``projection_invariants`` and ``slope_kernel``
     read too: the first slope of a key on a full lattice restricts every
-    ambient class and keeps the basis in the key's slot, and the others
-    read it there.  The embedding, its integrality and primitivity checks,
-    the transport of the polarization and the three maps depend on e itself
-    and are built for every slope.
+    ambient class and keeps the basis, its Hermite rows and their class
+    matrices, in the key's slot, and the others read both there, so the
+    subtori of one key share one ``ns_basis`` tuple.  The embedding, its
+    integrality and primitivity checks, the transport of the polarization
+    and the three maps depend on e itself and are built for every slope;
+    primitivity is read off one echelon pass by
+    ``has_unit_invariant_factors``.
 
     The NS lattice of the subtorus is generated by the restrictions of the
     ambient classes.  A's is full when it holds every integral J-compatible
@@ -193,21 +200,21 @@ def slope_subvariety(mu: Slope) -> SlopeSubvariety:
         raise InternalInvariantViolation("embedding is not integral on the member lattice")
     # emb_h has full column rank (its top block l*h is invertible), so its
     # image is primitive exactly when every invariant factor is 1
-    if snf(emb_h) != (1,) * n:
+    if not has_unit_invariant_factors(emb_h):
         raise InternalInvariantViolation("embedded member lattice is not primitive")
     # NS data: restrict the ambient classes, and the polarization, along the
     # embedding on upper coordinates, then present the lattice the classes
     # generate (no saturation: only classes from the ambient product count)
     forms, full = _restriction(a)
     if slot:
-        basis = slot[0]
+        basis, ns_mu = slot[0]
         (pol_r,) = _transport(forms[-1:], emb_h)
     else:
         *restricted, pol_r = _transport(forms, emb_h)
         basis = _span(restricted, saturated=False)
+        ns_mu = tuple(_from_upper(v, n) for v in basis)
         if full:
-            slot.append(basis)
-    ns_mu = tuple(_from_upper(v, n) for v in basis)
+            slot.append((basis, ns_mu))
     pol = _hermite_coordinates(pol_r, basis)
     abstract = TorusVariety(a.g, j_mu, ns_mu, pol, name=f"{a.name}_mu")
     # j_mu = h^-1 J h makes h^-1 and l*h intertwine, and emb_h does because

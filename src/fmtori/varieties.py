@@ -101,7 +101,9 @@ def _class_failure(e: Mat, j: Mat) -> str | None:
 
     For alternating e and j^2 = -I, (e j)^T = -j^T e, so j^T e j = e holds
     exactly when e j is symmetric: one product, and the form whose sign
-    positivity reads.
+    positivity reads.  Compatibility is decided for j^2 = -I only, a
+    precondition that ``validate`` checks on every loaded variety before
+    any class of it is tested; on another j the answer means nothing.
     """
     n = j.rows
     if (e.rows, e.cols) != (n, n):
@@ -117,7 +119,13 @@ def _class_failure(e: Mat, j: Mat) -> str | None:
 
 
 class NSClass(Record):
-    """An integral alternating J-compatible form on a fixed variety."""
+    """An integral alternating J-compatible form on a fixed variety.
+
+    The variety's J must satisfy J^2 = -I, which ``validate`` checks at
+    every load: compatibility is decided as "e J is symmetric"
+    (``_class_failure``), which equals J^T e J = e only then, and the
+    constructor does not check J again.
+    """
 
     variety: TorusVariety
     e: Mat
@@ -352,9 +360,12 @@ PRODUCT_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
-def _compatible_forms(j: Mat) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis, as the Hermite rows ``_span`` gives, of the upper
-    coordinates of every integral alternating form e with j^T e j = e.
+def _compatible_forms(j: Mat) -> tuple[tuple[tuple[int, ...], ...], tuple[Mat, ...]]:
+    """(rows, classes): the canonical basis, as the Hermite rows ``_span``
+    gives, of the upper coordinates of every integral alternating form e
+    with j^T e j = e, and the class matrices of those rows.  Both are built
+    once per complex structure, so every ``dual`` onto j shares one tuple
+    of class matrices.
 
     It is one saturated ``integer_kernel`` of that system on the
     n(n-1)/2 upper coordinates, over den^2 for j = num / den: entry (i, k)
@@ -376,7 +387,8 @@ def _compatible_forms(j: Mat) -> tuple[tuple[int, ...], ...]:
         for i, k in pairs
     )
     ker = integer_kernel(Mat._make(system, len(pairs), len(pairs)))
-    return tuple(zip(*ker.num))
+    rows = tuple(zip(*ker.num))
+    return rows, tuple(_from_upper(v, n) for v in rows)
 
 
 def dual(a: TorusVariety, name: str | None = None) -> TorusVariety:
@@ -406,7 +418,9 @@ def dual(a: TorusVariety, name: str | None = None) -> TorusVariety:
     compatible with -J^T.  So the g^2 classes of a valid variety, being
     independent, carry over to a spanning set, and their saturation is the
     lattice of all integral -J^T-compatible forms: ``_compatible_forms``,
-    one kernel per complex structure.
+    one kernel per complex structure, whose Hermite rows give the
+    polarization's coordinates and whose class matrices, built with them,
+    are the NS basis of every such dual on that structure.
     """
     jd = -1 * a.j.T
     h = a.polarization_class()
@@ -415,16 +429,16 @@ def dual(a: TorusVariety, name: str | None = None) -> TorusVariety:
     except ValueError:
         raise ValueError("variety has a degenerate designated polarization") from None
     if len(a.ns_basis) == a.g**2:
-        ns_up = _compatible_forms(jd)
+        ns_up, ns_d = _compatible_forms(jd)
     else:
         ns_up = _span(_transport([_upper(e) for e in a.ns_basis], hi), saturated=True)
+        ns_d = tuple(_from_upper(v, a.dim) for v in ns_up)
     # hi is primitive: a prime dividing its entries would divide d, because
     # h @ hi = d * I, and then d / p would already clear h^-1
     hd = -hi
     if not _is_positive_definite(hd @ jd):
         hd = hi
     pol = _hermite_coordinates(_upper(hd), ns_up)
-    ns_d = tuple(_from_upper(v, a.dim) for v in ns_up)
     return TorusVariety(a.g, jd, ns_d, pol, name if name is not None else a.name + "^")
 
 

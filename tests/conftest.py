@@ -69,6 +69,16 @@ def entry_slope(a: TorusVariety, entry) -> Slope:
     return reduce_slope(a.ns_class(entry.coefficients), entry.denominator)
 
 
+@st.composite
+def small_rectangles(draw) -> Mat:
+    """Integer matrices of 0 to 6 rows and columns with entries in [-3, 3],
+    where unit and non-unit invariant factors are both common."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    grid = draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return Mat._make(tuple(map(tuple, grid)), rows, cols)
+
+
 def mat_sum(a: Mat, b: Mat) -> Mat:
     """a + b for two matrices of one shape: [a b] times two stacked identities."""
     i = Mat.identity(a.cols)

@@ -67,11 +67,18 @@ def test_c03_ppav_rigidity_with_certificates(gate):
 
 def test_c04_projection_degree_is_square_rank_is_l(gate):
     crit = _check(gate, "projection_counts")
+    a = corpus.square_lattice_curve()
+    h = a.polarization_class()
     for case in crit["cases"]:
         assert case["degree"] == case["rank"] ** 2
         assert case["stabilizer_order"] == case["degree"]
         if abs(case["n"]) == 1:
             assert case["rank"] == case["l"]
+        # A -> A_mu -> A is multiplication by l: the reported degree times
+        # the order of the slope kernel, rebuilt from the case, is l^2g
+        n, l = case["n"], case["l"]
+        mu = slopes.Slope(NSClass(a, n * h), l)
+        assert case["degree"] * slopes.slope_kernel(mu).order == l ** (2 * a.g)
 
 
 def test_c05_poincare_class_audit(gate):

@@ -13,7 +13,7 @@ from fmtori.lattices import (
     saturate,
     sublattice_where_integral,
 )
-from fmtori.matrices import Mat, snf, solve_exact, vec_is_integral
+from fmtori.matrices import Mat, has_unit_invariant_factors, snf, solve_exact, vec_is_integral
 
 small = st.integers(min_value=-4, max_value=4)
 
@@ -240,3 +240,4 @@ def test_unit_invariant_factors_mean_primitive(m):
     lat = Lattice(m)
     primitive = saturate(lat, Lattice.standard(m.rows)) == lat
     assert (snf(m) == (1,) * m.cols) == primitive
+    assert has_unit_invariant_factors(m) == primitive

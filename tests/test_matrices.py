@@ -2,12 +2,19 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import mat_sum
+from conftest import mat_sum, small_rectangles
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fmtori.lattices import Lattice
-from fmtori.matrices import Mat, hnf_columns, integer_kernel, snf, solve_exact
+from fmtori.matrices import (
+    Mat,
+    has_unit_invariant_factors,
+    hnf_columns,
+    integer_kernel,
+    snf,
+    solve_exact,
+)
 
 entries = st.integers(min_value=-9, max_value=9)
 big_entries = st.integers(min_value=-(2**40), max_value=2**40)
@@ -590,6 +597,23 @@ def test_snf_divisibility_chain(m):
 @given(normal_form_inputs)
 def test_snf_ignores_sign_and_transpose(m):
     assert snf(-m) == snf(m) == snf(m.T)
+
+
+@given(small_rectangles())
+@example(Mat._make((), 0, 3))
+@example(Mat._make(((),) * 3, 3, 0))
+@example(Mat([[2, 0], [0, 3]]))
+@example(Mat([[1, 1], [1, -1]]))
+@example(Mat([[0, 0], [0, 0], [1, 1]]))
+@example(Mat([[1, 0, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [1, 0, 1, 2], [1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 0, 0], [-1, -1, 0, 0]]))
+def test_unit_invariant_factors_agree_with_smith(m):
+    for t in (m, m.T):
+        assert has_unit_invariant_factors(t) == (snf(t) == (1,) * min(t.rows, t.cols))
+
+
+def test_unit_invariant_factors_need_an_integral_matrix():
+    with pytest.raises(ValueError):
+        has_unit_invariant_factors(Mat([[Fraction(1, 2)]]))
 
 
 @given(st.one_of(

@@ -285,6 +285,18 @@ def test_enumeration_dualizes_each_partner_once(e_i_squared, monkeypatch):
         assert entry.record.partner.name == fresh.name
 
 
+def test_entries_with_equal_subtori_share_one_record(partner_entries):
+    # the record, partner and validated certificate, is a function of the
+    # subtorus: the 80 entries hold 60 records, one per distinct subtorus
+    records = {}
+    for entry in partner_entries:
+        rec = entry.record
+        assert records.setdefault(rec.dual_certificate.target, rec) is rec
+        assert is_isomorphism_certificate(rec.dual_certificate)
+    assert len(partner_entries) == 80
+    assert len(records) == len({id(e.record) for e in partner_entries}) == 60
+
+
 def test_enumeration_reads_spans_and_signs_off_integer_rows(
     e_i_squared, cold_caches, count_calls, monkeypatch
 ):

@@ -359,6 +359,23 @@ def test_partial_ns_lattices_restrict_per_slope(build, bounds, e_i_squared):
     assert max(len(b) for b in bases.values()) > 1
 
 
+def test_slopes_of_one_key_and_duals_of_one_structure_share_their_classes(cold_caches):
+    # E0/2 and (E0 + 2 E1)/2 have one member-data key on the full lattice
+    # of E_i x E_i: the first keeps its class matrices in the key's slot and
+    # the second reads the same tuple there; their subtori carry one complex
+    # structure, so both duals read theirs off one _compatible_forms entry
+    a = corpus.square_curve_product()
+    assert _restriction(a)[1]
+    first, second = (slope_subvariety(reduce_slope(a.ns_class(c), 2)).variety
+                     for c in ((1, 0, 0, 0), (1, 2, 0, 0)))
+    assert first != second and first.j == second.j
+    assert len(first.ns_basis) == a.g**2
+    assert first.ns_basis is second.ns_basis
+    duals = dual(first), dual(second)
+    assert duals[0] != duals[1]
+    assert duals[0].ns_basis is duals[1].ns_basis is _compatible_forms(duals[0].j)[1]
+
+
 def test_shared_ns_lattices_do_not_depend_on_the_caches(e_i_squared):
     # the first slope of each key fills its slot; from cold caches in
     # reverse order another slope comes first, and every answer, names

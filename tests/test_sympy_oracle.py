@@ -7,9 +7,10 @@ installed.
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
-from conftest import SHIPPED_VARIETIES, mat_sum
+from conftest import SHIPPED_VARIETIES, mat_sum, small_rectangles
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -21,7 +22,14 @@ from fmtori.lattices import (
     LatticeContainmentError,
     quotient_structure,
 )
-from fmtori.matrices import Mat, hnf_columns, integer_kernel, snf, solve_exact
+from fmtori.matrices import (
+    Mat,
+    has_unit_invariant_factors,
+    hnf_columns,
+    integer_kernel,
+    snf,
+    solve_exact,
+)
 from fmtori.slopes import reduce_slope, slope_subvariety
 from fmtori.varieties import _is_positive_definite, dual
 
@@ -169,6 +177,17 @@ def test_smith_invariant_factors_match_sympy(rows):
     ours = list(snf(Mat(rows)))
     theirs = [int(x) for x in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
     assert ours == theirs
+
+
+@given(small_rectangles())
+@example(Mat._make((), 0, 3))
+@example(Mat([[2, 0], [0, 3]]))
+@example(Mat([[0, 0], [0, 0], [1, 1]]))
+def test_unit_invariant_factors_match_sympy_smith_form(m):
+    for t in (m, m.T):
+        k = min(t.rows, t.cols)
+        s = smith_normal_form(sympy.Matrix(t.rows, t.cols, list(chain(*t.num))), domain=sympy.ZZ)
+        assert has_unit_invariant_factors(t) == all(abs(s[i, i]) == 1 for i in range(k))
 
 
 @st.composite

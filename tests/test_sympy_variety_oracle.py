@@ -181,7 +181,7 @@ def _is_row_hermite(rows) -> bool:
 @pytest.mark.parametrize("v", VARIETIES, ids=lambda v: v.name)
 def test_compatible_forms_are_the_saturated_sympy_nullspace(v):
     for j in (v.j, -1 * v.j.T):
-        ours = _compatible_forms(j)
+        ours, _ = _compatible_forms(j)
         assert len(ours) == v.g**2 and _is_row_hermite(ours)
         assert _same_lattice([sympy.Matrix(r) for r in ours], _compatible_kernel(j))
 

@@ -101,8 +101,10 @@ def test_cli_reports_are_unchanged_with_every_record_validated(
 
 
 # validated constructions in each workload's timed call, (NSClass, Homomorphism);
-# fingerprint trusts its variety, so the partner search validates no class
-VALIDATIONS = {"partners": (0, 80), "search_l2": (0, 0), "kernel_search": (0, 0)}
+# fingerprint trusts its variety, so the partner search validates no class, and
+# it validates one identity certificate per distinct subtorus: the 80 partners
+# of the workload come from 60 distinct subtori
+VALIDATIONS = {"partners": (0, 60), "search_l2": (0, 0), "kernel_search": (0, 0)}
 
 
 @pytest.mark.parametrize("name", sorted(VALIDATIONS))
