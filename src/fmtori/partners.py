@@ -158,8 +158,10 @@ def enumerate_partners(a: TorusVariety, coeff_bound: int, denom_bound: int) -> l
       built grouped by coefficients mod l, so each key is built once
       however many keys the box has, and every ambient class is restricted
       once per key on a full lattice and for every slope otherwise; the
-      embedding, its checks and the transport of the polarization run for
-      every slope;
+      embedding and its checks run for every slope, and so does the
+      transport of the polarization, since only the subtorus variety is
+      read, in that grouped order; the three structure maps are never
+      built;
     * a partner and its identity certificate are functions of the
       subtorus, so ``dual`` runs, and the certificate is built and checked,
       once per distinct subtorus, and entries with equal subtori share one
@@ -194,12 +196,12 @@ def enumerate_partners(a: TorusVariety, coeff_bound: int, denom_bound: int) -> l
         range(len(candidates)),
         key=lambda i: (candidates[i][1], [x % candidates[i][1] for x in candidates[i][0]]),
     )
-    built = {i: slope_subvariety(candidates[i][2]) for i in order}
+    built = {i: slope_subvariety(candidates[i][2]).variety for i in order}
     records: dict[TorusVariety, PartnerRecord] = {}
     prints: dict[tuple, Fingerprint] = {}
     entries = []
     for i, (coeffs, l, mu) in enumerate(candidates):
-        sub = built[i].variety
+        sub = built[i]
         rec = records.get(sub)
         if rec is None:
             rec = records[sub] = _partner_record(sub, dual(sub, name=f"{a.name}_partner"))

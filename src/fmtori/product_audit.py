@@ -185,7 +185,10 @@ def audit_equivalence(pc: ProductNSClass, l: int) -> AuditReport:
     J_A^T C J_B = C, which gives C^T J_A = -J_B^T C^T.
 
     The report keeps the class and the slope subtorus the audit built, so
-    ``projection_iso`` reads them instead of auditing again.
+    ``projection_iso`` reads them instead of auditing again.  The audit
+    reads only the subtorus's embedding; its NS data and maps are built
+    when first read, by ``projection_iso`` or another caller, so an audit
+    builds neither the ambient product nor any restriction.
     """
     mu = _slope_of(pc, l)
     if pc.a.g != pc.b.g:

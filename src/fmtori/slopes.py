@@ -16,7 +16,7 @@ subgroup.  None of the sheaves are constructed here, only these invariants.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
 
 from .lattices import Lattice, sublattice_where_integral
@@ -86,22 +86,6 @@ def slope_kernel(mu: Slope) -> FiniteSubgroup:
     return FiniteSubgroup(mu.variety, member_lattice(mu))
 
 
-class SlopeSubvariety(Record):
-    """The subtorus of A x dual(A) cut out by a slope mu, with its maps.
-
-    embedding is the rational matrix of v -> (l*v, e*v) into the ambient
-    product to_ambient.target; the abstract variety presents the subtorus on
-    ``member_lattice(mu)``, with NS data pulled back from the ambient product.
-    quotient: A -> abstract is v -> v; projection: abstract -> A is v -> l*v.
-    """
-
-    embedding: Mat
-    variety: TorusVariety
-    to_ambient: Homomorphism
-    quotient: Homomorphism
-    projection: Homomorphism
-
-
 @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
 def _ambient_product(a: TorusVariety) -> TorusVariety:
     return product(a, dual(a)).variety
@@ -132,11 +116,11 @@ def _member_data(a: TorusVariety, residue: Mat, l: int) -> tuple[Lattice, Mat, M
     e w / l is integral exactly when e w = 0 mod l, so these are the same for
     every slope on a with numerator e = residue mod l, and the lattice is
     read off one congruence echelon by ``sublattice_where_integral``.  The
-    slot starts empty; when a's NS lattice is full, ``slope_subvariety``
-    keeps there the subtorus NS basis as (Hermite rows in upper
-    coordinates, their class matrices), so every later slope of the key
-    reuses both, the one tuple of matrices included.  None of the four
-    results carries a name.
+    slot starts empty; when a's NS lattice is full, the first subtorus of
+    the key whose variety is read keeps there the subtorus NS basis as
+    (Hermite rows in upper coordinates, their class matrices), so every
+    later one reuses both, the one tuple of matrices included.  None of
+    the four results carries a name.
     """
     lam_mu = sublattice_where_integral(l, residue)
     h_inv = lam_mu.basis.inverse()
@@ -151,22 +135,102 @@ def _member(mu: Slope) -> tuple[Lattice, Mat, Mat, list]:
     return _member_data(mu.variety, residue, l)
 
 
+class SlopeSubvariety(Record):
+    """The subtorus of A x dual(A) cut out by a slope mu, with its maps.
+
+    The slope determines it, so the slope is the one field: equality, hash
+    and repr go by it.  Construction builds embedding, the rational matrix
+    of v -> (l*v, e*v) into the ambient product, checks that it is integral
+    and primitive on the member lattice, and keeps mu's member data; the
+    rest is built from those on first read:
+
+    * variety, the abstract subtorus on ``member_lattice(mu)``, with NS data
+      pulled back from the ambient product;
+    * to_ambient: variety -> A x dual(A), the embedding on the member lattice;
+    * quotient: A -> variety, v -> v;
+    * projection: variety -> A, v -> l*v.
+    """
+
+    slope: Slope
+
+    def __post_init__(self):
+        mu = self.slope
+        n = mu.variety.dim
+        member = _member(mu)
+        # the rows of l*I over those of e, which is integral
+        scaled = tuple(tuple(mu.l if i == k else 0 for k in range(n)) for i in range(n))
+        emb = Mat._make(scaled + mu.numerator.e.num, 2 * n, n)
+        emb_h = emb @ member[0].basis
+        if not emb_h.is_integral():
+            raise InternalInvariantViolation("embedding is not integral on the member lattice")
+        # emb_h has full column rank (its top block l*h is invertible), so its
+        # image is primitive exactly when every invariant factor is 1
+        if not has_unit_invariant_factors(emb_h):
+            raise InternalInvariantViolation("embedded member lattice is not primitive")
+        object.__setattr__(self, "embedding", emb)
+        object.__setattr__(self, "_emb_h", emb_h)
+        object.__setattr__(self, "_member", member)
+
+    @cached_property
+    def variety(self) -> TorusVariety:
+        # restrict the ambient classes, and the polarization, along the
+        # embedding on upper coordinates, then present the lattice the classes
+        # generate (no saturation: only classes from the ambient product count)
+        a, n = self.slope.variety, self.slope.variety.dim
+        _, _, j_mu, slot = self._member
+        forms, full = _restriction(a)
+        if slot:
+            basis, ns_mu = slot[0]
+            (pol_r,) = _transport(forms[-1:], self._emb_h)
+        else:
+            *restricted, pol_r = _transport(forms, self._emb_h)
+            basis = _span(restricted, saturated=False)
+            ns_mu = tuple(_from_upper(v, n) for v in basis)
+            if full:
+                slot.append((basis, ns_mu))
+        pol = _hermite_coordinates(pol_r, basis)
+        return TorusVariety(a.g, j_mu, ns_mu, pol, name=f"{a.name}_mu")
+
+    # j_mu = h^-1 J h makes h^-1 and l*h intertwine, and emb_h does because
+    # e is J-compatible; h^-1 is integral because the member lattice holds Z^n
+
+    @cached_property
+    def to_ambient(self) -> Homomorphism:
+        a = self.slope.variety
+        return Homomorphism._make(self.variety, _ambient_product(a), self._emb_h)
+
+    @cached_property
+    def quotient(self) -> Homomorphism:
+        return Homomorphism._make(self.slope.variety, self.variety, self._member[1])
+
+    @cached_property
+    def projection(self) -> Homomorphism:
+        mu = self.slope
+        return Homomorphism._make(self.variety, mu.variety, mu.l * self._member[0].basis)
+
+
 def slope_subvariety(mu: Slope) -> SlopeSubvariety:
     """The subtorus of A x dual(A) that mu cuts out, with its structure maps.
+
+    Every call builds the embedding and checks that it is integral and
+    primitive on the member lattice, primitivity read off one echelon pass
+    by ``has_unit_invariant_factors``; the NS data and the three maps are
+    built when first read (``SlopeSubvariety``), so a caller that reads
+    only the embedding, as ``audit_equivalence`` does, builds neither the
+    ambient product nor any restriction.
 
     The member lattice {w/l : e w = 0 mod l}, the inverse of its basis h,
     the complex structure h^-1 J h it carries and, when A's presented NS
     lattice is full, the subtorus NS basis depend on mu only through
     (A, e mod l, l).  They are built once per such key, in the one bounded
     member-data cache that ``projection_invariants`` and ``slope_kernel``
-    read too: the first slope of a key on a full lattice restricts every
-    ambient class and keeps the basis, its Hermite rows and their class
-    matrices, in the key's slot, and the others read both there, so the
-    subtori of one key share one ``ns_basis`` tuple.  The embedding, its
-    integrality and primitivity checks, the transport of the polarization
-    and the three maps depend on e itself and are built for every slope;
-    primitivity is read off one echelon pass by
-    ``has_unit_invariant_factors``.
+    read too, and each subtorus keeps the member data it fetched: the
+    first subtorus of a key on a full lattice whose variety is read
+    restricts every ambient class and keeps the basis, its Hermite rows
+    and their class matrices, in the key's slot, and the others read both
+    there, so the subtori of one key share one ``ns_basis`` tuple.  The
+    transport of the polarization depends on e itself and runs for every
+    subtorus whose variety is read.
 
     The NS lattice of the subtorus is generated by the restrictions of the
     ambient classes.  A's is full when it holds every integral J-compatible
@@ -188,44 +252,7 @@ def slope_subvariety(mu: Slope) -> SlopeSubvariety:
     on E_i x E_i with its second class doubled, a valid presentation of
     index 2, one key holds up to 3 distinct NS lattices.
     """
-    a, n = mu.variety, mu.variety.dim
-    amb = _ambient_product(a)
-    lam_mu, h_inv, j_mu, slot = _member(mu)
-    h = lam_mu.basis
-    # the rows of l*I over those of e, which is integral
-    scaled = tuple(tuple(mu.l if i == k else 0 for k in range(n)) for i in range(n))
-    emb = Mat._make(scaled + mu.numerator.e.num, 2 * n, n)
-    emb_h = emb @ h
-    if not emb_h.is_integral():
-        raise InternalInvariantViolation("embedding is not integral on the member lattice")
-    # emb_h has full column rank (its top block l*h is invertible), so its
-    # image is primitive exactly when every invariant factor is 1
-    if not has_unit_invariant_factors(emb_h):
-        raise InternalInvariantViolation("embedded member lattice is not primitive")
-    # NS data: restrict the ambient classes, and the polarization, along the
-    # embedding on upper coordinates, then present the lattice the classes
-    # generate (no saturation: only classes from the ambient product count)
-    forms, full = _restriction(a)
-    if slot:
-        basis, ns_mu = slot[0]
-        (pol_r,) = _transport(forms[-1:], emb_h)
-    else:
-        *restricted, pol_r = _transport(forms, emb_h)
-        basis = _span(restricted, saturated=False)
-        ns_mu = tuple(_from_upper(v, n) for v in basis)
-        if full:
-            slot.append((basis, ns_mu))
-    pol = _hermite_coordinates(pol_r, basis)
-    abstract = TorusVariety(a.g, j_mu, ns_mu, pol, name=f"{a.name}_mu")
-    # j_mu = h^-1 J h makes h^-1 and l*h intertwine, and emb_h does because
-    # e is J-compatible; h^-1 is integral because the member lattice holds Z^n
-    return SlopeSubvariety(
-        embedding=emb,
-        variety=abstract,
-        to_ambient=Homomorphism._make(abstract, amb, emb_h),
-        quotient=Homomorphism._make(a, abstract, h_inv),
-        projection=Homomorphism._make(abstract, a, mu.l * h),
-    )
+    return SlopeSubvariety(mu)
 
 
 class ProjectionInvariants(Record):

@@ -3,7 +3,9 @@
 The field tuples are written out: they are the field orders of the frozen
 dataclasses these classes replaced, less the fields deleted since (those
 that only copied or derived data the record keeps), so positional construction, equality,
-hashing and repr keep their meaning.
+hashing and repr keep their meaning.  ``SlopeSubvariety`` keeps only the
+slope that determines it; its embedding and its lazily built variety and
+maps are derived attributes.
 """
 
 import importlib
@@ -26,7 +28,7 @@ from fmtori.product_audit import (
     projection_iso,
 )
 from fmtori.records import Record
-from fmtori.slopes import projection_invariants, reduce_slope, slope_subvariety
+from fmtori.slopes import SlopeSubvariety, projection_invariants, reduce_slope, slope_subvariety
 from fmtori.varieties import (
     FiniteSubgroup,
     NSClass,
@@ -50,8 +52,7 @@ FIELDS = {
     "fmtori.product_audit.ProjectionIso": ("to_b_side", "to_a_side", "eta", "dual_certificate"),
     "fmtori.slopes.ProjectionInvariants": ("stabilizer",),
     "fmtori.slopes.Slope": ("numerator", "l"),
-    "fmtori.slopes.SlopeSubvariety": (
-        "embedding", "variety", "to_ambient", "quotient", "projection"),
+    "fmtori.slopes.SlopeSubvariety": ("slope",),
     "fmtori.varieties.FiniteSubgroup": ("variety", "overlattice"),
     "fmtori.varieties.Homomorphism": ("source", "target", "m"),
     "fmtori.varieties.NSClass": ("variety", "e"),
@@ -172,6 +173,12 @@ def test_repr_examples(e_i):
     assert pc.as_class().e == pc.m
     assert pc == ProductNSClass(pc.a, pc.b, pc.m, pc.name)
     assert pc != ProductNSClass(pc.a, pc.b, pc.m, "another name")
+    # a slope subtorus shows its slope only, however much of it was built
+    mu = reduce_slope(e_i.ns_class((1,)), 2)
+    sv = slope_subvariety(mu)
+    assert repr(sv) == f"SlopeSubvariety(slope={mu!r})"
+    sv.projection
+    assert repr(sv) == repr(SlopeSubvariety(mu)) and sv == SlopeSubvariety(mu)
 
 
 def test_defaults_and_keyword_construction(e_i):
@@ -229,3 +236,10 @@ def test_cached_properties_fill_the_instance_dict(e_i):
     assert "structure" not in sub.__dict__
     assert sub.structure == FiniteGroupStructure((2, 2))
     assert sub.__dict__["structure"] is sub.structure
+    # a slope subtorus builds its variety and maps on first read, once
+    sv = slope_subvariety(reduce_slope(e_i.ns_class((1,)), 3))
+    lazy = ("variety", "to_ambient", "quotient", "projection")
+    assert not set(lazy) & set(sv.__dict__)
+    for name in lazy:
+        value = getattr(sv, name)
+        assert sv.__dict__[name] is value is getattr(sv, name)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -5,11 +6,13 @@ from conftest import SHIPPED_VARIETIES, clear_caches, entry_slope, kernel_by_inv
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmtori import corpus, partners
+from fmtori import corpus, partners, slopes
 from fmtori.lattices import Lattice, saturate
 from fmtori.matrices import Mat
+from fmtori.product_audit import audit_equivalence, search_product_classes
 from fmtori.slopes import (
     Slope,
+    SlopeSubvariety,
     _member_data,
     _restriction,
     member_lattice,
@@ -22,6 +25,7 @@ from fmtori.slopes import (
 from fmtori.varieties import (
     FiniteSubgroup,
     Homomorphism,
+    InternalInvariantViolation,
     NSClass,
     PreconditionError,
     TorusVariety,
@@ -268,6 +272,69 @@ def test_subvariety_matches_reference_on_corpus_slopes():
     assert len(cases) >= 120
     for a, mu in cases:
         _assert_matches_reference(slope_subvariety(mu), a, mu)
+
+
+# the attributes of a slope subtorus that are built on first read
+LAZY = ("variety", "to_ambient", "quotient", "projection")
+
+
+def _names(parts):
+    """The names of the subtorus and of its ambient product, read off the
+    lazy attributes of a subtorus, given by name."""
+    return (parts["variety"].name, parts["to_ambient"].target.name,
+            parts["quotient"].target.name, parts["projection"].source.name)
+
+
+def test_lazy_attributes_read_on_cold_caches_match_the_reference(partner_entries):
+    # caches never change an answer: every subtorus is built, every cache is
+    # emptied, and then the lazy attributes are read, the last one first, so
+    # each is built from the member data its subtorus kept, on cold caches
+    source = corpus.square_curve_product()
+    cases = [(source, entry_slope(source, e)) for e in partner_entries] + list(_corpus_slopes())
+    assert len(cases) >= 80 + 120
+    built = [slope_subvariety(mu) for _, mu in cases]
+    clear_caches()
+    read = [{name: getattr(sv, name) for name in reversed(LAZY)} for sv in built]
+    for (a, mu), sv, got in zip(cases, built, read):
+        ref = _ref_slope_subvariety(a, mu)
+        assert sv.embedding == ref["embedding"]
+        for name in LAZY:
+            assert got[name] == ref[name], name
+        assert _names(got) == _names(ref)
+
+
+def test_an_audit_reads_no_ns_data_of_its_subtorus(e_i, cold_caches, monkeypatch):
+    # the l=2 search audits each survivor on its embedding alone: with the
+    # ambient product, the restriction and dual all refused, it still finds
+    # its hits; read afterwards, each hit's subtorus is the reference one
+    def refused(*args):
+        raise AssertionError("an audit built the subtorus NS data")
+
+    with monkeypatch.context() as patched:
+        for name in ("_ambient_product", "_restriction", "dual"):
+            patched.setattr(slopes, name, refused)
+        hits = search_product_classes(e_i, e_i, 2, 2, limit=2)
+    assert len(hits) == 2
+    for pc in hits:
+        sv = audit_equivalence(pc, 2).subtorus
+        ref = _ref_slope_subvariety(sv.slope.variety, sv.slope)
+        assert sv.variety == ref["variety"] and sv.variety.name == ref["variety"].name
+
+
+@pytest.mark.parametrize("build", (SlopeSubvariety, slope_subvariety), ids=("class", "function"))
+def test_every_construction_checks_the_embedding(build, e_i, monkeypatch):
+    # the record's constructor is the one path: both checks run on every
+    # construction, whichever way it is called
+    mu = reduce_slope(e_i.ns_class((1,)), 2)
+    lam, *rest = slopes._member(mu)
+    monkeypatch.setattr(slopes, "has_unit_invariant_factors", lambda m: False)
+    with pytest.raises(InternalInvariantViolation, match="not primitive"):
+        build(mu)
+    # member data on a lattice twice as fine, on which l*h is not integral
+    finer = Lattice(Fraction(1, 2) * lam.basis)
+    monkeypatch.setattr(slopes, "_member", lambda mu: (finer, *rest))
+    with pytest.raises(InternalInvariantViolation, match="not integral"):
+        build(mu)
 
 
 # -- the shared subtorus and dual NS lattices against per-slope construction -------
